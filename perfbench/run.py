@@ -22,7 +22,6 @@ import resource
 import statistics
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -31,7 +30,7 @@ SRC = ROOT / "src"
 OUT = ROOT / ".perfbench"
 sys.path.insert(0, str(HERE))
 
-from tracing import Probe  # noqa: E402
+from tracing import Probe, clock  # noqa: E402
 from workloads import (  # noqa: E402
     HUNT_BY_NAME,
     NOMINAL_SECONDS,
@@ -48,18 +47,20 @@ SETUP_PROBES = 5
 class SetupSampler:
     """Times ``SETUP_PROBES`` set-ups, each in a fresh interpreter.
 
-    The probes are spread over the pass (called before unit runs) and
-    bracketed by calibrations, so a slow spell of the machine touches
-    at most one or two of them and is scaled out of those. One uncounted
-    warm-up probe first fills the bytecode cache.
+    A probe's time is the CPU time of its process (user plus system,
+    interpreter start included), so time the core spends on other work
+    does not count. The probes are spread over the pass (called before
+    unit runs) and bracketed by calibrations, so a slow spell of the
+    machine touches at most one or two of them and is scaled out of
+    those. One uncounted warm-up probe first fills the bytecode cache.
     """
 
     def __init__(self, workload: str, slots: int) -> None:
         self.command = [sys.executable, str(HERE / "setup_probe.py"), workload]
         self.at = {round(i * slots / SETUP_PROBES) for i in range(SETUP_PROBES)}
         self.calls = 0
-        #: Raw (start, end) clock stamps of each timed probe.
-        self.stamps: list[tuple[float, float]] = []
+        #: (clock stamp, CPU seconds) of each timed probe.
+        self.samples: list[tuple[float, float]] = []
         self._run()
 
     def _run(self) -> None:
@@ -70,9 +71,9 @@ class SetupSampler:
 
     def _probe(self, probe: Probe) -> None:
         probe.calibrate()
-        start = time.perf_counter()
+        before = children_cpu_s()
         self._run()
-        self.stamps.append((start, time.perf_counter()))
+        self.samples.append((clock(), children_cpu_s() - before))
         probe.calibrate()
 
     def __call__(self, probe: Probe) -> None:
@@ -82,10 +83,17 @@ class SetupSampler:
 
     def finish(self, probe: Probe) -> list[float]:
         """Seconds of every probe at reference speed."""
-        while len(self.stamps) < SETUP_PROBES:
+        while len(self.samples) < SETUP_PROBES:
             self._probe(probe)
         normalizer = probe.normalizer()
-        return [normalizer.span(start, end) for start, end in self.stamps]
+        return [normalizer.factor_at(stamp) * seconds
+                for stamp, seconds in self.samples]
+
+
+def children_cpu_s() -> float:
+    """CPU seconds of every child process that has been waited for."""
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
 
 
 def percentile(sorted_values, fraction: float) -> float:
@@ -99,10 +107,7 @@ def bug_metrics(result) -> dict:
     iterations = sum(b.iterations if b.iterations is not None
                      else HUNT_BY_NAME[b.hunt].budget for b in result.bugs)
     found = sum(b.iterations is not None for b in result.bugs)
-    if result.canary_seconds:
-        seconds = min(result.canary_seconds)
-    else:
-        seconds = sum(b.seconds for b in result.bugs)
+    seconds = sum(b.seconds for b in result.bugs)
     return {"time_to_bugs_s": seconds, "iters_to_bugs": iterations,
             "bugs_found": found / len(result.bugs)}
 

@@ -6,6 +6,10 @@ on :meth:`Probe.uninstall`; the program's own code is never edited.
 * Untraced, only ``FuzzEngine.step`` is wrapped: one clock pair per
   case, which gives the per-case latencies and the step end stamps the
   bug hunts read their seconds-to-bug from.
+* Every stamp is read from :func:`clock`, the thread's CPU time: time
+  the core spent on another process, or (with steal-time accounting) on
+  another tenant's virtual CPU, never counts. On a core of its own the
+  single-threaded fuzzer's CPU time is its wall time.
 * Between cases, at most every ``CALIBRATE_EVERY_S``, the probe times a
   fixed reference loop. The machine this runs on shares its cores with
   other tenants, and its speed drifts by up to 2x over seconds to
@@ -33,6 +37,9 @@ from array import array
 from bisect import bisect_right
 from collections import Counter
 from pathlib import Path
+
+#: The clock of every stamp: this thread's CPU seconds.
+clock = time.thread_time
 
 #: Guest instructions that are VM entries.
 ENTRY_MNEMONICS = frozenset({"vmlaunch", "vmresume", "vmrun"})
@@ -68,7 +75,7 @@ def reference_loop(rounds: int = 50) -> int:
 
 
 class Normalizer:
-    """Maps ``perf_counter`` stamps onto reference-speed seconds.
+    """Maps :func:`clock` stamps onto reference-speed seconds.
 
     Between two calibrations the machine is taken to run at the mean
     speed the two measured (each a running median of ``SMOOTHING``
@@ -101,6 +108,11 @@ class Normalizer:
 
     def span(self, start: float, end: float) -> float:
         return self(end) - self(start)
+
+    def factor_at(self, stamp: float) -> float:
+        """Reference seconds per second of the stretch holding *stamp*."""
+        k = min(max(bisect_right(self.ends, stamp) - 1, 0), len(self.factors) - 1)
+        return self.factors[k]
 
 
 def _targets():
@@ -222,9 +234,9 @@ class Probe:
     # --- calibration ------------------------------------------------------------
 
     def calibrate(self) -> None:
-        start = time.perf_counter()
+        start = clock()
         reference_loop()
-        end = time.perf_counter()
+        end = clock()
         self.cal_starts.append(start)
         self.cal_ends.append(end)
         self._next_calibration = end + CALIBRATE_EVERY_S
@@ -250,16 +262,16 @@ class Probe:
     # --- wrappers -----------------------------------------------------------
 
     def _timed_step(self, step):
-        durations, ends, clock = self.durations, self.ends, time.perf_counter
+        durations, ends, now = self.durations, self.ends, clock
 
         def timed_step(engine):
-            if clock() >= self._next_calibration:
+            if now() >= self._next_calibration:
                 self.calibrate()
-            start = clock()
+            start = now()
             try:
                 return step(engine)
             finally:
-                end = clock()
+                end = now()
                 durations.append(end - start)
                 ends.append(end)
         return timed_step
@@ -273,10 +285,10 @@ class Probe:
     def _span(self, name: str, fn, observe=None):
         span_id = self._name_id(name)
         starts, stops, parents = self.starts, self.stops, self.parents
-        span_names, stack, clock = self.span_names, self._stack, time.perf_counter
+        span_names, stack, now = self.span_names, self._stack, clock
 
         def traced(*args, **kwargs):
-            start = clock()
+            start = now()
             index = len(starts)
             starts.append(start)
             stops.append(0.0)
@@ -286,7 +298,7 @@ class Probe:
             try:
                 result = fn(*args, **kwargs)
             finally:
-                stops[index] = clock()
+                stops[index] = now()
                 stack.pop()
             if observe is not None:
                 observe(result)
