@@ -20,20 +20,10 @@ field-for-field equivalent by tests/unit/test_incremental_equivalence.py.
 ``NECOFUZZ_BENCH_BUDGET`` shrinks the iteration budget for CI smoke
 runs; the speedup floor is only asserted at the full default budget,
 since sub-100-iteration timings are warmup-dominated noise.
-
-The second benchmark drives the *batched oracle hot path* (DESIGN.md
-§12) the way the engine does per tick: N candidate byte images are
-mutated from the current corpus parent, deserialised (byte-diffed
-against frozen reference masters when batching is on), columnar-warmed,
-and verified by the hardware oracle. Full recompute, incremental, and
-batched modes replay the identical mutation schedule and must agree on
-every behavioural counter *and* on the final parent bytes — corpus
-evolution is pinned bit-identical before speed may differ.
 """
 
 from __future__ import annotations
 
-import gc
 import json
 import random
 import time
@@ -50,7 +40,6 @@ from repro.validator.golden import golden_vmcs
 from repro.validator.oracle import HardwareOracle
 from repro.validator.rounding import VmStateValidator
 from repro.vmx import fields as F
-from repro.vmx.vmcs import Vmcs
 
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_hotpath.json"
 DEFAULT_BUDGET = 400
@@ -58,36 +47,9 @@ BUDGET = bench_budget(DEFAULT_BUDGET)
 SEED = 7
 #: Acceptance floor from the issue; measured ~2.2x on the dev container.
 MIN_SPEEDUP = 2.0
-#: Batched-oracle acceptance gate (issue): either an absolute
-#: throughput floor or a speedup floor over full recompute.
-BATCH_CASES_FLOOR = 10_000
-MIN_BATCH_SPEEDUP = 3.5
-#: Engine tick size for the batched stage (matches --batch-size 16).
-BATCH_TICK = 16
-#: The oracle workload is ~3x faster per case than the validator-heavy
-#: one, so it gets a larger default budget — long enough to amortize
-#: first-tick warmup and ride out scheduler jitter near the floor.
-DEFAULT_ORACLE_BUDGET = 1600
-ORACLE_BUDGET = bench_budget(DEFAULT_ORACLE_BUDGET)
 
 STAGES = ("correct", "validate", "merge", "execute")
-ORACLE_STAGES = ("mutate", "deserialize", "warm", "verify")
 _MUTABLE = [s for s in F.ALL_FIELDS if s.group is not F.FieldGroup.READ_ONLY]
-
-
-def _mutable_byte_offsets() -> list[int]:
-    """Byte offsets (canonical serialized layout) of mutable fields."""
-    out = []
-    offset = 0
-    for spec in F.ALL_FIELDS:
-        nbytes = (spec.bits + 7) // 8
-        if spec.group is not F.FieldGroup.READ_ONLY:
-            out.extend(range(offset, offset + nbytes))
-        offset += nbytes
-    return out
-
-
-_MUTABLE_BYTES = _mutable_byte_offsets()
 
 
 def _update_json(section: str, payload: dict) -> None:
@@ -214,141 +176,3 @@ def test_incremental_hotpath_speedup(capsys):
 
     if BUDGET >= DEFAULT_BUDGET and not truncated:
         assert speedup >= MIN_SPEEDUP
-
-
-def _run_oracle_workload(mode: str, budget: int = ORACLE_BUDGET) -> dict:
-    """The engine-shaped oracle hot path: mutate -> deserialize -> verify.
-
-    Per tick, ``BATCH_TICK`` candidate byte images are derived from the
-    current parent by random bit flips in mutable fields, deserialised,
-    and verified in order; the first entering candidate's serialized
-    state becomes the next parent (corpus adoption). The mutation
-    schedule depends only on the RNG and the parent bytes, and all
-    three modes produce identical corrections — so corpus evolution is
-    mode-independent and asserted bit-identical by the caller.
-
-    *mode* is ``"full"`` (no memoization), ``"incremental"`` (journal
-    memos, classic deserialize), or ``"batch"`` (anchored byte-diff
-    deserialize + columnar warm pass + signature caches).
-    """
-    from repro.cpu.entry_checks import warm_batch_checks
-
-    gc.collect()  # don't charge one mode for another's garbage
-    deadline = PhaseDeadline()
-    batched = mode == "batch"
-    with perf.incremental_mode(mode != "full"), \
-            perf.batch_mode(BATCH_TICK if batched else 0):
-        hv = KvmHypervisor(VcpuConfig.default(Vendor.INTEL))
-        caps = hv.nested_vmx.caps
-        revision = caps.vmcs_revision_id
-        oracle = HardwareOracle(caps)
-        parent = golden_vmcs(caps).serialize()
-        rng = random.Random(SEED)
-        stages = dict.fromkeys(ORACLE_STAGES, 0.0)
-        entries = attempts = rules = goldens = 0
-
-        ran = 0
-        start = time.perf_counter()
-        while ran < budget:
-            if deadline.expired():
-                break
-            tick = min(BATCH_TICK, budget - ran)
-
-            t = time.perf_counter()
-            images = []
-            for _ in range(tick):
-                img = bytearray(parent)
-                for _ in range(rng.randrange(1, 3)):
-                    img[rng.choice(_MUTABLE_BYTES)] ^= 1 << rng.randrange(8)
-                images.append(bytes(img))
-            stages["mutate"] += time.perf_counter() - t
-
-            t = time.perf_counter()
-            candidates = [Vmcs.deserialize(img, revision) for img in images]
-            stages["deserialize"] += time.perf_counter() - t
-
-            if batched:
-                t = time.perf_counter()
-                warm_batch_checks(candidates, oracle._checker)
-                stages["warm"] += time.perf_counter() - t
-
-            t = time.perf_counter()
-            adopted = None
-            for cand in candidates:
-                report = oracle.verify(cand)
-                attempts += report.attempts
-                rules += len(report.activated_rules)
-                goldens += len(report.golden_fallbacks)
-                if report.entered:
-                    entries += 1
-                    if adopted is None:
-                        adopted = cand
-            stages["verify"] += time.perf_counter() - t
-            if adopted is not None:
-                parent = adopted.serialize()
-            ran += tick
-        elapsed = time.perf_counter() - start
-
-    return {
-        "cases_per_sec": ran / elapsed if ran else 0.0,
-        "seconds": elapsed,
-        "iterations": ran,
-        "truncated": deadline.hit,
-        "stages": stages,
-        "entries": entries,
-        "attempts": attempts,
-        "rules": rules,
-        "goldens": goldens,
-        "parent": parent,
-    }
-
-
-@pytest.mark.benchmark(group="perf-hotpath")
-def test_batched_oracle_speedup(capsys):
-    full = _run_oracle_workload("full")
-    inc = _run_oracle_workload("incremental", budget=full["iterations"])
-    bat = _run_oracle_workload("batch", budget=full["iterations"])
-    truncated = full["truncated"] or inc["truncated"] or bat["truncated"]
-    if not bat["cases_per_sec"] or not inc["cases_per_sec"]:
-        pytest.skip("phase deadline left no iterations to compare")
-    speedup_batch = bat["cases_per_sec"] / full["cases_per_sec"]
-    speedup_inc = inc["cases_per_sec"] / full["cases_per_sec"]
-
-    # All three modes must do identical work — down to the final corpus
-    # parent bytes — before their speed may differ.
-    if full["iterations"] == inc["iterations"] == bat["iterations"]:
-        for key in ("entries", "attempts", "rules", "goldens", "parent"):
-            assert full[key] == inc[key] == bat[key], key
-
-    _update_json("oracle_batch", {
-        "full_cases_per_sec": round(full["cases_per_sec"], 1),
-        "incremental_cases_per_sec": round(inc["cases_per_sec"], 1),
-        "batch_cases_per_sec": round(bat["cases_per_sec"], 1),
-        "speedup_batch": round(speedup_batch, 2),
-        "speedup_incremental": round(speedup_inc, 2),
-        "batch_tick": BATCH_TICK,
-        "iterations_run": full["iterations"],
-        "deadline_truncated": truncated,
-        "entries": full["entries"],
-        "attempts": full["attempts"],
-        "stage_seconds_full": {k: round(v, 4)
-                               for k, v in full["stages"].items()},
-        "stage_seconds_batch": {k: round(v, 4)
-                                for k, v in bat["stages"].items()},
-    })
-
-    report = BenchReport("Oracle hot path: batched vs incremental vs full")
-    for label, r in (("full", full), ("incremental", inc), ("batch", bat)):
-        per_stage = "  ".join(f"{k}={r['stages'][k] * 1000:.0f}ms"
-                              for k in ORACLE_STAGES)
-        report.add(f"{label:12s}{r['cases_per_sec']:8.1f} cases/s   "
-                   f"{per_stage}")
-    report.add(f"speedup     {speedup_batch:8.2f}x over full  "
-               f"(gate: >= {MIN_BATCH_SPEEDUP}x or "
-               f">= {BATCH_CASES_FLOOR} cases/s)"
-               + ("  [deadline truncated]" if truncated else ""))
-    report.emit(capsys)
-
-    if ORACLE_BUDGET >= DEFAULT_ORACLE_BUDGET and not truncated:
-        assert (bat["cases_per_sec"] >= BATCH_CASES_FLOOR
-                or speedup_batch >= MIN_BATCH_SPEEDUP)

@@ -90,11 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--reuse-hypervisor", action="store_true",
                         help="reuse built hypervisors across same-config "
                              "cases (faster, changes trajectories)")
-    parser.add_argument("--batch-size", type=int, default=0, metavar="N",
-                        help="execute N cases per tick through the batched "
-                             "oracle hot path (DESIGN.md §12); 0 = classic "
-                             "loop, 1 = batched path with bit-identical "
-                             "results")
     parser.add_argument("--corpus-dir", type=Path, default=None,
                         help="resume from a saved corpus directory "
                              "(serial campaigns only); crash reproducers "
@@ -197,9 +192,18 @@ def main(argv: list[str] | None = None) -> int:
     if argv and argv[0] == "telemetry-report":
         return telemetry_report_main(argv[1:])
     args = build_parser().parse_args(argv)
-    if args.transport_timeout <= 0:
-        print("error: --transport-timeout must be > 0", file=sys.stderr)
-        return 2
+    for flag, bad, bound in (
+            ("--iterations", args.iterations < 1, ">= 1"),
+            ("--sample-every", args.sample_every < 1, ">= 1"),
+            ("--sync-every", args.sync_every < 1, ">= 1"),
+            ("--max-restarts", args.max_restarts < 0, ">= 0"),
+            ("--checkpoint-interval", args.checkpoint_interval < 0, ">= 0"),
+            ("--case-timeout",
+             args.case_timeout is not None and args.case_timeout <= 0, "> 0"),
+            ("--transport-timeout", args.transport_timeout <= 0, "> 0")):
+        if bad:
+            print(f"error: {flag} must be {bound}", file=sys.stderr)
+            return 2
     if args.coordinator and args.node:
         print("error: --coordinator and --node are mutually exclusive "
               "(one process is one role)", file=sys.stderr)
@@ -233,9 +237,6 @@ def main(argv: list[str] | None = None) -> int:
         print("error: checkpoint/resume applies to parallel campaigns "
               "(use --workers >= 2, or --corpus-dir for serial resume)",
               file=sys.stderr)
-        return 2
-    if args.batch_size < 0:
-        print("error: --batch-size must be >= 0", file=sys.stderr)
         return 2
     if args.schedule == "stealing" and args.workers == 1:
         print("error: --schedule stealing needs --workers >= 2 "
@@ -275,7 +276,6 @@ def main(argv: list[str] | None = None) -> int:
             patched=patched,
             async_events=args.async_events,
             reuse_hypervisor=args.reuse_hypervisor,
-            batch_size=args.batch_size,
             power_schedule=args.power_schedule,
             address=args.coordinator,
             transport_timeout=args.transport_timeout,
@@ -301,7 +301,6 @@ def main(argv: list[str] | None = None) -> int:
             patched=patched,
             async_events=args.async_events,
             reuse_hypervisor=args.reuse_hypervisor,
-            batch_size=args.batch_size,
             case_timeout=args.case_timeout,
             max_restarts=args.max_restarts,
             checkpoint_interval=args.checkpoint_interval,
@@ -326,7 +325,6 @@ def main(argv: list[str] | None = None) -> int:
             reports_dir=args.reports_dir,
             corpus_dir=args.corpus_dir,
             reuse_hypervisor=args.reuse_hypervisor,
-            batch_size=args.batch_size,
             power_schedule=args.power_schedule)
     result = campaign.run(args.iterations, sample_every=args.sample_every)
 

@@ -13,9 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro import faults, perf
+from repro import faults
 from repro.arch.cpuid import Vendor
-from repro.cpu.entry_checks import warm_batch_checks
 from repro.arch.exceptions import HostCrash
 from repro.core.adapters import adapter_for
 from repro.core.detectors import Anomaly, AnomalyDetector, Watchdog
@@ -29,7 +28,6 @@ from repro.fuzzer.engine import RunFeedback
 from repro.fuzzer.input import FuzzInput
 from repro.hypervisors.base import VmCrash
 from repro.vmx.msr_caps import default_capabilities
-from repro.vmx.vmcs import Vmcs
 
 
 @dataclass
@@ -242,33 +240,3 @@ class Agent:
     def execute_for_engine(self, fuzz_input: FuzzInput) -> RunFeedback:
         """The callback handed to :class:`repro.fuzzer.FuzzEngine`."""
         return self.run_case(fuzz_input).feedback
-
-    def warm_batch(self, inputs: list[FuzzInput]) -> None:
-        """Columnar warm pass over one batch of candidates (DESIGN.md §12).
-
-        Decodes each lane's raw VMCS image and seeds the per-checker
-        signature caches columnwise before the engine executes the
-        batch case by case. Only value-keyed caches are touched, so
-        results cannot change; and only generators that already exist
-        are peeked at — building (or even LRU-reordering) generators
-        here would perturb the strictly sequential oracle learning.
-        """
-        if not perf.batch_enabled() or self.config.vendor is not Vendor.INTEL:
-            return
-        groups: dict = {}
-        for fuzz_input in inputs:
-            key = self._config_key(self.configurator.generate(fuzz_input))
-            generator = self._generators.get(key)
-            checker = getattr(getattr(generator, "oracle", None),
-                              "_checker", None)
-            if checker is None:
-                continue
-            try:
-                state = Vmcs.deserialize(fuzz_input.vm_state_bytes(),
-                                         generator.caps.vmcs_revision_id)
-            except ValueError:
-                continue
-            groups.setdefault(key, (checker, []))[1].append(state)
-        for checker, structs in groups.values():
-            if len(structs) > 1:
-                warm_batch_checks(structs, checker)

@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro import perf
 from repro.analysis.timeline import CoverageTimeline
 from repro.arch.cpuid import Vendor
 from repro.core.agent import Agent, AgentConfig
@@ -115,13 +114,6 @@ class NecoFuzz:
     #: no corpus_dir) disables persistence — case isolation still counts
     #: and reports the exceptions.
     crash_dir: Path | None = None
-    #: Batched execution (DESIGN.md §12): ``0`` keeps the classic one
-    #: case per tick loop; ``N > 0`` runs the campaign under
-    #: ``perf.batch_mode(N)``, executing up to N cases per tick through
-    #: the struct-of-arrays oracle hot path. Size 1 is pinned
-    #: bit-identical to the incremental loop; larger sizes stay
-    #: deterministic but schedule mid-tick findings one tick later.
-    batch_size: int = 0
     #: Seed scheduling (DESIGN.md §16): ``flat`` is the classic uniform
     #: draw, fingerprint-pinned to the historical behaviour; ``fast``
     #: enables AFLFast-style energy weighting, the operator bandit, and
@@ -144,7 +136,6 @@ class NecoFuzz:
             execute=self.agent.execute_for_engine,
             rng=rng,
             coverage_guided=self.coverage_guided,
-            warm_batch=self.agent.warm_batch,
             schedule=schedule,
             bandit=bandit)
         # Corpus: a few golden-state seeds with distinct directive
@@ -168,21 +159,10 @@ class NecoFuzz:
         """Run the campaign for *iterations* test cases."""
         label = f"NecoFuzz/{self.hypervisor}/{self.vendor.value}"
         timeline = CoverageTimeline(label, self.iterations_per_hour)
-        if self.batch_size > 0:
-            with perf.batch_mode(self.batch_size):
-                done = 0
-                while done < iterations:
-                    count = min(self.batch_size, iterations - done)
-                    self.engine.step_batch(count)
-                    for i in range(done + 1, done + count + 1):
-                        if i % sample_every == 0 or i == iterations:
-                            timeline.record(i, self.agent.coverage_fraction)
-                    done += count
-        else:
-            for i in range(1, iterations + 1):
-                self.engine.step()
-                if i % sample_every == 0 or i == iterations:
-                    timeline.record(i, self.agent.coverage_fraction)
+        for i in range(1, iterations + 1):
+            self.engine.step()
+            if i % sample_every == 0 or i == iterations:
+                timeline.record(i, self.agent.coverage_fraction)
         return CampaignResult(
             timeline=timeline,
             covered_lines=self.agent.covered_lines(),

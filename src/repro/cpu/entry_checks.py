@@ -29,12 +29,10 @@ by tests/unit/test_incremental_equivalence.py.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from repro import perf
 from repro.arch import msr as MSR
 from repro.arch.bits import test_bit
 from repro.arch.exceptions import InterruptionInfo
@@ -834,52 +832,6 @@ for _i, _u in enumerate(UNITS):
         FIELD_TO_CHECKS[_enc] += (_i,)
 del _i, _u, _enc
 
-#: Per-unit declared reads as sorted tuples — the column-signature key
-#: order for the batched hot path (DESIGN.md §12). Sorting makes the
-#: signature canonical: any two structures agreeing on these values get
-#: the same key regardless of read order inside the unit body.
-_UNIT_READS: tuple[tuple[int, ...], ...] = tuple(
-    tuple(sorted(u.reads)) for u in UNITS)
-
-#: C-speed signature builders: ``itemgetter(*reads)`` pulls a whole
-#: signature tuple out of the values dict in one call (single-read
-#: units get a wrapping lambda since itemgetter returns a scalar then).
-_UNIT_SIG: tuple = tuple(
-    (operator.itemgetter(*reads) if len(reads) > 1
-     else (lambda values, _k=reads[0]: (values[_k],)))
-    for reads in _UNIT_READS)
-
-_UNIT_INDEX: dict[str, int] = {u.name: i for i, u in enumerate(UNITS)}
-
-
-def _vec_form(name: str, encoding: int, mask: int,
-              violation: Violation) -> tuple:
-    spec = F.SPEC_BY_ENCODING[encoding]
-    return (_UNIT_INDEX[name], encoding, mask & ((1 << spec.bits) - 1),
-            spec.bits, (violation,))
-
-
-#: Vectorized predicate forms: units whose entire body is "violation iff
-#: field & mask" with a constant violation. A whole batch column is
-#: packed into one big int and tested against the replicated mask — one
-#: AND plus a zero test answers every lane (the PR-4 bitmap idiom).
-#: Only units that are provably of this shape are listed; everything
-#: else goes through signature-deduplicated scalar evaluation.
-VEC_FORMS: tuple[tuple[int, int, int, int, tuple[Violation, ...]], ...] = (
-    _vec_form("ctl_smm", F.VM_ENTRY_CONTROLS,
-              int(EntryControls.ENTRY_TO_SMM
-                  | EntryControls.DEACTIVATE_DUAL_MONITOR),
-              Violation(CheckStage.CONTROLS, "vm_entry_controls",
-                        "SMM entry controls invalid outside SMM")),
-    _vec_form("guest_pending_dbg", F.GUEST_PENDING_DBG_EXCEPTIONS,
-              ~0x1600F,
-              Violation(CheckStage.GUEST_STATE,
-                        "guest_pending_dbg_exceptions", "reserved bits set")),
-)
-
-_VEC_UNIT_INDICES = frozenset(form[0] for form in VEC_FORMS)
-
-
 def _run_unit(unit: CheckUnit, vmcs: Vmcs,
               caps: VmxCapabilities) -> tuple[Violation, ...]:
     out: list[Violation] = []
@@ -1004,62 +956,12 @@ class IncrementalChecker:
         #: memo entry), so repeated ``check_all`` of unchanged
         #: structures skips the assembly loop too.
         self._last: tuple | None = None
-        #: Column-signature cache for the batched hot path (lazy —
-        #: allocated on first use so non-batch campaigns pay nothing).
-        #: Keyed (unit index, declared-read values); sound because units
-        #: are pure functions of their declared reads (pinned supersets
-        #: of the dynamic reads) and the caps are fixed per checker.
-        self._sig = None
-
-    def _signature_cache(self):
-        if self._sig is None:
-            from repro.batch import SignatureCache
-
-            self._sig = SignatureCache()
-        return self._sig
-
-    def _unit_results(self, index: int, vmcs: Vmcs) -> tuple[Violation, ...]:
-        """One unit's violations through the column-signature cache.
-
-        On a hit the unit's declared reads are fed into any active read
-        trace (the unit body never runs, so its ``vmcs.read`` calls
-        never happen) — a superset of the dynamic reads, which keeps
-        outer memo invalidation conservative.
-        """
-        cache = self._signature_cache()
-        sig = _UNIT_SIG[index](vmcs._values)
-        hit = cache.lookup(index, sig)
-        if hit is not cache.MISS:
-            trace = vmcs._read_trace
-            if trace is not None:
-                trace.update(_UNIT_READS[index])
-            return hit
-        out = _run_unit(UNITS[index], vmcs, self.caps)
-        cache.store(index, sig, out)
-        return out
 
     def results(self, vmcs: Vmcs) -> tuple[tuple[Violation, ...], ...]:
         """Per-unit violation tuples, reusing unaffected cached units."""
         caps = self.caps
         gen = vmcs.generation
-        batched = perf.batch_enabled()
         entry = vmcs.memo_get(_MEMO_KEY)
-        if entry is None and batched:
-            # Anchored candidate (batched deserialize): seed the frozen
-            # master's per-unit results once — pure reads, computed
-            # through the signature cache — then revalidate this
-            # candidate against them via its journal, which is rooted
-            # at the master's generation. Per-case work becomes
-            # O(changed fields) instead of a full unit sweep.
-            master = vmcs._anchor
-            if master is not None:
-                entry = master.memo_get(_MEMO_KEY)
-                if entry is None or not (entry[2] is caps
-                                         or entry[2] == caps):
-                    entry = (master.generation,
-                             tuple(self._unit_results(i, master)
-                                   for i in range(len(UNITS))), caps)
-                    master.memo_put(_MEMO_KEY, entry)
         if entry is not None and (entry[2] is caps or entry[2] == caps):
             changed = vmcs.changes_since(entry[0])
             if changed is not None:
@@ -1071,17 +973,12 @@ class IncrementalChecker:
                     if dirty:
                         fresh = list(results)
                         for i in dirty:
-                            fresh[i] = (self._unit_results(i, vmcs) if batched
-                                        else _run_unit(UNITS[i], vmcs, caps))
+                            fresh[i] = _run_unit(UNITS[i], vmcs, caps)
                         results = tuple(fresh)
                 if entry[0] != gen or results is not entry[1]:
                     vmcs.memo_put(_MEMO_KEY, (gen, results, caps))
                 return results
-        if batched:
-            results = tuple(self._unit_results(i, vmcs)
-                            for i in range(len(UNITS)))
-        else:
-            results = tuple(_run_unit(u, vmcs, caps) for u in UNITS)
+        results = tuple(_run_unit(u, vmcs, caps) for u in UNITS)
         vmcs.memo_put(_MEMO_KEY, (gen, results, caps))
         return results
 
@@ -1109,106 +1006,3 @@ class IncrementalChecker:
         if not msr_entries:
             self._last = (results, out)
         return out
-
-
-# --------------------------------------------------------------------------
-# Batched struct-of-arrays warm pass (DESIGN.md §12)
-# --------------------------------------------------------------------------
-
-
-def warm_batch_checks(structs, checker: IncrementalChecker,
-                      base: Vmcs | None = None) -> None:
-    """Columnar pre-pass over a batch of VMCS images.
-
-    The batch is mirrored into struct-of-arrays field columns (shared
-    broadcast columns when *base* journals prove fields unchanged) and
-    the checker's signature cache is seeded from them:
-
-    * vector-form units (``VEC_FORMS``) pack their column into one big
-      int and answer every lane with a single replicated-mask AND;
-    * every other unit is deduplicated by column signature — a
-      signature repeating across lanes is evaluated once, on its first
-      lane, and shared.
-
-    Results land in the same cache the per-case path probes, so this
-    changes *where* a unit is evaluated, never what it returns; no
-    structure or learning state is mutated.
-    """
-    if not structs or not perf.batch_enabled():
-        return
-    from repro.batch import StructBatch, masked_lanes
-
-    cache = checker._signature_cache()
-    caps = checker.caps
-    # Seed each distinct anchor master first: one full unit sweep per
-    # *master* (not per lane) makes every anchored lane gateable below.
-    # Without this, a freshly adopted corpus parent would force the
-    # whole batch through the ungated sweep every tick.
-    seeded: set[int] = set()
-    for struct in structs:
-        master = struct._anchor
-        if master is not None and id(master) not in seeded:
-            seeded.add(id(master))
-            entry = master.memo_get(_MEMO_KEY)
-            if entry is None or not (entry[2] is caps or entry[2] == caps):
-                checker.results(master)
-    # Journal-gate each lane exactly like the per-case path does: a
-    # lane whose (own or anchored) memo entry still validates only
-    # needs its dirty units warmed — everything else is served by that
-    # entry without ever touching the signature cache.
-    unit_lanes: dict[int, list] = {}
-    for lane, struct in enumerate(structs):
-        entry = struct.memo_get(_MEMO_KEY)
-        if entry is None and struct._anchor is not None:
-            entry = struct._anchor.memo_get(_MEMO_KEY)
-        dirty = None
-        if entry is not None and (entry[2] is caps or entry[2] == caps):
-            changed = struct.changes_since(entry[0])
-            if changed is not None:
-                dirty = set()
-                for enc in changed:
-                    dirty.update(FIELD_TO_CHECKS.get(enc, ()))
-        for index in (range(len(UNITS)) if dirty is None else dirty):
-            unit_lanes.setdefault(index, []).append(lane)
-    if not unit_lanes:
-        return
-    if base is None:
-        # A batch of candidates diffed from one frozen master can use
-        # it as the broadcast base: lane journals are rooted at its
-        # generation, so columns outside the union of journals are one
-        # shared read of the master.
-        anchor = structs[0]._anchor
-        if anchor is not None and all(s._anchor is anchor for s in structs):
-            base = anchor
-    batch = StructBatch(structs, base=base)
-    for index, enc, mask, bits, bad_result in VEC_FORMS:
-        if index not in unit_lanes:
-            continue
-        column = batch.column(enc)
-        dirty_lanes = set(masked_lanes(column, mask, bits))
-        for lane in unit_lanes[index]:
-            sig = (column[lane],)
-            if cache.peek(index, sig) is cache.MISS:
-                cache.store(index, sig,
-                            bad_result if lane in dirty_lanes else ())
-    for index, lanes in sorted(unit_lanes.items()):
-        if index in _VEC_UNIT_INDICES:
-            continue
-        if len(lanes) * 4 >= len(structs):
-            # Dense unit: the columnar zip amortizes across the batch.
-            sigs = batch.signatures(_UNIT_READS[index])
-            lane_sigs = [(lane, sigs[lane]) for lane in lanes]
-        else:
-            # Sparse unit: a couple of dirty lanes don't pay for full
-            # columns — read their signatures directly.
-            sig_fn = _UNIT_SIG[index]
-            lane_sigs = [(lane, sig_fn(structs[lane]._values))
-                         for lane in lanes]
-        repeats: dict = {}
-        for _, sig in lane_sigs:
-            repeats[sig] = repeats.get(sig, 0) + 1
-        for lane, sig in lane_sigs:
-            if repeats[sig] < 2 or cache.peek(index, sig) is not cache.MISS:
-                continue
-            cache.store(index, sig, _run_unit(UNITS[index], structs[lane],
-                                              caps))

@@ -89,30 +89,6 @@ def apply_entry_fixups(vmcs: Vmcs) -> list[SilentFixup]:
     return fixups
 
 
-#: Replay memo for fixup prediction (batched hot path). Lazy so the
-#: batch machinery is only imported when batch mode is actually used.
-_PREDICT_MEMO = None
-
-
-def predict_entry_fixups(vmcs: Vmcs) -> list[SilentFixup]:
-    """The fixups :func:`apply_entry_fixups` *would* apply, without
-    applying them.
-
-    Backed by a replay memo keyed on the quirk inputs' first-read
-    values: a repeat signature answers from the recording; a miss runs
-    the real :func:`apply_entry_fixups` on a throwaway light image, so
-    prediction can never drift from execution. The returned list is
-    shared between hits — callers must not mutate it.
-    """
-    global _PREDICT_MEMO
-    if _PREDICT_MEMO is None:
-        from repro.batch import ReplayMemo
-
-        _PREDICT_MEMO = ReplayMemo(apply_entry_fixups)
-    result, _writes = _PREDICT_MEMO.predict(vmcs)
-    return result
-
-
 #: Field names the validator is known *not* to model precisely; used by
 #: tests to assert the oracle loop converges on exactly these.
 UNDOCUMENTED_FIELDS = frozenset({

@@ -134,28 +134,6 @@ def apply_vmrun_quirks(vmcb: Vmcb) -> list[str]:
     return fixups
 
 
-#: Replay memo for quirk prediction (batched hot path); lazy so the
-#: batch machinery is only imported when batch mode is in use.
-_QUIRK_MEMO = None
-
-
-def predict_vmrun_quirks(vmcb: Vmcb) -> tuple:
-    """The net (field, value) writes :func:`apply_vmrun_quirks` would
-    make to *vmcb*, without making them.
-
-    Backed by a replay memo on the quirk inputs' first-read values; a
-    miss runs the real quirk pass on a throwaway light image. The
-    returned tuple is shared between hits — callers must not mutate it.
-    """
-    global _QUIRK_MEMO
-    if _QUIRK_MEMO is None:
-        from repro.batch import ReplayMemo
-
-        _QUIRK_MEMO = ReplayMemo(apply_vmrun_quirks)
-    _result, writes = _QUIRK_MEMO.predict(vmcb)
-    return writes
-
-
 class SvmCpu:
     """One logical processor with AMD-V."""
 

@@ -94,12 +94,6 @@ class FuzzEngine:
     #: isolates (counted in ``stats.case_exceptions``) but keeps no
     #: deduplicated records and persists no reproducers.
     crashes: CrashStore | None = None
-    #: Optional batched warm hook (the agent's columnar pre-pass): called
-    #: with the whole tick's candidates before any of them executes. A
-    #: warm pass may only seed value-keyed caches — it must not change
-    #: results — so failures are contained here rather than charged to
-    #: any case.
-    warm_batch: Callable[[list[FuzzInput]], None] | None = None
     #: Seed-selection strategy (DESIGN.md §16). The default flat
     #: schedule delegates to ``queue.pick`` verbatim, pinning campaign
     #: fingerprints to the pre-schedule behaviour; the fast schedule
@@ -115,9 +109,10 @@ class FuzzEngine:
         # Scratch feedback for isolated cases: an escaped exception left
         # no usable bitmap, so the engine reports an empty one.
         self._fault_bitmap = CoverageBitmap()
-        # FIFO of bandit tickets: step_batch hoists candidate creation,
-        # so per-case op lists queue here until the case's feedback
-        # folds. Plain list of tuples — pickles with the engine.
+        # Bandit tickets of created but not yet folded cases, oldest
+        # first; :meth:`step` folds each case right after creating it,
+        # so at most one is pending. A list keeps the engine's pickled
+        # shape (checkpoints) unchanged.
         self._tickets: list[tuple[str, ...]] = []
 
     def add_seed(self, data: bytes) -> None:
@@ -128,8 +123,8 @@ class FuzzEngine:
         """Produce the next candidate via seed selection + mutation.
 
         With a bandit, the ops applied to this candidate are collected
-        on a ticket and queued; :meth:`_fold` settles tickets in the
-        same order, so credit assignment survives batch hoisting.
+        on a ticket and queued; :meth:`_fold` settles the ticket when
+        the case's feedback folds.
         """
         if self.bandit is not None:
             self.bandit.begin_case()
@@ -191,40 +186,6 @@ class FuzzEngine:
         candidate = self._next_input()
         feedback = self._execute_isolated(candidate)
         return self._fold(candidate, feedback)
-
-    def step_batch(self, count: int) -> list[RunFeedback]:
-        """Execute *count* mutated cases as one batch (DESIGN.md §12).
-
-        Candidate generation is hoisted to the start of the tick, then
-        the warm hook sees the whole batch columnwise before any case
-        executes; execution and feedback folding stay strictly in case
-        order. At ``count == 1`` this is bit-identical to :meth:`step`;
-        at larger sizes the trajectory is still deterministic, but a
-        mid-tick finding joins the queue one tick later than
-        incremental scheduling would place it.
-
-        Exception accounting is per case, not per batch: a poisoned
-        case is isolated by ``_execute_isolated`` exactly like in
-        :meth:`step`, and the remaining lanes run normally.
-        """
-        candidates = []
-        for _ in range(count):
-            self.stats.iterations += 1
-            candidates.append(self._next_input())
-        telemetry.observe("batch.size", float(len(candidates)))
-        if self.warm_batch is not None and len(candidates) > 1:
-            try:
-                self.warm_batch(candidates)
-            except Exception:
-                # The warm pass only seeds caches; a failure there must
-                # neither kill the batch nor count against any case.
-                telemetry.counter("batch.warm_errors")
-        feedbacks = []
-        with telemetry.span("case.execute_batch"):
-            for candidate in candidates:
-                feedback = self._execute_isolated(candidate)
-                feedbacks.append(self._fold(candidate, feedback))
-        return feedbacks
 
     def _fold(self, candidate: FuzzInput, feedback: RunFeedback) -> RunFeedback:
         """Fold one case's feedback into queue/virgin/stats state."""
@@ -323,30 +284,6 @@ class FuzzEngine:
                                    crashed=feedback.crashed,
                                    anomaly=feedback.anomaly is not None)
         return new_bits
-
-    def import_batch(self, payloads: list[bytes]) -> list[int | None]:
-        """:meth:`import_case` over a batch, warming columnwise first.
-
-        Corrupt entries are skipped and counted per entry exactly as in
-        the single-case path; the decodable remainder is handed to the
-        warm hook as one batch, then executed in order.
-        """
-        decoded = [self._decode_entry(payload) for payload in payloads]
-        runnable = [FuzzInput(FuzzInput.normalize(data))
-                    for data in decoded if data is not None]
-        if self.warm_batch is not None and len(runnable) > 1:
-            try:
-                self.warm_batch(runnable)
-            except Exception:
-                telemetry.counter("batch.warm_errors")
-        results: list[int | None] = []
-        for data in decoded:
-            if data is None:
-                self.stats.import_skipped += 1
-                results.append(None)
-            else:
-                results.append(self._run_import(data))
-        return results
 
     def import_packed(self, record) -> int:
         """Execute one already-decoded protocol-v2 partner record."""

@@ -164,8 +164,8 @@ def mutate_candidate(data: bytes, rng: Rng,
 
     Exactly the sequence :class:`repro.fuzzer.engine.FuzzEngine`
     applies — optional splice with *partner*, havoc, then region
-    havoc — factored out so the batched and single-case pipelines share
-    one definition. RNG call order here is part of every campaign
+    havoc — in one function so tests can drive the stack without an
+    engine. RNG call order here is part of every campaign
     fingerprint; do not reorder. With *bandit* (fast schedule) the
     havoc operators come from posterior sampling and the region-havoc
     stage runs behind the bandit's ``region_havoc`` gate; splice-stage

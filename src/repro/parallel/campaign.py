@@ -227,9 +227,6 @@ class ParallelCampaign:
     async_events: bool = False
     iterations_per_hour: float = 10.0
     reuse_hypervisor: bool = False
-    #: Batched execution per worker (DESIGN.md §12); 0 keeps the classic
-    #: one-case-per-tick loop. Forwarded to every worker's NecoFuzz.
-    batch_size: int = 0
     # --- resilience ---------------------------------------------------
     #: Per-case wall-clock deadline. Enforced by the supervisor in
     #: process mode (a stale heartbeat gets the worker killed and
@@ -310,8 +307,8 @@ class ParallelCampaign:
             raise ValueError("sync_every must be >= 1")
         if self.max_restarts < 0:
             raise ValueError("max_restarts must be >= 0")
-        if self.batch_size < 0:
-            raise ValueError("batch_size must be >= 0")
+        if self.case_timeout is not None and self.case_timeout <= 0:
+            raise ValueError("case_timeout must be > 0")
         if self.checkpoint_interval < 0:
             raise ValueError("checkpoint_interval must be >= 0")
         if self.resume and self.sync_dir is None:
@@ -332,7 +329,6 @@ class ParallelCampaign:
             async_events=self.async_events,
             iterations_per_hour=self.iterations_per_hour,
             reuse_hypervisor=self.reuse_hypervisor,
-            batch_size=self.batch_size,
             power_schedule=self.power_schedule)
 
     def _stealing_worker_count(self, iterations: int) -> int:
@@ -512,8 +508,7 @@ class ParallelCampaign:
 
     def _pool_key(self, specs: list[WorkerSpec]) -> tuple:
         return (self.hypervisor, self.vendor.value, self.seed, len(specs),
-                self.schedule, self.sync_format, self.batch_size,
-                self.power_schedule)
+                self.schedule, self.sync_format, self.power_schedule)
 
     def _build_inline_workers(self, root: Path, specs: list[WorkerSpec],
                               sample_every: int, syncing: bool

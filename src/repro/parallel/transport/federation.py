@@ -77,7 +77,6 @@ class FederatedCampaign:
     async_events: bool = False
     iterations_per_hour: float = 10.0
     reuse_hypervisor: bool = False
-    batch_size: int = 0
     #: Seed scheduling inside every node's workers (DESIGN.md §16);
     #: forwarded through the inner campaign, so external nodes receive
     #: it in their config payload.
@@ -117,7 +116,6 @@ class FederatedCampaign:
             async_events=self.async_events,
             iterations_per_hour=self.iterations_per_hour,
             reuse_hypervisor=self.reuse_hypervisor,
-            batch_size=self.batch_size,
             power_schedule=self.power_schedule,
             subsumption_filter=self.subsumption_filter,
             schedule="stealing", lease_size=self.lease_size,

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
-from repro import faults, perf, telemetry
+from repro import faults, telemetry
 from repro.analysis.timeline import CoverageTimeline
 from repro.core.necofuzz import CampaignResult, NecoFuzz
 from repro.fuzzer.crashes import atomic_write_bytes
@@ -166,30 +166,26 @@ class CampaignWorker:
         telemetry.set_shard(self.spec.index)
         timeout = self.case_timeout
         try:
-            if self.campaign.batch_size > 0:
-                with perf.batch_mode(self.campaign.batch_size):
-                    self._run_batched(steps, engine, agent, plan, timeout)
-            else:
-                for _ in range(steps):
-                    self.done += 1
-                    self._heartbeat()
-                    if plan is not None:
-                        spec = plan.take_case_fault(self.spec.index, self.done)
-                        if spec is not None:
-                            plan.record(spec.kind, self.spec.index,
-                                        f"case {self.done}")
-                            if spec.kind == "kill_worker":
-                                raise faults.WorkerKilled(
-                                    f"worker {self.spec.index} killed at "
+            for _ in range(steps):
+                self.done += 1
+                self._heartbeat()
+                if plan is not None:
+                    spec = plan.take_case_fault(self.spec.index, self.done)
+                    if spec is not None:
+                        plan.record(spec.kind, self.spec.index,
                                     f"case {self.done}")
-                            time.sleep(spec.seconds)
-                    started = time.monotonic() if timeout else 0.0
-                    engine.step()
-                    if timeout and time.monotonic() - started > timeout:
-                        self.deadline_overruns += 1
-                    i = self.done
-                    if i % self.sample_every == 0 or i == self.spec.iterations:
-                        self._sample(i, agent)
+                        if spec.kind == "kill_worker":
+                            raise faults.WorkerKilled(
+                                f"worker {self.spec.index} killed at "
+                                f"case {self.done}")
+                        time.sleep(spec.seconds)
+                started = time.monotonic() if timeout else 0.0
+                engine.step()
+                if timeout and time.monotonic() - started > timeout:
+                    self.deadline_overruns += 1
+                i = self.done
+                if i % self.sample_every == 0 or i == self.spec.iterations:
+                    self._sample(i, agent)
         finally:
             faults.set_current_worker(previous_worker)
             telemetry.set_shard(previous_shard)
@@ -219,51 +215,6 @@ class CampaignWorker:
         delta = frozenset(covered - self._seen_lines)
         self._seen_lines |= delta
         self.samples.append((i, delta))
-
-    def _run_batched(self, steps: int, engine, agent, plan, timeout) -> None:
-        """The batched chunk loop (DESIGN.md §12).
-
-        Per-case heartbeat and fault checks are hoisted to the start of
-        each sub-batch, in case order: a kill scheduled mid-batch still
-        fires at its exact case number, after the preceding lanes of the
-        batch have executed — so a restored checkpoint replays to the
-        same state the serial rule would. Deadline accounting moves to
-        batch granularity (one overrun when a batch exceeds its summed
-        per-case budget), and timeline samples inside one batch read the
-        batch-final coverage.
-        """
-        remaining = steps
-        while remaining:
-            batch = min(self.campaign.batch_size, remaining)
-            first = self.done + 1
-            killed = None
-            pending = 0
-            for _ in range(batch):
-                self.done += 1
-                self._heartbeat()
-                if plan is not None:
-                    spec = plan.take_case_fault(self.spec.index, self.done)
-                    if spec is not None:
-                        plan.record(spec.kind, self.spec.index,
-                                    f"case {self.done}")
-                        if spec.kind == "kill_worker":
-                            killed = faults.WorkerKilled(
-                                f"worker {self.spec.index} killed at "
-                                f"case {self.done}")
-                            break
-                        time.sleep(spec.seconds)
-                pending += 1
-            if pending:
-                started = time.monotonic() if timeout else 0.0
-                engine.step_batch(pending)
-                if timeout and time.monotonic() - started > timeout * pending:
-                    self.deadline_overruns += 1
-                for i in range(first, first + pending):
-                    if i % self.sample_every == 0 or i == self.spec.iterations:
-                        self._sample(i, agent)
-            if killed is not None:
-                raise killed
-            remaining -= batch
 
     # --- corpus sync -------------------------------------------------------
 

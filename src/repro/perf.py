@@ -1,12 +1,13 @@
-"""Global switches and helpers for the incremental hot path.
+"""The incremental hot path and its full-recompute reference switch.
 
-This PR's dirty-field tracking makes three hot-path stages incremental:
-VM-entry consistency checking, the hypervisor-level VMCS12/VMCB12
-checks, and the VMCS02/VMCB02 merge. Full recompute stays available —
-the two modes are pinned equivalent (identical violation lists,
-corrections, exit reasons, VMCS02 contents, and coverage) by
-tests/unit/test_incremental_equivalence.py — and the benchmark suite
-flips between them with :func:`incremental_mode` to measure the win.
+Dirty-field tracking makes three hot-path stages incremental: VM-entry
+consistency checking, the hypervisor-level VMCS12/VMCB12 checks, and
+the VMCS02/VMCB02 merge. Incremental is the only production path. Full
+recompute stays available as the test reference: the two are pinned
+equivalent (identical violation lists, corrections, exit reasons,
+VMCS02 contents, and coverage) by
+tests/unit/test_incremental_equivalence.py, which flips between them
+with :func:`incremental_mode`. This module has no other switch.
 
 A module-level knob is used instead of threading a flag through
 NecoFuzz -> Agent -> adapter -> hypervisor constructors: the mode is a
@@ -22,48 +23,6 @@ from typing import Callable, Iterator
 from repro import telemetry
 
 _incremental = True
-
-#: Batch-granularity memoization (DESIGN.md §12): 0 = off, N >= 1 = the
-#: engine tick size. Any non-zero value turns on the signature-keyed
-#: caches (column-signature entry checks, replay-memoized rounding,
-#: fixup prediction) that make results shareable *across* structure
-#: objects instead of per-object journals only. The caches are pure
-#: value-keyed lookups, so every batch size — including 1 — is pinned
-#: bit-identical to the incremental path by
-#: tests/unit/test_batch_equivalence.py.
-_batch_size = 0
-
-
-def batch_enabled() -> bool:
-    """True when the batched (signature-cached) hot path is active."""
-    return _batch_size > 0
-
-
-def batch_size() -> int:
-    """The configured engine batch size (0 when batching is off)."""
-    return _batch_size
-
-
-def set_batch_size(size: int) -> None:
-    """Set the batch size; 0 disables the batched hot path."""
-    global _batch_size
-    if size < 0:
-        raise ValueError("batch size must be >= 0")
-    _batch_size = int(size)
-
-
-@contextmanager
-def batch_mode(size: int) -> Iterator[None]:
-    """Temporarily run with the batched hot path at *size* (0 = off)."""
-    global _batch_size
-    if size < 0:
-        raise ValueError("batch size must be >= 0")
-    saved = _batch_size
-    _batch_size = int(size)
-    try:
-        yield
-    finally:
-        _batch_size = saved
 
 
 def incremental_enabled() -> bool:
@@ -127,15 +86,6 @@ def memoized_check(struct, key, compute: Callable[[], list]):
         return compute()
     sink = kcov.event_sink()
     entry = struct.memo_get(key)
-    if entry is None and _batch_size > 0:
-        # Batched deserialize anchors a candidate on a frozen reference
-        # master; an entry memoized on the master revalidates against
-        # the candidate's journal exactly like its own would (the
-        # journal is rooted at the master's generation), and a hit is
-        # promoted into the candidate's memo below.
-        master = getattr(struct, "_anchor", None)
-        if master is not None:
-            entry = master.memo_get(key)
     if entry is not None:
         gen, reads, value, trace = entry
         changed = struct.changes_since(gen)
@@ -165,18 +115,6 @@ def memoized_check(struct, key, compute: Callable[[], list]):
         trace = tuple(sink[mark:]) if sink is not None else None
         read_values = {k: struct.read(k) for k in reads}
         struct.memo_put(key, (struct.generation, read_values, value, trace))
-        if _batch_size > 0:
-            # Seed the anchor master when this compute never read a
-            # field the candidate changed: the master holds identical
-            # values on every read, so the entry transfers verbatim
-            # (rooted at the master's generation) and later anchored
-            # candidates hit through the fallback above.
-            master = getattr(struct, "_anchor", None)
-            if master is not None and master.memo_get(key) is None:
-                delta = struct.changes_since(master.generation)
-                if delta is not None and not (delta & reads):
-                    master.memo_put(key, (master.generation, read_values,
-                                          value, trace))
     return value
 
 
@@ -349,16 +287,6 @@ def publish_merged(merged, prewarm_fn: Callable[[], object] | None = None):
         return pub[1]
     if prewarm_fn is not None:
         prewarm_fn()
-    if _batch_size > 0:
-        # Batched publish: the installed image only needs the field
-        # values and the (just pre-warmed) memo entries — its journal
-        # starts empty, anchored at the copy generation, which is
-        # enough for every consumer holding generations from after the
-        # publish. Skipping the journal duplication is the per-case
-        # win; one publish serves the whole tick's executions because
-        # the ``_pub`` generation pair below already dedupes.
-        dup = merged.light_image()
-    else:
-        dup = merged.copy()
+    dup = merged.copy()
     merged._pub = (merged.generation, dup)
     return dup

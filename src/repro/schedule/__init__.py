@@ -1,6 +1,6 @@
 """Adaptive fuzzing brain: power schedules + operator bandits (DESIGN.md §16).
 
-The batched and federated execution planes (DESIGN.md §12-§15) made
+The incremental and federated execution planes (DESIGN.md §8, §13-§15) made
 cases cheap; this package decides which cases are *worth* that
 throughput. Three cooperating pieces:
 

@@ -20,43 +20,6 @@ _FIELD_NBYTES: tuple[tuple[str, int], ...] = tuple(
 _LOG_MAX = 4096
 _LOG_KEEP = 1024
 
-
-def _build_layout(field_nbytes):
-    """(name, offset, nbytes) rows plus a byte-offset -> row map."""
-    layout = []
-    byte_map = []
-    offset = 0
-    for index, (name, nbytes) in enumerate(field_nbytes):
-        layout.append((name, offset, nbytes))
-        byte_map.extend([index] * nbytes)
-        offset += nbytes
-    return tuple(layout), tuple(byte_map)
-
-
-#: Batched-deserialize support (DESIGN.md §12) — same scheme as
-#: repro.vmx.vmcs: byte-diff incoming images against a small MRU set of
-#: frozen reference masters and build near matches as light images plus
-#: journalled writes of the differing fields only.
-_LAYOUT, _BYTE_FIELD = _build_layout(_FIELD_NBYTES)
-_DESER_REFS: list = []
-_DESER_REF_LIMIT = 8
-_DESER_DIFF_LIMIT = 48
-_DESER_EARLY_BITS = 64
-_DESER_PROMOTE = 8
-
-
-def _changed_fields(x: int, layout=_LAYOUT, byte_map=_BYTE_FIELD):
-    """Layout rows whose bytes are set in XOR-image *x*, low to high."""
-    out = []
-    while x:
-        if len(out) >= _DESER_DIFF_LIMIT:
-            return None
-        row = layout[byte_map[((x & -x).bit_length() - 1) >> 3]]
-        out.append(row)
-        end = (row[1] + row[2]) * 8
-        x = (x >> end) << end
-    return out
-
 _EMPTY_SET: frozenset = frozenset()
 
 
@@ -72,11 +35,6 @@ class Vmcb:
     entries ride along on ``copy()``, and ``serialize()`` is cached
     behind the generation counter.
     """
-
-    #: Frozen reference image this structure was byte-diffed from by the
-    #: batched deserializer (never returned, never written; see
-    #: ``repro.vmx.vmcs.Vmcs._anchor``).
-    _anchor: "Vmcb | None" = None
 
     def __init__(self) -> None:
         self._values: dict[str, int] = {spec.name: 0 for spec in ALL_FIELDS}
@@ -205,27 +163,6 @@ class Vmcb:
         dup._ser = self._ser
         dup._ser_gen = self._ser_gen
         dup._read_trace = None
-        dup._anchor = self._anchor
-        return dup
-
-    def light_image(self) -> "Vmcb":
-        """Journal-free copy for throwaway execution images.
-
-        Same contract as ``Vmcs.light_image``: field values and memo
-        entries carry over, the journal starts empty anchored at the
-        copy generation, so consumers holding pre-copy generations fall
-        back to a full recompute while post-copy generations resolve
-        normally.
-        """
-        dup = Vmcb.__new__(Vmcb)
-        dup._values = dict(self._values)
-        dup._gen = self._gen
-        dup._log = []
-        dup._log_base = self._gen
-        dup._memo = dict(self._memo)
-        dup._ser = self._ser
-        dup._ser_gen = self._ser_gen
-        dup._read_trace = None
         return dup
 
     def snapshot(self) -> "Vmcb":
@@ -267,67 +204,11 @@ class Vmcb:
 
     @classmethod
     def deserialize(cls, raw: bytes) -> "Vmcb":
-        """Unpack a serialised layout; short input raises ValueError.
-
-        Batched hot path: same XOR byte-diff against reference masters
-        as ``Vmcs.deserialize``. Field widths are byte-exact (so the
-        per-field masks are identities) and parsing is raw little-endian
-        per field, making the diffed candidate value-identical to a
-        full parse.
-        """
+        """Unpack a serialised layout; short input raises ValueError."""
         if len(raw) < LAYOUT_BYTES:
             raise ValueError(
                 f"need {LAYOUT_BYTES} bytes for a VMCB image, got {len(raw)}"
             )
-        from repro import perf
-
-        if not perf.batch_enabled():
-            return cls._parse(raw)
-        from repro import telemetry
-
-        image = bytes(raw[:LAYOUT_BYTES])
-        image_int = int.from_bytes(image, "little")
-        best = best_x = None
-        for index, (_ref_image, ref_int, master) in enumerate(_DESER_REFS):
-            x = image_int ^ ref_int
-            if not x:
-                telemetry.counter("batch.deser_fast")
-                if index:
-                    _DESER_REFS.insert(0, _DESER_REFS.pop(index))
-                dup = master.light_image()
-                dup._anchor = master
-                return dup
-            count = x.bit_count()
-            if best_x is None or count < best_count:
-                best, best_x, best_count = index, x, count
-                if count <= _DESER_EARLY_BITS:
-                    break
-        if best is not None:
-            changed = _changed_fields(best_x)
-            if changed is not None and len(changed) <= _DESER_PROMOTE:
-                telemetry.counter("batch.deser_fast")
-                master = _DESER_REFS[best][2]
-                if best:
-                    _DESER_REFS.insert(0, _DESER_REFS.pop(best))
-                dup = master.light_image()
-                dup._anchor = master
-                for name, offset, nbytes in changed:
-                    dup.write(name, int.from_bytes(
-                        image[offset:offset + nbytes], "little"))
-                return dup
-        telemetry.counter("batch.deser_full")
-        master = cls._parse(image)
-        master._ser = image
-        master._ser_gen = master._gen
-        _DESER_REFS.insert(0, (image, image_int, master))
-        del _DESER_REFS[_DESER_REF_LIMIT:]
-        dup = master.light_image()
-        dup._anchor = master
-        return dup
-
-    @classmethod
-    def _parse(cls, raw: bytes) -> "Vmcb":
-        """Plain full parse of the canonical layout."""
         vmcb = cls()
         offset = 0
         for name, nbytes in _FIELD_NBYTES:

@@ -31,7 +31,6 @@ from typing import Callable
 from repro import faults, perf, telemetry
 from repro.cpu.entry_checks import CheckStage, IncrementalChecker, Violation
 from repro.cpu.physical_cpu import VmxCpu
-from repro.cpu.quirks import SilentFixup, predict_entry_fixups
 from repro.validator.golden import golden_vmcs
 from repro.vmx import fields as F
 from repro.vmx.controls import ExitControls, PinBased
@@ -40,12 +39,6 @@ from repro.vmx.vmcs import Vmcs
 
 VMXON_PA = 0x1000
 VMCS_PA = 0x2000
-
-#: Canonical field order, for replaying ``Vmcs.diff`` iteration order on
-#: predicted fixups (the batched fast path learns in the same sequence
-#: the diff-based slow path does).
-_FIELD_ORDER: dict[str, int] = {
-    spec.name: i for i, spec in enumerate(F.ALL_FIELDS)}
 
 
 @dataclass(frozen=True)
@@ -204,26 +197,6 @@ class HardwareOracle:
         outcome = cpu.vmlaunch()
         return outcome, image
 
-    def _probe_entry(self, state: Vmcs):
-        """Batched fast path for one hardware trial.
-
-        Returns ``(entered, violations, fixups)`` without building a CPU
-        or copying the state. Equivalence with :meth:`_attempt_entry`:
-        the image there is a field-identical copy, the entry checks are
-        pure functions of field values, entry mutations land only on the
-        throwaway image, and the fixups hardware would apply are
-        predicted by replay memo (which falls back to really running the
-        quirk pass on a throwaway light image).
-        """
-        if state.revision_id != self.caps.vmcs_revision_id:
-            # vmptrld rejects the image before any check runs; the slow
-            # path surfaces this as a violation-free VMfail.
-            return False, [], None
-        violations = self._checker.check_all(state)
-        if violations:
-            return False, violations, None
-        return True, [], predict_entry_fixups(state)
-
     def verify(self, vmcs: Vmcs) -> OracleReport:
         """Verify *vmcs* against hardware, learning from the outcome.
 
@@ -251,25 +224,18 @@ class HardwareOracle:
         report = OracleReport(entered=False, attempts=0)
         self.apply_learned(vmcs)
         seen: set[tuple[str, str]] = set()
-        batched = perf.batch_enabled()
 
         while report.attempts < self.max_attempts:
             report.attempts += 1
-            if batched:
-                entered, violations, fixups = self._probe_entry(vmcs)
-            else:
-                outcome, image = self._attempt_entry(vmcs)
-                entered, violations = outcome.entered, outcome.violations
-            if entered:
+            outcome, image = self._attempt_entry(vmcs)
+            if outcome.entered:
                 self.entries += 1
-                if batched:
-                    self._learn_predicted(fixups, report)
-                else:
-                    self._learn_fixups(vmcs, image, report)
+                self._learn_fixups(vmcs, image, report)
                 report.entered = True
                 return report
 
             self.rejections += 1
+            violations = outcome.violations
             violation = violations[0] if violations else None
             if violation is None:
                 report.final_violations = violations
@@ -332,40 +298,3 @@ class HardwareOracle:
             clear_mask |= before & ~after
             self.fixup_masks[spec.name] = (set_mask, clear_mask)
             report.silent_fixup_fields.append(spec.name)
-
-    def _learn_predicted(self, fixups: list[SilentFixup],
-                         report: OracleReport) -> None:
-        """:meth:`_learn_fixups` from predicted fixups (batched path).
-
-        Sorted into canonical field order so the learned-fixup record
-        matches the diff-based slow path bit for bit (``diff`` iterates
-        ALL_FIELDS, not quirk application order).
-        """
-        if not fixups:
-            return
-        if len(fixups) > 1:
-            fixups = sorted(fixups, key=lambda fx: _FIELD_ORDER[fx.field])
-        for fx in fixups:
-            if fx.field == "vm_exit_reason":
-                continue
-            set_mask, clear_mask = self.fixup_masks.get(fx.field, (0, 0))
-            set_mask |= fx.after & ~fx.before
-            clear_mask |= fx.before & ~fx.after
-            self.fixup_masks[fx.field] = (set_mask, clear_mask)
-            report.silent_fixup_fields.append(fx.field)
-
-    # --- batched entry point ----------------------------------------------------
-
-    def verify_batch(self, states: list[Vmcs]) -> list[OracleReport]:
-        """Verify a batch of states: columnar warm pass, then each state
-        in order.
-
-        Only pure signature caches are warmed out of band — rule
-        activation and fixup-mask learning stay strictly sequential, so
-        batch results are identical to N sequential :meth:`verify`
-        calls.
-        """
-        from repro.cpu.entry_checks import warm_batch_checks
-
-        warm_batch_checks(states, self._checker)
-        return [self.verify(state) for state in states]

@@ -23,22 +23,6 @@ from repro.vmx.msr_caps import VmxCapabilities, default_capabilities
 from repro.vmx.vmcs import Vmcs
 
 
-#: Replay memos for the group passes (batched mode only), shared across
-#: validator instances: keyed by (group, capability set) so every case
-#: in a campaign probes the same recordings.
-_REPLAY_MEMOS: dict = {}
-
-
-def _replay_memo(group: str, caps: VmxCapabilities, fn):
-    memo = _REPLAY_MEMOS.get((group, caps))
-    if memo is None:
-        from repro.batch import ReplayMemo
-
-        memo = ReplayMemo(lambda vmcs: fn(vmcs, caps))
-        _REPLAY_MEMOS[group, caps] = memo
-    return memo
-
-
 @dataclass
 class RoundingReport:
     """Everything one rounding pass did, by group."""
@@ -78,26 +62,16 @@ class VmStateValidator:
         ``Rounder.force``, so the read trace covers the write targets).
         """
         report = RoundingReport()
-        if perf.batch_enabled():
-            # Batched hot path: each pass additionally goes through a
-            # value-signature replay memo, so a repeat input replays the
-            # recorded net writes instead of re-running the Bochs
-            # routine (memoized_fixpoint alone only skips passes that
-            # are already at their fixed point).
-            def run(group, fn):
-                return _replay_memo(group, self.caps, fn).run(vmcs)
-        else:
-            def run(group, fn):
-                return fn(vmcs, self.caps)
+        caps = self.caps
         report.controls = perf.memoized_fixpoint(
-            vmcs, ("round_controls", self.caps),
-            lambda: run("controls", vmenter_load_check_vm_controls))
+            vmcs, ("round_controls", caps),
+            lambda: vmenter_load_check_vm_controls(vmcs, caps))
         report.host = perf.memoized_fixpoint(
-            vmcs, ("round_host", self.caps),
-            lambda: run("host", vmenter_load_check_host_state))
+            vmcs, ("round_host", caps),
+            lambda: vmenter_load_check_host_state(vmcs, caps))
         report.guest = perf.memoized_fixpoint(
-            vmcs, ("round_guest", self.caps),
-            lambda: run("guest", vmenter_load_check_guest_state))
+            vmcs, ("round_guest", caps),
+            lambda: vmenter_load_check_guest_state(vmcs, caps))
         return report
 
     def is_fixed_point(self, vmcs: Vmcs) -> bool:

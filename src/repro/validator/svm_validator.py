@@ -14,28 +14,9 @@ from dataclasses import dataclass
 
 from repro import perf, telemetry
 from repro.arch.registers import Cr0, Cr4, Efer
-from repro.cpu.svm_cpu import SvmCpu, check_vmcb, predict_vmrun_quirks
+from repro.cpu.svm_cpu import SvmCpu, check_vmcb
 from repro.svm import fields as SF
 from repro.svm.vmcb import Vmcb
-
-#: Canonical field order, for replaying ``Vmcb.diff`` iteration order on
-#: predicted quirk writes in the batched fast path.
-_FIELD_ORDER: dict[str, int] = {
-    spec.name: i for i, spec in enumerate(SF.ALL_FIELDS)}
-
-#: Shared replay memo for the (stateless) rounding pass, batched mode
-#: only: a repeat value signature replays the recorded net writes
-#: instead of re-running the APM rounding routine.
-_ROUND_REPLAY = None
-
-
-def _replay_round():
-    global _ROUND_REPLAY
-    if _ROUND_REPLAY is None:
-        from repro.batch import ReplayMemo
-
-        _ROUND_REPLAY = ReplayMemo(VmcbValidator()._round)
-    return _ROUND_REPLAY
 
 
 @dataclass(frozen=True)
@@ -60,12 +41,7 @@ class VmcbValidator:
         Memoized at the fixed point: once a pass corrected nothing, it
         is skipped until a field it read changes (``force`` reads every
         field before writing it, so the read trace covers the targets).
-        In batched mode the pass additionally goes through a shared
-        value-signature replay memo.
         """
-        if perf.batch_enabled():
-            return perf.memoized_fixpoint(
-                vmcb, "svm_round", lambda: _replay_round().run(vmcb))
         return perf.memoized_fixpoint(
             vmcb, "svm_round", lambda: self._round(vmcb))
 
@@ -159,8 +135,6 @@ class SvmHardwareOracle:
 
     def _verify(self, vmcb: Vmcb) -> bool:
         validator = VmcbValidator()
-        if perf.batch_enabled():
-            return self._verify_fast(vmcb, validator)
         for _ in range(self.max_attempts):
             telemetry.counter("oracle.attempts")
             cpu = SvmCpu()
@@ -182,57 +156,9 @@ class SvmHardwareOracle:
             validator.round_to_valid(vmcb)
         return False
 
-    def _verify_fast(self, vmcb: Vmcb, validator: VmcbValidator) -> bool:
-        """Batched fast path: no per-attempt CPU build or image copy.
-
-        The vmrun preconditions of the slow loop (SVME set, aligned
-        nonzero VMCB_PA, VMCB installed) hold by construction there, so
-        only the consistency checks and quirk prediction remain.
-        """
-        master = vmcb._anchor
-        if master is not None and master.memo_get("svm_vmcb_check") is None:
-            # Seed the frozen reference master once; every candidate
-            # diffed from it then revalidates via its own journal inside
-            # memoized_check's anchor fallback — O(changed fields).
-            perf.memoized_check(master, "svm_vmcb_check",
-                                lambda: check_vmcb(master))
-        for _ in range(self.max_attempts):
-            telemetry.counter("oracle.attempts")
-            violations = perf.memoized_check(
-                vmcb, "svm_vmcb_check", lambda: check_vmcb(vmcb))
-            if not violations:
-                self.entries += 1
-                self._learn_predicted(vmcb, predict_vmrun_quirks(vmcb))
-                return True
-            self.rejections += 1
-            validator.round_to_valid(vmcb)
-        return False
-
-    def verify_batch(self, vmcbs: list[Vmcb]) -> list[bool]:
-        """Verify a batch in order (learning stays strictly sequential:
-        batch results are identical to N sequential :meth:`verify`
-        calls)."""
-        return [self.verify(vmcb) for vmcb in vmcbs]
-
     def _learn_fixups(self, original: Vmcb, post_entry: Vmcb) -> None:
         for spec, before, after in original.diff(post_entry):
             set_mask, clear_mask = self.fixup_masks.get(spec.name, (0, 0))
             set_mask |= after & ~before
             clear_mask |= before & ~after
             self.fixup_masks[spec.name] = (set_mask, clear_mask)
-
-    def _learn_predicted(self, vmcb: Vmcb, writes: tuple) -> None:
-        """:meth:`_learn_fixups` from predicted quirk writes, sorted into
-        canonical field order to match the diff-based slow path."""
-        if not writes:
-            return
-        if len(writes) > 1:
-            writes = sorted(writes, key=lambda w: _FIELD_ORDER[w[0]])
-        for name, after in writes:
-            before = vmcb._values[name]
-            if before == after:
-                continue
-            set_mask, clear_mask = self.fixup_masks.get(name, (0, 0))
-            set_mask |= after & ~before
-            clear_mask |= before & ~after
-            self.fixup_masks[name] = (set_mask, clear_mask)

@@ -24,63 +24,6 @@ _FIELD_NBYTES: tuple[tuple[int, int], ...] = tuple(
     (s.encoding, s.bits // 8) for s in ALL_FIELDS)
 
 
-def _build_layout(field_nbytes):
-    """(encoding, offset, nbytes) rows plus a byte-offset -> row map."""
-    layout = []
-    byte_map = []
-    offset = 0
-    for index, (encoding, nbytes) in enumerate(field_nbytes):
-        layout.append((encoding, offset, nbytes))
-        byte_map.extend([index] * nbytes)
-        offset += nbytes
-    return tuple(layout), tuple(byte_map)
-
-
-#: Canonical layout as (encoding, byte offset, width) rows, plus the
-#: byte-offset -> row index map the batched deserializer uses to turn a
-#: differing byte position back into a field.
-_LAYOUT, _BYTE_FIELD = _build_layout(_FIELD_NBYTES)
-
-#: Batched-deserialize reference images (DESIGN.md §12): MRU list of
-#: (image bytes, image as one little-endian int, frozen master) rows.
-#: Masters are private — they are never returned and never written, so
-#: a candidate built as ``master.light_image()`` plus the journalled
-#: byte-diff writes can anchor value-revalidated memo sharing on them.
-_DESER_REFS: list = []
-_DESER_REF_LIMIT = 8
-#: Diff size (in fields) past which a full parse is cheaper and the
-#: parsed image becomes a new reference.
-_DESER_DIFF_LIMIT = 48
-#: XOR popcount at or below which a reference is accepted immediately
-#: without scanning the rest of the MRU list — single-mutation diffs
-#: against the front (current corpus parent) take this exit.
-_DESER_EARLY_BITS = 64
-#: Diff size (in fields) past which the image is *promoted* to a fresh
-#: reference master even though the diff path would still be correct:
-#: per-candidate journals stay tiny and later siblings diff against the
-#: promoted image instead of re-deriving the same drift.
-_DESER_PROMOTE = 8
-
-
-def _changed_fields(x: int, layout=_LAYOUT, byte_map=_BYTE_FIELD):
-    """Layout rows whose bytes are set in XOR-image *x*, low to high.
-
-    Walks set bits from the least-significant end, mapping each to its
-    field and clearing that field's whole byte range (everything below
-    is already zero, so two shifts truncate it). Returns None when the
-    diff exceeds ``_DESER_DIFF_LIMIT`` fields — a full parse wins then.
-    """
-    out = []
-    while x:
-        if len(out) >= _DESER_DIFF_LIMIT:
-            return None
-        row = layout[byte_map[((x & -x).bit_length() - 1) >> 3]]
-        out.append(row)
-        end = (row[1] + row[2]) * 8
-        x = (x >> end) << end
-    return out
-
-
 class VmcsState:
     """Architectural VMCS launch states (SDM 24.1)."""
 
@@ -113,12 +56,6 @@ class Vmcs:
     immutable entries keyed by the consumer; ``copy()`` shares them, so
     a snapshot inherits its parent's warm caches.
     """
-
-    #: Frozen reference image this structure was byte-diffed from by the
-    #: batched deserializer (None for every other construction path).
-    #: Consumers may read the anchor and memoize pure results on it;
-    #: they must never write to it.
-    _anchor: "Vmcs | None" = None
 
     def __init__(self, revision_id: int = 0x12) -> None:
         self.revision_id = revision_id
@@ -250,31 +187,6 @@ class Vmcs:
         dup._ser = self._ser
         dup._ser_gen = self._ser_gen
         dup._read_trace = None
-        dup._anchor = self._anchor
-        return dup
-
-    def light_image(self) -> "Vmcs":
-        """Journal-free copy for throwaway execution images.
-
-        Like :meth:`copy` but the duplicate starts with an *empty*
-        journal anchored at the copy generation: ``changes_since`` still
-        answers for every generation at or after the copy (memo entries
-        pre-warmed on the parent immediately before copying therefore
-        revalidate), while generations from before the copy read as
-        truncated. Skipping the journal duplication is what makes the
-        batched publish cheap.
-        """
-        dup = Vmcs.__new__(Vmcs)
-        dup.revision_id = self.revision_id
-        dup.launch_state = self.launch_state
-        dup._values = dict(self._values)
-        dup._gen = self._gen
-        dup._log = []
-        dup._log_base = self._gen
-        dup._memo = dict(self._memo)
-        dup._ser = self._ser
-        dup._ser_gen = self._ser_gen
-        dup._read_trace = None
         return dup
 
     def snapshot(self) -> "Vmcs":
@@ -333,74 +245,11 @@ class Vmcs:
         Extra trailing bytes are ignored; short input raises ValueError.
         This is also how the state generator interprets raw fuzzing input
         as "several kilobytes of binary data treated as raw VMCS content".
-
-        On the batched hot path (DESIGN.md §12) the image is first
-        XOR-diffed — as one big little-endian integer — against a small
-        MRU set of reference images; a near match is built as a light
-        image of the frozen reference master plus journalled writes of
-        only the differing fields. Every field width is a whole number
-        of bytes and parsing is per-field raw little-endian, so the
-        diffed candidate is value-identical to a full parse; the anchor
-        it carries lets downstream memo consumers revalidate against the
-        master instead of recomputing from scratch.
         """
         if len(raw) < F.LAYOUT_BYTES:
             raise ValueError(
                 f"need {F.LAYOUT_BYTES} bytes for a VMCS image, got {len(raw)}"
             )
-        from repro import perf
-
-        if not perf.batch_enabled():
-            return cls._parse(raw, revision_id)
-        from repro import telemetry
-
-        image = bytes(raw[:F.LAYOUT_BYTES])
-        image_int = int.from_bytes(image, "little")
-        best = best_x = None
-        for index, (_ref_image, ref_int, master) in enumerate(_DESER_REFS):
-            if master.revision_id != revision_id:
-                continue
-            x = image_int ^ ref_int
-            if not x:
-                telemetry.counter("batch.deser_fast")
-                if index:
-                    _DESER_REFS.insert(0, _DESER_REFS.pop(index))
-                dup = master.light_image()
-                dup._anchor = master
-                return dup
-            count = x.bit_count()
-            if best_x is None or count < best_count:
-                best, best_x, best_count = index, x, count
-                if count <= _DESER_EARLY_BITS:
-                    break
-        if best is not None:
-            changed = _changed_fields(best_x)
-            if changed is not None and len(changed) <= _DESER_PROMOTE:
-                telemetry.counter("batch.deser_fast")
-                master = _DESER_REFS[best][2]
-                if best:
-                    _DESER_REFS.insert(0, _DESER_REFS.pop(best))
-                dup = master.light_image()
-                dup._anchor = master
-                for encoding, offset, nbytes in changed:
-                    dup.write(encoding, int.from_bytes(
-                        image[offset:offset + nbytes], "little"))
-                return dup
-        telemetry.counter("batch.deser_full")
-        master = cls._parse(image, revision_id)
-        # Field widths are byte-exact and parsing is raw, so
-        # serialize(parse(image)) == image: pre-seed the cache.
-        master._ser = image
-        master._ser_gen = master._gen
-        _DESER_REFS.insert(0, (image, image_int, master))
-        del _DESER_REFS[_DESER_REF_LIMIT:]
-        dup = master.light_image()
-        dup._anchor = master
-        return dup
-
-    @classmethod
-    def _parse(cls, raw: bytes, revision_id: int) -> "Vmcs":
-        """Plain full parse of the canonical layout."""
         vmcs = cls(revision_id)
         offset = 0
         for encoding, nbytes in _FIELD_NBYTES:

@@ -2,6 +2,8 @@
 
 from pathlib import Path
 
+import pytest
+
 from repro.__main__ import build_parser, main
 
 
@@ -49,3 +51,27 @@ class TestMain:
         assert code == 0
         out = capsys.readouterr().out
         assert "Assertion" not in out  # bug #3 silenced by dummy_root
+
+
+class TestRangeChecks:
+    """Out-of-range numeric flags exit 2 with an ``error:`` line instead
+    of a traceback or a silently nonsensical campaign."""
+
+    @pytest.mark.parametrize("argv", [
+        ["--workers", "2", "--sync-every", "0"],
+        ["--max-restarts", "-1"],
+        ["--checkpoint-interval", "-1"],
+        ["--iterations", "-5"],
+        ["--case-timeout", "-1"],
+        ["--sample-every", "0"],
+    ], ids=["sync-every", "max-restarts", "checkpoint-interval",
+            "iterations", "case-timeout", "sample-every"])
+    def test_rejected(self, argv, capsys):
+        assert main(argv) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_removed_batching_flag_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--batch-size", "4"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -134,3 +134,8 @@ class TestValidation:
     def test_bad_sync_interval_rejected(self):
         with pytest.raises(ValueError):
             ParallelCampaign(sync_every=0)
+
+    @pytest.mark.parametrize("timeout", [0, -1.0])
+    def test_non_positive_case_timeout_rejected(self, timeout):
+        with pytest.raises(ValueError):
+            ParallelCampaign(case_timeout=timeout)

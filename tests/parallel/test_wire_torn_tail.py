@@ -1,6 +1,6 @@
 """Property tests for protocol-v2 torn-tail detection and healing.
 
-The exporter's crash-recovery contract (DESIGN.md §12, reused verbatim
+The exporter's crash-recovery contract (DESIGN.md §10, reused verbatim
 by the federation relay): after *any* truncation of ``queue.bin`` or
 ``queue.idx`` at an arbitrary byte offset,
 

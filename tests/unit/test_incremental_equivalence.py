@@ -120,18 +120,21 @@ def _fingerprint(result):
 class TestCampaignEquivalence:
     """Whole campaigns — trajectory, coverage, findings — are mode-blind."""
 
-    @pytest.mark.parametrize("hypervisor,vendor", [
-        ("kvm", Vendor.INTEL),
-        ("kvm", Vendor.AMD),
-        ("xen", Vendor.INTEL),
-        ("virtualbox", Vendor.INTEL),
-    ], ids=["kvm-intel", "kvm-amd", "xen-intel", "vbox-intel"])
-    def test_campaign_fingerprint(self, hypervisor, vendor):
+    @pytest.mark.parametrize("hypervisor,vendor,guided", [
+        ("kvm", Vendor.INTEL, True),
+        ("kvm", Vendor.AMD, True),
+        ("xen", Vendor.INTEL, True),
+        ("virtualbox", Vendor.INTEL, True),
+        ("kvm", Vendor.INTEL, False),
+        ("kvm", Vendor.AMD, False),
+    ], ids=["kvm-intel", "kvm-amd", "xen-intel", "vbox-intel",
+            "kvm-intel-blackbox", "kvm-amd-blackbox"])
+    def test_campaign_fingerprint(self, hypervisor, vendor, guided):
         prints = []
         for mode in (False, True):
             with perf.incremental_mode(mode):
                 campaign = NecoFuzz(hypervisor=hypervisor, vendor=vendor,
-                                    seed=11)
+                                    seed=11, coverage_guided=guided)
                 prints.append(_fingerprint(campaign.run(80)))
         assert prints[0] == prints[1]
 
