@@ -69,14 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="fixed cases per lease under --schedule "
                              "stealing; 0 (default) sizes leases from each "
                              "worker's measured cases/sec")
-    parser.add_argument("--power-schedule", choices=("flat", "fast"),
-                        default="flat",
-                        help="seed scheduling (DESIGN.md §16): flat = the "
-                             "classic uniform draw (default, fingerprint-"
-                             "pinned); fast = AFLFast-style energy "
-                             "weighting with a Thompson-sampling operator "
-                             "bandit and periodic corpus distillation "
-                             "(deterministic, different trajectories)")
     parser.add_argument("--sync-adaptive", action="store_true",
                         help="back off the corpus-sync interval "
                              "geometrically while the subsumption filter "
@@ -276,7 +268,6 @@ def main(argv: list[str] | None = None) -> int:
             patched=patched,
             async_events=args.async_events,
             reuse_hypervisor=args.reuse_hypervisor,
-            power_schedule=args.power_schedule,
             address=args.coordinator,
             transport_timeout=args.transport_timeout,
             external=True,
@@ -308,8 +299,7 @@ def main(argv: list[str] | None = None) -> int:
             telemetry_mode=args.telemetry,
             schedule=args.schedule,
             lease_size=args.lease_size,
-            sync_adaptive=args.sync_adaptive,
-            power_schedule=args.power_schedule)
+            sync_adaptive=args.sync_adaptive)
     else:
         from repro import telemetry
 
@@ -324,8 +314,7 @@ def main(argv: list[str] | None = None) -> int:
             async_events=args.async_events,
             reports_dir=args.reports_dir,
             corpus_dir=args.corpus_dir,
-            reuse_hypervisor=args.reuse_hypervisor,
-            power_schedule=args.power_schedule)
+            reuse_hypervisor=args.reuse_hypervisor)
     result = campaign.run(args.iterations, sample_every=args.sample_every)
 
     for point in result.timeline.points:

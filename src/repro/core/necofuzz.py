@@ -25,7 +25,6 @@ from repro.fuzzer.crashes import CrashStore
 from repro.fuzzer.engine import EngineStats, FuzzEngine
 from repro.fuzzer.input import INPUT_SIZE, VM_STATE_REGION
 from repro.fuzzer.rng import Rng
-from repro.schedule import make_schedule
 from repro.validator.golden import golden_vmcb, golden_vmcs
 from repro.vmx.msr_caps import default_capabilities
 
@@ -114,11 +113,6 @@ class NecoFuzz:
     #: no corpus_dir) disables persistence — case isolation still counts
     #: and reports the exceptions.
     crash_dir: Path | None = None
-    #: Seed scheduling (DESIGN.md §16): ``flat`` is the classic uniform
-    #: draw, fingerprint-pinned to the historical behaviour; ``fast``
-    #: enables AFLFast-style energy weighting, the operator bandit, and
-    #: periodic corpus distillation. Deterministic either way.
-    power_schedule: str = "flat"
 
     def __post_init__(self) -> None:
         self.agent = Agent(AgentConfig(
@@ -131,13 +125,10 @@ class NecoFuzz:
             reports_dir=self.reports_dir,
             reuse_hypervisor=self.reuse_hypervisor))
         rng = Rng(self.seed)
-        schedule, bandit = make_schedule(self.power_schedule, rng)
         self.engine = FuzzEngine(
             execute=self.agent.execute_for_engine,
             rng=rng,
-            coverage_guided=self.coverage_guided,
-            schedule=schedule,
-            bandit=bandit)
+            coverage_guided=self.coverage_guided)
         # Corpus: a few golden-state seeds with distinct directive
         # regions, plus fully random inputs for raw diversity.
         for salt in range(3):

@@ -29,8 +29,6 @@ from repro.fuzzer.input import (
 from repro.fuzzer.mutators import mutate_candidate
 from repro.fuzzer.queue import SeedQueue
 from repro.fuzzer.rng import Rng
-from repro.schedule.bandit import OperatorBandit
-from repro.schedule.power import FlatSchedule, PowerSchedule
 
 #: The partitions region-aware havoc keeps in motion.
 _REGIONS = (VM_STATE_REGION, MUTATION_REGION, HARNESS_REGION, CONFIG_REGION)
@@ -94,58 +92,26 @@ class FuzzEngine:
     #: isolates (counted in ``stats.case_exceptions``) but keeps no
     #: deduplicated records and persists no reproducers.
     crashes: CrashStore | None = None
-    #: Seed-selection strategy (DESIGN.md §16). The default flat
-    #: schedule delegates to ``queue.pick`` verbatim, pinning campaign
-    #: fingerprints to the pre-schedule behaviour; the fast schedule
-    #: weights entries by energy and distills the corpus periodically.
-    schedule: PowerSchedule = field(default_factory=FlatSchedule)
-    #: Operator bandit (fast schedule only). When set, havoc operators
-    #: come from Thompson sampling on the bandit's private RNG stream
-    #: and every folded case's feedback updates the posteriors. None
-    #: (flat mode) keeps the uniform draw and its fingerprints.
-    bandit: OperatorBandit | None = None
 
     def __post_init__(self) -> None:
         # Scratch feedback for isolated cases: an escaped exception left
         # no usable bitmap, so the engine reports an empty one.
         self._fault_bitmap = CoverageBitmap()
-        # Bandit tickets of created but not yet folded cases, oldest
-        # first; :meth:`step` folds each case right after creating it,
-        # so at most one is pending. A list keeps the engine's pickled
-        # shape (checkpoints) unchanged.
-        self._tickets: list[tuple[str, ...]] = []
 
     def add_seed(self, data: bytes) -> None:
         """Register one initial seed."""
         self.queue.add_seed(FuzzInput.normalize(data))
 
     def _next_input(self) -> FuzzInput:
-        """Produce the next candidate via seed selection + mutation.
-
-        With a bandit, the ops applied to this candidate are collected
-        on a ticket and queued; :meth:`_fold` settles the ticket when
-        the case's feedback folds.
-        """
-        if self.bandit is not None:
-            self.bandit.begin_case()
+        """Produce the next candidate via seed selection + mutation."""
         if not len(self.queue):
-            candidate = FuzzInput(self.rng.bytes(INPUT_SIZE))
-        else:
-            entry = self.schedule.pick(self.queue, self.rng)
-            partner = None
-            if len(self.queue) > 1:
-                # Flat mode: the historical 10% coin from the main
-                # stream. Fast mode: the bandit's learned splice gate,
-                # drawn from its private stream.
-                splice_now = (self.rng.chance(0.1) if self.bandit is None
-                              else self.bandit.gate("splice"))
-                if splice_now:
-                    partner = self.queue.pick_other(self.rng, entry).data
-            candidate = FuzzInput(mutate_candidate(
-                entry.data, self.rng, _REGIONS, partner, bandit=self.bandit))
-        if self.bandit is not None:
-            self._tickets.append(self.bandit.take_ticket())
-        return candidate
+            return FuzzInput(self.rng.bytes(INPUT_SIZE))
+        entry = self.queue.pick(self.rng)
+        partner = None
+        if len(self.queue) > 1 and self.rng.chance(0.1):
+            partner = self.queue.pick_other(self.rng, entry).data
+        return FuzzInput(
+            mutate_candidate(entry.data, self.rng, _REGIONS, partner))
 
     def _execute_isolated(self, candidate: FuzzInput) -> RunFeedback:
         """Run one case with crash isolation at the case boundary.
@@ -197,25 +163,18 @@ class FuzzEngine:
             telemetry.counter("engine.crashes", int(feedback.crashed))
             telemetry.counter("engine.anomalies",
                               int(feedback.anomaly is not None))
+        # Black-box mode still merges the map so external observers can
+        # measure coverage, but scheduling ignores it.
         new_bits = self.virgin.has_new_bits(feedback.bitmap)
-        if self.coverage_guided:
-            if new_bits:
-                self.queue.add_finding(
-                    candidate.data, self.stats.iterations, new_bits,
-                    coverage=feedback.bitmap.sparse_classified(),
-                    lines=feedback.lines, crashed=feedback.crashed,
-                    anomaly=feedback.anomaly is not None)
-                self.stats.queue_adds += 1
-                self.stats.last_find = self.stats.iterations
-                telemetry.counter("engine.queue_adds")
-        # else: black-box mode still merges the map (above) so external
-        # observers can measure coverage, but scheduling ignores it.
-        if self.bandit is not None and self._tickets:
-            # "Hit" means coverage novelty: the ops on this case's
-            # ticket steered the target somewhere the virgin map had
-            # not seen. Crashes without new bits are already dedupable
-            # by signature and do not reward the operators.
-            self.bandit.settle(self._tickets.pop(0), hit=new_bits > 0)
+        if self.coverage_guided and new_bits:
+            self.queue.add_finding(
+                candidate.data, self.stats.iterations, new_bits,
+                coverage=feedback.bitmap.sparse_classified(),
+                lines=feedback.lines, crashed=feedback.crashed,
+                anomaly=feedback.anomaly is not None)
+            self.stats.queue_adds += 1
+            self.stats.last_find = self.stats.iterations
+            telemetry.counter("engine.queue_adds")
         telemetry.gauge("engine.queue_depth", len(self.queue))
         telemetry.gauge("engine.corpus_bytes", len(self.queue) * INPUT_SIZE)
         return feedback

@@ -107,40 +107,26 @@ def splice(data: bytes, other: bytes, rng: Rng) -> bytes:
     return data[:cut] + other[cut:]
 
 
-#: The havoc repertoire, named. Names are bandit-arm identities and
-#: telemetry keys (``sched.op_uses.<name>``); the order is part of
-#: fast-mode determinism — append, never reorder.
-HAVOC_OPS = (
-    ("bitflip1", lambda d, r: bitflip(d, r, width=1)),
-    ("bitflip2", lambda d, r: bitflip(d, r, width=2)),
-    ("bitflip4", lambda d, r: bitflip(d, r, width=4)),
-    ("byteflip1", lambda d, r: byteflip(d, r, width=1)),
-    ("byteflip2", lambda d, r: byteflip(d, r, width=2)),
-    ("arith1", lambda d, r: arith(d, r, width=1)),
-    ("arith2", lambda d, r: arith(d, r, width=2)),
-    ("arith4", lambda d, r: arith(d, r, width=4)),
-    ("interesting1", lambda d, r: interesting(d, r, width=1)),
-    ("interesting2", lambda d, r: interesting(d, r, width=2)),
-    ("interesting4", lambda d, r: interesting(d, r, width=4)),
-    ("random_byte", random_byte),
-    ("block_overwrite", block_overwrite),
-    ("block_copy", block_copy),
+_HAVOC_OPS = (
+    lambda d, r: bitflip(d, r, width=1),
+    lambda d, r: bitflip(d, r, width=2),
+    lambda d, r: bitflip(d, r, width=4),
+    lambda d, r: byteflip(d, r, width=1),
+    lambda d, r: byteflip(d, r, width=2),
+    lambda d, r: arith(d, r, width=1),
+    lambda d, r: arith(d, r, width=2),
+    lambda d, r: arith(d, r, width=4),
+    lambda d, r: interesting(d, r, width=1),
+    lambda d, r: interesting(d, r, width=2),
+    lambda d, r: interesting(d, r, width=4),
+    random_byte,
+    block_overwrite,
+    block_copy,
 )
 
-#: Bare operator tuple for the uniform (flat-schedule) draw; identical
-#: object identity and order to the historical table, so
-#: ``rng.choice(_HAVOC_OPS)`` draws are fingerprint-stable.
-_HAVOC_OPS = tuple(fn for _, fn in HAVOC_OPS)
 
-
-def havoc(data: bytes, rng: Rng, *, max_stack: int = 8, bandit=None) -> bytes:
-    """AFL havoc: a random stack of operators.
-
-    Uniform over :data:`_HAVOC_OPS` by default; with *bandit* (an
-    :class:`repro.schedule.bandit.OperatorBandit`) each stack slot is
-    chosen by Thompson sampling from the bandit's own RNG stream — the
-    main stream still draws only the stack depth, so flat-mode
-    fingerprints never see the difference.
+def havoc(data: bytes, rng: Rng, *, max_stack: int = 8) -> bytes:
+    """AFL havoc: a random stack of random operators.
 
     Empty inputs pass through drawless: several operators would
     otherwise ask the RNG for a position in a zero-length buffer.
@@ -149,38 +135,29 @@ def havoc(data: bytes, rng: Rng, *, max_stack: int = 8, bandit=None) -> bytes:
         return data
     out = data
     for _ in range(rng.below(max_stack) + 1):
-        if bandit is None:
-            op = rng.choice(_HAVOC_OPS)
-        else:
-            op = bandit.choose_havoc()
-        out = op(out, rng)
+        out = rng.choice(_HAVOC_OPS)(out, rng)
     return out
 
 
 def mutate_candidate(data: bytes, rng: Rng,
                      regions: tuple[tuple[int, int], ...],
-                     partner: bytes | None = None, bandit=None) -> bytes:
+                     partner: bytes | None = None) -> bytes:
     """The engine's full per-candidate mutation stack.
 
     Exactly the sequence :class:`repro.fuzzer.engine.FuzzEngine`
-    applies — optional splice with *partner*, havoc, then region
+    applies — optional splice with *partner*, uniform havoc, then region
     havoc — in one function so tests can drive the stack without an
     engine. RNG call order here is part of every campaign
-    fingerprint; do not reorder. With *bandit* (fast schedule) the
-    havoc operators come from posterior sampling and the region-havoc
-    stage runs behind the bandit's ``region_havoc`` gate; splice-stage
-    gating happens in the engine, where the partner is selected.
+    fingerprint; do not reorder.
     """
     if partner is not None:
         data = splice(data, partner, rng)
-    data = havoc(data, rng, bandit=bandit)
-    if bandit is None or bandit.gate("region_havoc"):
-        data = region_havoc(data, rng, regions, bandit=bandit)
-    return data
+    data = havoc(data, rng)
+    return region_havoc(data, rng, regions)
 
 
 def region_havoc(data: bytes, rng: Rng,
-                 regions: tuple[tuple[int, int], ...], bandit=None) -> bytes:
+                 regions: tuple[tuple[int, int], ...]) -> bytes:
     """Partition-aware havoc — the NecoFuzz extension to AFL++.
 
     The 2 KiB input is partitioned and dispatched to the VM-generator
@@ -195,6 +172,6 @@ def region_havoc(data: bytes, rng: Rng,
         if not rng.chance(0.8):
             continue
         slice_ = bytes(out[start:end])
-        slice_ = havoc(slice_, rng, max_stack=6, bandit=bandit)
+        slice_ = havoc(slice_, rng, max_stack=6)
         out[start:end] = slice_
     return bytes(out)

@@ -34,11 +34,6 @@ class QueueEntry:
     lines: Optional[frozenset] = None
     crashed: bool = False    # produced a crash when found (never skipped)
     anomaly: bool = False    # produced an anomaly when found (never skipped)
-    #: Set by corpus distillation (``repro.schedule.distill``) when the
-    #: entry covers no virgin bits that earlier entries don't already
-    #: cover. Demoted entries stay in the queue (it is append-only);
-    #: the fast power schedule drops their energy to the floor.
-    redundant: bool = False
 
 
 @dataclass
@@ -81,7 +76,7 @@ class SeedQueue:
         Scheduling-neutral flag hygiene: :meth:`pick` already filters
         its favored pool to ``exercised < EXERCISE_CAP``, so clearing
         the stale flag changes no draw — it keeps ``favored`` honest
-        for schedulers and reports that read it directly.
+        for reports that read it directly.
         """
         for entry in self.entries:
             if entry.favored and entry.exercised >= EXERCISE_CAP:

@@ -53,10 +53,6 @@ class Rng:
         """n random bytes."""
         return self._random.randbytes(n)
 
-    def beta(self, alpha: float, beta: float) -> float:
-        """One Beta(alpha, beta) variate (Thompson-sampling posteriors)."""
-        return self._random.betavariate(alpha, beta)
-
     def fork(self, salt: int) -> "Rng":
         """Derive an independent child stream (for per-run determinism)."""
         return Rng((self.seed * 1_000_003 + salt) & 0xFFFFFFFFFFFFFFFF)

@@ -58,7 +58,6 @@ from repro.parallel.supervisor import (
     SupervisorEvent,
 )
 from repro.parallel.sync import SYNC_FORMATS, SyncDirectory, SyncStats
-from repro.schedule import SCHEDULE_MODES
 from repro.parallel.worker import (
     CampaignWorker,
     WorkerReport,
@@ -73,6 +72,9 @@ log = logging.getLogger("repro.parallel")
 class ParallelCampaignResult(CampaignResult):
     """A merged campaign result plus the per-worker breakdown."""
 
+    #: Workers that ran, which can be fewer than requested: shards with
+    #: no cases are never spawned, and stealing caps the count at the
+    #: number of minimum-sized leases.
     workers: int
     per_worker: list[CampaignResult]
     #: OR-merge of every worker's virgin map: the campaign-global
@@ -269,12 +271,6 @@ class ParallelCampaign:
     #: (inline only): same seed + same lease log => identical
     #: fingerprint, even when the original sizing was adaptive.
     lease_log: list[LeaseRecord] | None = None
-    #: Seed scheduling inside every worker (DESIGN.md §16): ``flat``
-    #: keeps the historical uniform draw (fingerprint-pinned), ``fast``
-    #: enables energy weighting + the operator bandit + distillation.
-    #: Schedule/bandit state rides worker checkpoints but — like
-    #: telemetry — never enters the campaign fingerprint.
-    power_schedule: str = "flat"
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -300,9 +296,6 @@ class ParallelCampaign:
                 f"unknown telemetry_mode {self.telemetry_mode!r}")
         if self.sync_format not in SYNC_FORMATS:
             raise ValueError(f"unknown sync_format {self.sync_format!r}")
-        if self.power_schedule not in SCHEDULE_MODES:
-            raise ValueError(
-                f"unknown power_schedule {self.power_schedule!r}")
         if self.sync_every < 1:
             raise ValueError("sync_every must be >= 1")
         if self.max_restarts < 0:
@@ -328,8 +321,7 @@ class ParallelCampaign:
             runtime_iterations=self.runtime_iterations,
             async_events=self.async_events,
             iterations_per_hour=self.iterations_per_hour,
-            reuse_hypervisor=self.reuse_hypervisor,
-            power_schedule=self.power_schedule)
+            reuse_hypervisor=self.reuse_hypervisor)
 
     def _stealing_worker_count(self, iterations: int) -> int:
         """How many workers a stealing campaign actually spawns.
@@ -442,7 +434,7 @@ class ParallelCampaign:
                   if self.schedule == "static" else (iterations or 0,))
         return (self.seed, self.workers, self.hypervisor, self.vendor.value,
                 shares, sample_every, self.sync_every, self.schedule,
-                self.lease_size, self.sync_adaptive, self.power_schedule)
+                self.lease_size, self.sync_adaptive)
 
     def _save_campaign_checkpoint(self, path: Path, manifest: tuple,
                                   workers: list[CampaignWorker],
@@ -458,7 +450,9 @@ class ParallelCampaign:
         try:
             payload = pickle.loads(path.read_bytes())
         except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
-                ImportError, IndexError):
+                ImportError, IndexError) as exc:
+            log.warning("ignoring checkpoint %s: unreadable (%s: %s)",
+                        path, type(exc).__name__, exc)
             return None
         if (not isinstance(payload, dict)
                 or payload.get("manifest") != manifest):
@@ -508,7 +502,7 @@ class ParallelCampaign:
 
     def _pool_key(self, specs: list[WorkerSpec]) -> tuple:
         return (self.hypervisor, self.vendor.value, self.seed, len(specs),
-                self.schedule, self.sync_format, self.power_schedule)
+                self.schedule, self.sync_format)
 
     def _build_inline_workers(self, root: Path, specs: list[WorkerSpec],
                               sample_every: int, syncing: bool
@@ -819,7 +813,7 @@ class ParallelCampaign:
             reports=merged_reports,
             engine_stats=_merge_stats([r.result.engine_stats for r in reports]),
             watchdog_restarts=sum(r.result.watchdog_restarts for r in reports),
-            workers=self.workers,
+            workers=len(reports),
             per_worker=[r.result for r in reports],
             virgin=_merge_virgin(reports, shared_bits),
             corpus_digests=[r.corpus_digest for r in reports],

@@ -77,10 +77,6 @@ class FederatedCampaign:
     async_events: bool = False
     iterations_per_hour: float = 10.0
     reuse_hypervisor: bool = False
-    #: Seed scheduling inside every node's workers (DESIGN.md §16);
-    #: forwarded through the inner campaign, so external nodes receive
-    #: it in their config payload.
-    power_schedule: str = "flat"
     #: Endpoint: an address tuple, an ``"addr:port"`` / ``"unix:/path"``
     #: string, or None for AF_UNIX under the campaign root (loopback
     #: TCP where AF_UNIX is unavailable or the socket path too long).
@@ -116,7 +112,6 @@ class FederatedCampaign:
             async_events=self.async_events,
             iterations_per_hour=self.iterations_per_hour,
             reuse_hypervisor=self.reuse_hypervisor,
-            power_schedule=self.power_schedule,
             subsumption_filter=self.subsumption_filter,
             schedule="stealing", lease_size=self.lease_size,
             telemetry_mode=self.telemetry_mode)

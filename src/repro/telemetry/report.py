@@ -67,7 +67,6 @@ def campaign_summary(root: Path) -> dict:
     events = read_events(events_path) if events_path.exists() else []
     return {"root": str(root), "spans": spans, "counters": counters,
             "gauges": gauges, "scheduler": _scheduler_summary(registry),
-            "operators": _operator_summary(registry),
             "net": _net_summary(registry),
             "coverage_plane": _coverage_plane_summary(registry),
             "shards": skew, "event_count": len(events)}
@@ -90,34 +89,7 @@ def _scheduler_summary(registry: MetricsRegistry) -> dict:
     interval = registry.gauge_max("sync.interval")
     if interval is not None:
         summary["sync.interval"] = interval
-    distills = registry.counter_total("sched.distill_runs")
-    if distills:
-        summary["sched.distill_runs"] = distills
     return summary
-
-
-#: Prefixes the operator bandit (DESIGN.md §16) records per mutation
-#: operator while a ``--power-schedule fast`` campaign runs.
-_OP_USES = "sched.op_uses."
-_OP_HITS = "sched.op_hits."
-
-
-def _operator_summary(registry: MetricsRegistry) -> dict:
-    """Scheduler-learning block: per-operator uses, hits, hit rate.
-
-    Empty (section omitted) for flat-schedule campaigns, which run no
-    bandit and record no ``sched.op_*`` counters.
-    """
-    operators: dict = {}
-    for name in registry.counter_names():
-        if not name.startswith(_OP_USES):
-            continue
-        op = name[len(_OP_USES):]
-        uses = registry.counter_total(name)
-        hits = registry.counter_total(_OP_HITS + op)
-        operators[op] = {"uses": uses, "hits": hits,
-                         "hit_rate": hits / uses if uses else 0.0}
-    return operators
 
 
 #: The federation transport's counters (DESIGN.md §14): traffic volume,
@@ -210,19 +182,6 @@ def render_report(root: Path, *, top: int = 12) -> str:
             rendered = (f"{value:g}" if isinstance(value, float)
                         else f"{value}")
             lines.append(f"  {name:<40} {rendered:>12}")
-        lines.append("")
-
-    operators = summary.get("operators") or {}
-    if operators:
-        ranked = sorted(operators.items(),
-                        key=lambda kv: (-kv[1]["hit_rate"], kv[0]))
-        lines.append(f"operator learning ({len(ranked)} arm(s), "
-                     f"by hit rate)")
-        lines.append(f"  {'operator':<24} {'uses':>8} {'hits':>8} "
-                     f"{'hit rate':>9}")
-        for op, data in ranked:
-            lines.append(f"  {op:<24} {data['uses']:>8} {data['hits']:>8} "
-                         f"{100 * data['hit_rate']:>8.1f}%")
         lines.append("")
 
     net = summary.get("net") or {}

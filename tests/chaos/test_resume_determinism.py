@@ -82,3 +82,20 @@ class TestResumeDeterminism:
                    for r in caplog.records)
         # A fresh full run, not a continuation of the 15 crashed cases.
         assert resumed.engine_stats.iterations == BUDGET
+
+    def test_unreadable_checkpoint_is_logged_and_ignored(self, tmp_path,
+                                                          caplog):
+        # A checkpoint that no longer unpickles (truncated, or pickled
+        # by a build whose classes have since been removed) must not
+        # turn --resume into a silent restart: the failure is logged
+        # with its exception type, then the campaign runs from round 0.
+        sync_dir = tmp_path / "sync"
+        sync_dir.mkdir()
+        (sync_dir / "campaign.ckpt").write_bytes(b"not a pickle")
+        with caplog.at_level("WARNING", logger="repro.parallel"):
+            resumed = _campaign("kvm", Vendor.INTEL, sync_dir,
+                                resume=True).run(BUDGET)
+        assert any("unreadable" in r.message and "UnpicklingError" in r.message
+                   for r in caplog.records)
+        clean = _campaign("kvm", Vendor.INTEL, tmp_path / "clean").run(BUDGET)
+        assert campaign_fingerprint(resumed) == campaign_fingerprint(clean)

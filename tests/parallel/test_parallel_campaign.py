@@ -108,6 +108,19 @@ class TestShardedCampaign:
         assert shares == [17, 17, 16]
         assert result.engine_stats.iterations == 50
 
+    @pytest.mark.parametrize("iterations,kwargs", [
+        pytest.param(1, dict(workers=3), id="static-budget-below-workers"),
+        pytest.param(15, dict(workers=4, schedule="stealing", lease_size=10),
+                     id="stealing-capped-by-leases"),
+    ])
+    def test_workers_reports_the_count_that_ran(self, iterations, kwargs):
+        result = ParallelCampaign(hypervisor="kvm", vendor=Vendor.INTEL,
+                                  seed=SEED, mode="inline",
+                                  **kwargs).run(iterations)
+        assert result.workers == len(result.per_worker)
+        assert result.workers == len(result.corpus_digests)
+        assert result.workers < kwargs["workers"]
+
 
 class TestProcessMode:
     def test_forked_workers_produce_merged_result(self, tmp_path):
