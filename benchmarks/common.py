@@ -10,8 +10,11 @@ absolute line counts (see EXPERIMENTS.md).
 from __future__ import annotations
 
 import os
+import platform
+import subprocess
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from repro import ComponentToggles, NecoFuzz, Vendor
 from repro.analysis.stats import compare
@@ -31,6 +34,28 @@ BENCH_BUDGET_ENV = "NECOFUZZ_BENCH_BUDGET"
 def bench_budget(default: int) -> int:
     """The iteration budget for one bench, honouring the env override."""
     return int(os.environ.get(BENCH_BUDGET_ENV, default))
+
+
+def run_provenance(budget: int, default: int) -> dict:
+    """What a committed BENCH section must say about the run behind it.
+
+    ``smoke`` marks a run below the bench's default budget: its numbers
+    are warmup-dominated and must not be committed as the trajectory.
+    ``git_revision`` is ``git describe --always --dirty`` of the
+    checkout, or None outside a git work tree.
+    """
+    try:
+        described = subprocess.run(
+            ["git", "describe", "--always", "--dirty"],
+            cwd=Path(__file__).resolve().parent, capture_output=True,
+            text=True, timeout=10)
+        revision = described.stdout.strip() or None
+    except (OSError, subprocess.SubprocessError):
+        revision = None
+    return {"budget": budget, "smoke": budget < default,
+            "cpus": os.cpu_count() or 1,
+            "python": platform.python_version(),
+            "git_revision": revision}
 
 
 class PhaseDeadline:

@@ -13,7 +13,8 @@ dirty-field tracking:
   fields (``repro.perf``).
 
 Per-stage timings and the cases/sec speedup go to ``BENCH_hotpath.json``
-at the repo root. The two modes are asserted behaviourally identical
+at the repo root, stamped with the run's budget, ``smoke`` flag, CPU
+count, Python version and git revision (``common.run_provenance``). The two modes are asserted behaviourally identical
 (same correction counts, same hardware entries) here, and pinned
 field-for-field equivalent by tests/unit/test_incremental_equivalence.py.
 
@@ -31,7 +32,7 @@ from pathlib import Path
 
 import pytest
 
-from common import BenchReport, PhaseDeadline, bench_budget
+from common import BenchReport, PhaseDeadline, bench_budget, run_provenance
 from repro import Vendor, perf
 from repro.core.vcpu_config import VcpuConfig
 from repro.hypervisors.kvm import KvmHypervisor
@@ -151,6 +152,7 @@ def test_incremental_hotpath_speedup(capsys):
             assert full[key] == inc[key], key
 
     _update_json("hotpath", {
+        **run_provenance(BUDGET, DEFAULT_BUDGET),
         "full_cases_per_sec": round(full["cases_per_sec"], 1),
         "incremental_cases_per_sec": round(inc["cases_per_sec"], 1),
         "speedup": round(speedup, 2),

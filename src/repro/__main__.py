@@ -15,6 +15,7 @@ import sys
 from pathlib import Path
 
 from repro import ComponentToggles, NecoFuzz, Vendor
+from repro.core.adapters import adapter_for
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -34,7 +35,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--reports-dir", type=Path, default=None,
                         help="directory for crash reports (.json + .bin)")
     parser.add_argument("--patched", default="",
-                        help="comma-separated fix flags to apply "
+                        help="comma-separated fix flags to apply, from "
+                             "README Table 6 for the chosen hypervisor "
                              "(e.g. cr4_pae_consistency,dummy_root)")
     parser.add_argument("--no-harness-mutation", action="store_true",
                         help="ablation: fixed init/runtime templates")
@@ -214,6 +216,12 @@ def main(argv: list[str] | None = None) -> int:
     if args.hypervisor == "virtualbox" and args.vendor != "intel":
         print("error: the VirtualBox model is Intel-only", file=sys.stderr)
         return 2
+    patched = frozenset(f for f in args.patched.split(",") if f)
+    try:
+        adapter_for(args.hypervisor, patched)
+    except ValueError as exc:
+        print(f"error: --patched: {exc}", file=sys.stderr)
+        return 2
     if args.workers < 1:
         print("error: --workers must be >= 1", file=sys.stderr)
         return 2
@@ -247,7 +255,6 @@ def main(argv: list[str] | None = None) -> int:
         use_harness=not args.no_harness_mutation,
         use_validator=not args.no_validator,
         use_configurator=not args.no_configurator)
-    patched = frozenset(f for f in args.patched.split(",") if f)
 
     print(f"fuzzing {args.hypervisor}/{args.vendor} "
           f"(seed {args.seed}, {args.iterations} cases"

@@ -10,6 +10,7 @@ adapter would execute; we keep it for crash reports and reproduction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 from repro.arch.cpuid import Vendor, features_for
 from repro.hypervisors.base import L0Hypervisor, VcpuConfig
@@ -24,6 +25,9 @@ class HypervisorAdapter:
     """Base adapter: build + describe a configured hypervisor."""
 
     patched: frozenset[str] = frozenset()
+    #: The fix flags this adapter's model reads (README Table 6,
+    #: "Patch flag").
+    FIX_FLAGS: ClassVar[frozenset[str]] = frozenset()
 
     def build(self, config: VcpuConfig) -> L0Hypervisor:
         """Instantiate the configured hypervisor."""
@@ -37,6 +41,8 @@ class HypervisorAdapter:
 @dataclass
 class KvmAdapter(HypervisorAdapter):
     """KVM: module reload + QEMU command line (§4.4)."""
+
+    FIX_FLAGS = frozenset({"cr4_pae_consistency", "dummy_root"})
 
     def build(self, config: VcpuConfig) -> KvmHypervisor:
         """Instantiate the configured hypervisor."""
@@ -59,6 +65,9 @@ class KvmAdapter(HypervisorAdapter):
 class XenAdapter(HypervisorAdapter):
     """Xen: xl domain configuration with nestedhvm."""
 
+    FIX_FLAGS = frozenset({"activity_state_sanitize", "avic_sanitize",
+                           "vgif_inject"})
+
     def build(self, config: VcpuConfig) -> XenHypervisor:
         """Instantiate the configured hypervisor."""
         return XenHypervisor(config, patched=self.patched)
@@ -76,6 +85,8 @@ class XenAdapter(HypervisorAdapter):
 @dataclass
 class VboxAdapter(HypervisorAdapter):
     """VirtualBox: VBoxManage modifyvm switches."""
+
+    FIX_FLAGS = frozenset({"canonical_msr_check"})
 
     def build(self, config: VcpuConfig) -> VboxHypervisor:
         """Instantiate the configured hypervisor."""
@@ -99,9 +110,19 @@ ADAPTERS: dict[str, type[HypervisorAdapter]] = {
 
 def adapter_for(hypervisor: str,
                 patched: frozenset[str] = frozenset()) -> HypervisorAdapter:
-    """Build the adapter for a hypervisor by name."""
+    """Build the adapter for a hypervisor by name.
+
+    Raises ``ValueError`` for an unknown hypervisor, and for fix flags
+    its model does not read (they would silently fuzz an unpatched
+    model).
+    """
     try:
-        return ADAPTERS[hypervisor](patched=patched)
+        adapter = ADAPTERS[hypervisor]
     except KeyError:
         raise ValueError(f"unknown hypervisor {hypervisor!r}; "
                          f"known: {sorted(ADAPTERS)}") from None
+    unknown = frozenset(patched) - adapter.FIX_FLAGS
+    if unknown:
+        raise ValueError(f"unknown fix flag(s) {sorted(unknown)} for "
+                         f"{hypervisor}; valid: {sorted(adapter.FIX_FLAGS)}")
+    return adapter(patched=patched)

@@ -23,6 +23,7 @@ from repro.core.templates import (
     init_sequence,
     runtime_templates,
 )
+from repro.coverage import kcov
 from repro.fuzzer.input import FuzzInput, InputCursor
 from repro.hypervisors.base import ExecResult, GuestInstruction, L0Hypervisor
 from repro.vmx import fields as F
@@ -150,12 +151,45 @@ class VmExecutionHarness:
 
     def _write_vmcs_fields(self, hv: L0Hypervisor, vcpu, vm_state,
                            stats: HarnessStats) -> None:
-        """Emit the vmwrite storm that programs VMCS12."""
-        for spec, value in vm_state.fields():
-            if spec.group is F.FieldGroup.READ_ONLY:
-                continue
-            self._exec(hv, vcpu, GuestInstruction(
-                "vmwrite", {"field": spec.encoding, "value": value}), stats)
+        """Emit the vmwrite storm that programs VMCS12.
+
+        Only the first vmwrite runs through the L0 model. The vmwrite
+        handlers of all three Intel models branch on nested state and on
+        the field spec, never on the value, and a vmwrite changes no
+        nested state, so every write of the storm takes the same path
+        and emits the same kcov slice. Once the first write succeeds,
+        the rest are written straight into the current VMCS12 (the
+        handler's only side effect) and the recorded slice is appended
+        once more: the repeat reproduces the last-to-first loop-back
+        edge, leaving the drained line and edge sets unchanged. After a
+        failed first write, or under the legacy settrace tracer (whose
+        events cannot be replayed), every write goes through the model.
+        """
+        writes = [(spec.encoding, value) for spec, value in vm_state.fields()
+                  if spec.group is not F.FieldGroup.READ_ONLY]
+        if not writes:
+            return
+        sink = kcov.event_sink()
+        mark = len(sink) if sink is not None else 0
+        encoding, value = writes[0]
+        result = self._exec(hv, vcpu, GuestInstruction(
+            "vmwrite", {"field": encoding, "value": value}), stats)
+        rest = writes[1:]
+        vmcs12 = None
+        if (rest and result.ok and result.value is None
+                and not kcov.legacy_trace_active()):
+            vmcs12 = hv.current_vmcs12(vcpu)
+        if vmcs12 is None:
+            for encoding, value in rest:
+                self._exec(hv, vcpu, GuestInstruction(
+                    "vmwrite", {"field": encoding, "value": value}), stats)
+            return
+        write = vmcs12.write
+        for encoding, value in rest:
+            write(encoding, value)
+        if sink is not None:
+            sink.extend(sink[mark:])
+        stats.instructions += len(rest)
 
     # ------------------------------------------------------------------
     # Runtime phase

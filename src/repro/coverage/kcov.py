@@ -67,10 +67,13 @@ _ACTIVE_TRACER: "KcovTracer | None" = None
 def event_sink() -> "list[Line] | None":
     """The active fast-path tracer's event list, or ``None``.
 
-    Consumers that memoize instrumented code (repro.perf.memoized_check)
-    use this to record the event slice a computation emitted and to
-    replay it on cache hits, keeping line and edge coverage identical
-    between cached and recomputed paths.
+    Consumers that skip instrumented code use this to record the event
+    slice a computation emitted and to replay it in place of running it
+    again, keeping line and edge coverage identical between the two
+    paths. There are two: :func:`repro.perf.memoized_check` replays on
+    cache hits, and the harness's vmwrite storm
+    (``VmExecutionHarness._write_vmcs_fields``) replays the first
+    vmwrite's slice for the writes it makes directly.
     """
     tracer = _ACTIVE_TRACER
     if tracer is not None and tracer.fast_path:

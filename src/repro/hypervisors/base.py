@@ -127,6 +127,14 @@ class L0Hypervisor(ABC):
     def execute(self, vcpu: Any, instruction: "GuestInstruction") -> "ExecResult":
         """Execute one guest instruction, emulating any intercept."""
 
+    def current_vmcs12(self, vcpu: Any) -> Any:
+        """The VMCS12 L1 made current with vmptrld, or None.
+
+        The VMX models override this; None keeps every vmwrite of the
+        harness's vmwrite storm on :meth:`execute`.
+        """
+        return None
+
     def reset(self) -> None:
         """Watchdog restart: clear crash state and logs (paper §3.2)."""
         self.log.clear()

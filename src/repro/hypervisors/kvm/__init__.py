@@ -22,10 +22,11 @@ from repro.hypervisors.base import (
 )
 from repro.hypervisors.kvm.module import KvmModuleParams
 from repro.hypervisors.kvm.nested_svm import NestedSvm, SvmNestedState
-from repro.hypervisors.kvm.nested_vmx import NestedVmx, VmxNestedState
+from repro.hypervisors.kvm.nested_vmx import VMPTR_INVALID, NestedVmx, VmxNestedState
 from repro.hypervisors.l2map import AMD_L2_EXITS, INTEL_L2_EXITS, svm_exception_code
 from repro.hypervisors.memory import GuestMemory
 from repro.vmx.exit_reasons import ExitReason
+from repro.vmx.vmcs import Vmcs
 
 #: Mnemonics of SVM instructions routed to the nested-SVM handlers.
 SVM_MNEMONICS = frozenset(NestedSvm.HANDLERS)
@@ -74,6 +75,12 @@ class KvmHypervisor(L0Hypervisor):
         if self.config.vendor is Vendor.AMD:
             vcpu.svm.hsave_pa = 0
         return vcpu
+
+    def current_vmcs12(self, vcpu: KvmVcpu) -> Vmcs | None:
+        """The VMCS12 L1 made current with vmptrld, if any."""
+        if vcpu.vmx.current_vmptr == VMPTR_INVALID:
+            return None
+        return self.memory.get_vmcs(vcpu.vmx.current_vmptr)
 
     # ------------------------------------------------------------------
     # Instruction dispatch

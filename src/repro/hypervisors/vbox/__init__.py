@@ -17,7 +17,12 @@ from repro.hypervisors.base import (
 )
 from repro.hypervisors.l2map import INTEL_L2_EXITS
 from repro.hypervisors.memory import GuestMemory
-from repro.hypervisors.vbox.nested_vmx import VboxNestedState, VboxNestedVmx
+from repro.hypervisors.vbox.nested_vmx import (
+    VMPTR_INVALID,
+    VboxNestedState,
+    VboxNestedVmx,
+)
+from repro.vmx.vmcs import Vmcs
 
 VMX_MNEMONICS = frozenset(VboxNestedVmx.HANDLERS)
 
@@ -58,6 +63,13 @@ class VboxHypervisor(L0Hypervisor):
     def create_vcpu(self) -> VboxVcpu:
         """Create the (single) vCPU of the fuzz-harness VM."""
         return VboxVcpu(self.memory)
+
+    def current_vmcs12(self, vcpu: VboxVcpu) -> Vmcs | None:
+        """The VMCS12 L1 made current with vmptrld, if any."""
+        nested = vcpu.nested
+        if not nested.vmxon or nested.current_vmptr == VMPTR_INVALID:
+            return None
+        return self.memory.get_vmcs(nested.current_vmptr)
 
     def execute(self, vcpu: VboxVcpu, instr: GuestInstruction) -> ExecResult:
         """Execute one guest instruction at its requested level."""

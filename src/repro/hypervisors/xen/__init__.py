@@ -21,7 +21,8 @@ from repro.hypervisors.base import (
 from repro.hypervisors.l2map import AMD_L2_EXITS, INTEL_L2_EXITS, svm_exception_code
 from repro.hypervisors.memory import GuestMemory
 from repro.hypervisors.xen.nested_svm import NsvmState, XenNestedSvm
-from repro.hypervisors.xen.nested_vmx import NvmxState, XenNestedVmx
+from repro.hypervisors.xen.nested_vmx import VVMCS_INVALID, NvmxState, XenNestedVmx
+from repro.vmx.vmcs import Vmcs
 
 VMX_MNEMONICS = frozenset(XenNestedVmx.HANDLERS)
 SVM_MNEMONICS = frozenset(XenNestedSvm.HANDLERS)
@@ -75,6 +76,13 @@ class XenHypervisor(L0Hypervisor):
         if self.config.vendor is Vendor.AMD:
             vcpu.nsvm.vgif_enabled = self.config.enabled("vgif")
         return vcpu
+
+    def current_vmcs12(self, vcpu: XenVcpu) -> Vmcs | None:
+        """The virtual VMCS L1 made current with vmptrld, if any."""
+        nvmx = vcpu.nvmx
+        if not nvmx.vmxon or nvmx.vvmcs_addr == VVMCS_INVALID:
+            return None
+        return self.memory.get_vmcs(nvmx.vvmcs_addr)
 
     def execute(self, vcpu: XenVcpu, instr: GuestInstruction) -> ExecResult:
         """Execute one guest instruction at its requested level."""

@@ -66,7 +66,9 @@ def memoized_check(struct, key, compute: Callable[[], list]):
     legacy ``sys.settrace`` tracer events cannot be replayed, so
     memoization is bypassed entirely; an entry recorded without any
     tracer carries no event slice and is recomputed if a fast-path
-    tracer is active when it is next consulted.
+    tracer is active when it is next consulted. The harness's vmwrite
+    storm (``VmExecutionHarness._write_vmcs_fields``) is the second
+    user of this record-and-replay scheme.
 
     Entries record the *values* read, not just the field set, and a
     journalled write back to the recorded value does not invalidate: a

@@ -4,7 +4,9 @@ from pathlib import Path
 
 import pytest
 
+from repro import NecoFuzz
 from repro.__main__ import build_parser, main
+from repro.core.adapters import adapter_for
 
 
 class TestParser:
@@ -51,6 +53,35 @@ class TestMain:
         assert code == 0
         out = capsys.readouterr().out
         assert "Assertion" not in out  # bug #3 silenced by dummy_root
+
+
+class TestPatchedFlags:
+    """Fix flags the chosen model does not read are rejected up front
+    instead of fuzzing an unpatched model."""
+
+    @pytest.mark.parametrize("argv", [
+        ["--patched", "bogus_flag", "--iterations", "1"],
+        ["--hypervisor", "kvm", "--patched", "vgif_inject",
+         "--iterations", "1"],
+    ], ids=["unknown", "other-model"])
+    def test_rejected(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "error: --patched" in err
+        assert "cr4_pae_consistency" in err  # the valid flags are named
+
+    def test_library_rejects_unknown_flag(self):
+        with pytest.raises(ValueError, match="bogus"):
+            NecoFuzz(patched=frozenset({"bogus"}))
+
+    @pytest.mark.parametrize("hypervisor,flags", [
+        ("kvm", {"cr4_pae_consistency", "dummy_root"}),
+        ("xen", {"activity_state_sanitize", "avic_sanitize", "vgif_inject"}),
+        ("virtualbox", {"canonical_msr_check"}),
+    ])
+    def test_table6_flags_accepted(self, hypervisor, flags):
+        adapter = adapter_for(hypervisor, frozenset(flags))
+        assert adapter.patched == flags
 
 
 class TestRangeChecks:
