@@ -27,7 +27,7 @@ from pathlib import Path
 
 import pytest
 
-from common import BenchReport, PhaseDeadline, bench_budget
+from common import BenchReport, PhaseDeadline, bench_budget, run_provenance
 from repro import NecoFuzz, Vendor
 from repro.coverage.bitmap import CoverageBitmap, VirginMap
 from repro.coverage.kcov import KcovTracer
@@ -46,10 +46,16 @@ MIN_SERIAL_SPEEDUP = 1.5
 
 
 def _update_json(section: str, payload: dict) -> None:
+    """Replace one section, stamped with the provenance of this run.
+
+    A payload key wins over a provenance key of the same name (the
+    delta stage records the budget it actually ran). Sections this run
+    did not write keep their numbers and stamps.
+    """
     data = {}
     if BENCH_JSON.exists():
         data = json.loads(BENCH_JSON.read_text())
-    data[section] = payload
+    data[section] = {**run_provenance(BUDGET, DEFAULT_BUDGET), **payload}
     data["config"] = {"hypervisor": "kvm", "vendor": "intel",
                       "seed": SEED, "iterations": BUDGET}
     BENCH_JSON.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")

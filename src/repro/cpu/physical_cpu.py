@@ -157,7 +157,9 @@ class VmxCpu:
             return VmxResult.fail_valid(VmInstructionError.VMCLEAR_INVALID_ADDRESS)
         if addr == self.vmxon_region:
             return VmxResult.fail_valid(VmInstructionError.VMCLEAR_VMXON_POINTER)
-        vmcs = self.memory.setdefault(addr, Vmcs(self.caps.vmcs_revision_id))
+        vmcs = self.memory.get(addr)
+        if vmcs is None:
+            vmcs = self.memory[addr] = Vmcs(self.caps.vmcs_revision_id)
         vmcs.clear()
         if self.current_vmcs_ptr == addr:
             self.current_vmcs_ptr = None

@@ -15,6 +15,10 @@ from repro.svm.fields import ALL_FIELDS, LAYOUT_BYTES, VmcbField
 _FIELD_MASK: dict[str, int] = {s.name: (1 << s.bits) - 1 for s in ALL_FIELDS}
 _FIELD_NBYTES: tuple[tuple[str, int], ...] = tuple(
     (s.name, (s.bits + 7) // 8) for s in ALL_FIELDS)
+_NAMES: tuple[str, ...] = tuple(s.name for s in ALL_FIELDS)
+
+#: The all-zero field table of a fresh VMCB, copied by ``__init__``.
+_ZERO_VALUES: dict[str, int] = dict.fromkeys(_NAMES, 0)
 
 #: Change-journal bounds (see repro.vmx.vmcs for the rationale).
 _LOG_MAX = 4096
@@ -37,7 +41,7 @@ class Vmcb:
     """
 
     def __init__(self) -> None:
-        self._values: dict[str, int] = {spec.name: 0 for spec in ALL_FIELDS}
+        self._values: dict[str, int] = dict(_ZERO_VALUES)
         self._gen = 0
         self._log: list[str] = []
         self._log_base = 0
@@ -107,8 +111,7 @@ class Vmcb:
 
     def fields(self) -> Iterator[tuple[VmcbField, int]]:
         """Iterate (spec, value) pairs in canonical layout order."""
-        for spec in ALL_FIELDS:
-            yield spec, self._values[spec.name]
+        return zip(ALL_FIELDS, map(self._values.__getitem__, _NAMES))
 
     # --- convenience predicates used by emulation code ---------------------
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 from repro.arch import msr as MSR
 from repro.arch.registers import Cr0, Cr4, Efer, Rflags
 from repro.arch.segments import flat_segment, ldtr_segment, tss_segment
+from repro.cpu.entry_checks import IncrementalChecker
 from repro.svm import fields as SF
 from repro.svm.fields import Misc1Intercept, Misc2Intercept
 from repro.svm.vmcb import Vmcb
@@ -38,7 +39,9 @@ HOST_RSP = 0x58000
 
 
 #: Per-capability golden templates; builders are pure, so each template
-#: is constructed once and handed out as fast copies.
+#: is constructed once and handed out as fast copies. VMCS templates
+#: are entry-checked once when built: ``Vmcs.copy()`` shares the memo,
+#: so every copy starts with warm per-unit check results.
 _VMCS_TEMPLATES: dict[VmxCapabilities, Vmcs] = {}
 _VMCB_TEMPLATES: dict[bool, Vmcb] = {}
 
@@ -49,6 +52,7 @@ def golden_vmcs(caps: VmxCapabilities | None = None) -> Vmcs:
     template = _VMCS_TEMPLATES.get(caps)
     if template is None:
         template = _build_golden_vmcs(caps)
+        IncrementalChecker(caps).results(template)
         _VMCS_TEMPLATES[caps] = template
     return template.copy()
 

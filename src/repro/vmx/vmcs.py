@@ -22,6 +22,13 @@ from repro.vmx.fields import ALL_FIELDS, FieldGroup, FieldSpec
 _FIELD_MASK: dict[int, int] = {s.encoding: (1 << s.bits) - 1 for s in ALL_FIELDS}
 _FIELD_NBYTES: tuple[tuple[int, int], ...] = tuple(
     (s.encoding, s.bits // 8) for s in ALL_FIELDS)
+_ENCODINGS: tuple[int, ...] = tuple(s.encoding for s in ALL_FIELDS)
+
+#: The field table of a fresh VMCS, copied by ``__init__``: every field
+#: zero except the VMCS link pointer, which must be all-ones unless VMCS
+#: shadowing is in use.
+_ZERO_VALUES: dict[int, int] = dict.fromkeys(_ENCODINGS, 0)
+_ZERO_VALUES[F.VMCS_LINK_POINTER] = (1 << 64) - 1
 
 
 class VmcsState:
@@ -60,10 +67,7 @@ class Vmcs:
     def __init__(self, revision_id: int = 0x12) -> None:
         self.revision_id = revision_id
         self.launch_state = VmcsState.CLEAR
-        self._values: dict[int, int] = {spec.encoding: 0 for spec in ALL_FIELDS}
-        # Architectural default: the VMCS link pointer must be all-ones
-        # unless VMCS shadowing is in use.
-        self._values[F.VMCS_LINK_POINTER] = (1 << 64) - 1
+        self._values: dict[int, int] = dict(_ZERO_VALUES)
         self._gen = 0
         self._log: list[int] = []
         self._log_base = 0
@@ -148,8 +152,7 @@ class Vmcs:
 
     def fields(self) -> Iterator[tuple[FieldSpec, int]]:
         """Iterate (spec, value) pairs in canonical layout order."""
-        for spec in ALL_FIELDS:
-            yield spec, self._values[spec.encoding]
+        return zip(ALL_FIELDS, map(self._values.__getitem__, _ENCODINGS))
 
     # --- launch state -----------------------------------------------------
 

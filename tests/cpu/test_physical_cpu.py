@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cpu import physical_cpu
 from repro.cpu.physical_cpu import VmxCpu, VmxResultKind
 from repro.validator.golden import golden_vmcs
 from repro.vmx import fields as F
@@ -70,6 +71,38 @@ class TestVmclearVmptrld:
         cpu.vmptrld(VMCS)
         cpu.vmclear(VMCS)
         assert cpu.current_vmcs_ptr is None
+
+    def test_vmclear_keeps_existing_vmcs(self, cpu):
+        cpu.vmxon(VMXON)
+        image = golden_vmcs(cpu.caps)
+        image.mark_launched()
+        cpu.install_vmcs(VMCS, image)
+        values, memo = image.serialize(), dict(image._memo)
+        assert memo
+        assert cpu.vmclear(VMCS).ok
+        assert cpu.memory[VMCS] is image
+        assert not image.launched
+        assert image.serialize() == values
+        assert image._memo == memo
+
+    def test_vmclear_allocates_only_when_empty(self, cpu, monkeypatch):
+        built = []
+
+        def counting_vmcs(*args, **kwargs):
+            built.append(args)
+            return Vmcs(*args, **kwargs)
+
+        monkeypatch.setattr(physical_cpu, "Vmcs", counting_vmcs)
+        cpu.vmxon(VMXON)
+        cpu.vmclear(VMCS)
+        assert built == [(cpu.caps.vmcs_revision_id,)]
+        fresh = cpu.memory[VMCS]
+        assert fresh == Vmcs(cpu.caps.vmcs_revision_id)
+        cpu.vmclear(VMCS)
+        cpu.install_vmcs(VMCS + 0x1000, golden_vmcs(cpu.caps))
+        cpu.vmclear(VMCS + 0x1000)
+        assert len(built) == 1
+        assert cpu.memory[VMCS] is fresh
 
     def test_vmptrld_requires_matching_revision(self, cpu):
         cpu.vmxon(VMXON)

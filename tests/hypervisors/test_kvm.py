@@ -2,11 +2,13 @@
 
 import pytest
 
+from repro import perf
 from repro.arch.cpuid import Vendor
 from repro.arch.msr import IA32_EFER, IA32_KERNEL_GS_BASE, MsrEntry
 from repro.arch.registers import Cr4, Efer
 from repro.hypervisors import GuestInstruction, KvmHypervisor, VcpuConfig
 from repro.hypervisors.base import SanitizerKind
+from repro.hypervisors.kvm.nested_vmx import VMCS01_HPA
 from repro.svm import fields as SF
 from repro.validator.golden import golden_vmcb, golden_vmcs
 from repro.vmx import fields as F
@@ -132,6 +134,41 @@ class TestNestedVmxLifecycle:
         vmcs.write(F.MSR_BITMAP, 0xF0000000)  # L0-reserved window
         result = launch_l2(hv, vcpu, vmcs)
         assert "VMfailValid" in result.detail
+
+
+class TestVmcs01Relaunch:
+    """``nested_vmx_vmexit`` relaunches L1 on a copy of the golden
+    VMCS01, whose entry-check memo is warm; the outcome must be the one
+    a full recompute gives."""
+
+    @staticmethod
+    def _relaunches(incremental):
+        with perf.incremental_mode(incremental):
+            hv = KvmHypervisor(VcpuConfig.default(Vendor.INTEL))
+            vcpu = hv.create_vcpu()
+            phys = hv.nested_vmx.phys
+            launch = phys.vmlaunch
+            outcomes = []
+
+            def recording_vmlaunch(*args, **kwargs):
+                outcome = launch(*args, **kwargs)
+                if phys.current_vmcs_ptr == VMCS01_HPA:
+                    outcomes.append((outcome.entered, outcome.fixups,
+                                     outcome.violations))
+                return outcome
+
+            phys.vmlaunch = recording_vmlaunch
+            launch_l2(hv, vcpu)
+            for _ in range(3):
+                assert run(hv, vcpu, "cpuid", level=2).level == 1
+                assert run(hv, vcpu, "vmresume").level == 2
+        return outcomes
+
+    def test_outcome_equal_in_both_modes(self):
+        incremental = self._relaunches(True)
+        assert len(incremental) == 3
+        assert all(entered for entered, _, _ in incremental)
+        assert incremental == self._relaunches(False)
 
 
 class TestKvmCanonicalMsrCheck:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.arch.registers import Cr0, Efer
 from repro.svm import fields as SF
 from repro.svm.vmcb import Vmcb
+from repro.validator.golden import golden_vmcb
 
 
 class TestFieldAccess:
@@ -108,3 +109,36 @@ class TestWholeStructure:
     def test_hamming_self_zero(self, raw):
         vmcb = Vmcb.deserialize(raw)
         assert vmcb.hamming(vmcb.copy()) == 0
+
+
+class TestFreshLayout:
+    """A fresh Vmcb copies one shared zero table; it must equal the
+    per-spec layout and never alias another instance."""
+
+    def test_fresh_equals_spec_zero_layout(self):
+        vmcb = Vmcb()
+        assert vmcb._values == {spec.name: 0 for spec in SF.ALL_FIELDS}
+        assert list(vmcb._values) == [spec.name for spec in SF.ALL_FIELDS]
+        assert vmcb.generation == 0
+        assert vmcb.changes_since(0) == frozenset()
+
+    def test_writes_never_alias_another_instance(self):
+        a, b = Vmcb(), Vmcb()
+        a.write(SF.RIP, 9)
+        assert b.read(SF.RIP) == 0
+        Vmcb.deserialize(b"\xff" * SF.LAYOUT_BYTES)
+        assert Vmcb() == b
+        assert Vmcb().read(SF.RIP) == 0
+
+    @pytest.mark.parametrize("nested_paging", [True, False])
+    def test_fields_on_golden_in_canonical_order(self, nested_paging):
+        vmcb = golden_vmcb(nested_paging=nested_paging)
+        assert list(vmcb.fields()) == [
+            (spec, vmcb.read(spec.name)) for spec in SF.ALL_FIELDS]
+
+    @given(st.binary(min_size=SF.LAYOUT_BYTES, max_size=SF.LAYOUT_BYTES))
+    @settings(max_examples=25, deadline=None)
+    def test_fields_on_deserialized_in_canonical_order(self, raw):
+        vmcb = Vmcb.deserialize(raw)
+        assert list(vmcb.fields()) == [
+            (spec, vmcb.read(spec.name)) for spec in SF.ALL_FIELDS]

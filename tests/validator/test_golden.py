@@ -1,8 +1,23 @@
 """Tests for the golden (default-initialised) VM states."""
 
+import pytest
+
 from repro.arch.registers import Cr0, Cr4, Efer, Rflags
-from repro.cpu.entry_checks import check_all
+from repro.cpu.entry_checks import (
+    _MEMO_KEY,
+    UNITS,
+    CheckStage,
+    IncrementalChecker,
+    _run_unit,
+    check_all,
+)
 from repro.cpu.svm_cpu import check_vmcb
+from repro.hypervisors import (
+    KvmHypervisor,
+    VboxHypervisor,
+    VcpuConfig,
+    XenHypervisor,
+)
 from repro.validator.golden import golden_vmcb, golden_vmcs
 from repro.vmx import fields as F
 from repro.vmx.controls import EntryControls, Secondary
@@ -41,6 +56,52 @@ class TestGoldenVmcs:
 
     def test_link_pointer_all_ones(self):
         assert golden_vmcs().read(F.VMCS_LINK_POINTER) == (1 << 64) - 1
+
+
+def _caps_sets():
+    """Default caps and the L1 caps each Intel model exposes."""
+    caps = {"default": default_capabilities()}
+    for name, cls in (("kvm", KvmHypervisor), ("xen", XenHypervisor),
+                      ("vbox", VboxHypervisor)):
+        caps[name] = cls(VcpuConfig.default(Vendor.INTEL)).nested_vmx.caps
+    return caps
+
+
+CAPS = _caps_sets()
+
+
+@pytest.mark.parametrize("caps", list(CAPS.values()), ids=list(CAPS))
+class TestWarmTemplate:
+    """Golden VMCS copies carry a warm entry-check memo that is exactly
+    what a cold pass over the same copy computes."""
+
+    def test_copy_carries_memo_for_its_caps(self, caps):
+        vmcs = golden_vmcs(caps)
+        entry = vmcs.memo_get(_MEMO_KEY)
+        assert entry is not None
+        gen, _, memo_caps = entry
+        assert gen == vmcs.generation
+        assert memo_caps == caps
+
+    def test_memo_equals_fresh_unit_pass(self, caps):
+        vmcs = golden_vmcs(caps)
+        fresh = tuple(_run_unit(unit, vmcs, caps) for unit in UNITS)
+        assert vmcs.memo_get(_MEMO_KEY)[1] == fresh
+        assert IncrementalChecker(caps).results(vmcs) == fresh
+
+    @pytest.mark.parametrize("encoding,stage", [
+        (None, None),
+        (F.CPU_BASED_VM_EXEC_CONTROL, CheckStage.CONTROLS),
+        (F.HOST_CR0, CheckStage.HOST_STATE),
+        (F.GUEST_RFLAGS, CheckStage.GUEST_STATE),
+    ], ids=["untouched", "controls", "host", "guest"])
+    def test_incremental_check_equals_full(self, caps, encoding, stage):
+        vmcs = golden_vmcs(caps)
+        if encoding is not None:
+            vmcs.write(encoding, 0)
+        expected = check_all(vmcs, caps)
+        assert {v.stage for v in expected} == ({stage} if stage else set())
+        assert IncrementalChecker(caps).check_all(vmcs) == expected
 
 
 class TestGoldenVmcb:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.validator.golden import golden_vmcs
 from repro.vmx import fields as F
 from repro.vmx.vmcs import Vmcs, VmcsState
 
@@ -125,3 +126,39 @@ class TestSerializationProperties:
         vmcs = Vmcs.deserialize(raw)
         total_bits = sum(spec.bits for spec, _ in vmcs.fields())
         assert total_bits == F.LAYOUT_BITS
+
+
+class TestFreshLayout:
+    """A fresh Vmcs copies one shared zero table; it must equal the
+    per-spec layout and never alias another instance."""
+
+    def test_fresh_equals_spec_zero_layout(self):
+        expected = {spec.encoding: 0 for spec in F.ALL_FIELDS}
+        expected[F.VMCS_LINK_POINTER] = (1 << 64) - 1
+        vmcs = Vmcs()
+        assert vmcs._values == expected
+        assert list(vmcs._values) == [spec.encoding for spec in F.ALL_FIELDS]
+        assert vmcs.generation == 0
+        assert vmcs.changes_since(0) == frozenset()
+
+    def test_writes_never_alias_another_instance(self):
+        a, b = Vmcs(), Vmcs()
+        a.write(F.GUEST_RIP, 5)
+        a.write(F.VMCS_LINK_POINTER, 0)
+        assert b.read(F.GUEST_RIP) == 0
+        assert b.read(F.VMCS_LINK_POINTER) == (1 << 64) - 1
+        Vmcs.deserialize(b"\xff" * F.LAYOUT_BYTES)
+        assert Vmcs() == b
+        assert Vmcs().read(F.GUEST_RIP) == 0
+
+    def test_fields_on_golden_in_canonical_order(self):
+        vmcs = golden_vmcs()
+        assert list(vmcs.fields()) == [
+            (spec, vmcs.read(spec.encoding)) for spec in F.ALL_FIELDS]
+
+    @given(st.binary(min_size=F.LAYOUT_BYTES, max_size=F.LAYOUT_BYTES))
+    @settings(max_examples=25, deadline=None)
+    def test_fields_on_deserialized_in_canonical_order(self, raw):
+        vmcs = Vmcs.deserialize(raw)
+        assert list(vmcs.fields()) == [
+            (spec, vmcs.read(spec.encoding)) for spec in F.ALL_FIELDS]
