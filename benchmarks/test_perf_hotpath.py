@@ -3,14 +3,15 @@
 Drives the mutate -> correct -> verify -> merge -> execute loop the
 fuzzer runs per case, on a persistent tracked VMCS (corpus style: a
 mutation whose nested entry fails is reverted, like a non-entering
-input being discarded), and measures both modes of this PR's
-dirty-field tracking:
+input being discarded), and measures the dirty-field tracking against
+its reference:
 
 * full recompute — every rounding pass, consistency check, and the
-  whole VMCS02 merge re-run from scratch each iteration;
-* incremental — passes/checks are memoized against the change journal
-  and validated by read *values*, and the merge re-copies only dirty
-  fields (``repro.perf``).
+  whole VMCS02 merge re-run from scratch each iteration
+  (``tests.reference.full_recompute``, a test-only reference);
+* incremental — the production path: passes/checks are memoized
+  against the change journal and validated by read *values*, and the
+  merge re-copies only dirty fields (``repro.perf``).
 
 Per-stage timings and the cases/sec speedup go to ``BENCH_hotpath.json``
 at the repo root, stamped with the run's budget, ``smoke`` flag, CPU
@@ -28,12 +29,13 @@ from __future__ import annotations
 import json
 import random
 import time
+from contextlib import nullcontext
 from pathlib import Path
 
 import pytest
 
 from common import BenchReport, PhaseDeadline, bench_budget, run_provenance
-from repro import Vendor, perf
+from repro import Vendor
 from repro.core.vcpu_config import VcpuConfig
 from repro.hypervisors.kvm import KvmHypervisor
 from repro.hypervisors.kvm.nested_vmx import VMCS02_HPA, VmxNestedState
@@ -41,6 +43,7 @@ from repro.validator.golden import golden_vmcs
 from repro.validator.oracle import HardwareOracle
 from repro.validator.rounding import VmStateValidator
 from repro.vmx import fields as F
+from tests.reference import full_recompute
 
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_hotpath.json"
 DEFAULT_BUDGET = 400
@@ -71,7 +74,7 @@ def _run_workload(incremental: bool, budget: int = BUDGET) -> dict:
     over the iterations that actually ran.
     """
     deadline = PhaseDeadline()
-    with perf.incremental_mode(incremental):
+    with nullcontext() if incremental else full_recompute():
         hv = KvmHypervisor(VcpuConfig.default(Vendor.INTEL))
         nested = hv.nested_vmx
         validator = VmStateValidator(nested.caps)

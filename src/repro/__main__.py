@@ -81,9 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "binary append-only queue (default), v1 = "
                              "legacy per-entry files for pre-existing "
                              "sync directories")
-    parser.add_argument("--reuse-hypervisor", action="store_true",
-                        help="reuse built hypervisors across same-config "
-                             "cases (faster, changes trajectories)")
     parser.add_argument("--corpus-dir", type=Path, default=None,
                         help="resume from a saved corpus directory "
                              "(serial campaigns only); crash reproducers "
@@ -274,7 +271,6 @@ def main(argv: list[str] | None = None) -> int:
             coverage_guided=not args.blackbox,
             patched=patched,
             async_events=args.async_events,
-            reuse_hypervisor=args.reuse_hypervisor,
             address=args.coordinator,
             transport_timeout=args.transport_timeout,
             external=True,
@@ -298,7 +294,6 @@ def main(argv: list[str] | None = None) -> int:
             coverage_guided=not args.blackbox,
             patched=patched,
             async_events=args.async_events,
-            reuse_hypervisor=args.reuse_hypervisor,
             case_timeout=args.case_timeout,
             max_restarts=args.max_restarts,
             checkpoint_interval=args.checkpoint_interval,
@@ -320,8 +315,7 @@ def main(argv: list[str] | None = None) -> int:
             patched=patched,
             async_events=args.async_events,
             reports_dir=args.reports_dir,
-            corpus_dir=args.corpus_dir,
-            reuse_hypervisor=args.reuse_hypervisor)
+            corpus_dir=args.corpus_dir)
     result = campaign.run(args.iterations, sample_every=args.sample_every)
 
     for point in result.timeline.points:

@@ -42,12 +42,6 @@ class AgentConfig:
     #: §6.3 extension: asynchronous-event injection (off by default).
     async_events: bool = False
     reports_dir: Path | None = None
-    #: Reuse the built L0 hypervisor across cases with the same vCPU
-    #: configuration (reset, not rebuilt, between cases; discarded when
-    #: the watchdog handles a host crash). Off by default: warm-state
-    #: reuse changes per-case coverage feedback, so it trades the
-    #: bit-for-bit default trajectory for throughput.
-    reuse_hypervisor: bool = False
 
 
 @dataclass
@@ -84,12 +78,10 @@ class Agent:
         self.cumulative_lines: set = set()
         self.cases_run = 0
         #: Hot-path scratch state: one bitmap reused (reset, not
-        #: reallocated) across cases, plus per-configuration caches for
-        #: the adapter command line and, when enabled, the built
-        #: hypervisor itself.
+        #: reallocated) across cases, plus a per-configuration cache of
+        #: the adapter command line.
         self._case_bitmap = CoverageBitmap()
         self._command_lines: dict = {}
-        self._hv_cache: dict = {}
 
     #: Bound on cached per-configuration generators (LRU eviction). The
     #: configurator can produce thousands of distinct feature maps; each
@@ -188,25 +180,12 @@ class Agent:
         hv = None
         with self.tracer:
             try:
-                if self.config.reuse_hypervisor:
-                    hv = self._hv_cache.get(command_line)
-                    if hv is None:
-                        hv = self.adapter.build(vcpu_config)
-                        if len(self._hv_cache) >= self.GENERATOR_CACHE_LIMIT:
-                            self._hv_cache.clear()
-                        self._hv_cache[command_line] = hv
-                    else:
-                        hv.reset()
-                else:
-                    hv = self.adapter.build(vcpu_config)
+                hv = self.adapter.build(vcpu_config)
                 executor_result = executor.run(hv)
             except HostCrash as crash:
                 assert hv is not None
                 crash_anomalies.append(
                     self.watchdog.handle_host_crash(hv, str(crash)))
-                # A host crash means the machine rebooted: cached warm
-                # hypervisors did not survive it.
-                self._hv_cache.clear()
             except VmCrash as crash:
                 assert hv is not None
                 crash_anomalies.append(

@@ -162,8 +162,7 @@ class VmExecutionHarness:
         handler's only side effect) and the recorded slice is appended
         once more: the repeat reproduces the last-to-first loop-back
         edge, leaving the drained line and edge sets unchanged. After a
-        failed first write, or under the legacy settrace tracer (whose
-        events cannot be replayed), every write goes through the model.
+        failed first write, every write goes through the model.
         """
         writes = [(spec.encoding, value) for spec, value in vm_state.fields()
                   if spec.group is not F.FieldGroup.READ_ONLY]
@@ -176,8 +175,7 @@ class VmExecutionHarness:
             "vmwrite", {"field": encoding, "value": value}), stats)
         rest = writes[1:]
         vmcs12 = None
-        if (rest and result.ok and result.value is None
-                and not kcov.legacy_trace_active()):
+        if rest and result.ok and result.value is None:
             vmcs12 = hv.current_vmcs12(vcpu)
         if vmcs12 is None:
             for encoding, value in rest:

@@ -105,9 +105,6 @@ class NecoFuzz:
     #: on top of the built-in seeds, so a campaign can resume from a
     #: previous run's queue — or import a sync-partner's findings.
     corpus_dir: Path | None = None
-    #: Forwarded to :class:`AgentConfig`: reuse built hypervisors across
-    #: same-configuration cases (throughput over bit-for-bit defaults).
-    reuse_hypervisor: bool = False
     #: Where deduplicated, minimized crash reproducers land. Defaults to
     #: ``corpus_dir/crashes`` when a corpus directory is set; None (with
     #: no corpus_dir) disables persistence — case isolation still counts
@@ -122,8 +119,7 @@ class NecoFuzz:
             patched=self.patched,
             runtime_iterations=self.runtime_iterations,
             async_events=self.async_events,
-            reports_dir=self.reports_dir,
-            reuse_hypervisor=self.reuse_hypervisor))
+            reports_dir=self.reports_dir))
         rng = Rng(self.seed)
         self.engine = FuzzEngine(
             execute=self.agent.execute_for_engine,

@@ -10,36 +10,31 @@ Only statements inside function bodies count as instrumented: module and
 class bodies run at import time, before any fuzzing, and would dilute
 the denominator the way unreachable boilerplate would in C.
 
-Two collection strategies are available:
+Collection is compiled in, like KCOV: the target modules' function
+code objects are rewritten in place with a ``__kcov_rec__((file, line))``
+marker call before every traceable statement. The marker is a bound
+``list.append`` (a C call, no Python frame), so recording one line costs
+nanoseconds and ``sys.settrace`` is never installed. While no tracer is
+active the markers append into a shared ``deque(maxlen=0)`` null sink,
+so instrumented modules are almost free to run untraced.
 
-* the **legacy** mode (``fast_path=False``) installs a ``sys.settrace``
-  global trace for the whole test case, paying one Python callback per
-  function call anywhere in the interpreter plus one per executed line
-  in target code — the pre-optimization behaviour;
-* the **compiled fast path** (default) rewrites the target modules'
-  function code objects in place, inserting a ``__kcov_rec__((file,
-  line))`` marker call before every traceable statement. The marker is
-  a bound ``list.append`` (a C call, no Python frame), so recording one
-  line costs nanoseconds instead of a trace callback, and ``settrace``
-  is never installed at all. While no tracer is active the markers
-  append into a shared ``deque(maxlen=0)`` null sink, so instrumented
-  modules are almost free to run untraced.
-
-Both modes record the same covered *line* set over the instrumented
-universe (pinned by tests/integration/test_tracer_equivalence.py). Edge
-sets are mode-specific: settrace observes per-iteration loop-header
+The marker placement reproduces what a ``sys.settrace`` line tracer
+reports over the same code: the same covered *line* set over the
+instrumented universe. That tracer survives only as a test reference
+(``tests.reference.SettraceTracer``), and
+tests/integration/test_tracer_equivalence.py pins the two equal. Edge
+sets differ between them: settrace observes per-iteration loop-header
 transitions and generator re-entries that statement markers summarise
-differently, so AFL bitmaps — and therefore campaign trajectories — are
-only comparable within one mode. Campaigns are deterministic per mode.
+differently, so AFL bitmaps and campaign trajectories are defined by
+the markers alone.
 """
 
 from __future__ import annotations
 
 import ast
 import collections
-import sys
 from itertools import islice
-from types import FrameType, FunctionType, ModuleType
+from types import FunctionType, ModuleType
 from typing import Iterable
 
 Line = tuple[str, int]
@@ -53,7 +48,7 @@ _EXEC_LINES_CACHE: dict[str, frozenset[Line]] = {}
 
 #: Shared null sink: ``_NULL_SINK.append`` discards its argument in O(1)
 #: without retaining memory, which is what ``__kcov_rec__`` points at
-#: whenever no fast-path tracer is active.
+#: whenever no tracer is active.
 _NULL_SINK: collections.deque = collections.deque(maxlen=0)
 
 #: Files whose modules have been instrumented, mapped to the qualnames
@@ -65,7 +60,7 @@ _ACTIVE_TRACER: "KcovTracer | None" = None
 
 
 def event_sink() -> "list[Line] | None":
-    """The active fast-path tracer's event list, or ``None``.
+    """The active tracer's event list, or ``None``.
 
     Consumers that skip instrumented code use this to record the event
     slice a computation emitted and to replay it in place of running it
@@ -76,19 +71,7 @@ def event_sink() -> "list[Line] | None":
     vmwrite's slice for the writes it makes directly.
     """
     tracer = _ACTIVE_TRACER
-    if tracer is not None and tracer.fast_path:
-        return tracer._events
-    return None
-
-
-def legacy_trace_active() -> bool:
-    """True while a legacy (``sys.settrace``) tracer is collecting.
-
-    settrace events cannot be replayed from a recorded slice, so
-    memoization of instrumented code must be bypassed in this mode.
-    """
-    tracer = _ACTIVE_TRACER
-    return tracer is not None and not tracer.fast_path
+    return tracer._events if tracer is not None else None
 
 
 # --- AST analysis and marker insertion ----------------------------------------
@@ -232,7 +215,7 @@ def executable_lines(module: ModuleType) -> frozenset[Line]:
     """All instrumentable (file, line) pairs of *module*'s function bodies.
 
     The universe is the set of statement lines inside functions — the
-    exact lines the fast-path markers can record, and a subset of what
+    exact lines the markers can record, and a subset of what
     settrace reports (settrace additionally sees continuation lines of
     multi-line statements; those are clipped by the intersection both
     :class:`repro.coverage.report.CoverageReport` and
@@ -334,33 +317,20 @@ class KcovTracer:
     :meth:`drain` harvests the current test case's line set and edge set
     (consecutive-line transitions, the raw material for the AFL bitmap);
     the caller (the agent) merges them into campaign-cumulative state.
-
-    With ``fast_path=True`` (the default) the target modules are
-    instrumented with inline marker calls and ``sys.settrace`` is never
-    used; with ``fast_path=False`` the pre-optimization settrace global
-    trace runs instead. See the module docstring for the equivalence
-    contract between the two modes.
+    The target modules are instrumented with inline marker calls on
+    construction; see the module docstring.
     """
 
-    def __init__(self, modules: Iterable[ModuleType], *,
-                 fast_path: bool = True) -> None:
+    def __init__(self, modules: Iterable[ModuleType]) -> None:
         self.modules = tuple(modules)
-        self.fast_path = fast_path
         self.instrumented: set[Line] = set()
-        self._files: set[str] = set()
         self.unswapped: tuple[str, ...] = ()
         for module in self.modules:
             self.instrumented |= executable_lines(module)
-            if module.__file__:
-                self._files.add(module.__file__)
-            if fast_path:
-                self.unswapped += instrument_module(module)
-        #: Fast path: markers append (file, line) tuples here in
-        #: execution order while the tracer is active.
+            self.unswapped += instrument_module(module)
+        #: Markers append (file, line) tuples here in execution order
+        #: while the tracer is active.
         self._events: list[Line] = []
-        self.run_lines: set[Line] = set()
-        self.run_edges: set[tuple[Line, Line]] = set()
-        self._prev: Line | None = None
         self._active = False
 
     # --- pickling (campaign checkpoints) -----------------------------------
@@ -369,8 +339,8 @@ class KcovTracer:
         """Pickle by module *name*: module objects cannot be pickled.
 
         Campaign checkpoints snapshot whole workers (agent included);
-        the tracer re-imports and, on the fast path, re-instruments its
-        targets on restore — both idempotent per process.
+        the tracer re-imports and re-instruments its targets on
+        restore — both idempotent per process.
         """
         state = self.__dict__.copy()
         state["modules"] = tuple(m.__name__ for m in self.modules)
@@ -384,32 +354,10 @@ class KcovTracer:
         names = state.pop("modules")
         self.__dict__.update(state)
         self.modules = tuple(importlib.import_module(n) for n in names)
-        if self.fast_path:
-            unswapped: tuple[str, ...] = ()
-            for module in self.modules:
-                unswapped += instrument_module(module)
-            self.unswapped = unswapped
-
-    # --- legacy settrace plumbing ------------------------------------------
-
-    def _local_trace(self, frame: FrameType, event: str, arg):
-        if event == "line":
-            cur = (frame.f_code.co_filename, frame.f_lineno)
-            self.run_lines.add(cur)
-            if self._prev is not None:
-                self.run_edges.add((self._prev, cur))
-            self._prev = cur
-        return self._local_trace
-
-    def _global_trace(self, frame: FrameType, event: str, arg):
-        if event == "call" and frame.f_code.co_filename in self._files:
-            cur = (frame.f_code.co_filename, frame.f_code.co_firstlineno)
-            self.run_lines.add(cur)
-            if self._prev is not None:
-                self.run_edges.add((self._prev, cur))
-            self._prev = cur
-            return self._local_trace
-        return None
+        unswapped: tuple[str, ...] = ()
+        for module in self.modules:
+            unswapped += instrument_module(module)
+        self.unswapped = unswapped
 
     # --- lifecycle ----------------------------------------------------------
 
@@ -421,23 +369,16 @@ class KcovTracer:
         if _ACTIVE_TRACER is not None:
             raise RuntimeError("another KcovTracer is already active")
         self._active = True
-        self._prev = None
         _ACTIVE_TRACER = self
-        if self.fast_path:
-            record = self._events.append
-            for module in self.modules:
-                module.__kcov_rec__ = record  # type: ignore[attr-defined]
-        else:
-            sys.settrace(self._global_trace)
+        record = self._events.append
+        for module in self.modules:
+            module.__kcov_rec__ = record  # type: ignore[attr-defined]
 
     def stop(self) -> None:
         """Stop collecting."""
         global _ACTIVE_TRACER
-        if self.fast_path:
-            for module in self.modules:
-                module.__kcov_rec__ = _NULL_SINK.append  # type: ignore[attr-defined]
-        else:
-            sys.settrace(None)
+        for module in self.modules:
+            module.__kcov_rec__ = _NULL_SINK.append  # type: ignore[attr-defined]
         if _ACTIVE_TRACER is self:
             _ACTIVE_TRACER = None
         self._active = False
@@ -451,17 +392,12 @@ class KcovTracer:
 
     def drain(self) -> tuple[set[Line], set[tuple[Line, Line]]]:
         """Harvest and reset the current run's lines and edges."""
-        if self.fast_path:
-            events = self._events
-            lines = set(events)
-            edges = set(zip(events, islice(events, 1, None)))
-            # Clear in place: active markers hold a reference to the
-            # bound append of this exact list.
-            events.clear()
-            return lines, edges
-        lines, edges = self.run_lines, self.run_edges
-        self.run_lines, self.run_edges = set(), set()
-        self._prev = None
+        events = self._events
+        lines = set(events)
+        edges = set(zip(events, islice(events, 1, None)))
+        # Clear in place: active markers hold a reference to the bound
+        # append of this exact list.
+        events.clear()
         return lines, edges
 
     # --- reporting helpers ---------------------------------------------------

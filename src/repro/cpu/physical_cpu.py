@@ -18,14 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from repro import perf
 from repro.arch.bits import is_aligned
 from repro.arch.msr import MsrEntry
 from repro.cpu.entry_checks import (
     CheckStage,
     IncrementalChecker,
     Violation,
-    check_all,
 )
 from repro.cpu.quirks import SilentFixup, apply_entry_fixups
 from repro.vmx import fields as F
@@ -237,10 +235,7 @@ class VmxCpu:
 
         if msr_entries is None:
             msr_entries = []
-        if perf.incremental_enabled():
-            violations = self.checker.check_all(vmcs, msr_entries)
-        else:
-            violations = check_all(vmcs, self.caps, msr_entries)
+        violations = self.checker.check_all(vmcs, msr_entries)
         if violations:
             stage = violations[0].stage
             if stage is CheckStage.CONTROLS:

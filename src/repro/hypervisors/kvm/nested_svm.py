@@ -267,10 +267,10 @@ class NestedSvm:
     def prepare_vmcb02(self, state: SvmNestedState, vmcb12: Vmcb) -> ExecResult | None:
         """Build VMCB02; returns an ExecResult on the bug-#3 failure path.
 
-        In incremental mode the master merge result is cached per vCPU
+        The master merge result is cached per vCPU
         and only dirty VMCB12 fields are re-applied (perf.merge_state
-        replays the skipped sections' kcov event slices, so coverage is
-        mode-independent); the installed VMCB02 is a copy of the master,
+        replays the skipped sections' kcov event slices, so line coverage is
+        that of a full merge); the installed VMCB02 is a copy of the master,
         so hardware write-backs (quirk fixups, exit codes) never
         contaminate the cache. The paging section always re-runs for its
         MMU side effects and early exits.

@@ -635,11 +635,11 @@ class NestedVmx:
 
         Returns an ExecResult on failure (bug #3's early exit), else None.
 
-        In incremental mode the last merged vmcs02 is cached per vCPU
+        The last merged vmcs02 is cached per vCPU
         keyed by (vmcs12 identity, generation): only dirty guest fields
         are re-copied, and the control section re-runs only when one of
         its input fields changed (perf.merge_state replays the skipped
-        sections' kcov event slices, so coverage is mode-independent).
+        sections' kcov event slices, so line coverage equals a full merge).
         Sections with side effects outside the vmcs02 (paging/MMU setup
         and the sanitizer probes in it) always run, so bug behaviour and
         early-exit paths are identical to a full merge. The cached

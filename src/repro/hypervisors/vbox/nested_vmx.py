@@ -378,10 +378,10 @@ class VboxNestedVmx:
                    state: VboxNestedState | None = None) -> Vmcs:
         """Build the hardware VMCS for the nested guest.
 
-        When *state* is given and incremental mode is on, the last merge
+        When *state* is given, the last merge
         is cached per vCPU and only dirty VMCS12 fields are re-applied
         (perf.merge_state replays the skipped sections' kcov event
-        slices, so coverage is mode-independent); the caller copies the
+        slices, so line coverage equals a full merge); the caller copies the
         result before installing it, so hardware write-backs never touch
         the cached master.
         """
@@ -401,7 +401,7 @@ class VboxNestedVmx:
             vmcs02.write(F.GUEST_ACTIVITY_STATE, 0)
         # Pre-warm the entry-check memo so the installed image copy
         # revalidates from the journal instead of re-running checks.
-        perf.prewarm(lambda: self.phys.checker.check_all(vmcs02))
+        self.phys.checker.check_all(vmcs02)
         return vmcs02
 
     def _vmcs02_base(self, vmcs12: Vmcs) -> Vmcs:

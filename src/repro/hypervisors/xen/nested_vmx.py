@@ -385,10 +385,10 @@ class XenNestedVmx:
     def load_shadow_guest_state(self, state: NvmxState, vvmcs):
         """Build the shadow VMCS02 from the virtual VMCS (vmcs12).
 
-        In incremental mode the last shadow load is cached per vCPU and
+        The last shadow load is cached per vCPU and
         only dirty vVMCS fields are re-applied (perf.merge_state replays
-        the skipped sections' kcov event slices, so coverage is
-        mode-independent); the caller copies the result before
+        the skipped sections' kcov event slices, so line coverage is
+        that of a full load); the caller copies the result before
         installing it, so hardware write-backs never touch the cached
         master.
         """
@@ -412,7 +412,7 @@ class XenNestedVmx:
         vmcs02.write(F.GUEST_ACTIVITY_STATE, activity)
         # Pre-warm the entry-check memo so the installed image copy
         # revalidates from the journal instead of re-running checks.
-        perf.prewarm(lambda: self.phys.checker.check_all(vmcs02))
+        self.phys.checker.check_all(vmcs02)
         return vmcs02
 
     def _shadow_base(self, vvmcs) -> Vmcs:

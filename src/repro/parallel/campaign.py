@@ -30,7 +30,7 @@ from __future__ import annotations
 import logging
 import pickle
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from pathlib import Path
 
 from repro import faults, telemetry
@@ -228,7 +228,6 @@ class ParallelCampaign:
     runtime_iterations: int = 24
     async_events: bool = False
     iterations_per_hour: float = 10.0
-    reuse_hypervisor: bool = False
     # --- resilience ---------------------------------------------------
     #: Per-case wall-clock deadline. Enforced by the supervisor in
     #: process mode (a stale heartbeat gets the worker killed and
@@ -320,8 +319,19 @@ class ParallelCampaign:
             patched=self.patched,
             runtime_iterations=self.runtime_iterations,
             async_events=self.async_events,
-            iterations_per_hour=self.iterations_per_hour,
-            reuse_hypervisor=self.reuse_hypervisor)
+            iterations_per_hour=self.iterations_per_hour)
+
+    def _config_key(self) -> tuple:
+        """The worker construction arguments, comparable across runs.
+
+        Part of the pool key and the checkpoint manifest: a warm worker
+        or a checkpoint built under another config is not this campaign.
+        """
+        kwargs = self._campaign_kwargs()
+        kwargs["vendor"] = self.vendor.value
+        kwargs["toggles"] = astuple(self.toggles)
+        kwargs["patched"] = tuple(sorted(self.patched))
+        return tuple(sorted(kwargs.items()))
 
     def _stealing_worker_count(self, iterations: int) -> int:
         """How many workers a stealing campaign actually spawns.
@@ -432,9 +442,9 @@ class ParallelCampaign:
                   iterations: int | None = None) -> tuple:
         shares = (tuple(spec.iterations for spec in specs)
                   if self.schedule == "static" else (iterations or 0,))
-        return (self.seed, self.workers, self.hypervisor, self.vendor.value,
-                shares, sample_every, self.sync_every, self.schedule,
-                self.lease_size, self.sync_adaptive)
+        return (self.seed, self.workers, shares, sample_every,
+                self.sync_every, self.schedule, self.lease_size,
+                self.sync_adaptive, self.sync_format, self._config_key())
 
     def _save_campaign_checkpoint(self, path: Path, manifest: tuple,
                                   workers: list[CampaignWorker],
@@ -501,8 +511,8 @@ class ParallelCampaign:
                 worker.__dict__.update(restored.__dict__)
 
     def _pool_key(self, specs: list[WorkerSpec]) -> tuple:
-        return (self.hypervisor, self.vendor.value, self.seed, len(specs),
-                self.schedule, self.sync_format)
+        return (self.seed, len(specs), self.schedule, self.sync_format,
+                self._config_key())
 
     def _build_inline_workers(self, root: Path, specs: list[WorkerSpec],
                               sample_every: int, syncing: bool

@@ -76,7 +76,6 @@ class FederatedCampaign:
     runtime_iterations: int = 24
     async_events: bool = False
     iterations_per_hour: float = 10.0
-    reuse_hypervisor: bool = False
     #: Endpoint: an address tuple, an ``"addr:port"`` / ``"unix:/path"``
     #: string, or None for AF_UNIX under the campaign root (loopback
     #: TCP where AF_UNIX is unavailable or the socket path too long).
@@ -111,7 +110,6 @@ class FederatedCampaign:
             runtime_iterations=self.runtime_iterations,
             async_events=self.async_events,
             iterations_per_hour=self.iterations_per_hour,
-            reuse_hypervisor=self.reuse_hypervisor,
             subsumption_filter=self.subsumption_filter,
             schedule="stealing", lease_size=self.lease_size,
             telemetry_mode=self.telemetry_mode)

@@ -1,51 +1,20 @@
-"""The incremental hot path and its full-recompute reference switch.
+"""The incremental hot path.
 
 Dirty-field tracking makes three hot-path stages incremental: VM-entry
 consistency checking, the hypervisor-level VMCS12/VMCB12 checks, and
-the VMCS02/VMCB02 merge. Incremental is the only production path. Full
-recompute stays available as the test reference: the two are pinned
-equivalent (identical violation lists, corrections, exit reasons,
-VMCS02 contents, and coverage) by
-tests/unit/test_incremental_equivalence.py, which flips between them
-with :func:`incremental_mode`. This module has no other switch.
-
-A module-level knob is used instead of threading a flag through
-NecoFuzz -> Agent -> adapter -> hypervisor constructors: the mode is a
-process-wide property of the run (like the tracer mode), not a
-per-object decision.
+the VMCS02/VMCB02 merge. It is the only path: there is no switch. The
+full-recompute reference it must equal lives in the test suite
+(``tests.reference.full_recompute``), which swaps these functions for
+straight-through versions; tests/unit/test_incremental_equivalence.py
+pins the two equal (violation lists, corrections, exit reasons, VMCS02
+contents and coverage).
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Callable, Iterator
+from typing import Callable
 
 from repro import telemetry
-
-_incremental = True
-
-
-def incremental_enabled() -> bool:
-    """True when the incremental (dirty-tracking) hot path is active."""
-    return _incremental
-
-
-def set_incremental(enabled: bool) -> None:
-    """Switch between the incremental and full-recompute hot paths."""
-    global _incremental
-    _incremental = bool(enabled)
-
-
-@contextmanager
-def incremental_mode(enabled: bool) -> Iterator[None]:
-    """Temporarily force the incremental hot path on or off."""
-    global _incremental
-    saved = _incremental
-    _incremental = bool(enabled)
-    try:
-        yield
-    finally:
-        _incremental = saved
 
 
 def memoized_check(struct, key, compute: Callable[[], list]):
@@ -59,13 +28,11 @@ def memoized_check(struct, key, compute: Callable[[], list]):
     branch taken by *compute* depends only on fields it read — and the
     result is revalidated against the change journal on later calls.
 
-    Coverage equivalence: when the fast-path kcov tracer is active, the
-    (file, line) events emitted during *compute* are recorded with the
-    entry and replayed into the tracer on every cache hit, so per-case
-    line AND edge coverage is identical to recomputing. Under the
-    legacy ``sys.settrace`` tracer events cannot be replayed, so
-    memoization is bypassed entirely; an entry recorded without any
-    tracer carries no event slice and is recomputed if a fast-path
+    Coverage equivalence: when a kcov tracer is active, the (file,
+    line) events emitted during *compute* are recorded with the entry
+    and replayed into the tracer on every cache hit, so per-case line
+    AND edge coverage is identical to recomputing. An entry recorded
+    without a tracer carries no event slice and is recomputed if a
     tracer is active when it is next consulted. The harness's vmwrite
     storm (``VmExecutionHarness._write_vmcs_fields``) is the second
     user of this record-and-replay scheme.
@@ -80,12 +47,8 @@ def memoized_check(struct, key, compute: Callable[[], list]):
     The cached result list is returned as-is on a hit; callers must not
     mutate it.
     """
-    if not _incremental:
-        return compute()
     from repro.coverage import kcov
 
-    if kcov.legacy_trace_active():
-        return compute()
     sink = kcov.event_sink()
     entry = struct.memo_get(key)
     if entry is not None:
@@ -139,16 +102,8 @@ def memoized_fixpoint(struct, key, run: Callable[[], object]):
     survives write/revert churn between invocations.
 
     The rounding passes live outside the instrumented hypervisor
-    modules, so no kcov event slice needs to be recorded; the legacy
-    settrace bypass is kept anyway so a wrapped pass can never perturb
-    a legacy coverage run.
+    modules, so no kcov event slice needs to be recorded.
     """
-    if not _incremental:
-        return run()
-    from repro.coverage import kcov
-
-    if kcov.legacy_trace_active():
-        return run()
     entry = struct.memo_get(key)
     if entry is not None:
         gen, reads, value = entry
@@ -187,30 +142,29 @@ def merge_state(state, src, *, build: Callable[[], object],
     plus the guest/save fields taken verbatim from *src*); *controls*
     applies the control-field section onto an existing merged structure.
     Both live in instrumented hypervisor modules, so their kcov event
-    slices are captured when they run and replayed verbatim when they
-    are skipped — per-case line AND edge coverage is identical to a
-    full merge. The skips are sound because *build*'s guest half is
-    reproduced exactly by replaying the dirty *state_fields* from the
-    change journal, and *controls* is a pure function of the fields in
-    *control_inputs* (declared by the caller), so an unchanged input
-    set means identical writes and an identical event slice.
+    slices are captured when they run. A skipped *build* is replayed
+    verbatim; a skipped *controls* is not yet, so per-case lines equal a
+    full merge but the edges into and out of the control section are
+    lost (pinned by ``test_per_case_edges``; the fix changes campaign
+    fingerprints and waits for a re-pin). The skips are sound because
+    *build*'s guest half is reproduced exactly by replaying the dirty
+    *state_fields* from the change journal, and *controls* is a pure
+    function of the fields in *control_inputs* (declared by the
+    caller), so an unchanged input set means identical writes and an
+    identical event slice.
 
     The cache — ``state.merge_cache = (src, generation, merged,
     build_trace, controls_trace)`` — is recorded before the caller's
     always-live sections (clamps, paging/MMU setup) run, so fallible
     tails replay identically from the cached prefix. *state* may be
-    ``None`` (or the mode off / legacy tracer active): the merge then
-    runs in full every time.
+    ``None``: the merge then runs in full every time.
     """
-    from repro.coverage import kcov
-
-    if state is None or not _incremental or kcov.legacy_trace_active():
+    if state is None:
         merged = build()
         controls(merged)
-        if state is not None:
-            # Never leave a cache recorded under different trace rules.
-            state.merge_cache = None
         return merged
+    from repro.coverage import kcov
+
     sink = kcov.event_sink()
     cache = state.merge_cache
     changed = None
@@ -245,27 +199,10 @@ def merge_state(state, src, *, build: Callable[[], object],
     return merged
 
 
-def prewarm(fn: Callable[[], object]) -> None:
-    """Run a memo pre-warm on the incremental fast path only.
-
-    Wraps the hypervisors' post-merge ``check_all`` pre-warm so the call
-    site is a single statement that executes in both modes — the gate
-    lives here, outside the instrumented modules, keeping per-case
-    coverage mode-independent.
-    """
-    if not _incremental:
-        return
-    from repro.coverage import kcov
-
-    if not kcov.legacy_trace_active():
-        fn()
-
-
-def publish_merged(merged, prewarm_fn: Callable[[], object] | None = None):
-    """The object to install for execution: *merged* itself on the full
-    path, a fast copy on the incremental path so quirk write-backs from
-    the run (and dirty-field replays by a later, *failed* merge) never
-    alias the cached master. *prewarm_fn* (typically a
+def publish_merged(merged, warm: Callable[[], object] | None = None):
+    """The object to install for execution: a fast copy of *merged*, so
+    quirk write-backs from the run (and dirty-field replays by a later,
+    *failed* merge) never alias the cached master. *warm* (typically a
     :func:`memoized_check` over the vendor's structure check) runs first
     so the copy inherits a warm memo.
 
@@ -277,18 +214,12 @@ def publish_merged(merged, prewarm_fn: Callable[[], object] | None = None):
     hardware write-back into the published copy bumps its counter and
     forces a fresh copy on the next publish.
     """
-    if not _incremental:
-        return merged
-    from repro.coverage import kcov
-
-    if kcov.legacy_trace_active():
-        return merged
     pub = getattr(merged, "_pub", None)
     if (pub is not None and merged.generation == pub[0]
             and pub[1].generation == pub[0]):
         return pub[1]
-    if prewarm_fn is not None:
-        prewarm_fn()
+    if warm is not None:
+        warm()
     dup = merged.copy()
     merged._pub = (merged.generation, dup)
     return dup

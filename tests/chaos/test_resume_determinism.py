@@ -83,6 +83,28 @@ class TestResumeDeterminism:
         # A fresh full run, not a continuation of the 15 crashed cases.
         assert resumed.engine_stats.iterations == BUDGET
 
+    def test_checkpoint_from_other_campaign_config_is_ignored(self, tmp_path,
+                                                              caplog):
+        # Same seed and shape, but another worker config: the checkpoint
+        # holds agents built under the old config and must not resume.
+        sync_dir = tmp_path / "shared"
+        plan = FaultPlan([FaultSpec("kill_worker", worker=0, at_case=15)])
+        with faults.injected(plan):
+            with pytest.raises(CampaignAborted):
+                _campaign("kvm", Vendor.INTEL, sync_dir,
+                          max_restarts=0).run(BUDGET)
+
+        with caplog.at_level("WARNING", logger="repro.parallel"):
+            resumed = _campaign("kvm", Vendor.INTEL, sync_dir,
+                                coverage_guided=False,
+                                resume=True).run(BUDGET)
+        assert any("campaign shape changed" in r.message
+                   for r in caplog.records)
+        assert resumed.engine_stats.iterations == BUDGET
+        fresh = _campaign("kvm", Vendor.INTEL, tmp_path / "fresh",
+                          coverage_guided=False).run(BUDGET)
+        assert campaign_fingerprint(resumed) == campaign_fingerprint(fresh)
+
     def test_unreadable_checkpoint_is_logged_and_ignored(self, tmp_path,
                                                           caplog):
         # A checkpoint that no longer unpickles (truncated, or pickled

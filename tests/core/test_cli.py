@@ -106,3 +106,9 @@ class TestRangeChecks:
             main(["--batch-size", "4"])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_removed_reuse_hypervisor_flag_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--reuse-hypervisor"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

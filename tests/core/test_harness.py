@@ -20,6 +20,7 @@ from repro.hypervisors import (
 )
 from repro.hypervisors.base import GuestInstruction, VmCrash
 from repro.vmx import fields as F
+from tests.reference import INTEL_MODELS, per_write_storm
 
 
 def build(vendor, seed=1, mutate=True):
@@ -140,15 +141,9 @@ class TestStats:
 # vmwrite storm replay
 # ----------------------------------------------------------------------
 
-INTEL_MODELS = [KvmHypervisor, XenHypervisor, VboxHypervisor]
 INTEL_IDS = ["kvm", "xen", "vbox"]
 HYPERVISOR_NAMES = {KvmHypervisor: "kvm", XenHypervisor: "xen",
                     VboxHypervisor: "virtualbox"}
-
-
-def _per_write(monkeypatch, model):
-    """Force the reference path: no VMCS12 to write the storm into."""
-    monkeypatch.setattr(model, "current_vmcs12", lambda self, vcpu: None)
 
 
 class _ShortState:
@@ -167,7 +162,7 @@ class _ShortState:
         return self.vmcs.read(encoding)
 
 
-def _run_case(model, seed, *, tracer="fast", crashed=False, storm=None,
+def _run_case(model, seed, *, traced=True, crashed=False, storm=None,
               mutate=True, storm_only=False):
     """One Intel harness case; returns what the replay must preserve
     plus the vmwrites that went through ``hv.execute``.
@@ -215,9 +210,8 @@ def _run_case(model, seed, *, tracer="fast", crashed=False, storm=None,
     stats = HarnessStats()
     crash = None
     kcov = None
-    if tracer is not None:
-        kcov = KcovTracer(model.nested_modules(Vendor.INTEL),
-                          fast_path=tracer == "fast")
+    if traced:
+        kcov = KcovTracer(model.nested_modules(Vendor.INTEL))
         kcov.start()
     try:
         if storm_only:
@@ -237,10 +231,9 @@ def _run_case(model, seed, *, tracer="fast", crashed=False, storm=None,
     return (vmcs_pages, stats, coverage, crash), executed
 
 
-def _both_paths(monkeypatch, model, seed, **kwargs):
+def _both_paths(model, seed, **kwargs):
     replayed, replay_execs = _run_case(model, seed, **kwargs)
-    with monkeypatch.context() as patch:
-        _per_write(monkeypatch=patch, model=model)
+    with per_write_storm(model):
         reference, reference_execs = _run_case(model, seed, **kwargs)
     return replayed, reference, replay_execs, reference_execs
 
@@ -251,11 +244,11 @@ class TestVmwriteReplay:
     and the drained line and edge sets."""
 
     @pytest.mark.parametrize("model", INTEL_MODELS, ids=INTEL_IDS)
-    def test_equivalent_over_seeds(self, model, monkeypatch):
+    def test_equivalent_over_seeds(self, model):
         skipped = 0
         for seed in range(20):
             replayed, reference, replay_execs, reference_execs = _both_paths(
-                monkeypatch, model, seed)
+                model, seed)
             assert replayed == reference, seed
             skipped += len(reference_execs) - len(replay_execs)
         # The comparison is vacuous unless the replay actually ran.
@@ -268,7 +261,7 @@ class TestVmwriteReplay:
             step for step in intel_init_sequence()
             if step.mnemonic != "vmptrld"])
         replayed, reference, replay_execs, reference_execs = _both_paths(
-            monkeypatch, model, 3, mutate=False)
+            model, 3, mutate=False)
         assert replayed == reference
         assert replay_execs[0].ok and replay_execs[0].value == -1
         assert len(replay_execs) == len(reference_execs) > 100
@@ -278,7 +271,7 @@ class TestVmwriteReplay:
             step for step in intel_init_sequence()
             if step.mnemonic != "vmxon"])
         replayed, reference, replay_execs, reference_execs = _both_paths(
-            monkeypatch, KvmHypervisor, 3, mutate=False)
+            KvmHypervisor, 3, mutate=False)
         assert replayed == reference
         assert not replay_execs[0].ok
         assert replay_execs[0].detail.startswith("#UD")
@@ -287,27 +280,19 @@ class TestVmwriteReplay:
     @pytest.mark.parametrize("storm_only", [False, True],
                              ids=["case", "storm-only"])
     @pytest.mark.parametrize("model", INTEL_MODELS, ids=INTEL_IDS)
-    def test_crashed_host_falls_back(self, model, storm_only, monkeypatch):
+    def test_crashed_host_falls_back(self, model, storm_only):
         # Storm-only crashes the host after vmptrld: a VMCS12 is current,
         # but the first write faults.
         replayed, reference, replay_execs, reference_execs = _both_paths(
-            monkeypatch, model, 1, crashed=True, storm_only=storm_only)
+            model, 1, crashed=True, storm_only=storm_only)
         assert replayed == reference
         assert not replay_execs[0].ok
         assert len(replay_execs) == len(reference_execs) > 100
 
     @pytest.mark.parametrize("model", INTEL_MODELS, ids=INTEL_IDS)
-    def test_legacy_tracer_falls_back(self, model, monkeypatch):
+    def test_no_tracer_replays(self, model):
         replayed, reference, replay_execs, reference_execs = _both_paths(
-            monkeypatch, model, 1, tracer="legacy")
-        assert replayed == reference
-        assert replay_execs[0].ok and replay_execs[0].value is None
-        assert len(replay_execs) == len(reference_execs) > 100
-
-    @pytest.mark.parametrize("model", INTEL_MODELS, ids=INTEL_IDS)
-    def test_no_tracer_replays(self, model, monkeypatch):
-        replayed, reference, replay_execs, reference_execs = _both_paths(
-            monkeypatch, model, 1, tracer=None)
+            model, 1, traced=False)
         assert replayed == reference
         assert len(replay_execs) == 1 < len(reference_execs)
 
@@ -315,16 +300,16 @@ class TestVmwriteReplay:
                              ids=["case", "storm-only"])
     @pytest.mark.parametrize("storm", [1, 2, None], ids=["1", "2", "full"])
     @pytest.mark.parametrize("model", INTEL_MODELS, ids=INTEL_IDS)
-    def test_storm_sizes(self, model, storm, storm_only, monkeypatch):
+    def test_storm_sizes(self, model, storm, storm_only):
         replayed, reference, replay_execs, reference_execs = _both_paths(
-            monkeypatch, model, 1, storm=storm, mutate=False,
+            model, 1, storm=storm, mutate=False,
             storm_only=storm_only)
         assert replayed == reference
         assert len(reference_execs) == (storm or 150)
         assert len(replay_execs) == 1
 
     @pytest.mark.parametrize("model", INTEL_MODELS, ids=INTEL_IDS)
-    def test_campaign_blackbox_pin(self, model, monkeypatch):
+    def test_campaign_blackbox_pin(self, model):
         def fingerprint():
             result = NecoFuzz(hypervisor=HYPERVISOR_NAMES[model],
                               vendor=Vendor.INTEL, seed=11).run(400)
@@ -333,5 +318,5 @@ class TestVmwriteReplay:
                      for r in result.reports])
 
         replayed = fingerprint()
-        _per_write(monkeypatch, model)
-        assert fingerprint() == replayed
+        with per_write_storm(model):
+            assert fingerprint() == replayed

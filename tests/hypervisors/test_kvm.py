@@ -1,8 +1,9 @@
 """Tests for the simulated KVM hypervisor (nested VMX/SVM emulation)."""
 
+from contextlib import nullcontext
+
 import pytest
 
-from repro import perf
 from repro.arch.cpuid import Vendor
 from repro.arch.msr import IA32_EFER, IA32_KERNEL_GS_BASE, MsrEntry
 from repro.arch.registers import Cr4, Efer
@@ -14,6 +15,7 @@ from repro.validator.golden import golden_vmcb, golden_vmcs
 from repro.vmx import fields as F
 from repro.vmx.controls import ActivityState
 from repro.vmx.exit_reasons import ExitReason
+from tests.reference import full_recompute
 
 VMXON = 0x1000
 VMCS12 = 0x3000
@@ -143,7 +145,7 @@ class TestVmcs01Relaunch:
 
     @staticmethod
     def _relaunches(incremental):
-        with perf.incremental_mode(incremental):
+        with nullcontext() if incremental else full_recompute():
             hv = KvmHypervisor(VcpuConfig.default(Vendor.INTEL))
             vcpu = hv.create_vcpu()
             phys = hv.nested_vmx.phys

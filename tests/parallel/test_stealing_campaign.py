@@ -13,6 +13,7 @@ import pytest
 from repro import __main__ as cli
 from repro.arch.cpuid import Vendor
 from repro.parallel import ParallelCampaign, WorkerPool
+from repro.parallel.scheduler import PoolMismatch
 from repro.resilience import campaign_fingerprint
 
 SEED = 11
@@ -142,6 +143,19 @@ class TestWarmPool:
         assert second.pool_reuse == 2
         # The second run continues the pooled engines: cumulative stats.
         assert second.engine_stats.iterations == 80
+
+    def test_pool_rejects_a_changed_campaign_config(self):
+        # A warm worker carries its agent, so a pool built for one
+        # campaign config must not serve another.
+        pool = WorkerPool()
+        shape = dict(hypervisor="kvm", vendor=Vendor.INTEL, seed=3,
+                     workers=2, sync_every=10, mode="inline", pool=pool)
+        ParallelCampaign(**shape).run(20)
+        changed = ParallelCampaign(
+            **shape, patched=frozenset({"cr4_pae_consistency"}),
+            coverage_guided=False)
+        with pytest.raises(PoolMismatch):
+            changed.run(20)
 
     def test_pooled_continuation_extends_coverage_monotonically(self):
         pool = WorkerPool()

@@ -2,13 +2,16 @@
 
 The dirty-tracking machinery in :mod:`repro.perf` (memoized check and
 rounding passes, value-validated revalidation, incremental VMCS02/VMCB02
-merge) must be a pure optimisation: for any mutation sequence, the
-incremental and full-recompute modes produce identical corrections,
-violations, oracle outcomes, merged-structure contents, exit reasons —
-and identical campaign trajectories, coverage included.
+merge) must be a pure optimisation: for any mutation sequence, production and
+the full-recompute reference (``tests.reference.full_recompute``)
+produce identical corrections, violations, oracle outcomes,
+merged-structure contents, exit reasons — and identical campaign
+trajectories, coverage included.
 """
 
 from __future__ import annotations
+
+from contextlib import nullcontext
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,6 +30,7 @@ from repro.validator.rounding import VmStateValidator
 from repro.validator.svm_validator import SvmHardwareOracle, VmcbValidator
 from repro.vmx import fields as F
 from repro.vmx.msr_caps import default_capabilities
+from tests.reference import full_recompute
 
 _VMX_MUTABLE = [s for s in F.ALL_FIELDS
                 if s.group is not F.FieldGroup.READ_ONLY]
@@ -40,9 +44,14 @@ svm_mutations = st.lists(
     min_size=1, max_size=6)
 
 
+def _mode(incremental: bool):
+    """Production, or the full-recompute reference."""
+    return nullcontext() if incremental else full_recompute()
+
+
 def _vmx_pipeline(incremental: bool, mutations) -> tuple:
     """Run the per-case hot path on a persistent VMCS; return observables."""
-    with perf.incremental_mode(incremental):
+    with _mode(incremental):
         hv = KvmHypervisor(VcpuConfig.default(Vendor.INTEL))
         nested = hv.nested_vmx
         validator = VmStateValidator(nested.caps)
@@ -73,7 +82,7 @@ def _vmx_pipeline(incremental: bool, mutations) -> tuple:
 
 
 def _svm_pipeline(incremental: bool, mutations) -> tuple:
-    with perf.incremental_mode(incremental):
+    with _mode(incremental):
         hv = KvmHypervisor(VcpuConfig.default(Vendor.AMD))
         nested = hv.nested_svm
         validator = VmcbValidator()
@@ -117,26 +126,77 @@ def _fingerprint(result):
             [(r.iteration, r.anomaly.signature()) for r in result.reports])
 
 
-class TestCampaignEquivalence:
-    """Whole campaigns — trajectory, coverage, findings — are mode-blind."""
+def _drained(hypervisor, vendor, cases=80):
+    """Every case's drained (lines, edges) over a short campaign."""
+    campaign = NecoFuzz(hypervisor=hypervisor, vendor=vendor, seed=11)
+    tracer = campaign.agent.tracer
+    drain = tracer.drain
+    drained = []
 
-    @pytest.mark.parametrize("hypervisor,vendor,guided", [
-        ("kvm", Vendor.INTEL, True),
-        ("kvm", Vendor.AMD, True),
-        ("xen", Vendor.INTEL, True),
-        ("virtualbox", Vendor.INTEL, True),
-        ("kvm", Vendor.INTEL, False),
-        ("kvm", Vendor.AMD, False),
-    ], ids=["kvm-intel", "kvm-amd", "xen-intel", "vbox-intel",
-            "kvm-intel-blackbox", "kvm-amd-blackbox"])
+    def recording_drain():
+        result = drain()
+        drained.append(result)
+        return result
+
+    tracer.drain = recording_drain
+    campaign.run(cases)
+    return drained
+
+
+_CONFIGS = [
+    ("kvm", Vendor.INTEL, True),
+    ("kvm", Vendor.AMD, True),
+    ("xen", Vendor.INTEL, True),
+    ("xen", Vendor.AMD, True),
+    ("virtualbox", Vendor.INTEL, True),
+    ("kvm", Vendor.INTEL, False),
+    ("kvm", Vendor.AMD, False),
+]
+_CONFIG_IDS = ["kvm-intel", "kvm-amd", "xen-intel", "xen-amd", "vbox-intel",
+               "kvm-intel-blackbox", "kvm-amd-blackbox"]
+_GUIDED = [c[:2] for c in _CONFIGS if c[2]]
+_GUIDED_IDS = _CONFIG_IDS[:len(_GUIDED)]
+#: A known gap, not a tolerance: when ``perf.merge_state`` skips the
+#: control section of a cached merge it does not replay that section's
+#: kcov slice, so the case loses the edges into and out of it. Xen/AMD
+#: is the one target without a ``merge_state`` merge. Fixing the gap
+#: changes campaign fingerprints, so it waits for a re-pin; ``strict``
+#: turns the fix into a failure here until these marks are removed.
+_MERGE_EDGE_GAP = pytest.mark.xfail(strict=True, reason=(
+    "merge_state does not replay a skipped control section's slice"))
+
+
+class TestCampaignEquivalence:
+    """Whole campaigns — trajectory, coverage, findings — equal the
+    full-recompute reference."""
+
+    @pytest.mark.parametrize("hypervisor,vendor,guided", _CONFIGS,
+                             ids=_CONFIG_IDS)
     def test_campaign_fingerprint(self, hypervisor, vendor, guided):
         prints = []
         for mode in (False, True):
-            with perf.incremental_mode(mode):
+            with _mode(mode):
                 campaign = NecoFuzz(hypervisor=hypervisor, vendor=vendor,
                                     seed=11, coverage_guided=guided)
                 prints.append(_fingerprint(campaign.run(80)))
         assert prints[0] == prints[1]
+
+    @pytest.mark.parametrize("hypervisor,vendor", _GUIDED, ids=_GUIDED_IDS)
+    def test_per_case_lines(self, hypervisor, vendor):
+        # Replayed kcov slices must reproduce each case's line set
+        # exactly, not only the campaign's cumulative lines.
+        with full_recompute():
+            reference = [lines for lines, _ in _drained(hypervisor, vendor)]
+        assert [lines for lines, _ in _drained(hypervisor, vendor)] == reference
+
+    @pytest.mark.parametrize("hypervisor,vendor", [
+        pytest.param(hypervisor, vendor, id=name, marks=(
+            () if name == "xen-amd" else _MERGE_EDGE_GAP))
+        for (hypervisor, vendor), name in zip(_GUIDED, _GUIDED_IDS)])
+    def test_per_case_edges(self, hypervisor, vendor):
+        with full_recompute():
+            reference = [edges for _, edges in _drained(hypervisor, vendor)]
+        assert [edges for _, edges in _drained(hypervisor, vendor)] == reference
 
 
 class TestDeclaredReads:
@@ -168,40 +228,38 @@ class TestValueRevalidation:
     def test_memoized_check_survives_write_revert(self):
         caps = default_capabilities()
         vmcs = golden_vmcs(caps)
-        with perf.incremental_mode(True):
-            runs = []
-            key = "probe"
-            enc = F.GUEST_RSP
+        runs = []
+        key = "probe"
+        enc = F.GUEST_RSP
 
-            def compute():
-                runs.append(vmcs.read(enc))
-                return list(check_all(vmcs, caps))
+        def compute():
+            runs.append(vmcs.read(enc))
+            return list(check_all(vmcs, caps))
 
-            first = perf.memoized_check(vmcs, key, compute)
-            old = vmcs.read(enc)
-            vmcs.write(enc, old ^ 0xFF0)
-            vmcs.write(enc, old)  # journalled, but back to the read value
-            again = perf.memoized_check(vmcs, key, compute)
-            assert len(runs) == 1  # revert did not invalidate
-            assert again == first
+        first = perf.memoized_check(vmcs, key, compute)
+        old = vmcs.read(enc)
+        vmcs.write(enc, old ^ 0xFF0)
+        vmcs.write(enc, old)  # journalled, but back to the read value
+        again = perf.memoized_check(vmcs, key, compute)
+        assert len(runs) == 1  # revert did not invalidate
+        assert again == first
 
     def test_memoized_fixpoint_records_only_at_fixpoint(self):
         caps = default_capabilities()
         validator = VmStateValidator(caps)
         vmcs = golden_vmcs(caps)
-        with perf.incremental_mode(True):
-            validator.round_to_valid(vmcs)  # reach + record the fixed point
-            baseline = vmcs.generation
-            validator.round_to_valid(vmcs)  # pure memo hit
-            assert vmcs.generation == baseline
-            # Breaking a constraint forces a re-run that corrects it
-            # (entry-to-SMM is always rounded away outside SMM)...
-            vmcs.write(F.VM_ENTRY_CONTROLS,
-                       vmcs.read(F.VM_ENTRY_CONTROLS) | (1 << 10))
-            report = validator.round_to_valid(vmcs)
-            assert report.total >= 1
-            # ...and the next pass is again a recorded fixed point.
-            assert validator.round_to_valid(vmcs).total == 0
-            settled = vmcs.generation
-            validator.round_to_valid(vmcs)
-            assert vmcs.generation == settled
+        validator.round_to_valid(vmcs)  # reach + record the fixed point
+        baseline = vmcs.generation
+        validator.round_to_valid(vmcs)  # pure memo hit
+        assert vmcs.generation == baseline
+        # Breaking a constraint forces a re-run that corrects it
+        # (entry-to-SMM is always rounded away outside SMM)...
+        vmcs.write(F.VM_ENTRY_CONTROLS,
+                   vmcs.read(F.VM_ENTRY_CONTROLS) | (1 << 10))
+        report = validator.round_to_valid(vmcs)
+        assert report.total >= 1
+        # ...and the next pass is again a recorded fixed point.
+        assert validator.round_to_valid(vmcs).total == 0
+        settled = vmcs.generation
+        validator.round_to_valid(vmcs)
+        assert vmcs.generation == settled
