@@ -13,8 +13,8 @@ that print the same lines ran the same campaigns bit for bit:
   on kvm, with the static schedule and with stealing at
   ``lease_size=10``, digested by ``resilience.campaign_fingerprint``.
 
-Coverage bitmap cells hash absolute source paths, so only compare
-outputs produced from the same checkout directory.
+Coverage cells and digests name source files relative to the ``repro``
+package, so outputs from different checkout directories compare equal.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import hashlib
 import json
 
 from repro import NecoFuzz, Vendor
+from repro.coverage.bitmap import relative_lines
 from repro.parallel import ParallelCampaign
 from repro.resilience import campaign_fingerprint
 
@@ -41,7 +42,7 @@ def serial_digest(hypervisor: str, vendor: Vendor) -> str:
     campaign = NecoFuzz(hypervisor=hypervisor, vendor=vendor, seed=SEED)
     result = campaign.run(SERIAL_BUDGET)
     digest = hashlib.sha256()
-    for part in (sorted(result.covered_lines), result.engine_stats,
+    for part in (relative_lines(result.covered_lines), result.engine_stats,
                  [(r.iteration, r.anomaly.signature(), r.command_line)
                   for r in result.reports],
                  result.timeline.points,

@@ -15,10 +15,17 @@ maps as big integers before falling back to the per-cell loop.
 
 from __future__ import annotations
 
+import os
 from functools import lru_cache
 from typing import Iterable
 
 MAP_SIZE = 1 << 16
+
+#: The directory holding the ``repro`` package (``src/`` in a checkout).
+#: Line ids and coverage digests name source files relative to it, so a
+#: seed gives the same bitmap cells and digests from any checkout.
+PACKAGE_PARENT = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))))
 
 #: AFL's count-class buckets: a hit count maps to one bit of the byte.
 _BUCKETS = ((1, 1), (2, 2), (3, 4), (4, 8), (8, 16), (16, 32), (32, 64),
@@ -49,15 +56,33 @@ def edge_index(prev_id: int, cur_id: int) -> int:
     return ((prev_id >> 1) ^ cur_id) & (MAP_SIZE - 1)
 
 
+def package_relative(filename: str) -> str:
+    """*filename* relative to :data:`PACKAGE_PARENT`, ``/``-separated
+    (``repro/hypervisors/kvm/nested_vmx.py``); a path outside it is
+    returned unchanged."""
+    prefix = PACKAGE_PARENT + os.sep
+    if filename.startswith(prefix):
+        return filename[len(prefix):].replace(os.sep, "/")
+    return filename
+
+
+def relative_lines(lines: Iterable[tuple[str, int]]) -> list[tuple[str, int]]:
+    """Sorted ``(package-relative path, line)`` pairs: the
+    checkout-independent form of a covered-line set, for digests."""
+    return sorted((package_relative(path), line) for path, line in lines)
+
+
 @lru_cache(maxsize=65536)
 def stable_line_id(filename: str, lineno: int) -> int:
     """Deterministic 16-bit id for a source location.
 
     ``hash()`` is randomized per interpreter run; campaigns must be
-    reproducible, so we use a small FNV-1a over the location string.
+    reproducible, so we use a small FNV-1a over the location string
+    ``"repro/.../file.py:LINE"`` (see :func:`package_relative`), which
+    does not depend on where the checkout lives.
     """
     h = 0x811C9DC5
-    for byte in f"{filename}:{lineno}".encode():
+    for byte in f"{package_relative(filename)}:{lineno}".encode():
         h ^= byte
         h = (h * 0x01000193) & 0xFFFFFFFF
     return h & (MAP_SIZE - 1)

@@ -31,12 +31,11 @@ from repro.validator.golden import golden_vmcb
 VMCB02_HPA = 0x110000
 HSAVE_HPA = 0x111000
 
-#: SAVE-area field names, precomputed for the incremental merge.
-_SAVE_NAMES: frozenset[str] = frozenset(
-    spec.name for spec in SF.ALL_FIELDS if spec.area is SF.VmcbArea.SAVE)
+#: SAVE-area field names, for the incremental merge.
+_SAVE_NAMES: frozenset[str] = frozenset(SF.SAVE_NAMES)
 
 #: VMCB12 fields the control-merge section of prepare_vmcb02 reads.
-#: (DBGCTL/BR_FROM/BR_TO are SAVE-area: the save loop already refreshes
+#: (DBGCTL/BR_FROM/BR_TO are SAVE-area: the save-area copy already refreshes
 #: them with the same values the conditional LBR writes would use.)
 _MERGE_CONTROL_INPUTS: frozenset[str] = frozenset({
     SF.INTERCEPT_MISC1, SF.INTERCEPT_MISC2, SF.INTERCEPT_EXCEPTIONS,
@@ -286,9 +285,7 @@ class NestedSvm:
     def _vmcb02_base(self, vmcb12: Vmcb) -> Vmcb:
         """Prototype copy with vmcb12's save area applied."""
         vmcb02 = self._vmcb02_proto.copy()
-        for spec, value in vmcb12.fields():
-            if spec.area is SF.VmcbArea.SAVE:
-                vmcb02.write(spec.name, value)
+        vmcb02.copy_fields(vmcb12, SF.SAVE_NAMES)
         return vmcb02
 
     def _vmcb02_controls(self, vmcb12: Vmcb, vmcb02: Vmcb) -> None:
@@ -296,7 +293,7 @@ class NestedSvm:
 
         A pure function of the _MERGE_CONTROL_INPUTS fields of vmcb12
         (the save-area fields it copies under LBR gating are re-applied
-        by the save loop anyway) plus constant module parameters — the
+        by the save-area copy anyway) plus constant module parameters — the
         contract that lets perf.merge_state skip it while those fields
         are clean.
         """
@@ -469,9 +466,7 @@ class NestedSvm:
                           code: int, *, info1: int = 0,
                           info2: int = 0) -> None:
         """Reflect a #VMEXIT to L1: sync VMCB02 save area back to VMCB12."""
-        for spec, value in state.vmcb02.fields():
-            if spec.area is SF.VmcbArea.SAVE:
-                vmcb12.write(spec.name, value)
+        vmcb12.copy_fields(state.vmcb02, SF.SAVE_NAMES)
         vmcb12.write(SF.EXIT_CODE, int(code))
         vmcb12.write(SF.EXIT_INFO_1, info1)
         vmcb12.write(SF.EXIT_INFO_2, info2)

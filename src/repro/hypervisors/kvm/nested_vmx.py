@@ -56,10 +56,8 @@ VMCS01_HPA = 0x100000
 VMCS02_HPA = 0x101000
 L0_VMXON_HPA = 0x102000
 
-#: Guest-state field specs, precomputed for the VMCS12->VMCS02 merge.
-_GUEST_SPECS: tuple = tuple(
-    spec for spec in F.ALL_FIELDS if spec.group is F.FieldGroup.GUEST)
-_GUEST_ENCODINGS: frozenset[int] = frozenset(s.encoding for s in _GUEST_SPECS)
+#: Guest-state field encodings, for the incremental VMCS12->VMCS02 merge.
+_GUEST_ENCODINGS: frozenset[int] = frozenset(F.GUEST_ENCODINGS)
 
 #: VMCS12 fields feeding the control section of prepare_vmcs02; when
 #: none of these changed since the cached merge, that section is skipped.
@@ -703,8 +701,7 @@ class NestedVmx:
     def _vmcs02_base(self, vmcs12: Vmcs) -> Vmcs:
         """Prototype copy with vmcs12's guest-state fields applied."""
         vmcs02 = self._vmcs02_proto.copy()
-        for spec in _GUEST_SPECS:
-            vmcs02.write(spec.encoding, vmcs12.read(spec.encoding))
+        vmcs02.copy_fields(vmcs12, F.GUEST_ENCODINGS)
         return vmcs02
 
     def _vmcs02_controls(self, vmcs12: Vmcs, vmcs02: Vmcs) -> None:
@@ -909,9 +906,7 @@ class NestedVmx:
                           intr_info: int = 0) -> None:
         """Reflect an exit to L1: sync vmcs02 -> vmcs12, restore vmcs01."""
         # Guest state written back from vmcs02.
-        for spec in F.ALL_FIELDS:
-            if spec.group is F.FieldGroup.GUEST:
-                vmcs12.write(spec.encoding, state.vmcs02.read(spec.encoding))
+        vmcs12.copy_fields(state.vmcs02, F.GUEST_ENCODINGS)
         vmcs12.write(F.VMCS_LINK_POINTER, VMPTR_INVALID)
         # Exit information fields.
         vmcs12.write(F.VM_EXIT_REASON, reason)

@@ -35,10 +35,8 @@ SHADOW_VMCS_HPA = 0x140000
 VBOX_VMXON_HPA = 0x141000
 VMPTR_INVALID = (1 << 64) - 1
 
-#: Guest-group field specs, precomputed for the merge.
-_GUEST_SPECS: tuple = tuple(
-    spec for spec in F.ALL_FIELDS if spec.group is F.FieldGroup.GUEST)
-_GUEST_ENCODINGS: frozenset[int] = frozenset(s.encoding for s in _GUEST_SPECS)
+#: Guest-state field encodings, for the incremental VMCS02 merge.
+_GUEST_ENCODINGS: frozenset[int] = frozenset(F.GUEST_ENCODINGS)
 
 #: VMCS12 fields read by the control section of merge_vmcs.
 _MERGE_CONTROL_INPUTS: frozenset[int] = frozenset({
@@ -407,8 +405,7 @@ class VboxNestedVmx:
     def _vmcs02_base(self, vmcs12: Vmcs) -> Vmcs:
         """Prototype copy with vmcs12's guest-state fields applied."""
         vmcs02 = self._vmcs02_proto.copy()
-        for spec in _GUEST_SPECS:
-            vmcs02.write(spec.encoding, vmcs12.read(spec.encoding))
+        vmcs02.copy_fields(vmcs12, F.GUEST_ENCODINGS)
         return vmcs02
 
     def _vmcs02_controls(self, vmcs12: Vmcs, vmcs02: Vmcs) -> None:
@@ -435,9 +432,7 @@ class VboxNestedVmx:
     def vmexit_to_l1(self, state: VboxNestedState, vmcs12: Vmcs, reason: int,
                      *, qualification: int = 0) -> None:
         """iemVmxVmexit analogue."""
-        for spec in F.ALL_FIELDS:
-            if spec.group is F.FieldGroup.GUEST:
-                vmcs12.write(spec.encoding, state.vmcs02.read(spec.encoding))
+        vmcs12.copy_fields(state.vmcs02, F.GUEST_ENCODINGS)
         vmcs12.write(F.VM_EXIT_REASON, reason)
         vmcs12.write(F.EXIT_QUALIFICATION, qualification)
         state.guest_mode = False

@@ -203,9 +203,7 @@ class XenNestedSvm:
     def nsvm_prepare_vmcb02(self, state: NsvmState, vmcb12: Vmcb) -> None:
         """Merge VMCB12 into VMCB02 — bug #5's corruption site."""
         vmcb02 = self._vmcb02_proto.copy()
-        for spec, value in vmcb12.fields():
-            if spec.area is SF.VmcbArea.SAVE:
-                vmcb02.write(spec.name, value)
+        vmcb02.copy_fields(vmcb12, SF.SAVE_NAMES)
         vmcb02.write(SF.INTERCEPT_MISC1,
                      vmcb12.read(SF.INTERCEPT_MISC1) | Misc1Intercept.INTR
                      | Misc1Intercept.NMI | Misc1Intercept.SHUTDOWN
@@ -249,9 +247,7 @@ class XenNestedSvm:
     def nsvm_vmexit(self, state: NsvmState, vmcb12: Vmcb, code: int, *,
                     info1: int = 0, info2: int = 0) -> None:
         """Reflect a #VMEXIT into VMCB12 and resume L1."""
-        for spec, value in state.vmcb02.fields():
-            if spec.area is SF.VmcbArea.SAVE:
-                vmcb12.write(spec.name, value)
+        vmcb12.copy_fields(state.vmcb02, SF.SAVE_NAMES)
         vmcb12.write(SF.EXIT_CODE, code)
         vmcb12.write(SF.EXIT_INFO_1, info1)
         vmcb12.write(SF.EXIT_INFO_2, info2)

@@ -41,10 +41,8 @@ VVMCS_INVALID = (1 << 64) - 1
 XEN_VMCS02_HPA = 0x120000
 XEN_VMXON_HPA = 0x121000
 
-#: Guest-group field specs, precomputed for the shadow load.
-_GUEST_SPECS: tuple = tuple(
-    spec for spec in F.ALL_FIELDS if spec.group is F.FieldGroup.GUEST)
-_GUEST_ENCODINGS: frozenset[int] = frozenset(s.encoding for s in _GUEST_SPECS)
+#: Guest-state field encodings, for the incremental VMCS02 merge.
+_GUEST_ENCODINGS: frozenset[int] = frozenset(F.GUEST_ENCODINGS)
 
 #: VMCS12 fields read by the control section of load_shadow_guest_state.
 _SHADOW_CONTROL_INPUTS: frozenset[int] = frozenset({
@@ -418,8 +416,7 @@ class XenNestedVmx:
     def _shadow_base(self, vvmcs) -> Vmcs:
         """Prototype copy with the vVMCS guest-state fields applied."""
         vmcs02 = self._vmcs02_proto.copy()
-        for spec in _GUEST_SPECS:
-            vmcs02.write(spec.encoding, vvmcs.read(spec.encoding))
+        vmcs02.copy_fields(vvmcs, F.GUEST_ENCODINGS)
         return vmcs02
 
     def _shadow_controls(self, vvmcs, vmcs02: Vmcs) -> None:
@@ -515,9 +512,7 @@ class XenNestedVmx:
                        qualification: int = 0) -> None:
         """Reflect an L2 exit into the virtual VMCS and resume L1."""
         if state.vmcs02 is not None:
-            for spec in F.ALL_FIELDS:
-                if spec.group is F.FieldGroup.GUEST:
-                    vvmcs.write(spec.encoding, state.vmcs02.read(spec.encoding))
+            vvmcs.copy_fields(state.vmcs02, F.GUEST_ENCODINGS)
         vvmcs.write(F.VM_EXIT_REASON, reason)
         vvmcs.write(F.EXIT_QUALIFICATION, qualification)
         vvmcs.write(F.VM_EXIT_INSTRUCTION_LEN, 3)

@@ -142,13 +142,11 @@ def merge_state(state, src, *, build: Callable[[], object],
     plus the guest/save fields taken verbatim from *src*); *controls*
     applies the control-field section onto an existing merged structure.
     Both live in instrumented hypervisor modules, so their kcov event
-    slices are captured when they run. A skipped *build* is replayed
-    verbatim; a skipped *controls* is not yet, so per-case lines equal a
-    full merge but the edges into and out of the control section are
-    lost (pinned by ``test_per_case_edges``; the fix changes campaign
-    fingerprints and waits for a re-pin). The skips are sound because
-    *build*'s guest half is reproduced exactly by replaying the dirty
-    *state_fields* from the change journal, and *controls* is a pure
+    slices are captured when they run, and a skipped section's slice is
+    replayed verbatim in its place, so per-case lines and edges equal a
+    full merge (pinned by ``test_per_case_edges``). The skips are sound
+    because *build*'s guest half is reproduced exactly by replaying the
+    dirty *state_fields* from the change journal, and *controls* is a pure
     function of the fields in *control_inputs* (declared by the
     caller), so an unchanged input set means identical writes and an
     identical event slice.
@@ -195,6 +193,8 @@ def merge_state(state, src, *, build: Callable[[], object],
         mark = len(sink) if sink is not None else 0
         controls(merged)
         ctrl_trace = tuple(sink[mark:]) if sink is not None else None
+    elif sink is not None:
+        sink.extend(ctrl_trace)
     state.merge_cache = (src, src.generation, merged, cache[3], ctrl_trace)
     return merged
 

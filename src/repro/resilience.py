@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 
+from repro.coverage.bitmap import relative_lines
 from repro.faults import (
     FaultPlan,
     FaultSpec,
@@ -85,7 +86,7 @@ def campaign_fingerprint(result: ParallelCampaignResult) -> str:
     fingerprints — lives in tests/telemetry/test_fingerprint_modes.py.
     """
     digest = hashlib.sha256()
-    for location in sorted(result.covered_lines):
+    for location in relative_lines(result.covered_lines):
         digest.update(repr(location).encode())
     digest.update(b"|virgin|")
     digest.update(result.virgin.snapshot())

@@ -112,6 +112,11 @@ SPEC_CTRL = _f("spec_ctrl", VmcbArea.SAVE, 64)
 ALL_FIELDS: tuple[VmcbField, ...] = tuple(_SPECS)
 SPEC_BY_NAME: dict[str, VmcbField] = {s.name: s for s in ALL_FIELDS}
 
+#: Save-area field names in layout order: the group the nested models
+#: copy between VMCB12 and VMCB02 with ``Vmcb.copy_fields``.
+SAVE_NAMES: tuple[str, ...] = tuple(
+    s.name for s in ALL_FIELDS if s.area is VmcbArea.SAVE)
+
 LAYOUT_BITS = sum(s.bits for s in ALL_FIELDS)
 LAYOUT_BYTES = (LAYOUT_BITS + 7) // 8
 

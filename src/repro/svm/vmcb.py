@@ -75,6 +75,34 @@ class Vmcb:
                 del log[:len(log) - _LOG_KEEP]
                 self._log_base = self._gen - _LOG_KEEP
 
+    def copy_fields(self, src: "Vmcb", keys: tuple[str, ...]) -> None:
+        """Copy the fields *keys* from *src*, in order, as one bulk write.
+
+        Same contract as ``Vmcs.copy_fields``: equal to ``for k in keys:
+        self.write(k, src.read(k))``, journal and read trace included.
+        An unknown key raises ``KeyError`` before anything is written.
+        """
+        values = self._values
+        srcvals = src._values
+        try:
+            changed = list(dict.fromkeys(
+                k for k in keys if values[k] != srcvals[k]))
+        except KeyError as exc:
+            raise KeyError(f"unknown VMCB field {exc.args[0]!r}") from None
+        if src._read_trace is not None:
+            src._read_trace.update(keys)
+        if changed:
+            values.update(zip(changed, map(srcvals.__getitem__, changed)))
+            self._gen += len(changed)
+            log = self._log
+            log += changed
+            if len(log) >= _LOG_MAX:
+                # write() cuts back to _LOG_KEEP each time the journal
+                # reaches _LOG_MAX; keep what that sequence of cuts keeps.
+                keep = _LOG_KEEP + (len(log) - _LOG_MAX) % (_LOG_MAX - _LOG_KEEP)
+                del log[:len(log) - keep]
+                self._log_base = self._gen - keep
+
     # --- dirty tracking ----------------------------------------------------
 
     @property

@@ -282,6 +282,11 @@ ALL_FIELDS: tuple[FieldSpec, ...] = tuple(_SPECS)
 SPEC_BY_ENCODING: dict[int, FieldSpec] = {s.encoding: s for s in ALL_FIELDS}
 SPEC_BY_NAME: dict[str, FieldSpec] = {s.name: s for s in ALL_FIELDS}
 
+#: Guest-state field encodings in layout order: the group the nested
+#: models copy between VMCS12 and VMCS02 with ``Vmcs.copy_fields``.
+GUEST_ENCODINGS: tuple[int, ...] = tuple(
+    s.encoding for s in ALL_FIELDS if s.group is FieldGroup.GUEST)
+
 #: Fields writable by software via vmwrite (read-only group excluded
 #: unless the CPU supports "VMWRITE to any field"; our model excludes it).
 WRITABLE_FIELDS: tuple[FieldSpec, ...] = tuple(

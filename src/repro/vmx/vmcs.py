@@ -103,6 +103,37 @@ class Vmcs:
                 del log[:len(log) - _LOG_KEEP]
                 self._log_base = self._gen - _LOG_KEEP
 
+    def copy_fields(self, src: "Vmcs", keys: tuple[int, ...]) -> None:
+        """Copy the fields *keys* from *src*, in order, as one bulk write.
+
+        The result equals ``for k in keys: self.write(k, src.read(k))``:
+        the same values, one generation bump and journal entry per
+        changed field in key order, the same journal truncation, and
+        *src*'s read trace updated. An unknown key raises ``KeyError``
+        before anything is written.
+        """
+        values = self._values
+        srcvals = src._values
+        try:
+            changed = list(dict.fromkeys(
+                k for k in keys if values[k] != srcvals[k]))
+        except KeyError as exc:
+            raise KeyError(
+                f"unsupported VMCS component {exc.args[0]:#x}") from None
+        if src._read_trace is not None:
+            src._read_trace.update(keys)
+        if changed:
+            values.update(zip(changed, map(srcvals.__getitem__, changed)))
+            self._gen += len(changed)
+            log = self._log
+            log += changed
+            if len(log) >= _LOG_MAX:
+                # write() cuts back to _LOG_KEEP each time the journal
+                # reaches _LOG_MAX; keep what that sequence of cuts keeps.
+                keep = _LOG_KEEP + (len(log) - _LOG_MAX) % (_LOG_MAX - _LOG_KEEP)
+                del log[:len(log) - keep]
+                self._log_base = self._gen - keep
+
     # --- dirty tracking ----------------------------------------------------
 
     @property

@@ -1,8 +1,11 @@
 """Tests for the AFL edge bitmap and virgin map."""
 
+from types import SimpleNamespace
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.coverage import bitmap
 from repro.coverage.bitmap import (
     _CLASS_TABLE,
     _DENSE_TOUCHED,
@@ -11,8 +14,12 @@ from repro.coverage.bitmap import (
     VirginMap,
     classify_count,
     edge_index,
+    package_relative,
+    relative_lines,
     stable_line_id,
 )
+from repro.fuzzer.engine import EngineStats
+from repro.resilience import campaign_fingerprint
 
 
 class TestClassification:
@@ -49,6 +56,54 @@ class TestEdgeHash:
     def test_stable_line_id_deterministic(self):
         assert stable_line_id("a.py", 5) == stable_line_id("a.py", 5)
         assert stable_line_id("a.py", 5) != stable_line_id("a.py", 6)
+
+
+def _fnv1a(text: str) -> int:
+    h = 0x811C9DC5
+    for byte in text.encode():
+        h = ((h ^ byte) * 0x01000193) & 0xFFFFFFFF
+    return h & (MAP_SIZE - 1)
+
+
+class TestPackageRelativeIds:
+    """Line ids and coverage digests do not depend on the checkout
+    directory: they name files relative to the ``repro`` package."""
+
+    REL = "repro/hypervisors/kvm/nested_vmx.py"
+
+    def _observed(self, monkeypatch, root: str):
+        monkeypatch.setattr(bitmap, "PACKAGE_PARENT", root)
+        path = f"{root}/{self.REL}"
+        lines = {(path, 10), (path, 11), (path, 30)}
+        trace = CoverageBitmap()
+        trace.record_trace({((path, 10), (path, 11)), ((path, 11), (path, 30))})
+        virgin = VirginMap()
+        virgin.has_new_bits(trace)
+        result = SimpleNamespace(covered_lines=lines, virgin=virgin,
+                                 corpus_digests=["abc"],
+                                 engine_stats=EngineStats(iterations=3))
+        return (trace.sparse_classified(), relative_lines(lines),
+                campaign_fingerprint(result))
+
+    def test_two_roots_give_equal_cells_and_digests(self, monkeypatch):
+        a = self._observed(monkeypatch, "/home/alice/necofuzz/src")
+        b = self._observed(monkeypatch, "/tmp/ci/elsewhere/deeper/src")
+        assert a == b
+        assert a[1] == [(self.REL, 10), (self.REL, 11), (self.REL, 30)]
+
+    def test_id_hashes_the_relative_location(self, monkeypatch):
+        monkeypatch.setattr(bitmap, "PACKAGE_PARENT", "/opt/x/src")
+        assert stable_line_id(f"/opt/x/src/{self.REL}", 42) == _fnv1a(
+            f"{self.REL}:42")
+
+    def test_real_package_files_are_relative(self):
+        assert package_relative(bitmap.__file__) == "repro/coverage/bitmap.py"
+
+    def test_paths_outside_the_package_are_unchanged(self, monkeypatch):
+        monkeypatch.setattr(bitmap, "PACKAGE_PARENT", "/opt/x/src")
+        assert package_relative("/opt/x/tests/t.py") == "/opt/x/tests/t.py"
+        assert package_relative("/opt/x/srcother/repro/a.py") == (
+            "/opt/x/srcother/repro/a.py")
 
 
 class TestBitmap:

@@ -11,6 +11,11 @@ optimisation must equal lives here, in the tests only:
   scratch (tests/unit/test_incremental_equivalence.py);
 * :func:`per_write_storm` sends every vmwrite of the init-phase storm
   through the L0 model (tests/core/test_harness.py);
+* :func:`guest_state_copy` and :func:`save_area_copy` are the
+  per-field loops the nested models ran before their group copies
+  became one ``Vmcs``/``Vmcb.copy_fields`` call each, and
+  :func:`checked_group_copies` checks every such call against them
+  (tests/hypervisors/test_group_copies.py);
 * :class:`SettraceTracer` collects coverage with a ``sys.settrace``
   line tracer instead of compiled markers
   (tests/integration/test_tracer_equivalence.py). Its events cannot be
@@ -20,6 +25,7 @@ optimisation must equal lives here, in the tests only:
 
 from __future__ import annotations
 
+import collections
 import sys
 from contextlib import ExitStack, contextmanager
 from types import FrameType, ModuleType
@@ -32,6 +38,10 @@ from repro.cpu.entry_checks import IncrementalChecker, check_all
 from repro.hypervisors.kvm import KvmHypervisor
 from repro.hypervisors.vbox import VboxHypervisor
 from repro.hypervisors.xen import XenHypervisor
+from repro.svm import fields as SF
+from repro.svm.vmcb import Vmcb
+from repro.vmx import fields as VF
+from repro.vmx.vmcs import Vmcs
 
 Line = kcov.Line
 
@@ -99,6 +109,60 @@ def per_write_storm(*models: type) -> Iterator[None]:
             stack.enter_context(mock.patch.object(
                 model, "current_vmcs12", lambda self, vcpu: None))
         yield
+
+
+def guest_state_copy(dst: Vmcs, src: Vmcs) -> None:
+    """Copy every guest-state field of *src* into *dst*, one
+    ``write(read())`` per field in layout order."""
+    for spec in VF.ALL_FIELDS:
+        if spec.group is VF.FieldGroup.GUEST:
+            dst.write(spec.encoding, src.read(spec.encoding))
+
+
+def save_area_copy(dst: Vmcb, src: Vmcb) -> None:
+    """Copy every save-area field of *src* into *dst*, one ``write``
+    per field in layout order."""
+    for spec, value in src.fields():
+        if spec.area is SF.VmcbArea.SAVE:
+            dst.write(spec.name, value)
+
+
+@contextmanager
+def checked_group_copies() -> Iterator[collections.Counter]:
+    """Check each ``copy_fields`` call against the per-field loop.
+
+    Every group copy in the nested models copies the whole guest-state
+    (VMX) or save-area (SVM) group. Each call here also runs
+    :func:`guest_state_copy` or :func:`save_area_copy`, which ignore the
+    keys the call was given, and asserts that both leave the same bytes,
+    generation and change journal: on a copy of the real destination,
+    and on a copy of the source with every field changed, where a key
+    missing from the group would show. Yields a counter of the calling
+    functions' qualified names.
+    """
+    sites: collections.Counter = collections.Counter()
+
+    def checked(reference, real):
+        def copy_fields(self, src, keys):
+            scrambled = src.copy()
+            for key, value in list(scrambled._values.items()):
+                scrambled.write(key, value ^ 1)
+            for dst in (scrambled, self):
+                expected = dst.copy()
+                reference(expected, src)
+                real(dst, src, keys)
+                assert dst.serialize() == expected.serialize()
+                assert (dst.generation, dst._log) == (expected.generation,
+                                                      expected._log)
+            sites[sys._getframe(1).f_code.co_qualname] += 1
+        return copy_fields
+
+    with ExitStack() as stack:
+        for cls, reference in ((Vmcs, guest_state_copy),
+                               (Vmcb, save_area_copy)):
+            stack.enter_context(mock.patch.object(
+                cls, "copy_fields", checked(reference, cls.copy_fields)))
+        yield sites
 
 
 @contextmanager

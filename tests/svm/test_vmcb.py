@@ -142,3 +142,87 @@ class TestFreshLayout:
         vmcb = Vmcb.deserialize(raw)
         assert list(vmcb.fields()) == [
             (spec, vmcb.read(spec.name)) for spec in SF.ALL_FIELDS]
+
+
+#: Every field key, plus the group the nested models copy.
+_KEYS = tuple(spec.name for spec in SF.ALL_FIELDS)
+_KEY_LISTS = st.one_of(
+    st.just(SF.SAVE_NAMES),
+    st.permutations(_KEYS),
+    st.lists(st.sampled_from(_KEYS), max_size=60).map(tuple))
+
+
+def _churned(raw: bytes, churn: int) -> Vmcb:
+    """A deserialized VMCB whose journal holds *churn* entries."""
+    vmcb = Vmcb.deserialize(raw)
+    for _ in range(churn):
+        vmcb.write(SF.RIP, vmcb.read(SF.RIP) ^ 1)
+    return vmcb
+
+
+class TestCopyFields:
+    """``copy_fields`` equals the per-field ``write(k, src.read(k))``
+    loop: values, generations, journal (and so ``changes_since`` for
+    every earlier generation), truncation and the source read trace."""
+
+    @given(st.binary(min_size=SF.LAYOUT_BYTES, max_size=SF.LAYOUT_BYTES),
+           st.binary(min_size=SF.LAYOUT_BYTES, max_size=SF.LAYOUT_BYTES),
+           st.one_of(st.integers(0, 40), st.integers(3300, 4095)),
+           st.lists(_KEY_LISTS, min_size=1, max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_per_field_loop(self, raw_src, raw_dst, churn, key_lists):
+        src, src_ref = Vmcb.deserialize(raw_src), Vmcb.deserialize(raw_src)
+        src._read_trace, src_ref._read_trace = set(), set()
+        dst = _churned(raw_dst, churn)
+        ref = dst.copy()
+        marks = [dst.generation]
+        for keys in key_lists:
+            dst.copy_fields(src, keys)
+            for k in keys:
+                ref.write(k, src_ref.read(k))
+            assert dst == ref
+            assert dst.generation == ref.generation
+            assert (dst._log, dst._log_base) == (ref._log, ref._log_base)
+            marks.append(dst.generation)
+            base = ref._log_base
+            for gen in {*marks, *range(max(base - 2, 0), base + 3),
+                        *range(max(ref.generation - 3, 0), ref.generation + 1)}:
+                assert dst.changes_since(gen) == ref.changes_since(gen)
+            assert src._read_trace == src_ref._read_trace
+            # The source is only read.
+            assert src == src_ref and src.generation == src_ref.generation
+            src.write(SF.RSP, src.read(SF.RSP) ^ 1)
+            src_ref.write(SF.RSP, src_ref.read(SF.RSP) ^ 1)
+
+    def test_truncation_crosses_log_max(self):
+        from repro.svm.vmcb import _LOG_KEEP, _LOG_MAX
+
+        dst = _churned(bytes(SF.LAYOUT_BYTES), _LOG_MAX - 5)
+        ref = dst.copy()
+        src = Vmcb.deserialize(b"\xa5" * SF.LAYOUT_BYTES)
+        dst.copy_fields(src, _KEYS)
+        for k in _KEYS:
+            ref.write(k, src.read(k))
+        assert len(dst._log) < _LOG_MAX and dst._log_base > 0
+        assert (dst._log, dst._log_base) == (ref._log, ref._log_base)
+        assert dst.changes_since(dst._log_base - 1) is None
+        assert dst.changes_since(dst._log_base) == ref.changes_since(
+            ref._log_base)
+        assert len(dst._log) >= _LOG_KEEP
+
+    def test_unknown_key_raises_and_writes_nothing(self):
+        src = Vmcb.deserialize(b"\x5a" * SF.LAYOUT_BYTES)
+        src._read_trace = set()
+        dst = Vmcb()
+        with pytest.raises(KeyError, match="unknown VMCB field"):
+            dst.copy_fields(src, (SF.RIP, "bogus", SF.RSP))
+        assert dst == Vmcb() and dst.generation == 0
+        assert src._read_trace == set()
+
+    def test_unchanged_copy_keeps_generation(self):
+        src = golden_vmcb()
+        dst = src.copy()
+        gen = dst.generation
+        dst.copy_fields(src, _KEYS)
+        assert dst.generation == gen
+        assert dst.changes_since(gen) == frozenset()

@@ -156,14 +156,6 @@ _CONFIG_IDS = ["kvm-intel", "kvm-amd", "xen-intel", "xen-amd", "vbox-intel",
                "kvm-intel-blackbox", "kvm-amd-blackbox"]
 _GUIDED = [c[:2] for c in _CONFIGS if c[2]]
 _GUIDED_IDS = _CONFIG_IDS[:len(_GUIDED)]
-#: A known gap, not a tolerance: when ``perf.merge_state`` skips the
-#: control section of a cached merge it does not replay that section's
-#: kcov slice, so the case loses the edges into and out of it. Xen/AMD
-#: is the one target without a ``merge_state`` merge. Fixing the gap
-#: changes campaign fingerprints, so it waits for a re-pin; ``strict``
-#: turns the fix into a failure here until these marks are removed.
-_MERGE_EDGE_GAP = pytest.mark.xfail(strict=True, reason=(
-    "merge_state does not replay a skipped control section's slice"))
 
 
 class TestCampaignEquivalence:
@@ -189,10 +181,7 @@ class TestCampaignEquivalence:
             reference = [lines for lines, _ in _drained(hypervisor, vendor)]
         assert [lines for lines, _ in _drained(hypervisor, vendor)] == reference
 
-    @pytest.mark.parametrize("hypervisor,vendor", [
-        pytest.param(hypervisor, vendor, id=name, marks=(
-            () if name == "xen-amd" else _MERGE_EDGE_GAP))
-        for (hypervisor, vendor), name in zip(_GUIDED, _GUIDED_IDS)])
+    @pytest.mark.parametrize("hypervisor,vendor", _GUIDED, ids=_GUIDED_IDS)
     def test_per_case_edges(self, hypervisor, vendor):
         with full_recompute():
             reference = [edges for _, edges in _drained(hypervisor, vendor)]

@@ -162,3 +162,88 @@ class TestFreshLayout:
         vmcs = Vmcs.deserialize(raw)
         assert list(vmcs.fields()) == [
             (spec, vmcs.read(spec.encoding)) for spec in F.ALL_FIELDS]
+
+
+#: Every field key, plus the group the nested models copy.
+_KEYS = tuple(spec.encoding for spec in F.ALL_FIELDS)
+_KEY_LISTS = st.one_of(
+    st.just(F.GUEST_ENCODINGS),
+    st.permutations(_KEYS),
+    st.lists(st.sampled_from(_KEYS), max_size=60).map(tuple))
+
+
+def _churned(raw: bytes, churn: int) -> Vmcs:
+    """A deserialized VMCS whose journal holds *churn* entries."""
+    vmcs = Vmcs.deserialize(raw)
+    for _ in range(churn):
+        vmcs.write(F.GUEST_RIP, vmcs.read(F.GUEST_RIP) ^ 1)
+    return vmcs
+
+
+class TestCopyFields:
+    """``copy_fields`` equals the per-field ``write(k, src.read(k))``
+    loop: values, generations, journal (and so ``changes_since`` for
+    every earlier generation), truncation and the source read trace."""
+
+    @given(st.binary(min_size=F.LAYOUT_BYTES, max_size=F.LAYOUT_BYTES),
+           st.binary(min_size=F.LAYOUT_BYTES, max_size=F.LAYOUT_BYTES),
+           st.one_of(st.integers(0, 40), st.integers(3300, 4095)),
+           st.lists(_KEY_LISTS, min_size=1, max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_per_field_loop(self, raw_src, raw_dst, churn, key_lists):
+        src, src_ref = Vmcs.deserialize(raw_src), Vmcs.deserialize(raw_src)
+        src._read_trace, src_ref._read_trace = set(), set()
+        dst = _churned(raw_dst, churn)
+        ref = dst.copy()
+        marks = [dst.generation]
+        for keys in key_lists:
+            dst.copy_fields(src, keys)
+            for k in keys:
+                ref.write(k, src_ref.read(k))
+            assert dst == ref
+            assert dst.generation == ref.generation
+            assert (dst._log, dst._log_base) == (ref._log, ref._log_base)
+            marks.append(dst.generation)
+            base = ref._log_base
+            for gen in {*marks, *range(max(base - 2, 0), base + 3),
+                        *range(max(ref.generation - 3, 0), ref.generation + 1)}:
+                assert dst.changes_since(gen) == ref.changes_since(gen)
+            assert src._read_trace == src_ref._read_trace
+            # The source is only read.
+            assert src == src_ref and src.generation == src_ref.generation
+            # Change the source so the next copy has news to write.
+            src.write(F.GUEST_RSP, src.read(F.GUEST_RSP) ^ 1)
+            src_ref.write(F.GUEST_RSP, src_ref.read(F.GUEST_RSP) ^ 1)
+
+    def test_truncation_crosses_log_max(self):
+        from repro.vmx.vmcs import _LOG_KEEP, _LOG_MAX
+
+        dst = _churned(bytes(F.LAYOUT_BYTES), _LOG_MAX - 5)
+        ref = dst.copy()
+        src = Vmcs.deserialize(b"\xa5" * F.LAYOUT_BYTES)
+        dst.copy_fields(src, _KEYS)
+        for k in _KEYS:
+            ref.write(k, src.read(k))
+        assert len(dst._log) < _LOG_MAX and dst._log_base > 0
+        assert (dst._log, dst._log_base) == (ref._log, ref._log_base)
+        assert dst.changes_since(dst._log_base - 1) is None
+        assert dst.changes_since(dst._log_base) == ref.changes_since(
+            ref._log_base)
+        assert len(dst._log) >= _LOG_KEEP
+
+    def test_unknown_key_raises_and_writes_nothing(self):
+        src = Vmcs.deserialize(b"\x5a" * F.LAYOUT_BYTES)
+        src._read_trace = set()
+        dst = Vmcs()
+        with pytest.raises(KeyError, match="unsupported VMCS component"):
+            dst.copy_fields(src, (F.GUEST_RIP, 0xDEAD, F.GUEST_RSP))
+        assert dst == Vmcs() and dst.generation == 0
+        assert src._read_trace == set()
+
+    def test_unchanged_copy_keeps_generation(self):
+        src = golden_vmcs()
+        dst = src.copy()
+        gen = dst.generation
+        dst.copy_fields(src, _KEYS)
+        assert dst.generation == gen
+        assert dst.changes_since(gen) == frozenset()
