@@ -7,7 +7,9 @@ full-recompute reference it must equal lives in the test suite
 (``tests.reference.full_recompute``), which swaps these functions for
 straight-through versions; tests/unit/test_incremental_equivalence.py
 pins the two equal (violation lists, corrections, exit reasons, VMCS02
-contents and coverage).
+contents and coverage). The validators' rounding passes are not
+memoized: each case rounds a freshly deserialized structure, so a
+fixed-point memo would never hit.
 """
 
 from __future__ import annotations
@@ -80,56 +82,6 @@ def memoized_check(struct, key, compute: Callable[[], list]):
         trace = tuple(sink[mark:]) if sink is not None else None
         read_values = {k: struct.read(k) for k in reads}
         struct.memo_put(key, (struct.generation, read_values, value, trace))
-    return value
-
-
-def memoized_fixpoint(struct, key, run: Callable[[], object]):
-    """Memoize a deterministic correction pass at its fixed point.
-
-    Unlike :func:`memoized_check`, *run* may mutate *struct* (it is a
-    rounding pass, not a predicate). An entry is recorded only when the
-    pass wrote nothing — the structure was already at the pass's fixed
-    point, making that invocation pure. Soundness then follows from the
-    read trace: every field a pass corrects is read first (the rounders
-    compute corrections from current values), so while no traced field
-    changes a re-run would read identical values, take identical
-    branches, again write nothing, and return an equal (empty) result.
-
-    As in :func:`memoized_check`, entries record read *values*: a field
-    journalled back to its recorded value (a mutation the pass itself
-    corrected away, or exit information a failed entry wrote and the
-    pass re-zeroed) leaves the fixed point intact, so the entry
-    survives write/revert churn between invocations.
-
-    The rounding passes live outside the instrumented hypervisor
-    modules, so no kcov event slice needs to be recorded.
-    """
-    entry = struct.memo_get(key)
-    if entry is not None:
-        gen, reads, value = entry
-        changed = struct.changes_since(gen)
-        if changed is not None and all(
-                struct.read(k) == reads[k] for k in changed & reads.keys()):
-            if gen != struct.generation:
-                struct.memo_put(key, (struct.generation, reads, value))
-            if struct._read_trace is not None:
-                struct._read_trace.update(reads)
-            telemetry.counter("perf.memo_hits")
-            return value
-    telemetry.counter("perf.memo_misses")
-    outer = struct._read_trace
-    reads = set()
-    struct._read_trace = reads
-    before = struct.generation
-    try:
-        value = run()
-    finally:
-        struct._read_trace = outer
-    if outer is not None:
-        outer.update(reads)
-    if struct.generation == before:
-        struct.memo_put(key, (struct.generation,
-                              {k: struct.read(k) for k in reads}, value))
     return value
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from repro.arch.registers import Cr0, Cr4, Efer, Rflags
 from repro.arch.segments import AccessRights
-from repro.validator.base import Correction, Rounder
+from repro.validator.base import Change, Rounder
 from repro.validator.host_state import canonicalize, round_pat
 from repro.vmx import fields as F
 from repro.vmx.controls import (
@@ -86,8 +86,8 @@ def _round_limit_granularity(limit: int, ar: int) -> tuple[int, int]:
     return limit, ar
 
 
-def vmenter_load_check_guest_state(vmcs: Vmcs, caps: VmxCapabilities) -> list[Correction]:
-    """Round guest-state fields toward validity; return the corrections."""
+def vmenter_load_check_guest_state(vmcs: Vmcs, caps: VmxCapabilities) -> list[Change]:
+    """Round guest-state fields toward validity; return the changes."""
     r = Rounder(vmcs)
 
     entry = r.read(F.VM_ENTRY_CONTROLS)
@@ -239,7 +239,7 @@ def vmenter_load_check_guest_state(vmcs: Vmcs, caps: VmxCapabilities) -> list[Co
                         (F.GUEST_SYSENTER_EIP, "SYSENTER_EIP canonical")):
         r.force(field, canonicalize(r.read(field)), rule)
 
-    return r.corrections
+    return r.commit()
 
 
 def _round_v8086_segments(r: Rounder) -> None:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from repro.arch.bits import sign_extend
 from repro.arch.registers import Cr4, Efer
-from repro.validator.base import Correction, Rounder
+from repro.validator.base import Change, Rounder
 from repro.vmx import fields as F
 from repro.vmx.controls import ExitControls
 from repro.vmx.msr_caps import VmxCapabilities
@@ -43,8 +43,8 @@ def canonicalize(address: int) -> int:
     return sign_extend(address, 48) & ((1 << 64) - 1)
 
 
-def vmenter_load_check_host_state(vmcs: Vmcs, caps: VmxCapabilities) -> list[Correction]:
-    """Round host-state fields toward validity; return the corrections."""
+def vmenter_load_check_host_state(vmcs: Vmcs, caps: VmxCapabilities) -> list[Change]:
+    """Round host-state fields toward validity; return the changes."""
     r = Rounder(vmcs)
 
     r.force(F.HOST_CR0, (r.read(F.HOST_CR0) | caps.cr0_fixed0) & caps.cr0_fixed1,
@@ -102,4 +102,4 @@ def vmenter_load_check_host_state(vmcs: Vmcs, caps: VmxCapabilities) -> list[Cor
     else:
         r.force(F.HOST_IA32_S_CET, 0, "host CET ignored without its load control")
 
-    return r.corrections
+    return r.commit()

@@ -8,14 +8,20 @@ inter-group constraints are checked against the previously processed
 groups (the guest routines read the already-rounded entry controls).
 Dependent fields form a unidirectional graph, so this completes in a
 bounded number of steps: a second pass is a fixed point.
+
+Each routine rounds a private copy of the field values and writes its
+group's changes to the VMCS in one ``Vmcs.write_many`` call
+(:class:`repro.validator.base.Rounder`). The report keeps those changes
+raw and builds ``Correction`` records only when they are read: a
+campaign reads just the count, the oracle tests and the Figure 5
+analysis read the records.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import Sequence
 
-from repro import perf
-from repro.validator.base import Correction
+from repro.validator.base import Change, Correction, corrections
 from repro.validator.guest_state import vmenter_load_check_guest_state
 from repro.validator.host_state import vmenter_load_check_host_state
 from repro.validator.vm_controls import vmenter_load_check_vm_controls
@@ -23,13 +29,30 @@ from repro.vmx.msr_caps import VmxCapabilities, default_capabilities
 from repro.vmx.vmcs import Vmcs
 
 
-@dataclass
 class RoundingReport:
     """Everything one rounding pass did, by group."""
 
-    controls: list[Correction] = field(default_factory=list)
-    host: list[Correction] = field(default_factory=list)
-    guest: list[Correction] = field(default_factory=list)
+    __slots__ = ("_groups",)
+
+    def __init__(self, controls: Sequence[Change] = (),
+                 host: Sequence[Change] = (),
+                 guest: Sequence[Change] = ()) -> None:
+        self._groups = (controls, host, guest)
+
+    @property
+    def controls(self) -> list[Correction]:
+        """Corrections to the control fields."""
+        return corrections(self._groups[0])
+
+    @property
+    def host(self) -> list[Correction]:
+        """Corrections to the host-state fields."""
+        return corrections(self._groups[1])
+
+    @property
+    def guest(self) -> list[Correction]:
+        """Corrections to the guest-state fields."""
+        return corrections(self._groups[2])
 
     @property
     def all(self) -> list[Correction]:
@@ -39,7 +62,7 @@ class RoundingReport:
     @property
     def total(self) -> int:
         """Total number of corrections."""
-        return len(self.all)
+        return sum(map(len, self._groups))
 
 
 class VmStateValidator:
@@ -54,25 +77,12 @@ class VmStateValidator:
         self.caps = caps or default_capabilities()
 
     def round_to_valid(self, vmcs: Vmcs) -> RoundingReport:
-        """Round *vmcs* in the architectural group order.
-
-        Each group pass is memoized at its fixed point: once a pass ran
-        without correcting anything, it is skipped until one of the
-        fields it read changes (every corrected field is read first by
-        ``Rounder.force``, so the read trace covers the write targets).
-        """
-        report = RoundingReport()
+        """Round *vmcs* in the architectural group order."""
         caps = self.caps
-        report.controls = perf.memoized_fixpoint(
-            vmcs, ("round_controls", caps),
-            lambda: vmenter_load_check_vm_controls(vmcs, caps))
-        report.host = perf.memoized_fixpoint(
-            vmcs, ("round_host", caps),
-            lambda: vmenter_load_check_host_state(vmcs, caps))
-        report.guest = perf.memoized_fixpoint(
-            vmcs, ("round_guest", caps),
-            lambda: vmenter_load_check_guest_state(vmcs, caps))
-        return report
+        controls = vmenter_load_check_vm_controls(vmcs, caps)
+        host = vmenter_load_check_host_state(vmcs, caps)
+        return RoundingReport(controls, host,
+                              vmenter_load_check_guest_state(vmcs, caps))
 
     def is_fixed_point(self, vmcs: Vmcs) -> bool:
         """True when another rounding pass would change nothing."""

@@ -38,14 +38,9 @@ class VmcbValidator:
     def round_to_valid(self, vmcb: Vmcb) -> list[VmcbCorrection]:
         """Mutate *vmcb* so that APM consistency checks pass.
 
-        Memoized at the fixed point: once a pass corrected nothing, it
-        is skipped until a field it read changes (``force`` reads every
-        field before writing it, so the read trace covers the targets).
+        A handful of fields, rounded in place; a second pass over the
+        result is a fixed point that writes nothing.
         """
-        return perf.memoized_fixpoint(
-            vmcb, "svm_round", lambda: self._round(vmcb))
-
-    def _round(self, vmcb: Vmcb) -> list[VmcbCorrection]:
         corrections: list[VmcbCorrection] = []
 
         def force(name: str, value: int, rule: str) -> None:

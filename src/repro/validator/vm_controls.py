@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from repro.arch.exceptions import ERROR_CODE_VECTORS, EventType, InterruptionInfo
 from repro.arch.paging import MAX_PHYSADDR_WIDTH
-from repro.validator.base import Correction, Rounder
+from repro.validator.base import Change, Rounder
 from repro.vmx import fields as F
 from repro.vmx.controls import EntryControls, ExitControls, PinBased, ProcBased, Secondary
 from repro.vmx.msr_caps import VmxCapabilities
@@ -33,6 +33,10 @@ _PHYS_MASK = (1 << MAX_PHYSADDR_WIDTH) - 1
 #: rounded this way — its reach is part of the attack surface).
 _GUEST_RAM_MASK = 0x0FFF_FFFF
 
+#: The read-only (VM-exit information) fields, in layout order.
+_READ_ONLY_ENCODINGS: tuple[int, ...] = tuple(
+    s.encoding for s in F.ALL_FIELDS if s.group is F.FieldGroup.READ_ONLY)
+
 
 def _round_address(r: Rounder, encoding: int, alignment: int, rule: str) -> None:
     """Mask an address field to its alignment, inside harness RAM."""
@@ -40,18 +44,15 @@ def _round_address(r: Rounder, encoding: int, alignment: int, rule: str) -> None
     r.force(encoding, addr, rule)
 
 
-def vmenter_load_check_vm_controls(vmcs: Vmcs, caps: VmxCapabilities) -> list[Correction]:
-    """Round all control fields toward validity; return the corrections."""
+def vmenter_load_check_vm_controls(vmcs: Vmcs, caps: VmxCapabilities) -> list[Change]:
+    """Round all control fields toward validity; return the changes."""
     r = Rounder(vmcs)
 
     # Read-only (VM-exit information) fields are not part of a generated
     # state: the executor programs VMCS12 through vmwrite, which cannot
     # touch them, so the validator normalises them to zero up front.
-    from repro.vmx.fields import ALL_FIELDS, FieldGroup
-
-    for spec in ALL_FIELDS:
-        if spec.group is FieldGroup.READ_ONLY:
-            r.force(spec.encoding, 0, "read-only field not writable by vmwrite")
+    for encoding in _READ_ONLY_ENCODINGS:
+        r.force(encoding, 0, "read-only field not writable by vmwrite")
 
     # Reserved bits against the capability MSRs (allowed-0/allowed-1).
     r.force(F.PIN_BASED_VM_EXEC_CONTROL,
@@ -204,7 +205,7 @@ def vmenter_load_check_vm_controls(vmcs: Vmcs, caps: VmxCapabilities) -> list[Co
 
     _round_event_injection(r)
     _normalize_gated_fields(r)
-    return r.corrections
+    return r.commit()
 
 
 def _normalize_gated_fields(r: Rounder) -> None:

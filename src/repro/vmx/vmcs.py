@@ -9,20 +9,25 @@ Figure 5) are well defined over an 8,000-bit state.
 
 from __future__ import annotations
 
-from typing import Iterator
+import struct
+from typing import Iterable, Iterator
 
 from repro.arch.bits import bytes_hamming
 from repro.vmx import fields as F
-from repro.vmx.fields import ALL_FIELDS, FieldGroup, FieldSpec
+from repro.vmx.fields import ALL_FIELDS, FieldSpec
 
 #: Hot-path lookup tables: ``Vmcs.read``/``write`` execute hundreds of
 #: times per test case (often under the coverage tracer, where every
-#: helper frame also costs a trace callback), so width masks and byte
-#: sizes are precomputed instead of going through FieldSpec properties.
+#: helper frame also costs a trace callback), so width masks are
+#: precomputed instead of going through FieldSpec properties.
 _FIELD_MASK: dict[int, int] = {s.encoding: (1 << s.bits) - 1 for s in ALL_FIELDS}
-_FIELD_NBYTES: tuple[tuple[int, int], ...] = tuple(
-    (s.encoding, s.bits // 8) for s in ALL_FIELDS)
 _ENCODINGS: tuple[int, ...] = tuple(s.encoding for s in ALL_FIELDS)
+
+#: The canonical image layout, one little-endian ``H``/``I``/``Q`` per
+#: field in ``ALL_FIELDS`` order: ``serialize`` packs and ``deserialize``
+#: unpacks through it in a single call.
+_LAYOUT = struct.Struct(
+    "<" + "".join({16: "H", 32: "I", 64: "Q"}[s.bits] for s in ALL_FIELDS))
 
 #: The field table of a fresh VMCS, copied by ``__init__``: every field
 #: zero except the VMCS link pointer, which must be all-ones unless VMCS
@@ -103,6 +108,29 @@ class Vmcs:
                 del log[:len(log) - _LOG_KEEP]
                 self._log_base = self._gen - _LOG_KEEP
 
+    def write_many(self, pairs: Iterable[tuple[int, int]]) -> None:
+        """Write the ``(encoding, value)`` *pairs*, in order, as one bulk
+        write.
+
+        The result equals ``for k, v in pairs: self.write(k, v)``: the
+        same values, one generation bump and journal entry per
+        value-changing write (a repeated key counts each time), and the
+        same journal truncation. An unknown key raises ``KeyError``
+        before anything is written.
+        """
+        try:
+            pairs = [(k, v & _FIELD_MASK[k]) for k, v in pairs]
+        except KeyError as exc:
+            raise KeyError(
+                f"unsupported VMCS component {exc.args[0]:#x}") from None
+        values = self._values
+        changed = []
+        for k, v in pairs:
+            if values[k] != v:
+                values[k] = v
+                changed.append(k)
+        self._journal(changed)
+
     def copy_fields(self, src: "Vmcs", keys: tuple[int, ...]) -> None:
         """Copy the fields *keys* from *src*, in order, as one bulk write.
 
@@ -122,17 +150,23 @@ class Vmcs:
                 f"unsupported VMCS component {exc.args[0]:#x}") from None
         if src._read_trace is not None:
             src._read_trace.update(keys)
-        if changed:
-            values.update(zip(changed, map(srcvals.__getitem__, changed)))
-            self._gen += len(changed)
-            log = self._log
-            log += changed
-            if len(log) >= _LOG_MAX:
-                # write() cuts back to _LOG_KEEP each time the journal
-                # reaches _LOG_MAX; keep what that sequence of cuts keeps.
-                keep = _LOG_KEEP + (len(log) - _LOG_MAX) % (_LOG_MAX - _LOG_KEEP)
-                del log[:len(log) - keep]
-                self._log_base = self._gen - keep
+        values.update(zip(changed, map(srcvals.__getitem__, changed)))
+        self._journal(changed)
+
+    def _journal(self, changed: list[int]) -> None:
+        """Record the value-changing writes *changed*, in order, as
+        :meth:`write` would one at a time."""
+        if not changed:
+            return
+        self._gen += len(changed)
+        log = self._log
+        log += changed
+        if len(log) >= _LOG_MAX:
+            # write() cuts back to _LOG_KEEP each time the journal
+            # reaches _LOG_MAX; keep what that sequence of cuts keeps.
+            keep = _LOG_KEEP + (len(log) - _LOG_MAX) % (_LOG_MAX - _LOG_KEEP)
+            del log[:len(log) - keep]
+            self._log_base = self._gen - keep
 
     # --- dirty tracking ----------------------------------------------------
 
@@ -230,21 +264,16 @@ class Vmcs:
     def restore(self, snap: "Vmcs") -> None:
         """Restore field values from *snap*, journalling the deltas.
 
-        Restoring goes through :meth:`write` so that generation-holding
+        Restoring goes through :meth:`write_many` so that generation-holding
         consumers see the restored fields as changes instead of silently
         observing rolled-back values.
         """
         self.launch_state = snap.launch_state
-        values = snap._values
-        for encoding, value in self._values.items():
-            other = values[encoding]
-            if other != value:
-                self.write(encoding, other)
+        self.write_many(snap._values.items())
 
     def load_dict(self, values: dict[int, int]) -> None:
         """Bulk-write fields from an encoding->value mapping."""
-        for encoding, value in values.items():
-            self.write(encoding, value)
+        self.write_many(values.items())
 
     def diff(self, other: "Vmcs") -> list[tuple[FieldSpec, int, int]]:
         """Fields whose values differ, as (spec, self_value, other_value)."""
@@ -263,11 +292,7 @@ class Vmcs:
         """
         if self._ser_gen == self._gen and self._ser is not None:
             return self._ser
-        values = self._values
-        out = bytearray()
-        for encoding, nbytes in _FIELD_NBYTES:
-            out += values[encoding].to_bytes(nbytes, "little")
-        packed = bytes(out)
+        packed = _LAYOUT.pack(*map(self._values.__getitem__, _ENCODINGS))
         self._ser = packed
         self._ser_gen = self._gen
         return packed
@@ -285,12 +310,7 @@ class Vmcs:
                 f"need {F.LAYOUT_BYTES} bytes for a VMCS image, got {len(raw)}"
             )
         vmcs = cls(revision_id)
-        offset = 0
-        for encoding, nbytes in _FIELD_NBYTES:
-            vmcs._values[encoding] = int.from_bytes(
-                raw[offset:offset + nbytes], "little"
-            )
-            offset += nbytes
+        vmcs._values = dict(zip(_ENCODINGS, _LAYOUT.unpack_from(raw)))
         return vmcs
 
     def hamming(self, other: "Vmcs") -> int:
@@ -309,18 +329,3 @@ class Vmcs:
         nonzero = sum(1 for v in self._values.values() if v)
         return (f"<Vmcs rev={self.revision_id:#x} state={self.launch_state} "
                 f"nonzero_fields={nonzero}/{len(self._values)}>")
-
-
-def guest_state_fields() -> tuple[FieldSpec, ...]:
-    """All guest-state field specs."""
-    return tuple(s for s in ALL_FIELDS if s.group is FieldGroup.GUEST)
-
-
-def host_state_fields() -> tuple[FieldSpec, ...]:
-    """All host-state field specs."""
-    return tuple(s for s in ALL_FIELDS if s.group is FieldGroup.HOST)
-
-
-def control_fields() -> tuple[FieldSpec, ...]:
-    """All control field specs."""
-    return tuple(s for s in ALL_FIELDS if s.group is FieldGroup.CONTROL)

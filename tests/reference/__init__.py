@@ -7,8 +7,11 @@ the harness's vmwrite-storm replay). The slower reference each
 optimisation must equal lives here, in the tests only:
 
 * :func:`full_recompute` bypasses every memo, merge cache and published
-  copy, so each check, rounding pass and VMCS02/VMCB02 merge runs from
-  scratch (tests/unit/test_incremental_equivalence.py);
+  copy, so each check and VMCS02/VMCB02 merge runs from scratch
+  (tests/unit/test_incremental_equivalence.py);
+* :func:`per_field_rounder` rounds a VMCS with no private copy of its
+  values: each correction is one ``Vmcs.read`` and one ``Vmcs.write``
+  as it is made (tests/validator/test_rounding.py);
 * :func:`per_write_storm` sends every vmwrite of the init-phase storm
   through the L0 model (tests/core/test_harness.py);
 * :func:`guest_state_copy` and :func:`save_area_copy` are the
@@ -40,6 +43,8 @@ from repro.hypervisors.vbox import VboxHypervisor
 from repro.hypervisors.xen import XenHypervisor
 from repro.svm import fields as SF
 from repro.svm.vmcb import Vmcb
+from repro.validator import guest_state, host_state, vm_controls
+from repro.validator.base import Correction
 from repro.vmx import fields as VF
 from repro.vmx.vmcs import Vmcs
 
@@ -51,10 +56,6 @@ INTEL_MODELS = (KvmHypervisor, XenHypervisor, VboxHypervisor)
 
 def _memoized_check(struct, key, compute):
     return compute()
-
-
-def _memoized_fixpoint(struct, key, run):
-    return run()
 
 
 def _merge_state(state, src, *, build, controls, state_fields,
@@ -78,8 +79,7 @@ def _check_all(self, vmcs, msr_entries=None):
 def full_recompute() -> Iterator[None]:
     """Run the hot path with nothing memoized, cached or replayed.
 
-    Patches :func:`repro.perf.memoized_check` and
-    :func:`~repro.perf.memoized_fixpoint` to call straight through,
+    Patches :func:`repro.perf.memoized_check` to call straight through,
     :func:`~repro.perf.merge_state` to build the merged structure from
     scratch every time (dropping any cache), :func:`~repro.perf.publish_merged`
     to install the merged structure itself, and
@@ -87,13 +87,68 @@ def full_recompute() -> Iterator[None]:
     """
     with ExitStack() as stack:
         for name, fn in (("memoized_check", _memoized_check),
-                         ("memoized_fixpoint", _memoized_fixpoint),
                          ("merge_state", _merge_state),
                          ("publish_merged", _publish_merged)):
             stack.enter_context(mock.patch.object(perf, name, fn))
         stack.enter_context(
             mock.patch.object(IncrementalChecker, "check_all", _check_all))
         yield
+
+
+class PerFieldRounder:
+    """The validator's rounder with each correction written as it is made.
+
+    Each ``force`` reads the field from the VMCS, looks its width and
+    name up in the field table, writes a changed value straight back and
+    records its ``Correction`` at once, so the VMCS's generation and
+    journal advance one correction at a time. ``commit`` writes nothing
+    more.
+    """
+
+    def __init__(self, vmcs: Vmcs) -> None:
+        self.vmcs = vmcs
+        self.corrections: list[Correction] = []
+        self.changes: list = []
+
+    def force(self, encoding: int, value: int, rule: str) -> None:
+        before = self.vmcs.read(encoding)
+        spec = VF.SPEC_BY_ENCODING[encoding]
+        after = value & ((1 << spec.bits) - 1)
+        if before != after:
+            self.vmcs.write(encoding, after)
+            self.corrections.append(Correction(spec.name, before, after, rule))
+            self.changes.append((encoding, before, after, rule))
+
+    def set_bits(self, encoding: int, bits: int, rule: str) -> None:
+        self.force(encoding, self.vmcs.read(encoding) | bits, rule)
+
+    def clear_bits(self, encoding: int, bits: int, rule: str) -> None:
+        self.force(encoding, self.vmcs.read(encoding) & ~bits, rule)
+
+    def read(self, encoding: int) -> int:
+        return self.vmcs.read(encoding)
+
+    def commit(self) -> list:
+        return self.changes
+
+
+@contextmanager
+def per_field_rounder() -> Iterator[list[PerFieldRounder]]:
+    """Round with :class:`PerFieldRounder` in all three group routines.
+
+    Yields the rounders in the order the routines made them: controls,
+    host state and guest state for each rounding pass.
+    """
+    made: list[PerFieldRounder] = []
+
+    def make(vmcs: Vmcs) -> PerFieldRounder:
+        made.append(PerFieldRounder(vmcs))
+        return made[-1]
+
+    with ExitStack() as stack:
+        for module in (vm_controls, host_state, guest_state):
+            stack.enter_context(mock.patch.object(module, "Rounder", make))
+        yield made
 
 
 @contextmanager

@@ -1,8 +1,7 @@
 """Pins the equivalence contract of the incremental hot path.
 
-The dirty-tracking machinery in :mod:`repro.perf` (memoized check and
-rounding passes, value-validated revalidation, incremental VMCS02/VMCB02
-merge) must be a pure optimisation: for any mutation sequence, production and
+The dirty-tracking machinery in :mod:`repro.perf` (memoized checks,
+value-validated revalidation, incremental VMCS02/VMCB02 merge) must be a pure optimisation: for any mutation sequence, production and
 the full-recompute reference (``tests.reference.full_recompute``)
 produce identical corrections, violations, oracle outcomes,
 merged-structure contents, exit reasons — and identical campaign
@@ -233,22 +232,43 @@ class TestValueRevalidation:
         assert len(runs) == 1  # revert did not invalidate
         assert again == first
 
-    def test_memoized_fixpoint_records_only_at_fixpoint(self):
-        caps = default_capabilities()
-        validator = VmStateValidator(caps)
-        vmcs = golden_vmcs(caps)
-        validator.round_to_valid(vmcs)  # reach + record the fixed point
-        baseline = vmcs.generation
-        validator.round_to_valid(vmcs)  # pure memo hit
-        assert vmcs.generation == baseline
-        # Breaking a constraint forces a re-run that corrects it
-        # (entry-to-SMM is always rounded away outside SMM)...
-        vmcs.write(F.VM_ENTRY_CONTROLS,
-                   vmcs.read(F.VM_ENTRY_CONTROLS) | (1 << 10))
-        report = validator.round_to_valid(vmcs)
-        assert report.total >= 1
-        # ...and the next pass is again a recorded fixed point.
-        assert validator.round_to_valid(vmcs).total == 0
-        settled = vmcs.generation
-        validator.round_to_valid(vmcs)
-        assert vmcs.generation == settled
+
+class TestRoundingFixedPoint:
+    """Rounding is not memoized; a second pass over its result must
+    still be a fixed point that writes nothing."""
+
+    @pytest.mark.parametrize("vendor", [Vendor.INTEL, Vendor.AMD],
+                             ids=["intel", "amd"])
+    def test_reround_writes_nothing(self, vendor):
+        if vendor is Vendor.INTEL:
+            validator = VmStateValidator(default_capabilities())
+            struct = golden_vmcs(validator.caps)
+
+            def rounded():
+                return validator.round_to_valid(struct).total
+
+            def violate():
+                # Entry-to-SMM is always rounded away outside SMM.
+                struct.write(F.VM_ENTRY_CONTROLS,
+                             struct.read(F.VM_ENTRY_CONTROLS) | (1 << 10))
+        else:
+            validator = VmcbValidator()
+            struct = golden_vmcb()
+
+            def rounded():
+                return len(validator.round_to_valid(struct))
+
+            def violate():
+                struct.write(SF.GUEST_ASID, 0)  # ASID 0 is the host's
+
+        for step in range(2):
+            rounded()  # reach the fixed point
+            settled = struct.generation
+            image = struct.serialize()
+            assert rounded() == 0
+            assert struct.generation == settled
+            assert struct.changes_since(settled) == frozenset()
+            assert struct.serialize() == image
+            if step == 0:
+                violate()
+                assert rounded() >= 1

@@ -4,15 +4,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.arch.cpuid import Vendor, default_feature_map
+from repro.arch.cpuid import Vendor, default_feature_map, features_for
 from repro.arch.registers import Cr4, Efer
 from repro.cpu.entry_checks import check_host_state, check_vm_controls
+from repro.hypervisors.base import VcpuConfig
+from repro.hypervisors.kvm.module import KvmModuleParams
+from repro.validator.base import Rounder
 from repro.validator.golden import golden_vmcs
 from repro.validator.rounding import VmStateValidator
 from repro.vmx import fields as F
 from repro.vmx.controls import ActivityState, EntryControls, ProcBased
 from repro.vmx.msr_caps import capabilities_for_features, default_capabilities
-from repro.vmx.vmcs import Vmcs
+from repro.vmx.vmcs import _LOG_MAX, Vmcs
+from tests.reference import per_field_rounder
 
 raw_vmcs = st.binary(min_size=F.LAYOUT_BYTES, max_size=F.LAYOUT_BYTES)
 
@@ -177,3 +181,72 @@ class TestRoundingProperties:
         image = vmcs.serialize()
         validator.predicted_violations(vmcs)
         assert vmcs.serialize() == image
+
+
+def _l1_caps(hypervisor: str, bits: int):
+    """The capabilities a campaign's Intel state generator rounds with:
+    the vCPU configuration bits *bits* turned into a feature map (as
+    ``VcpuConfigurator`` does), then into KVM's L1 capabilities or, for
+    Xen and VirtualBox, the feature-derived ones (as the agent does)."""
+    if hypervisor == "default":
+        return default_capabilities()
+    features = default_feature_map(Vendor.INTEL)
+    for position, feature in enumerate(features_for(Vendor.INTEL)):
+        if feature.name != "nested":
+            features[feature.name] = bool(bits >> position & 1)
+    if hypervisor == "kvm":
+        config = VcpuConfig(Vendor.INTEL, features)
+        return KvmModuleParams.from_config(config).l1_vmx_capabilities()
+    return capabilities_for_features(features)
+
+
+class TestOverlayMatchesPerFieldRounder:
+    """The rounder corrects a private copy of the values and writes each
+    group with one ``write_many``; the per-field reference writes every
+    correction as it happens. Both must leave the same VMCS, generation
+    and journal, and report the same corrections."""
+
+    @pytest.mark.parametrize("hypervisor", ["default", "kvm", "xen", "vbox"])
+    @given(raw_vmcs, st.integers(0, (1 << 64) - 1),
+           st.one_of(st.integers(0, 3), st.integers(_LOG_MAX - 120, _LOG_MAX - 1)))
+    @settings(max_examples=40, deadline=None)
+    def test_equal_reports_values_and_journal(self, hypervisor, raw, bits,
+                                              churn):
+        caps = _l1_caps(hypervisor, bits)
+        validator = VmStateValidator(caps)
+        vmcs = Vmcs.deserialize(raw, caps.vmcs_revision_id)
+        for _ in range(churn):
+            vmcs.write(F.GUEST_RSP, vmcs.read(F.GUEST_RSP) ^ 1)
+        ref = vmcs.copy()
+        g0 = vmcs.generation
+        for _ in range(2):  # the rounding pass, then its fixed point
+            report = validator.round_to_valid(vmcs)
+            with per_field_rounder() as rounders:
+                validator.round_to_valid(ref)
+            controls, host, guest = (r.corrections for r in rounders)
+            assert report.controls == controls
+            assert report.host == host
+            assert report.guest == guest
+            assert report.all == controls + host + guest
+            assert report.total == len(controls + host + guest)
+            assert vmcs == ref
+            assert vmcs.generation == ref.generation
+            assert (vmcs._log, vmcs._log_base) == (ref._log, ref._log_base)
+            assert vmcs.changes_since(g0) == ref.changes_since(g0)
+        assert report.total == 0
+
+
+class TestRounder:
+    def test_corrections_reach_the_vmcs_on_commit(self):
+        vmcs = Vmcs()
+        r = Rounder(vmcs)
+        r.force(F.GUEST_ES_SELECTOR, 0x12345, "16-bit field")
+        r.set_bits(F.GUEST_RIP, 0x10, "set")
+        r.force(F.GUEST_RSP, 0, "unchanged")
+        assert r.read(F.GUEST_ES_SELECTOR) == 0x2345
+        assert vmcs == Vmcs() and vmcs.generation == 0
+        assert r.commit() == [(F.GUEST_ES_SELECTOR, 0, 0x2345, "16-bit field"),
+                              (F.GUEST_RIP, 0, 0x10, "set")]
+        assert vmcs.read(F.GUEST_ES_SELECTOR) == 0x2345
+        assert vmcs.read(F.GUEST_RIP) == 0x10
+        assert vmcs.generation == 2

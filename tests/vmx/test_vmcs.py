@@ -85,8 +85,9 @@ class TestWholeStructure:
         assert len(Vmcs().serialize()) == F.LAYOUT_BYTES
 
     def test_deserialize_short_input_rejected(self):
-        with pytest.raises(ValueError):
-            Vmcs.deserialize(b"\x00" * 10)
+        for length in (0, 10, F.LAYOUT_BYTES - 1):
+            with pytest.raises(ValueError, match="bytes for a VMCS image"):
+                Vmcs.deserialize(b"\x00" * length)
 
     def test_hamming_zero_to_self(self):
         vmcs = Vmcs()
@@ -126,6 +127,44 @@ class TestSerializationProperties:
         vmcs = Vmcs.deserialize(raw)
         total_bits = sum(spec.bits for spec, _ in vmcs.fields())
         assert total_bits == F.LAYOUT_BITS
+
+
+    @given(st.binary(min_size=F.LAYOUT_BYTES, max_size=F.LAYOUT_BYTES),
+           st.lists(st.tuples(st.sampled_from([s.encoding for s in F.ALL_FIELDS]),
+                              st.integers(0, (1 << 64) - 1)), max_size=20))
+    @settings(max_examples=50, deadline=None)
+    def test_serialize_deserialize_roundtrip(self, raw, writes):
+        vmcs = Vmcs.deserialize(raw)
+        for encoding, value in writes:
+            vmcs.write(encoding, value)
+        back = Vmcs.deserialize(vmcs.serialize())
+        assert back == vmcs
+        assert list(back.fields()) == list(vmcs.fields())
+        assert list(back._values) == [s.encoding for s in F.ALL_FIELDS]
+
+    @given(st.binary(min_size=F.LAYOUT_BYTES, max_size=F.LAYOUT_BYTES))
+    @settings(max_examples=25, deadline=None)
+    def test_layout_is_little_endian_fields_in_order(self, raw):
+        vmcs = Vmcs.deserialize(raw)
+        offset = 0
+        for spec in F.ALL_FIELDS:
+            nbytes = spec.bits // 8
+            assert vmcs.read(spec.encoding) == int.from_bytes(
+                raw[offset:offset + nbytes], "little")
+            offset += nbytes
+        assert offset == F.LAYOUT_BYTES
+
+    def test_link_pointer_default_survives_roundtrip(self):
+        back = Vmcs.deserialize(Vmcs().serialize())
+        assert back == Vmcs()
+        assert back.read(F.VMCS_LINK_POINTER) == (1 << 64) - 1
+
+    @given(st.binary(min_size=F.LAYOUT_BYTES, max_size=F.LAYOUT_BYTES),
+           st.binary(min_size=1, max_size=64))
+    @settings(max_examples=25, deadline=None)
+    def test_trailing_bytes_ignored(self, raw, extra):
+        assert Vmcs.deserialize(raw + extra) == Vmcs.deserialize(raw)
+        assert Vmcs.deserialize(raw + extra).serialize() == raw
 
 
 class TestFreshLayout:
@@ -247,3 +286,74 @@ class TestCopyFields:
         dst.copy_fields(src, _KEYS)
         assert dst.generation == gen
         assert dst.changes_since(gen) == frozenset()
+
+
+#: Values wider than any field, so ``write_many`` must truncate.
+_PAIRS = st.lists(st.tuples(st.sampled_from(_KEYS),
+                            st.integers(0, (1 << 66) - 1)), max_size=60)
+_PAIR_LISTS = st.one_of(
+    _PAIRS,
+    # Repeated keys: flip one field back and forth.
+    st.integers(1, 8).map(lambda n: [(F.GUEST_RIP, i & 1) for i in range(n)]))
+
+
+class TestWriteMany:
+    """``write_many`` equals the per-pair ``write(k, v)`` loop: values,
+    generations, journal (and so ``changes_since`` for every earlier
+    generation) and truncation."""
+
+    @given(st.binary(min_size=F.LAYOUT_BYTES, max_size=F.LAYOUT_BYTES),
+           st.one_of(st.integers(0, 40), st.integers(3300, 4095)),
+           st.lists(_PAIR_LISTS, min_size=1, max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_per_pair_loop(self, raw, churn, pair_lists):
+        vmcs = _churned(raw, churn)
+        ref = vmcs.copy()
+        marks = [vmcs.generation]
+        for pairs in pair_lists:
+            vmcs.write_many(iter(pairs))
+            for k, v in pairs:
+                ref.write(k, v)
+            assert vmcs == ref
+            assert vmcs.generation == ref.generation
+            assert (vmcs._log, vmcs._log_base) == (ref._log, ref._log_base)
+            marks.append(vmcs.generation)
+            base = ref._log_base
+            for gen in {*marks, *range(max(base - 2, 0), base + 3),
+                        *range(max(ref.generation - 3, 0), ref.generation + 1)}:
+                assert vmcs.changes_since(gen) == ref.changes_since(gen)
+
+    @pytest.mark.parametrize("churn", [0, 5, 3000])
+    def test_truncation_crosses_log_max(self, churn):
+        from repro.vmx.vmcs import _LOG_KEEP, _LOG_MAX
+
+        vmcs = _churned(bytes(F.LAYOUT_BYTES), _LOG_MAX - 1 - churn)
+        ref = vmcs.copy()
+        # Every field, then enough flips of one field to cut the
+        # journal several times in one call.
+        pairs = [(k, 0xA5A5_A5A5_A5A5_A5A5) for k in _KEYS]
+        pairs += [(F.GUEST_RSP, i) for i in range(1, 3 * _LOG_MAX)]
+        vmcs.write_many(pairs)
+        for k, v in pairs:
+            ref.write(k, v)
+        assert len(vmcs._log) < _LOG_MAX and vmcs._log_base > 0
+        assert (vmcs._log, vmcs._log_base) == (ref._log, ref._log_base)
+        assert vmcs.generation == ref.generation
+        assert vmcs.changes_since(vmcs._log_base - 1) is None
+        assert vmcs.changes_since(vmcs._log_base) == ref.changes_since(
+            ref._log_base)
+        assert len(vmcs._log) >= _LOG_KEEP
+
+    def test_unknown_key_raises_and_writes_nothing(self):
+        vmcs = Vmcs.deserialize(b"\x5a" * F.LAYOUT_BYTES)
+        before = vmcs.copy()
+        with pytest.raises(KeyError, match="unsupported VMCS component"):
+            vmcs.write_many([(F.GUEST_RIP, 1), (0xDEAD, 2), (F.GUEST_RSP, 3)])
+        assert vmcs == before and vmcs.generation == 0 and vmcs._log == []
+
+    def test_unchanged_values_keep_generation(self):
+        vmcs = golden_vmcs()
+        gen = vmcs.generation
+        vmcs.write_many([(spec.encoding, v) for spec, v in vmcs.fields()])
+        assert vmcs.generation == gen
+        assert vmcs.changes_since(gen) == frozenset()
