@@ -29,7 +29,8 @@ class BaselineHarness:
     tracer: KcovTracer = field(init=False)
     detector: AnomalyDetector = field(default_factory=AnomalyDetector)
     watchdog: Watchdog = field(default_factory=Watchdog)
-    cumulative_lines: set = field(default_factory=set)
+    #: Cumulative covered kcov line ids.
+    covered_ids: set = field(default_factory=set)
     anomalies: list[Anomaly] = field(default_factory=list)
     cases: int = 0
 
@@ -49,14 +50,14 @@ class BaselineHarness:
             except VmCrash as crash:
                 self.anomalies.append(
                     self.watchdog.handle_vm_crash(hv, str(crash)))
-        lines, _ = self.tracer.drain()
-        self.cumulative_lines |= lines
+        ids, _ = self.tracer.drain()
+        self.covered_ids |= ids
         self.anomalies.extend(self.detector.scan(hv))
 
     @property
     def coverage_fraction(self) -> float:
         """Cumulative covered fraction of instrumented lines."""
-        return self.tracer.coverage_fraction(self.cumulative_lines)
+        return self.tracer.coverage_fraction(self.covered_ids)
 
     def result(self, timeline: CoverageTimeline | None = None) -> CampaignResult:
         """Package the harness state as a CampaignResult."""
@@ -66,7 +67,7 @@ class BaselineHarness:
         stats = EngineStats(iterations=self.cases)
         return CampaignResult(
             timeline=timeline,
-            covered_lines=set(self.cumulative_lines) & self.tracer.instrumented,
+            covered_lines=self.tracer.covered_lines(self.covered_ids),
             instrumented_lines=set(self.tracer.instrumented),
             reports=[],
             engine_stats=stats,

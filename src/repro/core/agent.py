@@ -23,7 +23,7 @@ from repro.core.reports import CrashReport, ReportStore
 from repro.core.state_generator import state_generator_for
 from repro.core.vcpu_config import VcpuConfigurator
 from repro.coverage.bitmap import CoverageBitmap
-from repro.coverage.kcov import KcovTracer
+from repro.coverage.kcov import KcovTracer, line_ids
 from repro.fuzzer.engine import RunFeedback
 from repro.fuzzer.input import FuzzInput
 from repro.hypervisors.base import VmCrash
@@ -75,7 +75,8 @@ class Agent:
         self.detector = AnomalyDetector()
         self.watchdog = Watchdog()
         self.reports = ReportStore(config.reports_dir)
-        self.cumulative_lines: set = set()
+        #: Campaign-cumulative covered kcov line ids.
+        self.covered_ids: set[int] = set()
         self.cases_run = 0
         #: Hot-path scratch state: one bitmap reused (reset, not
         #: reallocated) across cases, plus a per-configuration cache of
@@ -129,11 +130,11 @@ class Agent:
     @property
     def coverage_fraction(self) -> float:
         """Cumulative nested-code line coverage so far."""
-        return self.tracer.coverage_fraction(self.cumulative_lines)
+        return self.tracer.coverage_fraction(self.covered_ids)
 
     def covered_lines(self) -> set:
-        """Snapshot of the cumulative covered-line set."""
-        return set(self.cumulative_lines) & self.tracer.instrumented
+        """Snapshot of the cumulative covered ``(file, line)`` set."""
+        return self.tracer.covered_lines(self.covered_ids)
 
     def absorb_lines(self, lines) -> None:
         """Merge line coverage recorded by a sync partner.
@@ -142,7 +143,7 @@ class Agent:
         subsumed entry: the entry's shipped line set stands in for the
         lines a local execution would have produced.
         """
-        self.cumulative_lines |= lines
+        self.covered_ids |= line_ids(lines)
 
     # ------------------------------------------------------------------
 
@@ -190,8 +191,8 @@ class Agent:
                 assert hv is not None
                 crash_anomalies.append(
                     self.watchdog.handle_vm_crash(hv, str(crash)))
-        lines, edges = self.tracer.drain()
-        self.cumulative_lines |= lines
+        ids, edges = self.tracer.drain()
+        self.covered_ids |= ids
 
         bitmap = self._case_bitmap
         bitmap.reset()
@@ -213,7 +214,7 @@ class Agent:
             bitmap=bitmap,
             crashed=bool(crash_anomalies),
             anomaly=str(anomalies[0]) if anomalies else None,
-            lines=frozenset(lines))
+            line_ids=ids)
         return CaseOutcome(feedback, anomalies, executor_result, command_line)
 
     def execute_for_engine(self, fuzz_input: FuzzInput) -> RunFeedback:

@@ -88,18 +88,25 @@ def stable_line_id(filename: str, lineno: int) -> int:
     return h & (MAP_SIZE - 1)
 
 
-@lru_cache(maxsize=MAP_SIZE)
-def edge_cell(edge: tuple) -> int:
-    """Bitmap cell for one ((file, line), (file, line)) trace edge.
+class _EdgeCells(dict):
+    """Bitmap cell of every packed kcov edge key seen so far.
 
-    The distinct source-line edges are bounded by the instrumented
-    target code, so one memoized lookup per edge beats re-deriving the
-    two line hashes plus the fold every case. Bounded at the map size:
-    more distinct edges than cells cannot improve precision anyway.
+    Line ids are fixed per process and the distinct edges are bounded by
+    the instrumented code, so each edge's cell is derived once, on its
+    first miss, and is one dict lookup from then on: :func:`edge_index`
+    over the two lines' :func:`stable_line_id`.
     """
-    (prev_file, prev_line), (cur_file, cur_line) = edge
-    return edge_index(stable_line_id(prev_file, prev_line),
-                      stable_line_id(cur_file, cur_line))
+
+    def __missing__(self, key: int) -> int:
+        from repro.coverage import kcov
+
+        prev, cur = kcov.split_edge(key)
+        cell = self[key] = edge_index(stable_line_id(*kcov.line_of(prev)),
+                                      stable_line_id(*kcov.line_of(cur)))
+        return cell
+
+
+_EDGE_CELLS = _EdgeCells()
 
 
 class CoverageBitmap:
@@ -117,15 +124,27 @@ class CoverageBitmap:
         self.touched.add(idx)
 
     def record_trace(self, edges) -> None:
-        """Record a set of ((file, line), (file, line)) trace edges."""
-        cell = edge_cell
+        """Count one traversal of each packed kcov edge key.
+
+        *edges* is the edge set :meth:`KcovTracer.drain` returns. Two
+        distinct edges that share a cell count two in it.
+        """
+        idxs = list(map(_EDGE_CELLS.__getitem__, edges))
         counts = self.counts
         touched = self.touched
-        for edge in edges:
-            idx = cell(edge)
+        if not touched:
+            # A reset map, the agent's case: unless two edges share a
+            # cell, every count is one.
+            touched.update(idxs)
+            if len(touched) == len(idxs):
+                for idx in idxs:
+                    counts[idx] = 1
+                return
+            touched.clear()
+        for idx in idxs:
             if counts[idx] < 255:
                 counts[idx] += 1
-            touched.add(idx)
+        touched.update(idxs)
 
     def classified(self) -> bytes:
         """The bucketed bitmap, as AFL would compare it."""

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro import telemetry
+from repro.coverage import kcov
 from repro.coverage.bitmap import CoverageBitmap, VirginMap
 from repro.faults import InjectedFault
 from repro.fuzzer.crashes import CrashStore, atomic_write_bytes
@@ -41,11 +42,21 @@ class RunFeedback:
     bitmap: CoverageBitmap
     crashed: bool = False
     anomaly: str | None = None
-    #: Source lines this case covered (fast-path tracer). Stored with
-    #: queue entries so protocol-v2 sync partners that skip a subsumed
-    #: import can still absorb its line coverage. None when the
-    #: executor does not track lines.
+    #: Source lines this case covered. Stored with queue entries so
+    #: protocol-v2 sync partners that skip a subsumed import can still
+    #: absorb its line coverage. None when the executor does not track
+    #: lines.
     lines: frozenset | None = None
+    #: The same coverage as kcov line ids, which the agent reports in
+    #: place of :attr:`lines`; :meth:`line_set` maps them to lines for
+    #: the few cases that become queue entries.
+    line_ids: set | None = None
+
+    def line_set(self) -> frozenset | None:
+        """:attr:`lines`, derived from :attr:`line_ids` on first read."""
+        if self.lines is None and self.line_ids is not None:
+            self.lines = kcov.lines_of(self.line_ids)
+        return self.lines
 
 
 @dataclass
@@ -170,7 +181,7 @@ class FuzzEngine:
             self.queue.add_finding(
                 candidate.data, self.stats.iterations, new_bits,
                 coverage=feedback.bitmap.sparse_classified(),
-                lines=feedback.lines, crashed=feedback.crashed,
+                lines=feedback.line_set(), crashed=feedback.crashed,
                 anomaly=feedback.anomaly is not None)
             self.stats.queue_adds += 1
             self.stats.last_find = self.stats.iterations
@@ -239,7 +250,7 @@ class FuzzEngine:
             self.queue.add_finding(candidate.data, self.stats.iterations,
                                    new_bits, imported=True,
                                    coverage=feedback.bitmap.sparse_classified(),
-                                   lines=feedback.lines,
+                                   lines=feedback.line_set(),
                                    crashed=feedback.crashed,
                                    anomaly=feedback.anomaly is not None)
         return new_bits

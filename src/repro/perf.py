@@ -30,14 +30,16 @@ def memoized_check(struct, key, compute: Callable[[], list]):
     branch taken by *compute* depends only on fields it read — and the
     result is revalidated against the change journal on later calls.
 
-    Coverage equivalence: when a kcov tracer is active, the (file,
-    line) events emitted during *compute* are recorded with the entry
-    and replayed into the tracer on every cache hit, so per-case line
-    AND edge coverage is identical to recomputing. An entry recorded
+    Coverage equivalence: when a kcov tracer is active, the line-id
+    events emitted during *compute* are recorded with the entry and
+    replayed into the tracer on every cache hit, so per-case line AND
+    edge coverage is identical to recomputing. An entry recorded
     without a tracer carries no event slice and is recomputed if a
-    tracer is active when it is next consulted. The harness's vmwrite
-    storm (``VmExecutionHarness._write_vmcs_fields``) is the second
-    user of this record-and-replay scheme.
+    tracer is active when it is next consulted. :func:`merge_state`
+    and the harness's vmwrite storm
+    (``VmExecutionHarness._write_vmcs_fields``) are the other two users
+    of this record-and-replay scheme (see
+    :func:`repro.coverage.kcov.event_sink`).
 
     Entries record the *values* read, not just the field set, and a
     journalled write back to the recorded value does not invalidate: a

@@ -1,6 +1,6 @@
 """Tests for corpus persistence and source annotation."""
 
-from repro.coverage.kcov import KcovTracer
+from repro.coverage.kcov import KcovTracer, lines_of
 from repro.coverage.report import annotate_source
 from repro.fuzzer.engine import FuzzEngine, RunFeedback
 from repro.fuzzer.input import INPUT_SIZE
@@ -15,8 +15,8 @@ class TestAnnotateSource:
         tracer = KcovTracer([traced_target])
         with tracer:
             traced_target.branchy(True)
-        lines, _ = tracer.drain()
-        return lines
+        ids, _ = tracer.drain()
+        return lines_of(ids)
 
     def test_marks(self):
         text = annotate_source(traced_target, self._coverage())

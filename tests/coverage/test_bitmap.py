@@ -18,6 +18,7 @@ from repro.coverage.bitmap import (
     relative_lines,
     stable_line_id,
 )
+from repro.coverage.kcov import edge_key, line_id
 from repro.fuzzer.engine import EngineStats
 from repro.resilience import campaign_fingerprint
 
@@ -76,7 +77,9 @@ class TestPackageRelativeIds:
         path = f"{root}/{self.REL}"
         lines = {(path, 10), (path, 11), (path, 30)}
         trace = CoverageBitmap()
-        trace.record_trace({((path, 10), (path, 11)), ((path, 11), (path, 30))})
+        for prev, cur in ((10, 11), (11, 30)):
+            trace.record_edge(stable_line_id(path, prev),
+                              stable_line_id(path, cur))
         virgin = VirginMap()
         virgin.has_new_bits(trace)
         result = SimpleNamespace(covered_lines=lines, virgin=virgin,
@@ -121,9 +124,12 @@ class TestBitmap:
         assert bitmap.counts[edge_index(1, 2)] == 255
 
     def test_record_trace(self):
-        bitmap = CoverageBitmap()
-        bitmap.record_trace([((("a.py"), 1), (("a.py"), 2))])
-        assert bitmap.count_nonzero() == 1
+        path = bitmap.__file__
+        trace = CoverageBitmap()
+        trace.record_trace([edge_key(line_id(path, 1), line_id(path, 2))])
+        assert trace.count_nonzero() == 1
+        assert trace.touched == {edge_index(stable_line_id(path, 1),
+                                            stable_line_id(path, 2))}
 
     def test_reset(self):
         bitmap = CoverageBitmap()

@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.coverage.kcov import KcovTracer, executable_lines
+from repro.coverage.kcov import (
+    KcovTracer,
+    executable_lines,
+    line_id,
+    lines_of,
+)
 
 # A tiny target module defined in-repo for tracing tests.
 from tests.coverage import traced_target
@@ -36,15 +41,15 @@ class TestTracing:
         tracer = KcovTracer([traced_target])
         with tracer:
             traced_target.branchy(True)
-        lines, _ = tracer.drain()
-        linenos = {lineno for _, lineno in lines}
+        ids, _ = tracer.drain()
+        linenos = {lineno for _, lineno in lines_of(ids)}
         assert traced_target.BRANCH_TRUE_LINE in linenos
         assert traced_target.BRANCH_FALSE_LINE not in linenos
 
         with tracer:
             traced_target.branchy(False)
-        lines, _ = tracer.drain()
-        linenos = {lineno for _, lineno in lines}
+        ids, _ = tracer.drain()
+        linenos = {lineno for _, lineno in lines_of(ids)}
         assert traced_target.BRANCH_FALSE_LINE in linenos
 
     def test_untraced_module_ignored(self):
@@ -84,11 +89,13 @@ class TestTracing:
             traced_target.branchy(False)
             traced_target.Helper().method()
             traced_target.looper(3)
-        lines, _ = tracer.drain()
-        fraction = tracer.coverage_fraction(lines)
+        ids, _ = tracer.drain()
+        fraction = tracer.coverage_fraction(ids)
         assert fraction == 1.0
 
     def test_fraction_clips_to_instrumented(self):
         tracer = KcovTracer([traced_target])
-        bogus = {("elsewhere.py", 1)}
+        bogus = {line_id(traced_target.__file__,
+                         traced_target.MODULE_LEVEL_LINE)}
         assert tracer.coverage_fraction(bogus) == 0.0
+        assert tracer.covered_lines(bogus) == set()

@@ -23,7 +23,13 @@ optimisation must equal lives here, in the tests only:
   line tracer instead of compiled markers
   (tests/integration/test_tracer_equivalence.py). Its events cannot be
   replayed from a recorded slice, so it must run inside both context
-  managers above; :func:`settrace_reference` enters all three.
+  managers above; :func:`settrace_reference` enters all three;
+* :func:`tuple_drain` and :func:`record_tuple_trace` are the kcov drain
+  and bitmap fill from before line ids: ``(file, line)`` events, pair
+  tuples for edges and an LRU over tuple pairs for cells.
+  :func:`checked_drains` checks every ``KcovTracer.drain`` and
+  ``CoverageBitmap.record_trace`` against them
+  (tests/coverage/test_id_equivalence.py).
 """
 
 from __future__ import annotations
@@ -31,12 +37,20 @@ from __future__ import annotations
 import collections
 import sys
 from contextlib import ExitStack, contextmanager
+from functools import lru_cache
+from itertools import islice
 from types import FrameType, ModuleType
 from typing import Iterable, Iterator
 from unittest import mock
 
 from repro import perf
 from repro.coverage import kcov
+from repro.coverage.bitmap import (
+    MAP_SIZE,
+    CoverageBitmap,
+    edge_index,
+    stable_line_id,
+)
 from repro.cpu.entry_checks import IncrementalChecker, check_all
 from repro.hypervisors.kvm import KvmHypervisor
 from repro.hypervisors.vbox import VboxHypervisor
@@ -220,6 +234,77 @@ def checked_group_copies() -> Iterator[collections.Counter]:
         yield sites
 
 
+def tuple_drain(events: list[Line]) -> tuple[set[Line],
+                                             set[tuple[Line, Line]]]:
+    """``KcovTracer.drain`` over ``(file, line)`` events: the line set
+    and the set of consecutive pairs."""
+    return set(events), set(zip(events, islice(events, 1, None)))
+
+
+@lru_cache(maxsize=MAP_SIZE)
+def tuple_edge_cell(edge: tuple[Line, Line]) -> int:
+    """Bitmap cell of one ``((file, line), (file, line))`` edge."""
+    (prev_file, prev_line), (cur_file, cur_line) = edge
+    return edge_index(stable_line_id(prev_file, prev_line),
+                      stable_line_id(cur_file, cur_line))
+
+
+def record_tuple_trace(bitmap: CoverageBitmap, edges) -> None:
+    """``CoverageBitmap.record_trace`` over tuple-pair edges."""
+    counts = bitmap.counts
+    for edge in edges:
+        idx = tuple_edge_cell(edge)
+        if counts[idx] < 255:
+            counts[idx] += 1
+        bitmap.touched.add(idx)
+
+
+@contextmanager
+def checked_drains() -> Iterator[list[int]]:
+    """Check every drain and bitmap fill against the tuple path.
+
+    Each ``KcovTracer.drain`` also maps its events to ``(file, line)``
+    pairs and runs :func:`tuple_drain`; the id lines must map back to
+    the same line set, and the edge keys to the same pair set. The next
+    ``CoverageBitmap.record_trace`` of those edges is checked against
+    :func:`record_tuple_trace` on a copy of the bitmap: same ``counts``,
+    same ``touched``. Yields the list of checked edge counts, one per
+    drain.
+    """
+    real_drain = kcov.KcovTracer.drain
+    real_fill = CoverageBitmap.record_trace
+    checked: list[int] = []
+    last: list = [None, None]  # the last drain's edges and reference
+
+    def drain(self):
+        events = [kcov.line_of(i) for i in self._events]
+        lines, edges = real_drain(self)
+        ref_lines, ref_edges = tuple_drain(events)
+        assert kcov.lines_of(lines) == ref_lines
+        assert {tuple(map(kcov.line_of, kcov.split_edge(key)))
+                for key in edges} == ref_edges
+        assert len(edges) == len(ref_edges)
+        last[:] = edges, ref_edges
+        checked.append(len(edges))
+        return lines, edges
+
+    def record_trace(self, edges):
+        if last[0] is not edges:
+            return real_fill(self, edges)
+        ref_edges = last[1]
+        expected = CoverageBitmap()
+        expected.counts[:] = self.counts
+        expected.touched = set(self.touched)
+        record_tuple_trace(expected, ref_edges)
+        real_fill(self, edges)
+        assert self.counts == expected.counts
+        assert self.touched == expected.touched
+
+    with mock.patch.object(kcov.KcovTracer, "drain", drain), \
+            mock.patch.object(CoverageBitmap, "record_trace", record_trace):
+        yield checked
+
+
 @contextmanager
 def settrace_reference() -> Iterator[None]:
     """The hot-path configuration a :class:`SettraceTracer` needs."""
@@ -231,11 +316,12 @@ class SettraceTracer:
     """Line coverage of the target modules through ``sys.settrace``.
 
     The interface the agent uses of :class:`repro.coverage.kcov.KcovTracer`
-    (``instrumented``, ``start``/``stop`` or ``with``, ``drain``,
-    ``coverage_fraction``), collected by a global trace function for
-    the whole test case instead of compiled markers: one Python callback
-    per function call anywhere in the interpreter, plus one per executed
-    line in target code. It does not register as the active kcov
+    (``instrumented``, ``instrumented_ids``, ``start``/``stop`` or
+    ``with``, ``drain``, ``coverage_fraction``, ``covered_lines``),
+    collected by a global trace function for the whole test case instead
+    of compiled markers: one Python callback per function call anywhere
+    in the interpreter, plus one per executed line in target code, which
+    appends the line's kcov id. It does not register as the active kcov
     tracer, so :func:`repro.coverage.kcov.event_sink` stays ``None``
     while it runs. Use it inside :func:`settrace_reference`.
     """
@@ -245,27 +331,22 @@ class SettraceTracer:
         self.instrumented: set[Line] = set()
         for module in self.modules:
             self.instrumented |= kcov.executable_lines(module)
+        self.instrumented_ids = frozenset(
+            kcov.line_id(path, line) for path, line in self.instrumented)
         self._files = {m.__file__ for m in self.modules if m.__file__}
-        self.run_lines: set[Line] = set()
-        self.run_edges: set[tuple[Line, Line]] = set()
-        self._prev: Line | None = None
+        self._events: list[int] = []
         self._active = False
-
-    def _record(self, cur: Line) -> None:
-        self.run_lines.add(cur)
-        if self._prev is not None:
-            self.run_edges.add((self._prev, cur))
-        self._prev = cur
 
     def _local_trace(self, frame: FrameType, event: str, arg):
         if event == "line":
-            self._record((frame.f_code.co_filename, frame.f_lineno))
+            self._events.append(kcov.line_id(frame.f_code.co_filename,
+                                             frame.f_lineno))
         return self._local_trace
 
     def _global_trace(self, frame: FrameType, event: str, arg):
         if event == "call" and frame.f_code.co_filename in self._files:
-            self._record((frame.f_code.co_filename,
-                          frame.f_code.co_firstlineno))
+            self._events.append(kcov.line_id(frame.f_code.co_filename,
+                                             frame.f_code.co_firstlineno))
             return self._local_trace
         return None
 
@@ -273,7 +354,6 @@ class SettraceTracer:
         if self._active:
             raise RuntimeError("tracer already active")
         self._active = True
-        self._prev = None
         sys.settrace(self._global_trace)
 
     def stop(self) -> None:
@@ -287,10 +367,6 @@ class SettraceTracer:
     def __exit__(self, *exc) -> None:
         self.stop()
 
-    def drain(self) -> tuple[set[Line], set[tuple[Line, Line]]]:
-        lines, edges = self.run_lines, self.run_edges
-        self.run_lines, self.run_edges = set(), set()
-        self._prev = None
-        return lines, edges
-
+    drain = kcov.KcovTracer.drain
     coverage_fraction = kcov.KcovTracer.coverage_fraction
+    covered_lines = kcov.KcovTracer.covered_lines
