@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 
-from repro.arch.bits import bit, extract
+from repro.arch.bits import bit
 
 
 class Vector(IntEnum):
@@ -55,6 +55,15 @@ ERROR_CODE_VECTORS = frozenset({
     Vector.DF, Vector.TS, Vector.NP, Vector.SS, Vector.GP, Vector.PF, Vector.AC,
 })
 
+#: The decoded event type of each 3-bit type encoding. The reserved
+#: encoding (1) stays a plain int so that consistency checking can
+#: reject it.
+_EVENT_TYPES: tuple["EventType | int", ...] = tuple(
+    {int(t): t for t in EventType}.get(raw, raw) for raw in range(8))
+
+#: Bit *v* set for every vector *v* in ``ERROR_CODE_VECTORS``.
+_ERROR_CODE_VECTOR_BITS = sum(1 << v for v in ERROR_CODE_VECTORS)
+
 
 @dataclass(frozen=True)
 class InterruptionInfo:
@@ -75,14 +84,9 @@ class InterruptionInfo:
         The reserved type encoding (1) is preserved as a plain int so
         that consistency checking can reject it.
         """
-        raw_type = extract(raw, 8, 10)
-        try:
-            event_type: EventType | int = EventType(raw_type)
-        except ValueError:
-            event_type = raw_type
         return cls(
-            vector=extract(raw, 0, 7),
-            event_type=event_type,
+            vector=raw & 0xFF,
+            event_type=_EVENT_TYPES[(raw >> 8) & 7],
             deliver_error_code=bool(raw & cls.ERROR_CODE_BIT),
             valid=bool(raw & cls.VALID_BIT),
         )
@@ -98,23 +102,31 @@ class InterruptionInfo:
 
     def consistent(self) -> bool:
         """SDM 26.2.1.3 VM-entry event-injection consistency rules."""
-        if not self.valid:
-            return True
-        if not isinstance(self.event_type, EventType):
-            return False  # reserved type encoding
-        if self.event_type == EventType.NMI and self.vector != Vector.NMI:
-            return False
-        if (
-            self.event_type == EventType.HARDWARE_EXCEPTION
-            and self.vector > 31
-        ):
-            return False
-        if self.deliver_error_code:
-            if self.event_type != EventType.HARDWARE_EXCEPTION:
-                return False
-            if self.vector not in ERROR_CODE_VECTORS:
-                return False
+        return injection_consistent(self.encode())
+
+
+def injection_consistent(raw: int) -> bool:
+    """SDM 26.2.1.3 event-injection consistency of a raw 32-bit word.
+
+    Equals ``InterruptionInfo.decode(raw).consistent()`` without
+    building the decoded object.
+    """
+    if not raw & InterruptionInfo.VALID_BIT:
         return True
+    event_type = (raw >> 8) & 7
+    vector = raw & 0xFF
+    if event_type == 1:
+        return False  # reserved type encoding
+    if event_type == EventType.NMI and vector != Vector.NMI:
+        return False
+    if event_type == EventType.HARDWARE_EXCEPTION and vector > 31:
+        return False
+    if raw & InterruptionInfo.ERROR_CODE_BIT:
+        if event_type != EventType.HARDWARE_EXCEPTION:
+            return False
+        if not (_ERROR_CODE_VECTOR_BITS >> vector) & 1:
+            return False
+    return True
 
 
 class GuestFault(Exception):

@@ -56,18 +56,22 @@ class EptPointer:
 
     def valid(self, *, ept_5level: bool = False) -> bool:
         """Architectural EPTP validity (SDM 26.2.1.1)."""
-        if self.memory_type not in EptMemType.VALID:
-            return False
-        allowed_walks = {4, 5} if ept_5level else {4}
-        if self.walk_length not in allowed_walks:
-            return False
-        # Reserved bits 11:7 (bit 7 when no supervisor shadow stacks)
-        # and bits above the physical address width must be zero.
-        if extract(self.raw, 7, 11):
-            return False
-        if self.raw >> MAX_PHYSADDR_WIDTH:
-            return False
-        return True
+        return eptp_valid(self.raw, ept_5level=ept_5level)
+
+
+def eptp_valid(raw: int, *, ept_5level: bool = False) -> bool:
+    """Architectural EPTP validity (SDM 26.2.1.1) of a raw EPTP word.
+
+    The memory type (bits 2:0) must be UC or WB and the walk length
+    (bits 5:3, levels - 1) 4 levels, or 5 with 5-level EPT. Reserved
+    bits 11:7 (bit 7 when no supervisor shadow stacks) and bits above
+    the physical address width must be zero.
+    """
+    walk = (raw >> 3) & 7
+    return ((raw & 7) in EptMemType.VALID
+            and (walk == 3 or (ept_5level and walk == 4))
+            and not raw & 0xF80
+            and not raw >> MAX_PHYSADDR_WIDTH)
 
 
 def cr3_valid(cr3: int, *, long_mode: bool) -> bool:

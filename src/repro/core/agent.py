@@ -63,8 +63,11 @@ class Agent:
         self.configurator = VcpuConfigurator(
             config.vendor, enabled=config.toggles.use_configurator)
         # The executor's validator reads the vCPU's own IA32_VMX_*
-        # capability MSRs at runtime (§3.4), so the generator is built
-        # per capability set; its oracle learning persists per set.
+        # capability MSRs at runtime (§3.4), so each vCPU configuration
+        # gets a generator for its capabilities. Generators are cached
+        # by the whole feature map (``_config_key``), not by capability
+        # set: feature maps that derive equal capabilities still get
+        # separate generators, and oracle learning persists per map.
         self._generators: dict = {}
         self.state_generator = self._generator_for(
             VcpuConfigurator(config.vendor, enabled=False).generate(

@@ -24,20 +24,27 @@ field->check dependency index that :class:`IncrementalChecker` uses to
 re-run only the units whose inputs changed since the last check of the
 same structure (per-object dirty journal, see repro.vmx.vmcs). The
 declared sets are pinned as supersets of the dynamically observed reads
-by tests/unit/test_incremental_equivalence.py.
+by tests/unit/test_incremental_equivalence.py, which observes reads in
+``Vmcs.read``: unit bodies read every field through it.
+
+A unit body builds no per-call objects: it decodes the raw words it
+reads (segment access rights, interruption information, EPTPs) with
+local bit operations. The object-based bodies it replaced, which went
+through ``Segment``, ``InterruptionInfo`` and ``EptPointer``, are kept
+in tests/reference/object_entry_checks.py, and every public check is
+pinned equal to them (tests/cpu/test_object_check_equivalence.py).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, Sequence
 
 from repro.arch import msr as MSR
-from repro.arch.bits import test_bit
-from repro.arch.exceptions import InterruptionInfo
+from repro.arch.exceptions import InterruptionInfo, injection_consistent
 from repro.arch.msr import MsrEntry, is_canonical
-from repro.arch.paging import MAX_PHYSADDR_WIDTH, EptPointer
+from repro.arch.paging import MAX_PHYSADDR_WIDTH, eptp_valid
 from repro.arch.registers import Cr0, Cr4, Dr7, Efer, Rflags
 from repro.arch.segments import AccessRights, Segment, granularity_consistent
 from repro.vmx import fields as F
@@ -78,9 +85,27 @@ class Violation:
         return f"[{self.stage.value}] {self.field}: {self.reason}"
 
 
-def _physaddr_ok(addr: int) -> bool:
-    """Address fits in the supported physical-address width."""
-    return addr < ADDR_LIMIT
+#: Word masks the units test instead of decoding objects. A VMCS stores
+#: every value truncated to its field width, so each value is a
+#: non-negative int below 2**64 and these tests equal their decoded
+#: forms (pinned against tests/reference/object_entry_checks.py).
+_BAD_PAGE_ADDR = PAGE_MASK | -ADDR_LIMIT    # not 4K-aligned, or >= 2**46
+_BAD_MSR_AREA = 0xF | -ADDR_LIMIT           # not 16-byte aligned, or >= 2**46
+_BAD_PI_DESC = 0x3F | -ADDR_LIMIT           # not 64-byte aligned, or >= 2**46
+#: Non-canonical 48-bit linear addresses: bits 63:47 neither all 0 nor all 1.
+_NONCANONICAL_LO = 1 << 47
+_NONCANONICAL_HI = (1 << 64) - (1 << 47)
+#: Bit n set when PAT memory type n is valid (0, 1, 4, 5, 6, 7).
+_PAT_TYPES = 0b11110011
+
+_AR_S = AccessRights.S
+_AR_P = AccessRights.P
+_AR_L = AccessRights.L
+_AR_UNUSABLE = AccessRights.UNUSABLE
+_AR_RESERVED = AccessRights.RESERVED
+
+_INTR_VALID = InterruptionInfo.VALID_BIT
+_INTR_TYPE = 0x700                          # event type, bits 10:8
 
 
 def read_segment(vmcs: Vmcs, name: str) -> Segment:
@@ -95,8 +120,10 @@ def read_segment(vmcs: Vmcs, name: str) -> Segment:
 
 def _pat_valid(pat: int) -> bool:
     """Each PAT byte must encode a valid memory type (0,1,4,5,6,7)."""
-    valid_types = {0, 1, 4, 5, 6, 7}
-    return all((pat >> (8 * i)) & 0xFF in valid_types for i in range(8))
+    for shift in range(0, 64, 8):
+        if not (_PAT_TYPES >> ((pat >> shift) & 0xFF)) & 1:
+            return False
+    return True
 
 
 def _effective_proc2(vmcs: Vmcs) -> int:
@@ -126,11 +153,12 @@ class CheckUnit:
 # --- SDM 26.2.1 — checks on VMX controls ----------------------------------
 
 def _u_ctl_allowed(vmcs: Vmcs, caps: VmxCapabilities, bad) -> None:
-    pin = vmcs.read(F.PIN_BASED_VM_EXEC_CONTROL)
-    proc = vmcs.read(F.CPU_BASED_VM_EXEC_CONTROL)
-    proc2 = vmcs.read(F.SECONDARY_VM_EXEC_CONTROL)
-    entry = vmcs.read(F.VM_ENTRY_CONTROLS)
-    exit_ = vmcs.read(F.VM_EXIT_CONTROLS)
+    read = vmcs.read
+    pin = read(F.PIN_BASED_VM_EXEC_CONTROL)
+    proc = read(F.CPU_BASED_VM_EXEC_CONTROL)
+    proc2 = read(F.SECONDARY_VM_EXEC_CONTROL)
+    entry = read(F.VM_ENTRY_CONTROLS)
+    exit_ = read(F.VM_EXIT_CONTROLS)
     if not caps.pin_based.permits(pin):
         bad("pin_based_vm_exec_control", "reserved bits violate allowed settings")
     if not caps.proc_based.permits(proc):
@@ -153,14 +181,14 @@ def _u_ctl_io_bitmaps(vmcs: Vmcs, caps: VmxCapabilities, bad) -> None:
     if vmcs.read(F.CPU_BASED_VM_EXEC_CONTROL) & ProcBased.USE_IO_BITMAPS:
         for field, name in ((F.IO_BITMAP_A, "io_bitmap_a"), (F.IO_BITMAP_B, "io_bitmap_b")):
             addr = vmcs.read(field)
-            if addr & PAGE_MASK or not _physaddr_ok(addr):
+            if addr & _BAD_PAGE_ADDR:
                 bad(name, f"address {addr:#x} not 4K-aligned in physical range")
 
 
 def _u_ctl_msr_bitmap(vmcs: Vmcs, caps: VmxCapabilities, bad) -> None:
     if vmcs.read(F.CPU_BASED_VM_EXEC_CONTROL) & ProcBased.USE_MSR_BITMAPS:
         addr = vmcs.read(F.MSR_BITMAP)
-        if addr & PAGE_MASK or not _physaddr_ok(addr):
+        if addr & _BAD_PAGE_ADDR:
             bad("msr_bitmap", f"address {addr:#x} not 4K-aligned in physical range")
 
 
@@ -168,7 +196,7 @@ def _u_ctl_tpr_shadow(vmcs: Vmcs, caps: VmxCapabilities, bad) -> None:
     effective_proc2 = _effective_proc2(vmcs)
     if vmcs.read(F.CPU_BASED_VM_EXEC_CONTROL) & ProcBased.USE_TPR_SHADOW:
         addr = vmcs.read(F.VIRTUAL_APIC_PAGE_ADDR)
-        if addr & PAGE_MASK or not _physaddr_ok(addr):
+        if addr & _BAD_PAGE_ADDR:
             bad("virtual_apic_page_addr", f"bad address {addr:#x}")
         tpr = vmcs.read(F.TPR_THRESHOLD)
         if tpr & ~0xF and not effective_proc2 & Secondary.VIRTUAL_INTR_DELIVERY:
@@ -194,7 +222,7 @@ def _u_ctl_apic_access(vmcs: Vmcs, caps: VmxCapabilities, bad) -> None:
     effective_proc2 = _effective_proc2(vmcs)
     if effective_proc2 & Secondary.VIRTUALIZE_APIC_ACCESSES:
         addr = vmcs.read(F.APIC_ACCESS_ADDR)
-        if addr & PAGE_MASK or not _physaddr_ok(addr):
+        if addr & _BAD_PAGE_ADDR:
             bad("apic_access_addr", f"bad address {addr:#x}")
         if effective_proc2 & Secondary.VIRTUALIZE_X2APIC:
             bad("secondary_vm_exec_control",
@@ -212,8 +240,7 @@ def _u_ctl_posted_intr(vmcs: Vmcs, caps: VmxCapabilities, bad) -> None:
         nv = vmcs.read(F.POSTED_INTR_NV)
         if nv & ~0xFF:
             bad("posted_intr_notification_vector", "vector must be 8 bits")
-        desc = vmcs.read(F.POSTED_INTR_DESC_ADDR)
-        if desc & 0x3F or not _physaddr_ok(desc):
+        if vmcs.read(F.POSTED_INTR_DESC_ADDR) & _BAD_PI_DESC:
             bad("posted_intr_desc_addr", "descriptor must be 64-byte aligned")
 
 
@@ -224,9 +251,9 @@ def _u_ctl_vpid(vmcs: Vmcs, caps: VmxCapabilities, bad) -> None:
 
 def _u_ctl_ept(vmcs: Vmcs, caps: VmxCapabilities, bad) -> None:
     if _effective_proc2(vmcs) & Secondary.ENABLE_EPT:
-        eptp = EptPointer(vmcs.read(F.EPT_POINTER))
-        if not eptp.valid(ept_5level=caps.ept_5level):
-            bad("ept_pointer", f"invalid EPTP {eptp.raw:#x}")
+        eptp = vmcs.read(F.EPT_POINTER)
+        if not eptp_valid(eptp, ept_5level=caps.ept_5level):
+            bad("ept_pointer", f"invalid EPTP {eptp:#x}")
 
 
 def _u_ctl_unrestricted(vmcs: Vmcs, caps: VmxCapabilities, bad) -> None:
@@ -241,14 +268,14 @@ def _u_ctl_pml(vmcs: Vmcs, caps: VmxCapabilities, bad) -> None:
         if not effective_proc2 & Secondary.ENABLE_EPT:
             bad("secondary_vm_exec_control", "PML requires EPT")
         addr = vmcs.read(F.PML_ADDRESS)
-        if addr & PAGE_MASK or not _physaddr_ok(addr):
+        if addr & _BAD_PAGE_ADDR:
             bad("pml_address", f"bad address {addr:#x}")
 
 
 def _u_ctl_ve(vmcs: Vmcs, caps: VmxCapabilities, bad) -> None:
     if _effective_proc2(vmcs) & Secondary.EPT_VIOLATION_VE:
         addr = vmcs.read(F.VE_INFORMATION_ADDRESS)
-        if addr & PAGE_MASK or not _physaddr_ok(addr):
+        if addr & _BAD_PAGE_ADDR:
             bad("virtualization_exception_info_addr", f"bad address {addr:#x}")
 
 
@@ -262,7 +289,7 @@ def _u_ctl_vmfunc(vmcs: Vmcs, caps: VmxCapabilities, bad) -> None:
             if not effective_proc2 & Secondary.ENABLE_EPT:
                 bad("vm_function_control", "EPTP switching requires EPT")
             lst = vmcs.read(F.EPTP_LIST_ADDRESS)
-            if lst & PAGE_MASK or not _physaddr_ok(lst):
+            if lst & _BAD_PAGE_ADDR:
                 bad("eptp_list_address", f"bad address {lst:#x}")
 
 
@@ -271,7 +298,7 @@ def _u_ctl_shadow_vmcs(vmcs: Vmcs, caps: VmxCapabilities, bad) -> None:
         for field, name in ((F.VMREAD_BITMAP, "vmread_bitmap"),
                             (F.VMWRITE_BITMAP, "vmwrite_bitmap")):
             addr = vmcs.read(field)
-            if addr & PAGE_MASK or not _physaddr_ok(addr):
+            if addr & _BAD_PAGE_ADDR:
                 bad(name, f"bad address {addr:#x}")
 
 
@@ -283,41 +310,43 @@ def _u_ctl_preemption(vmcs: Vmcs, caps: VmxCapabilities, bad) -> None:
             "save-preemption-timer requires activate-preemption-timer")
 
 
+_MSR_AREAS = (
+    (F.VM_EXIT_MSR_STORE_COUNT, F.VM_EXIT_MSR_STORE_ADDR,
+     "vm_exit_msr_store_count", "vm_exit_msr_store_addr"),
+    (F.VM_EXIT_MSR_LOAD_COUNT, F.VM_EXIT_MSR_LOAD_ADDR,
+     "vm_exit_msr_load_count", "vm_exit_msr_load_addr"),
+    (F.VM_ENTRY_MSR_LOAD_COUNT, F.VM_ENTRY_MSR_LOAD_ADDR,
+     "vm_entry_msr_load_count", "vm_entry_msr_load_addr"),
+)
+
+
 def _u_ctl_msr_areas(vmcs: Vmcs, caps: VmxCapabilities, bad) -> None:
-    for count_field, addr_field, cname, aname in (
-        (F.VM_EXIT_MSR_STORE_COUNT, F.VM_EXIT_MSR_STORE_ADDR,
-         "vm_exit_msr_store_count", "vm_exit_msr_store_addr"),
-        (F.VM_EXIT_MSR_LOAD_COUNT, F.VM_EXIT_MSR_LOAD_ADDR,
-         "vm_exit_msr_load_count", "vm_exit_msr_load_addr"),
-        (F.VM_ENTRY_MSR_LOAD_COUNT, F.VM_ENTRY_MSR_LOAD_ADDR,
-         "vm_entry_msr_load_count", "vm_entry_msr_load_addr"),
-    ):
-        count = vmcs.read(count_field)
+    read = vmcs.read
+    for count_field, addr_field, cname, aname in _MSR_AREAS:
+        count = read(count_field)
         if count:
             if count > 512:
                 bad(cname, f"MSR count {count} exceeds the architectural limit")
-            addr = vmcs.read(addr_field)
-            if addr & 0xF or not _physaddr_ok(addr):
+            addr = read(addr_field)
+            if addr & _BAD_MSR_AREA:
                 bad(aname, f"MSR area {addr:#x} must be 16-byte aligned")
-            last = addr + count * 16 - 1
-            if not _physaddr_ok(last):
+            if addr + count * 16 - 1 >= ADDR_LIMIT:
                 bad(cname, "MSR area extends past physical address width")
 
 
 def _u_ctl_event_injection(vmcs: Vmcs, caps: VmxCapabilities, bad) -> None:
     # VM-entry interruption information (SDM 26.2.1.3).
-    intr_info = InterruptionInfo.decode(vmcs.read(F.VM_ENTRY_INTR_INFO_FIELD))
-    if not intr_info.consistent():
+    info = vmcs.read(F.VM_ENTRY_INTR_INFO_FIELD)
+    if not injection_consistent(info):
         bad("vm_entry_intr_info", "inconsistent event injection")
-    if intr_info.valid and intr_info.deliver_error_code:
-        err = vmcs.read(F.VM_ENTRY_EXCEPTION_ERROR_CODE)
-        if err & ~0x7FFF:
+    if info & _INTR_VALID and info & InterruptionInfo.ERROR_CODE_BIT:
+        if vmcs.read(F.VM_ENTRY_EXCEPTION_ERROR_CODE) & ~0x7FFF:
             bad("vm_entry_exception_error_code", "bits 31:15 must be zero")
 
 
 def _u_ctl_smm(vmcs: Vmcs, caps: VmxCapabilities, bad) -> None:
-    entry = vmcs.read(F.VM_ENTRY_CONTROLS)
-    if entry & EntryControls.ENTRY_TO_SMM or entry & EntryControls.DEACTIVATE_DUAL_MONITOR:
+    if vmcs.read(F.VM_ENTRY_CONTROLS) & (EntryControls.ENTRY_TO_SMM
+                                         | EntryControls.DEACTIVATE_DUAL_MONITOR):
         bad("vm_entry_controls", "SMM entry controls invalid outside SMM")
 
 
@@ -336,40 +365,47 @@ def _u_host_cr(vmcs: Vmcs, caps: VmxCapabilities, bad) -> None:
 
 
 def _u_host_addr_space(vmcs: Vmcs, caps: VmxCapabilities, bad) -> None:
-    host64 = bool(vmcs.read(F.VM_EXIT_CONTROLS) & ExitControls.HOST_ADDR_SPACE_SIZE)
     # Our model is a 64-bit host: "host address-space size" must be 1, and
     # the IA-32e guest control requires it (SDM 26.2.2).
-    if not host64:
-        bad("vm_exit_controls", "64-bit CPU requires host address-space size")
-    if host64:
+    if vmcs.read(F.VM_EXIT_CONTROLS) & ExitControls.HOST_ADDR_SPACE_SIZE:
         if not vmcs.read(F.HOST_CR4) & Cr4.PAE:
             bad("host_cr4", "64-bit host requires CR4.PAE")
-    if vmcs.read(F.VM_ENTRY_CONTROLS) & EntryControls.IA32E_MODE_GUEST and not host64:
-        bad("vm_entry_controls", "IA-32e guest requires 64-bit host")
+    else:
+        bad("vm_exit_controls", "64-bit CPU requires host address-space size")
+        if vmcs.read(F.VM_ENTRY_CONTROLS) & EntryControls.IA32E_MODE_GUEST:
+            bad("vm_entry_controls", "IA-32e guest requires 64-bit host")
+
+
+_HOST_SELECTORS = tuple((field, f"host_{name}_selector")
+                        for name, field in F.HOST_SELECTOR_FIELDS.items())
 
 
 def _u_host_selectors(vmcs: Vmcs, caps: VmxCapabilities, bad) -> None:
-    for name, field in F.HOST_SELECTOR_FIELDS.items():
-        sel = vmcs.read(field)
-        if sel & 0x7:
-            bad(f"host_{name}_selector", "TI/RPL bits must be zero")
-    if not vmcs.read(F.HOST_CS_SELECTOR):
+    read = vmcs.read
+    for field, name in _HOST_SELECTORS:
+        if read(field) & 0x7:
+            bad(name, "TI/RPL bits must be zero")
+    if not read(F.HOST_CS_SELECTOR):
         bad("host_cs_selector", "must not be null")
-    if not vmcs.read(F.HOST_TR_SELECTOR):
+    if not read(F.HOST_TR_SELECTOR):
         bad("host_tr_selector", "must not be null")
 
 
+_HOST_CANONICAL = ((F.HOST_FS_BASE, "host_fs_base"),
+                   (F.HOST_GS_BASE, "host_gs_base"),
+                   (F.HOST_TR_BASE, "host_tr_base"),
+                   (F.HOST_GDTR_BASE, "host_gdtr_base"),
+                   (F.HOST_IDTR_BASE, "host_idtr_base"),
+                   (F.HOST_IA32_SYSENTER_ESP, "host_ia32_sysenter_esp"),
+                   (F.HOST_IA32_SYSENTER_EIP, "host_ia32_sysenter_eip"),
+                   (F.HOST_RIP, "host_rip"))
+
+
 def _u_host_canonical(vmcs: Vmcs, caps: VmxCapabilities, bad) -> None:
-    for field, name in ((F.HOST_FS_BASE, "host_fs_base"),
-                        (F.HOST_GS_BASE, "host_gs_base"),
-                        (F.HOST_TR_BASE, "host_tr_base"),
-                        (F.HOST_GDTR_BASE, "host_gdtr_base"),
-                        (F.HOST_IDTR_BASE, "host_idtr_base"),
-                        (F.HOST_IA32_SYSENTER_ESP, "host_ia32_sysenter_esp"),
-                        (F.HOST_IA32_SYSENTER_EIP, "host_ia32_sysenter_eip"),
-                        (F.HOST_RIP, "host_rip")):
-        addr = vmcs.read(field)
-        if not is_canonical(addr):
+    read = vmcs.read
+    for field, name in _HOST_CANONICAL:
+        addr = read(field)
+        if _NONCANONICAL_LO <= addr < _NONCANONICAL_HI:
             bad(name, f"{addr:#x} not canonical")
 
 
@@ -396,29 +432,27 @@ def _u_host_pat(vmcs: Vmcs, caps: VmxCapabilities, bad) -> None:
 # --- SDM 26.3.1 — checks on guest state (performed during entry) ----------
 
 def _u_guest_cr(vmcs: Vmcs, caps: VmxCapabilities, bad) -> None:
-    entry = vmcs.read(F.VM_ENTRY_CONTROLS)
+    read = vmcs.read
     unrestricted = bool(_effective_proc2(vmcs) & Secondary.UNRESTRICTED_GUEST)
-    ia32e_guest = bool(entry & EntryControls.IA32E_MODE_GUEST)
-    cr0 = vmcs.read(F.GUEST_CR0)
-    cr4 = vmcs.read(F.GUEST_CR4)
-    cr3 = vmcs.read(F.GUEST_CR3)
+    cr0 = read(F.GUEST_CR0)
+    cr4 = read(F.GUEST_CR4)
+    cr3 = read(F.GUEST_CR3)
 
     if not caps.cr0_valid_for_vmx(cr0, unrestricted_guest=unrestricted):
         bad("guest_cr0", f"{cr0:#x} violates CR0 fixed bits")
-    if test_bit(cr0, 31) and not test_bit(cr0, 0):
+    if cr0 & Cr0.PG and not cr0 & Cr0.PE:
         bad("guest_cr0", "PG=1 requires PE=1")
     if not caps.cr4_valid_for_vmx(cr4):
         bad("guest_cr4", f"{cr4:#x} violates CR4 fixed bits")
 
-    if ia32e_guest:
+    if read(F.VM_ENTRY_CONTROLS) & EntryControls.IA32E_MODE_GUEST:
         if not cr0 & Cr0.PG:
             bad("guest_cr0", "IA-32e mode guest requires CR0.PG")
         # HARDWARE QUIRK (CVE-2023-30456): the SDM says CR4.PAE must be 1
         # here, but the CPU silently assumes it and does not fail the
         # entry. We therefore do NOT flag guest_cr4.PAE==0.
-    else:
-        if cr4 & Cr4.PCIDE:
-            bad("guest_cr4", "PCIDE requires IA-32e mode")
+    elif cr4 & Cr4.PCIDE:
+        bad("guest_cr4", "PCIDE requires IA-32e mode")
 
     if cr3 >> MAX_PHYSADDR_WIDTH:
         bad("guest_cr3", f"{cr3:#x} exceeds physical address width")
@@ -443,7 +477,7 @@ def _u_guest_bndcfgs(vmcs: Vmcs, caps: VmxCapabilities, bad) -> None:
         bndcfgs = vmcs.read(F.GUEST_IA32_BNDCFGS)
         if bndcfgs & 0xFFC:
             bad("guest_ia32_bndcfgs", "reserved bits set")
-        if not is_canonical(bndcfgs & ~0xFFF):
+        if _NONCANONICAL_LO <= bndcfgs & ~0xFFF < _NONCANONICAL_HI:
             bad("guest_ia32_bndcfgs", "base not canonical")
 
 
@@ -468,229 +502,258 @@ def _u_guest_pat(vmcs: Vmcs, caps: VmxCapabilities, bad) -> None:
 
 
 def _u_guest_segments(vmcs: Vmcs, caps: VmxCapabilities, bad) -> None:
-    entry = vmcs.read(F.VM_ENTRY_CONTROLS)
-    _check_guest_segments(
-        vmcs, bad,
-        ia32e_guest=bool(entry & EntryControls.IA32E_MODE_GUEST),
-        unrestricted=bool(_effective_proc2(vmcs) & Secondary.UNRESTRICTED_GUEST),
-        virtual_8086=bool(vmcs.read(F.GUEST_RFLAGS) & Rflags.VM))
+    """Guest segment-register checks (SDM 26.3.1.2)."""
+    read = vmcs.read
+    ia32e_guest = read(F.VM_ENTRY_CONTROLS) & EntryControls.IA32E_MODE_GUEST
+    unrestricted = _effective_proc2(vmcs) & Secondary.UNRESTRICTED_GUEST
+    virtual_8086 = read(F.GUEST_RFLAGS) & Rflags.VM
+    es_sel, cs_sel, ss_sel, ds_sel, fs_sel, gs_sel, ldtr_sel, tr_sel = (
+        read(F.GUEST_ES_SELECTOR), read(F.GUEST_CS_SELECTOR),
+        read(F.GUEST_SS_SELECTOR), read(F.GUEST_DS_SELECTOR),
+        read(F.GUEST_FS_SELECTOR), read(F.GUEST_GS_SELECTOR),
+        read(F.GUEST_LDTR_SELECTOR), read(F.GUEST_TR_SELECTOR))
+    es_base, cs_base, ss_base, ds_base, fs_base, gs_base, ldtr_base, tr_base = (
+        read(F.GUEST_ES_BASE), read(F.GUEST_CS_BASE),
+        read(F.GUEST_SS_BASE), read(F.GUEST_DS_BASE),
+        read(F.GUEST_FS_BASE), read(F.GUEST_GS_BASE),
+        read(F.GUEST_LDTR_BASE), read(F.GUEST_TR_BASE))
+    es_lim, cs_lim, ss_lim, ds_lim, fs_lim, gs_lim, ldtr_lim, tr_lim = (
+        read(F.GUEST_ES_LIMIT), read(F.GUEST_CS_LIMIT),
+        read(F.GUEST_SS_LIMIT), read(F.GUEST_DS_LIMIT),
+        read(F.GUEST_FS_LIMIT), read(F.GUEST_GS_LIMIT),
+        read(F.GUEST_LDTR_LIMIT), read(F.GUEST_TR_LIMIT))
+    es_ar, cs_ar, ss_ar, ds_ar, fs_ar, gs_ar, ldtr_ar, tr_ar = (
+        read(F.GUEST_ES_AR_BYTES), read(F.GUEST_CS_AR_BYTES),
+        read(F.GUEST_SS_AR_BYTES), read(F.GUEST_DS_AR_BYTES),
+        read(F.GUEST_FS_AR_BYTES), read(F.GUEST_GS_AR_BYTES),
+        read(F.GUEST_LDTR_AR_BYTES), read(F.GUEST_TR_AR_BYTES))
+
+    if virtual_8086:
+        # In v8086 mode every segment but LDTR and TR must look like
+        # base = selector<<4, limit 0xFFFF, AR 0xF3.
+        for name, sel, base, limit, ar in (
+                ("es", es_sel, es_base, es_lim, es_ar),
+                ("cs", cs_sel, cs_base, cs_lim, cs_ar),
+                ("ss", ss_sel, ss_base, ss_lim, ss_ar),
+                ("ds", ds_sel, ds_base, ds_lim, ds_ar),
+                ("fs", fs_sel, fs_base, fs_lim, fs_ar),
+                ("gs", gs_sel, gs_base, gs_lim, gs_ar)):
+            if base != (sel << 4) & 0xFFFF0:
+                bad(f"guest_{name}_base", "v8086 base must equal selector<<4")
+            if limit != 0xFFFF:
+                bad(f"guest_{name}_limit", "v8086 limit must be 0xFFFF")
+            if ar != 0xF3:
+                bad(f"guest_{name}_ar_bytes", "v8086 AR must be 0xF3")
+        return
+
+    if tr_ar & _AR_UNUSABLE:
+        bad("guest_tr_ar_bytes", "TR must be usable")
+    else:
+        tr_type = tr_ar & 0xF
+        if ia32e_guest and tr_type != 0xB:
+            bad("guest_tr_ar_bytes", "TR type must be 64-bit busy TSS")
+        if not ia32e_guest and tr_type != 0x3 and tr_type != 0xB:
+            bad("guest_tr_ar_bytes", "TR type must be busy TSS")
+        if tr_ar & _AR_S:
+            bad("guest_tr_ar_bytes", "TR must be a system descriptor")
+        if not tr_ar & _AR_P:
+            bad("guest_tr_ar_bytes", "TR must be present")
+        if not granularity_consistent(tr_lim, tr_ar):
+            bad("guest_tr_limit", "limit/granularity inconsistent")
+    if tr_sel & 0x4:
+        bad("guest_tr_selector", "TI bit must be zero")
+
+    ldtr_usable = not ldtr_ar & _AR_UNUSABLE
+    if ldtr_usable:
+        if (ldtr_ar & 0xF) != 0x2:
+            bad("guest_ldtr_ar_bytes", "LDTR type must be LDT")
+        if ldtr_ar & _AR_S:
+            bad("guest_ldtr_ar_bytes", "LDTR must be a system descriptor")
+        if not ldtr_ar & _AR_P:
+            bad("guest_ldtr_ar_bytes", "LDTR must be present")
+        if ldtr_sel & 0x4:
+            bad("guest_ldtr_selector", "TI bit must be zero")
+        if not granularity_consistent(ldtr_lim, ldtr_ar):
+            bad("guest_ldtr_limit", "limit/granularity inconsistent")
+
+    if cs_ar & _AR_UNUSABLE:
+        bad("guest_cs_ar_bytes", "CS must be usable")
+        return
+
+    cs_type = cs_ar & 0xF
+    if not (cs_ar & _AR_S and cs_type & 0x8):
+        if not (unrestricted and cs_type == 0x3):
+            bad("guest_cs_ar_bytes", "CS must be a code segment")
+    if not cs_ar & _AR_S:
+        bad("guest_cs_ar_bytes", "CS must be a code/data descriptor")
+    if not cs_ar & _AR_P:
+        bad("guest_cs_ar_bytes", "CS must be present")
+    if cs_ar & _AR_L and cs_ar & AccessRights.DB:
+        bad("guest_cs_ar_bytes", "CS.L and CS.D/B may not both be set")
+    # (IA-32e guest with compatibility-mode CS is fine: nothing to flag.)
+    if not granularity_consistent(cs_lim, cs_ar):
+        bad("guest_cs_limit", "limit/granularity inconsistent")
+
+    # CS/SS privilege interaction (DPL is AR bits 6:5).
+    ss_usable = not ss_ar & _AR_UNUSABLE
+    cs_dpl = (cs_ar >> 5) & 3
+    ss_dpl = (ss_ar >> 5) & 3
+    if cs_type == 0x9 or cs_type == 0xB:  # non-conforming
+        if ss_usable and cs_dpl != ss_dpl:
+            bad("guest_cs_ar_bytes", "non-conforming CS.DPL must equal SS.DPL")
+    elif cs_type == 0xD or cs_type == 0xF:  # conforming
+        if ss_usable and cs_dpl > ss_dpl:
+            bad("guest_cs_ar_bytes", "conforming CS.DPL must be <= SS.DPL")
+    elif cs_type == 0x3 and cs_dpl != 0:
+        bad("guest_cs_ar_bytes", "type-3 CS requires DPL 0")
+
+    if ss_usable:
+        ss_type = ss_ar & 0xF
+        if ss_type != 0x3 and ss_type != 0x7:
+            bad("guest_ss_ar_bytes", "SS must be writable data")
+        if not ss_ar & _AR_P:
+            bad("guest_ss_ar_bytes", "SS must be present")
+        if not granularity_consistent(ss_lim, ss_ar):
+            bad("guest_ss_limit", "limit/granularity inconsistent")
+        ss_rpl = ss_sel & 3
+        if not unrestricted and ss_rpl != cs_sel & 3:
+            bad("guest_ss_selector", "SS.RPL must equal CS.RPL")
+        if ss_dpl != ss_rpl and not unrestricted and cs_type != 0x3:
+            bad("guest_ss_ar_bytes", "SS.DPL must equal SS.RPL")
+
+    for name, ar, limit in (("ds", ds_ar, ds_lim), ("es", es_ar, es_lim),
+                            ("fs", fs_ar, fs_lim), ("gs", gs_ar, gs_lim)):
+        if ar & _AR_UNUSABLE:
+            continue
+        if not ar & _AR_S:
+            bad(f"guest_{name}_ar_bytes", "must be a code/data descriptor")
+        if not ar & 1:
+            bad(f"guest_{name}_ar_bytes", "must be accessed")
+        if ar & _AR_S and ar & 0x8 and not ar & 2:
+            bad(f"guest_{name}_ar_bytes", "code segment must be readable")
+        if not ar & _AR_P:
+            bad(f"guest_{name}_ar_bytes", "must be present")
+        if not granularity_consistent(limit, ar):
+            bad(f"guest_{name}_limit", "limit/granularity inconsistent")
+        if ar & _AR_RESERVED:
+            bad(f"guest_{name}_ar_bytes", "reserved AR bits set")
+
+    if cs_ar & _AR_RESERVED:
+        bad("guest_cs_ar_bytes", "reserved AR bits set")
+    if ss_usable and ss_ar & _AR_RESERVED:
+        bad("guest_ss_ar_bytes", "reserved AR bits set")
+    if not tr_ar & _AR_UNUSABLE and tr_ar & _AR_RESERVED:
+        bad("guest_tr_ar_bytes", "reserved AR bits set")
+    if ldtr_usable and ldtr_ar & _AR_RESERVED:
+        bad("guest_ldtr_ar_bytes", "reserved AR bits set")
+
+    # Base canonicality in 64-bit contexts.
+    if _NONCANONICAL_LO <= tr_base < _NONCANONICAL_HI:
+        bad("guest_tr_base", "base not canonical")
+    if _NONCANONICAL_LO <= fs_base < _NONCANONICAL_HI:
+        bad("guest_fs_base", "base not canonical")
+    if _NONCANONICAL_LO <= gs_base < _NONCANONICAL_HI:
+        bad("guest_gs_base", "base not canonical")
+    if ldtr_usable and _NONCANONICAL_LO <= ldtr_base < _NONCANONICAL_HI:
+        bad("guest_ldtr_base", "base not canonical")
+    if cs_base >> 32:
+        bad("guest_cs_base", "bits 63:32 must be zero")
+    if ss_usable and ss_base >> 32:
+        bad("guest_ss_base", "bits 63:32 must be zero")
+    if not ds_ar & _AR_UNUSABLE and ds_base >> 32:
+        bad("guest_ds_base", "bits 63:32 must be zero")
+    if not es_ar & _AR_UNUSABLE and es_base >> 32:
+        bad("guest_es_base", "bits 63:32 must be zero")
 
 
 def _u_guest_dtables(vmcs: Vmcs, caps: VmxCapabilities, bad) -> None:
-    for field, name in ((F.GUEST_GDTR_BASE, "guest_gdtr_base"),
-                        (F.GUEST_IDTR_BASE, "guest_idtr_base")):
-        if not is_canonical(vmcs.read(field)):
-            bad(name, "base not canonical")
-    for field, name in ((F.GUEST_GDTR_LIMIT, "guest_gdtr_limit"),
-                        (F.GUEST_IDTR_LIMIT, "guest_idtr_limit")):
-        if vmcs.read(field) & ~0xFFFF:
-            bad(name, "bits 31:16 must be zero")
+    read = vmcs.read
+    if _NONCANONICAL_LO <= read(F.GUEST_GDTR_BASE) < _NONCANONICAL_HI:
+        bad("guest_gdtr_base", "base not canonical")
+    if _NONCANONICAL_LO <= read(F.GUEST_IDTR_BASE) < _NONCANONICAL_HI:
+        bad("guest_idtr_base", "base not canonical")
+    if read(F.GUEST_GDTR_LIMIT) & ~0xFFFF:
+        bad("guest_gdtr_limit", "bits 31:16 must be zero")
+    if read(F.GUEST_IDTR_LIMIT) & ~0xFFFF:
+        bad("guest_idtr_limit", "bits 31:16 must be zero")
 
 
 def _u_guest_rip(vmcs: Vmcs, caps: VmxCapabilities, bad) -> None:
-    ia32e_guest = bool(vmcs.read(F.VM_ENTRY_CONTROLS) & EntryControls.IA32E_MODE_GUEST)
+    ia32e_guest = vmcs.read(F.VM_ENTRY_CONTROLS) & EntryControls.IA32E_MODE_GUEST
     rip = vmcs.read(F.GUEST_RIP)
-    cs_ar = vmcs.read(F.GUEST_CS_AR_BYTES)
-    cs_long = bool(cs_ar & AccessRights.L)
-    if not ia32e_guest or not cs_long:
-        if rip & ~0xFFFFFFFF:
+    if not ia32e_guest or not vmcs.read(F.GUEST_CS_AR_BYTES) & _AR_L:
+        if rip >> 32:
             bad("guest_rip", "bits 63:32 must be zero outside 64-bit code")
-    elif not is_canonical(rip):
+    elif _NONCANONICAL_LO <= rip < _NONCANONICAL_HI:
         bad("guest_rip", "not canonical")
 
 
 def _u_guest_rflags(vmcs: Vmcs, caps: VmxCapabilities, bad) -> None:
-    ia32e_guest = bool(vmcs.read(F.VM_ENTRY_CONTROLS) & EntryControls.IA32E_MODE_GUEST)
-    rflags = vmcs.read(F.GUEST_RFLAGS)
+    read = vmcs.read
+    rflags = read(F.GUEST_RFLAGS)
     if rflags & Rflags.RESERVED or not rflags & Rflags.FIXED_1:
         bad("guest_rflags", "fixed/reserved bit violation")
-    if rflags & Rflags.VM and (ia32e_guest or not vmcs.read(F.GUEST_CR0) & Cr0.PE):
+    if rflags & Rflags.VM and (read(F.VM_ENTRY_CONTROLS) & EntryControls.IA32E_MODE_GUEST
+                               or not read(F.GUEST_CR0) & Cr0.PE):
         bad("guest_rflags", "VM flag invalid in IA-32e mode or without PE")
-    intr_info = InterruptionInfo.decode(vmcs.read(F.VM_ENTRY_INTR_INFO_FIELD))
-    if intr_info.valid and intr_info.event_type == 0 and not rflags & Rflags.IF:
+    # A valid external interrupt (event type 0) needs RFLAGS.IF.
+    info = read(F.VM_ENTRY_INTR_INFO_FIELD)
+    if info & _INTR_VALID and not info & _INTR_TYPE and not rflags & Rflags.IF:
         bad("guest_rflags", "IF must be set to inject external interrupt")
 
 
 def _u_guest_non_register(vmcs: Vmcs, caps: VmxCapabilities, bad) -> None:
-    rflags = vmcs.read(F.GUEST_RFLAGS)
-    intr_info = InterruptionInfo.decode(vmcs.read(F.VM_ENTRY_INTR_INFO_FIELD))
-    activity = vmcs.read(F.GUEST_ACTIVITY_STATE)
-    if activity not in ActivityState.ALL:
+    read = vmcs.read
+    activity = read(F.GUEST_ACTIVITY_STATE)
+    if activity > ActivityState.WAIT_FOR_SIPI:
         bad("guest_activity_state", f"unsupported value {activity}")
-    interruptibility = vmcs.read(F.GUEST_INTERRUPTIBILITY_INFO)
+    interruptibility = read(F.GUEST_INTERRUPTIBILITY_INFO)
     if interruptibility & Interruptibility.RESERVED:
         bad("guest_interruptibility_info", "reserved bits set")
-    sti = bool(interruptibility & Interruptibility.STI_BLOCKING)
-    movss = bool(interruptibility & Interruptibility.MOV_SS_BLOCKING)
+    sti = interruptibility & Interruptibility.STI_BLOCKING
+    movss = interruptibility & Interruptibility.MOV_SS_BLOCKING
     if sti and movss:
         bad("guest_interruptibility_info", "STI and MOV-SS blocking both set")
     if activity == ActivityState.HLT and (sti or movss):
         bad("guest_activity_state", "HLT state with blocking-by-STI/MOV-SS")
-    if activity in (ActivityState.SHUTDOWN, ActivityState.WAIT_FOR_SIPI):
-        if intr_info.valid:
-            bad("guest_activity_state",
-                "event injection invalid in shutdown/wait-for-SIPI")
-    if not rflags & Rflags.IF and sti:
+    if (activity == ActivityState.SHUTDOWN or activity == ActivityState.WAIT_FOR_SIPI) \
+            and read(F.VM_ENTRY_INTR_INFO_FIELD) & _INTR_VALID:
+        bad("guest_activity_state",
+            "event injection invalid in shutdown/wait-for-SIPI")
+    if sti and not read(F.GUEST_RFLAGS) & Rflags.IF:
         bad("guest_interruptibility_info", "STI blocking requires RFLAGS.IF")
 
 
 def _u_guest_pending_dbg(vmcs: Vmcs, caps: VmxCapabilities, bad) -> None:
-    pending_dbg = vmcs.read(F.GUEST_PENDING_DBG_EXCEPTIONS)
-    if pending_dbg & ~0x1600F:
+    if vmcs.read(F.GUEST_PENDING_DBG_EXCEPTIONS) & ~0x1600F:
         bad("guest_pending_dbg_exceptions", "reserved bits set")
 
 
 def _u_guest_link_ptr(vmcs: Vmcs, caps: VmxCapabilities, bad) -> None:
     link = vmcs.read(F.VMCS_LINK_POINTER)
-    if link != (1 << 64) - 1:
-        if link & PAGE_MASK or not _physaddr_ok(link):
-            bad("vmcs_link_pointer", f"bad shadow-VMCS pointer {link:#x}")
+    if link != (1 << 64) - 1 and link & _BAD_PAGE_ADDR:
+        bad("vmcs_link_pointer", f"bad shadow-VMCS pointer {link:#x}")
+
+
+_PDPTES = ((F.GUEST_PDPTE0, "guest_pdpte0"), (F.GUEST_PDPTE1, "guest_pdpte1"),
+           (F.GUEST_PDPTE2, "guest_pdpte2"), (F.GUEST_PDPTE3, "guest_pdpte3"))
 
 
 def _u_guest_pdptes(vmcs: Vmcs, caps: VmxCapabilities, bad) -> None:
-    ia32e_guest = bool(vmcs.read(F.VM_ENTRY_CONTROLS) & EntryControls.IA32E_MODE_GUEST)
-    if (not ia32e_guest and vmcs.read(F.GUEST_CR0) & Cr0.PG
-            and vmcs.read(F.GUEST_CR4) & Cr4.PAE):
-        for field, name in ((F.GUEST_PDPTE0, "guest_pdpte0"),
-                            (F.GUEST_PDPTE1, "guest_pdpte1"),
-                            (F.GUEST_PDPTE2, "guest_pdpte2"),
-                            (F.GUEST_PDPTE3, "guest_pdpte3")):
-            pdpte = vmcs.read(field)
+    read = vmcs.read
+    if (not read(F.VM_ENTRY_CONTROLS) & EntryControls.IA32E_MODE_GUEST
+            and read(F.GUEST_CR0) & Cr0.PG and read(F.GUEST_CR4) & Cr4.PAE):
+        for field, name in _PDPTES:
+            pdpte = read(field)
             if pdpte & 1 and pdpte & 0x1E6:  # reserved bits in present PDPTE
                 bad(name, "reserved bits set in present PDPTE")
 
 
 def _u_guest_sysenter(vmcs: Vmcs, caps: VmxCapabilities, bad) -> None:
-    for field, name in ((F.GUEST_SYSENTER_ESP, "guest_sysenter_esp"),
-                        (F.GUEST_SYSENTER_EIP, "guest_sysenter_eip")):
-        if not is_canonical(vmcs.read(field)):
-            bad(name, "not canonical")
-
-
-def _check_guest_segments(vmcs: Vmcs, bad, *, ia32e_guest: bool,
-                          unrestricted: bool, virtual_8086: bool) -> None:
-    """Guest segment-register checks (SDM 26.3.1.2)."""
-    segments = {name: read_segment(vmcs, name) for name in F.SEGMENT_AR_FIELDS}
-    cs, ss, tr, ldtr = segments["cs"], segments["ss"], segments["tr"], segments["ldtr"]
-
-    if virtual_8086:
-        # In v8086 mode every segment must look like base = selector<<4,
-        # limit 0xFFFF, AR 0xF3.
-        for name, seg in segments.items():
-            if name in ("ldtr", "tr"):
-                continue
-            if seg.base != (seg.selector << 4) & 0xFFFF0:
-                bad(f"guest_{name}_base", "v8086 base must equal selector<<4")
-            if seg.limit != 0xFFFF:
-                bad(f"guest_{name}_limit", "v8086 limit must be 0xFFFF")
-            if seg.access_rights != 0xF3:
-                bad(f"guest_{name}_ar_bytes", "v8086 AR must be 0xF3")
-        return
-
-    if tr.unusable:
-        bad("guest_tr_ar_bytes", "TR must be usable")
-    else:
-        if ia32e_guest and tr.seg_type != 0xB:
-            bad("guest_tr_ar_bytes", "TR type must be 64-bit busy TSS")
-        if not ia32e_guest and tr.seg_type not in (0x3, 0xB):
-            bad("guest_tr_ar_bytes", "TR type must be busy TSS")
-        if tr.s:
-            bad("guest_tr_ar_bytes", "TR must be a system descriptor")
-        if not tr.present:
-            bad("guest_tr_ar_bytes", "TR must be present")
-        if not granularity_consistent(tr.limit, tr.access_rights):
-            bad("guest_tr_limit", "limit/granularity inconsistent")
-    if tr.selector & 0x4:
-        bad("guest_tr_selector", "TI bit must be zero")
-
-    if not ldtr.unusable:
-        if ldtr.seg_type != 0x2:
-            bad("guest_ldtr_ar_bytes", "LDTR type must be LDT")
-        if ldtr.s:
-            bad("guest_ldtr_ar_bytes", "LDTR must be a system descriptor")
-        if not ldtr.present:
-            bad("guest_ldtr_ar_bytes", "LDTR must be present")
-        if ldtr.selector & 0x4:
-            bad("guest_ldtr_selector", "TI bit must be zero")
-        if not granularity_consistent(ldtr.limit, ldtr.access_rights):
-            bad("guest_ldtr_limit", "limit/granularity inconsistent")
-
-    if cs.unusable:
-        bad("guest_cs_ar_bytes", "CS must be usable")
-        return
-
-    if not cs.is_code():
-        if not (unrestricted and cs.seg_type == 0x3):
-            bad("guest_cs_ar_bytes", "CS must be a code segment")
-    if not cs.s:
-        bad("guest_cs_ar_bytes", "CS must be a code/data descriptor")
-    if not cs.present:
-        bad("guest_cs_ar_bytes", "CS must be present")
-    if cs.long_mode and cs.db:
-        bad("guest_cs_ar_bytes", "CS.L and CS.D/B may not both be set")
-    if ia32e_guest and not cs.long_mode and not unrestricted:
-        # Compatibility-mode code is fine; nothing to flag. (Intentional
-        # no-op branch kept for symmetry with the SDM's case analysis.)
-        pass
-    if not granularity_consistent(cs.limit, cs.access_rights):
-        bad("guest_cs_limit", "limit/granularity inconsistent")
-
-    # CS/SS privilege interaction.
-    if cs.seg_type in (0x9, 0xB):  # non-conforming
-        if not ss.unusable and cs.dpl != ss.dpl:
-            bad("guest_cs_ar_bytes", "non-conforming CS.DPL must equal SS.DPL")
-    elif cs.seg_type in (0xD, 0xF):  # conforming
-        if not ss.unusable and cs.dpl > ss.dpl:
-            bad("guest_cs_ar_bytes", "conforming CS.DPL must be <= SS.DPL")
-    elif cs.seg_type == 0x3 and cs.dpl != 0:
-        bad("guest_cs_ar_bytes", "type-3 CS requires DPL 0")
-
-    if not ss.unusable:
-        if ss.seg_type not in (0x3, 0x7):
-            bad("guest_ss_ar_bytes", "SS must be writable data")
-        if not ss.present:
-            bad("guest_ss_ar_bytes", "SS must be present")
-        if not granularity_consistent(ss.limit, ss.access_rights):
-            bad("guest_ss_limit", "limit/granularity inconsistent")
-        if not unrestricted and ss.rpl != cs.rpl:
-            bad("guest_ss_selector", "SS.RPL must equal CS.RPL")
-        if ss.dpl != ss.rpl and not unrestricted and cs.seg_type != 0x3:
-            bad("guest_ss_ar_bytes", "SS.DPL must equal SS.RPL")
-
-    for name in ("ds", "es", "fs", "gs"):
-        seg = segments[name]
-        if seg.unusable:
-            continue
-        if not seg.s:
-            bad(f"guest_{name}_ar_bytes", "must be a code/data descriptor")
-        if not seg.seg_type & 1:
-            bad(f"guest_{name}_ar_bytes", "must be accessed")
-        if seg.is_code() and not seg.seg_type & 2:
-            bad(f"guest_{name}_ar_bytes", "code segment must be readable")
-        if not seg.present:
-            bad(f"guest_{name}_ar_bytes", "must be present")
-        if not granularity_consistent(seg.limit, seg.access_rights):
-            bad(f"guest_{name}_limit", "limit/granularity inconsistent")
-        if seg.access_rights & AccessRights.RESERVED:
-            bad(f"guest_{name}_ar_bytes", "reserved AR bits set")
-
-    for name in ("cs", "ss", "tr", "ldtr"):
-        seg = segments[name]
-        if not seg.unusable and seg.access_rights & AccessRights.RESERVED:
-            bad(f"guest_{name}_ar_bytes", "reserved AR bits set")
-
-    # Base canonicality in 64-bit contexts.
-    for name in ("tr", "fs", "gs"):
-        if not is_canonical(segments[name].base):
-            bad(f"guest_{name}_base", "base not canonical")
-    if not segments["ldtr"].unusable and not is_canonical(ldtr.base):
-        bad("guest_ldtr_base", "base not canonical")
-    if cs.base & ~0xFFFFFFFF:
-        bad("guest_cs_base", "bits 63:32 must be zero")
-    for name in ("ss", "ds", "es"):
-        seg = segments[name]
-        if not seg.unusable and seg.base & ~0xFFFFFFFF:
-            bad(f"guest_{name}_base", "bits 63:32 must be zero")
+    if _NONCANONICAL_LO <= vmcs.read(F.GUEST_SYSENTER_ESP) < _NONCANONICAL_HI:
+        bad("guest_sysenter_esp", "not canonical")
+    if _NONCANONICAL_LO <= vmcs.read(F.GUEST_SYSENTER_EIP) < _NONCANONICAL_HI:
+        bad("guest_sysenter_eip", "not canonical")
 
 
 # --------------------------------------------------------------------------
@@ -818,11 +881,13 @@ UNITS: tuple[CheckUnit, ...] = (
           {F.GUEST_SYSENTER_ESP, F.GUEST_SYSENTER_EIP}, _u_guest_sysenter),
 )
 
-#: Unit indices per stage, preserving architectural order.
-_STAGE_UNITS: dict[CheckStage, tuple[int, ...]] = {
-    stage: tuple(i for i, u in enumerate(UNITS) if u.stage is stage)
-    for stage in CheckStage
-}
+#: Each stage's units as a ``UNITS[start:stop]`` span, in check order.
+#: ``UNITS`` lists the units stage by stage, so each span is contiguous.
+_STAGE_SPANS: dict[CheckStage, tuple[int, int]] = {}
+for _i, _u in enumerate(UNITS):
+    _STAGE_SPANS[_u.stage] = (_STAGE_SPANS.get(_u.stage, (_i,))[0], _i + 1)
+if sum(stop - start for start, stop in _STAGE_SPANS.values()) != len(UNITS):
+    raise AssertionError("UNITS must list the units stage by stage")
 
 #: The dependency index: field encoding -> indices of units reading it.
 FIELD_TO_CHECKS: dict[int, tuple[int, ...]] = {}
@@ -832,24 +897,37 @@ for _i, _u in enumerate(UNITS):
         FIELD_TO_CHECKS[_enc] += (_i,)
 del _i, _u, _enc
 
-def _run_unit(unit: CheckUnit, vmcs: Vmcs,
-              caps: VmxCapabilities) -> tuple[Violation, ...]:
+
+def _run_units(units: Sequence[CheckUnit], vmcs: Vmcs,
+               caps: VmxCapabilities) -> list[tuple[Violation, ...]]:
+    """Each of *units*' violation tuples, in order, through one collector."""
+    results: list[tuple[Violation, ...]] = []
     out: list[Violation] = []
-    stage = unit.stage
+    stage = CheckStage.CONTROLS
 
     def bad(field: str, reason: str) -> None:
         out.append(Violation(stage, field, reason))
 
-    unit.fn(vmcs, caps, bad)
-    return tuple(out)
+    for unit in units:
+        stage = unit.stage
+        unit.fn(vmcs, caps, bad)
+        if out:
+            results.append(tuple(out))
+            out.clear()
+        else:
+            results.append(())
+    return results
+
+
+def _run_unit(unit: CheckUnit, vmcs: Vmcs,
+              caps: VmxCapabilities) -> tuple[Violation, ...]:
+    return _run_units((unit,), vmcs, caps)[0]
 
 
 def _run_stage(stage: CheckStage, vmcs: Vmcs,
                caps: VmxCapabilities) -> list[Violation]:
-    v: list[Violation] = []
-    for i in _STAGE_UNITS[stage]:
-        v.extend(_run_unit(UNITS[i], vmcs, caps))
-    return v
+    start, stop = _STAGE_SPANS.get(stage, (0, 0))
+    return [v for r in _run_units(UNITS[start:stop], vmcs, caps) for v in r]
 
 
 # --------------------------------------------------------------------------
@@ -927,8 +1005,9 @@ def check_all(vmcs: Vmcs, caps: VmxCapabilities,
 #: Memo key under which per-unit results live on the Vmcs.
 _MEMO_KEY = "entry_checks"
 
-_STAGE_ORDER = (CheckStage.CONTROLS, CheckStage.HOST_STATE,
-                CheckStage.GUEST_STATE)
+#: The spans of the stages ``check_all`` runs, in order.
+_ORDERED_SPANS = tuple(_STAGE_SPANS[stage] for stage in (
+    CheckStage.CONTROLS, CheckStage.HOST_STATE, CheckStage.GUEST_STATE))
 
 
 class IncrementalChecker:
@@ -978,7 +1057,7 @@ class IncrementalChecker:
                 if entry[0] != gen or results is not entry[1]:
                     vmcs.memo_put(_MEMO_KEY, (gen, results, caps))
                 return results
-        results = tuple(_run_unit(u, vmcs, caps) for u in UNITS)
+        results = tuple(_run_units(UNITS, vmcs, caps))
         vmcs.memo_put(_MEMO_KEY, (gen, results, caps))
         return results
 
@@ -994,12 +1073,10 @@ class IncrementalChecker:
         if cached is not None and cached[0] is results and not msr_entries:
             return cached[1]
         out: list[Violation] = []
-        for stage in _STAGE_ORDER:
-            v: list[Violation] = []
-            for i in _STAGE_UNITS[stage]:
-                v.extend(results[i])
-            if v:
-                out = v
+        for start, stop in _ORDERED_SPANS:
+            stage_results = results[start:stop]
+            if any(stage_results):
+                out = [v for r in stage_results for v in r]
                 break
         if not out and msr_entries:
             return check_msr_load_area(msr_entries)

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 
-from repro.arch.bits import is_aligned
 from repro.arch.msr import MsrEntry
 from repro.cpu.entry_checks import (
     CheckStage,
@@ -57,18 +56,28 @@ class VmxResult:
 
     @classmethod
     def succeed(cls, value: int | None = None) -> "VmxResult":
-        """Construct a VMsucceed result."""
+        """A VMsucceed result; the shared instance when it has no value."""
+        if value is None:
+            return _SUCCEED
         return cls(VmxResultKind.SUCCEED, value=value)
 
     @classmethod
     def fail_invalid(cls) -> "VmxResult":
-        """Construct a VMfailInvalid result."""
-        return cls(VmxResultKind.FAIL_INVALID)
+        """The shared VMfailInvalid result."""
+        return _FAIL_INVALID
 
     @classmethod
     def fail_valid(cls, error: VmInstructionError) -> "VmxResult":
-        """Construct a VMfailValid result with an error number."""
-        return cls(VmxResultKind.FAIL_VALID, error=error)
+        """The shared VMfailValid result for *error*."""
+        return _FAIL_VALID[error]
+
+
+#: The results that carry no vmread data are immutable and equal for
+#: every instruction, so each is built once and shared.
+_SUCCEED = VmxResult(VmxResultKind.SUCCEED)
+_FAIL_INVALID = VmxResult(VmxResultKind.FAIL_INVALID)
+_FAIL_VALID = {error: VmxResult(VmxResultKind.FAIL_VALID, error=error)
+               for error in VmInstructionError}
 
 
 @dataclass
@@ -112,7 +121,7 @@ class VmxCpu:
     # --- helpers ------------------------------------------------------------
 
     def _pointer_ok(self, addr: int) -> bool:
-        return is_aligned(addr, PAGE_SIZE) and addr != 0 and addr < (1 << 46)
+        return not addr & (PAGE_SIZE - 1) and addr != 0 and addr < (1 << 46)
 
     @property
     def current_vmcs(self) -> Vmcs | None:
@@ -233,8 +242,6 @@ class VmxCpu:
             return EntryOutcome(False, VmxResult.fail_valid(
                 VmInstructionError.VMRESUME_NONLAUNCHED_VMCS))
 
-        if msr_entries is None:
-            msr_entries = []
         violations = self.checker.check_all(vmcs, msr_entries)
         if violations:
             stage = violations[0].stage

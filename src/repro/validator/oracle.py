@@ -40,6 +40,9 @@ from repro.vmx.vmcs import Vmcs
 VMXON_PA = 0x1000
 VMCS_PA = 0x2000
 
+#: Field encoding -> position in the canonical layout (``Vmcs.diff`` order).
+_LAYOUT_POSITION = {spec.encoding: i for i, spec in enumerate(F.ALL_FIELDS)}
+
 
 @dataclass(frozen=True)
 class CorrectionRule:
@@ -159,6 +162,11 @@ class HardwareOracle:
         # the per-attempt image copies inherit a warm cache and only the
         # units reading corrected fields re-run between attempts.
         self._checker = IncrementalChecker(self.caps)
+        # One CPU in VMX root operation for every trial. Each trial
+        # installs its image and vmclears it, which marks it clear and
+        # resets the current-VMCS pointer as a fresh CPU would have it.
+        self._cpu = VmxCpu(self.caps, checker=self._checker)
+        self._cpu.vmxon(VMXON_PA)
 
     # --- learning application ------------------------------------------------
 
@@ -182,18 +190,18 @@ class HardwareOracle:
     # --- verification loop ----------------------------------------------------
 
     def _attempt_entry(self, state: Vmcs):
-        """One hardware trial: fresh CPU, standard launch sequence."""
-        cpu = VmxCpu(self.caps, checker=self._checker)
-        cpu.vmxon(VMXON_PA)
-        cpu.vmclear(VMCS_PA)
+        """One hardware trial: the standard launch sequence on a copy."""
+        cpu = self._cpu
         # Pre-warm the persistent state so the image copy below
         # carries a fully validated memo into vmlaunch.
         self._checker.check_all(state)
         image = state.copy()
-        image.clear()
         cpu.install_vmcs(VMCS_PA, image)
+        cpu.vmclear(VMCS_PA)
         cpu.vmptrld(VMCS_PA)
         outcome = cpu.vmlaunch()
+        # The CPU keeps no image between trials.
+        del cpu.memory[VMCS_PA]
         return outcome, image
 
     def verify(self, vmcs: Vmcs) -> OracleReport:
@@ -288,8 +296,25 @@ class HardwareOracle:
 
     def _learn_fixups(self, original: Vmcs, post_entry: Vmcs,
                       report: OracleReport) -> None:
-        """Record which bits hardware silently set/cleared during entry."""
-        for spec, before, after in original.diff(post_entry):
+        """Record which bits hardware silently set/cleared during entry.
+
+        *post_entry* is a copy of *original* made at its current
+        generation, so only the fields its journal changed since then
+        can differ; they are compared in layout order, as
+        ``Vmcs.diff`` lists them. A truncated journal falls back to
+        ``Vmcs.diff``.
+        """
+        changed = post_entry.changes_since(original.generation)
+        if changed is None:
+            diffs = original.diff(post_entry)
+        else:
+            diffs = []
+            for encoding in sorted(changed, key=_LAYOUT_POSITION.__getitem__):
+                before = original.read(encoding)
+                after = post_entry.read(encoding)
+                if before != after:
+                    diffs.append((F.SPEC_BY_ENCODING[encoding], before, after))
+        for spec, before, after in diffs:
             if spec.name == "vm_exit_reason":
                 continue
             set_mask, clear_mask = self.fixup_masks.get(spec.name, (0, 0))

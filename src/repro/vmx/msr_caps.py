@@ -13,6 +13,7 @@ it on — and the L0 hypervisor must reject a VMCS12 that tries.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from repro.vmx.controls import (
     EntryControls,
@@ -99,12 +100,45 @@ CR4_FIXED0 = 0x2000      # VMXE
 CR4_FIXED1 = 0x177FFFB
 
 
+#: The vCPU features the capability MSRs depend on, with the setting
+#: assumed when a feature map leaves one out.
+CAPABILITY_FEATURES: tuple[tuple[str, bool], ...] = (
+    ("ept", True), ("unrestricted_guest", True), ("vpid", True),
+    ("flexpriority", True), ("enable_shadow_vmcs", True), ("pml", True),
+    ("apicv", True), ("vmfunc", False), ("ple", True), ("sgx", False),
+    ("pt", False), ("preemption_timer", True),
+)
+
+_FEATURE_NAMES, _FEATURE_DEFAULTS = zip(*CAPABILITY_FEATURES)
+
+#: Interned capability sets: by the settings of ``CAPABILITY_FEATURES``,
+#: and by value, so equal capability sets are one shared object.
+_CAPS_BY_FEATURES: dict[tuple, VmxCapabilities] = {}
+_CAPS_BY_VALUE: dict[VmxCapabilities, VmxCapabilities] = {}
+
+
 def capabilities_for_features(features: dict[str, bool]) -> VmxCapabilities:
     """Derive the VMX capability MSRs from a vCPU feature map.
 
     Mirrors what KVM's ``nested_vmx_setup_ctls_msrs()`` does: start from
     the host capability superset, then strip allowed-1 bits for disabled
-    features.
+    features. Capability sets are immutable, so every call returns the
+    one interned object for its set: callers comparing by identity
+    (the entry-check memo, the golden templates) hit.
+    """
+    key = tuple(map(features.get, _FEATURE_NAMES, _FEATURE_DEFAULTS))
+    caps = _CAPS_BY_FEATURES.get(key)
+    if caps is None:
+        derived = _derive_capabilities(features)
+        caps = _CAPS_BY_VALUE.setdefault(derived, derived)
+        _CAPS_BY_FEATURES[key] = caps
+    return caps
+
+
+def _derive_capabilities(features: dict[str, bool]) -> VmxCapabilities:
+    """Build a new capability set for *features* (no interning).
+
+    Reads only the ``CAPABILITY_FEATURES`` settings of *features*.
     """
     secondary_allowed1 = Secondary.KNOWN
     if not features.get("ept", True):
@@ -163,8 +197,9 @@ def capabilities_for_features(features: dict[str, bool]) -> VmxCapabilities:
     )
 
 
+@cache
 def default_capabilities() -> VmxCapabilities:
-    """Capabilities of a stock vCPU with all default features."""
+    """Capabilities of a stock vCPU with all default features (interned)."""
     from repro.arch.cpuid import Vendor, default_feature_map
 
     return capabilities_for_features(default_feature_map(Vendor.INTEL))

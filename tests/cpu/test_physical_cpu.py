@@ -1,9 +1,11 @@
 """Unit tests for the simulated VMX CPU (instruction state machine)."""
 
+import dataclasses
+
 import pytest
 
 from repro.cpu import physical_cpu
-from repro.cpu.physical_cpu import VmxCpu, VmxResultKind
+from repro.cpu.physical_cpu import VmxCpu, VmxResult, VmxResultKind
 from repro.validator.golden import golden_vmcs
 from repro.vmx import fields as F
 from repro.vmx.exit_reasons import ExitReason, VmInstructionError
@@ -208,3 +210,43 @@ class TestVmEntry:
     def test_vm_exit_without_vmcs_raises(self, cpu):
         with pytest.raises(RuntimeError):
             cpu.vm_exit(ExitReason.HLT)
+
+
+class TestSharedResults:
+    """Results without vmread data are preallocated and shared; they stay
+    frozen and equal to freshly built ones."""
+
+    def test_shared_instances(self):
+        assert VmxResult.succeed() is VmxResult.succeed()
+        assert VmxResult.fail_invalid() is VmxResult.fail_invalid()
+        for error in VmInstructionError:
+            assert VmxResult.fail_valid(error) is VmxResult.fail_valid(error)
+
+    def test_equal_to_fresh(self):
+        pairs = [(VmxResult.succeed(), VmxResult(VmxResultKind.SUCCEED)),
+                 (VmxResult.fail_invalid(),
+                  VmxResult(VmxResultKind.FAIL_INVALID))]
+        pairs += [(VmxResult.fail_valid(error),
+                   VmxResult(VmxResultKind.FAIL_VALID, error=error))
+                  for error in VmInstructionError]
+        for shared, fresh in pairs:
+            assert shared == fresh
+            assert hash(shared) == hash(fresh)
+            assert (shared.kind, shared.error, shared.value) == (
+                fresh.kind, fresh.error, fresh.value)
+
+    def test_frozen(self):
+        for result in (VmxResult.succeed(), VmxResult.fail_invalid(),
+                       VmxResult.fail_valid(VmInstructionError.VMCALL_IN_VMX_ROOT)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                result.kind = VmxResultKind.SUCCEED
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                result.value = 1
+        assert VmxResult.succeed().value is None
+
+    def test_vmread_data_is_fresh(self):
+        result = VmxResult.succeed(value=0x1234)
+        assert result.value == 0x1234 and result.ok
+        assert result is not VmxResult.succeed(value=0x1234)
+        assert VmxResult.succeed(value=0) == VmxResult(
+            VmxResultKind.SUCCEED, value=0)

@@ -29,7 +29,13 @@ optimisation must equal lives here, in the tests only:
   tuples for edges and an LRU over tuple pairs for cells.
   :func:`checked_drains` checks every ``KcovTracer.drain`` and
   ``CoverageBitmap.record_trace`` against them
-  (tests/coverage/test_id_equivalence.py).
+  (tests/coverage/test_id_equivalence.py);
+* :mod:`tests.reference.object_entry_checks` keeps the VM-entry check
+  units as they were before they decoded raw words: segments through
+  ``Segment`` properties, interruption information through an
+  ``InterruptionInfo`` decoded with a try/except, EPTPs through
+  ``EptPointer``. Every public ``check_*`` is pinned equal to it
+  (tests/cpu/test_object_check_equivalence.py).
 """
 
 from __future__ import annotations

@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 from repro.arch.cpuid import Vendor, default_feature_map
 from repro.vmx.controls import PinBased, ProcBased, Secondary
 from repro.vmx.msr_caps import (
+    CAPABILITY_FEATURES,
     ControlCaps,
+    _derive_capabilities,
     capabilities_for_features,
     default_capabilities,
 )
@@ -99,3 +101,48 @@ class TestCrFixedBits:
     def test_cr4_rejects_out_of_range(self):
         caps = default_capabilities()
         assert not caps.cr4_valid_for_vmx(0x2000 | (1 << 30))
+
+
+_NAMES = [name for name, _ in CAPABILITY_FEATURES]
+feature_maps = st.dictionaries(
+    st.sampled_from(_NAMES + ["nested", "x2apic", "pcid"]),
+    st.one_of(st.booleans(), st.integers(0, 2)))
+
+
+class TestInterning:
+    """Capability sets are interned: one shared object per set, equal and
+    hash-equal to a freshly derived one."""
+
+    @given(feature_maps)
+    @settings(max_examples=200, deadline=None)
+    def test_interned_equals_fresh(self, features):
+        fresh = _derive_capabilities(features)
+        caps = capabilities_for_features(features)
+        assert caps == fresh
+        assert hash(caps) == hash(fresh)
+        assert capabilities_for_features(dict(features)) is caps
+
+    @given(feature_maps, feature_maps)
+    @settings(max_examples=200, deadline=None)
+    def test_equal_sets_share_one_object(self, a, b):
+        if _derive_capabilities(a) == _derive_capabilities(b):
+            assert capabilities_for_features(a) is capabilities_for_features(b)
+        else:
+            assert capabilities_for_features(a) != capabilities_for_features(b)
+
+    def test_key_covers_every_feature_read(self):
+        read: dict[str, bool] = {}
+
+        class Recording(dict):
+            def get(self, name, default=None):
+                read[name] = default
+                return super().get(name, default)
+
+        _derive_capabilities(Recording())
+        assert read == dict(CAPABILITY_FEATURES)
+
+    def test_default_is_shared(self):
+        caps = default_capabilities()
+        assert default_capabilities() is caps
+        assert caps == _derive_capabilities(default_feature_map(Vendor.INTEL))
+        assert capabilities_for_features(default_feature_map(Vendor.INTEL)) is caps
