@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from common import BenchReport, PhaseDeadline, bench_budget
+from common import BenchReport, PhaseDeadline, bench_budget, run_provenance
 from repro import Vendor
 from repro.parallel import ParallelCampaign
 from repro.resilience import campaign_fingerprint
@@ -40,7 +40,7 @@ def _update_json(section: str, payload: dict) -> None:
     data = {}
     if BENCH_JSON.exists():
         data = json.loads(BENCH_JSON.read_text())
-    data[section] = payload
+    data[section] = {**run_provenance(BUDGET, DEFAULT_BUDGET), **payload}
     BENCH_JSON.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 

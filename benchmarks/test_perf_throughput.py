@@ -9,7 +9,8 @@ Measures campaign throughput and writes the numbers to
   budget, with the per-phase sync-overhead breakdown (export / manifest
   scan / subsumption filter / import execution seconds) recorded so a
   regression in the corpus protocol shows up as a number, not a vibe —
-  inline fallback (mode recorded) on single-core CI;
+  inline fallback (mode recorded) on single-core CI, next to a probe
+  of the host's usable parallelism at the time of the run;
 * static sharding vs. the work-stealing lease schedule on the same
   forked-worker budget, with lease/steal/reclaim counts recorded
   (logged null stage on single-CPU runners);
@@ -20,6 +21,7 @@ Measures campaign throughput and writes the numbers to
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import tempfile
 import time
@@ -39,6 +41,33 @@ DEFAULT_BUDGET = 400
 #: speedup floors are only asserted at the full, untruncated budget.
 BUDGET = bench_budget(DEFAULT_BUDGET)
 SEED = 7
+
+
+def _spin(loops: int) -> None:
+    total = 0
+    for i in range(loops):
+        total += i
+
+
+def _parallelism_probe(loops: int = 3_000_000) -> float:
+    """Throughput of two forked pure-Python loops over one.
+
+    1.0 means the second CPU gave nothing while this stage ran, 2.0 two
+    fully usable CPUs; a failing wall-clock floor is read against it.
+    """
+    ctx = multiprocessing.get_context("fork")
+
+    def timed(n: int) -> float:
+        procs = [ctx.Process(target=_spin, args=(loops,)) for _ in range(n)]
+        start = time.perf_counter()
+        for proc in procs:
+            proc.start()
+        for proc in procs:
+            proc.join()
+        return time.perf_counter() - start
+
+    one = timed(1)
+    return round(2 * one / timed(2), 2)
 
 
 def _update_json(section: str, payload: dict) -> None:
@@ -88,6 +117,7 @@ def test_parallel_wall_clock(capsys):
     # fall back to inline (in-process) workers instead of skipping, and
     # report the mode so the JSON says what the numbers mean.
     mode = "process" if cpus >= 2 else "inline"
+    probe = _parallelism_probe() if cpus >= 2 else None
 
     serial_campaign = NecoFuzz(hypervisor="kvm", vendor=Vendor.INTEL,
                                seed=SEED)
@@ -125,6 +155,7 @@ def test_parallel_wall_clock(capsys):
         "schedule": "static",
         "cpus": cpus,
         "single_cpu": single_cpu,
+        "usable_parallelism": probe,
         "workers": workers,
         "iterations_run": ran,
         "serial_seconds": round(serial_s, 2),
@@ -151,6 +182,8 @@ def test_parallel_wall_clock(capsys):
         f"Parallel wall clock ({workers} {mode} workers, {cpus} CPUs)")
     report.add(f"serial      {serial_s:6.2f}s  "
                f"({len(serial_covered)} lines)")
+    if probe is not None:
+        report.add(f"probe       {probe:6.2f}x  (two forked loops vs one)")
     report.add(f"parallel    {parallel_s:6.2f}s  "
                f"({len(merged.covered_lines)} lines)")
     if single_cpu:
@@ -266,194 +299,6 @@ def test_stealing_wall_clock(capsys):
     if BUDGET >= DEFAULT_BUDGET and not truncated:
         # Stealing must not cost meaningful wall clock on even load.
         assert stolen_s <= 1.5 * static_s
-
-
-@pytest.mark.benchmark(group="perf-throughput")
-def test_federation_wall_clock(capsys):
-    """Federated transport vs. inline stealing, same lease schedule.
-
-    The federation moves every lease grant and corpus record over a
-    real socket (AF_UNIX under the campaign root), so this stage prices
-    the transport: wall clock against the inline stealing loop it
-    reproduces, with the fingerprint-equality acceptance pin recorded
-    in the JSON. On a single-CPU runner the in-process node threads
-    time-slice one core either way, so the stage records null timings
-    and skips, matching the stealing stage's convention.
-    """
-    from repro.resilience import (
-        FederatedCampaign,
-        campaign_fingerprint,
-    )
-
-    cpus = os.cpu_count() or 1
-    lease_size = max(1, BUDGET // 8)
-    if cpus < 2:
-        _update_json("federation", {
-            "cpus": cpus,
-            "single_cpu": True,
-            "workers": None,
-            "lease_size": lease_size,
-            "inline_seconds": None,
-            "federated_seconds": None,
-            "transport_overhead": None,
-            "fingerprint_match": None,
-            "deadline_truncated": {"inline": False, "federated": False},
-        })
-        report = BenchReport("Federation wall clock")
-        report.add(f"SKIP: {cpus} CPU(s) — node threads would time-slice "
-                   "one core, so the comparison would measure the "
-                   "runner, not the transport. Recorded a null stage in "
-                   "BENCH_throughput.json instead.")
-        report.emit(capsys)
-        pytest.skip("federation comparison needs >= 2 CPUs")
-
-    workers = 2
-
-    inline_deadline = PhaseDeadline()
-    start = time.perf_counter()
-    inline = ParallelCampaign(
-        hypervisor="kvm", vendor=Vendor.INTEL, seed=SEED, workers=workers,
-        mode="inline", schedule="stealing",
-        lease_size=lease_size).run(BUDGET, sample_every=100)
-    inline_s = time.perf_counter() - start
-    inline_deadline.expired()
-
-    federated_deadline = PhaseDeadline()
-    start = time.perf_counter()
-    federated = FederatedCampaign(
-        hypervisor="kvm", vendor=Vendor.INTEL, seed=SEED, workers=workers,
-        lease_size=lease_size, telemetry_mode="off").run(
-            BUDGET, sample_every=100)
-    federated_s = time.perf_counter() - start
-    federated_deadline.expired()
-
-    truncated = inline_deadline.hit or federated_deadline.hit
-    match = campaign_fingerprint(federated) == campaign_fingerprint(inline)
-    overhead = federated_s / inline_s
-
-    _update_json("federation", {
-        "cpus": cpus,
-        "single_cpu": False,
-        "workers": workers,
-        "lease_size": lease_size,
-        "inline_seconds": round(inline_s, 2),
-        "federated_seconds": round(federated_s, 2),
-        "transport_overhead": round(overhead, 2),
-        "fingerprint_match": match,
-        "deadline_truncated": {"inline": inline_deadline.hit,
-                               "federated": federated_deadline.hit},
-    })
-
-    report = BenchReport(
-        f"Federation wall clock ({workers} socket nodes)")
-    report.add(f"inline      {inline_s:6.2f}s")
-    report.add(f"federated   {federated_s:6.2f}s  "
-               f"({len(federated.lease_log)} leases over the wire)")
-    report.add(f"overhead    {overhead:6.2f}x"
-               + ("  [deadline truncated]" if truncated else ""))
-    report.add(f"fingerprint {'MATCH' if match else 'MISMATCH'}")
-    report.emit(capsys)
-
-    assert match, "federated fingerprint diverged from inline stealing"
-    assert federated.engine_stats.iterations == BUDGET
-    assert sum(r.size for r in federated.lease_log) == BUDGET
-
-
-#: The delta stage's acceptance floor (issue): the coverage plane must
-#: shrink federation wire volume by at least this factor at the full
-#: shape. Measured ~5.5x on the dev container.
-MIN_DELTA_REDUCTION = 5.0
-#: Shape the reduction is specified at: coarse rounds (one lease per
-#: node) maximize cross-node redundancy, which is exactly the traffic
-#: the delta plane exists to elide.
-DELTA_WORKERS = 3
-DELTA_BUDGET = 3600
-
-
-@pytest.mark.benchmark(group="perf-throughput")
-def test_federation_delta_reduction(capsys):
-    """Delta-compressed coverage plane vs. pure record replay.
-
-    Runs the identical federated campaign twice — virgin-map deltas on
-    and off — and compares total relay wire volume: record bytes plus
-    delta bytes against record bytes alone. Both runs must produce the
-    same campaign fingerprint (elision is observationally invisible);
-    the reduction floor is only asserted at the full shape, since the
-    subsumed fraction shrinks with the budget. Wire volume is
-    deterministic, so unlike the wall-clock stages this one runs on any
-    CPU count; a generous transport timeout keeps loaded runners from
-    inflating byte counts with resends.
-    """
-    from repro.resilience import FederatedCampaign, campaign_fingerprint
-    from repro.telemetry.report import campaign_summary
-
-    budget = (DELTA_BUDGET if BUDGET >= DEFAULT_BUDGET
-              else max(DELTA_WORKERS * 8, 3 * BUDGET))
-    lease_size = budget // DELTA_WORKERS
-
-    def run_plane(delta_plane: bool, root: Path):
-        deadline = PhaseDeadline()
-        start = time.perf_counter()
-        result = FederatedCampaign(
-            hypervisor="kvm", vendor=Vendor.INTEL, seed=11,
-            workers=DELTA_WORKERS, lease_size=lease_size, sync_dir=root,
-            telemetry_mode="metrics", transport_timeout=10.0,
-            delta_plane=delta_plane).run(budget, sample_every=100)
-        elapsed = time.perf_counter() - start
-        deadline.expired()
-        plane = campaign_summary(root)["coverage_plane"]
-        wire_bytes = (plane.get("net.relay_bytes", 0)
-                      + plane.get("net.delta_bytes", 0))
-        return result, plane, wire_bytes, elapsed, deadline.hit
-
-    with tempfile.TemporaryDirectory(prefix="necofuzz-delta-on-") as on_dir:
-        on, on_plane, on_bytes, on_s, on_hit = run_plane(
-            True, Path(on_dir))
-    with tempfile.TemporaryDirectory(prefix="necofuzz-delta-off-") as off_dir:
-        off, _off_plane, off_bytes, off_s, off_hit = run_plane(
-            False, Path(off_dir))
-
-    match = campaign_fingerprint(on) == campaign_fingerprint(off)
-    reduction = off_bytes / on_bytes if on_bytes else 0.0
-    truncated = on_hit or off_hit
-    full_shape = budget == DELTA_BUDGET and not truncated
-
-    _update_json("federation_delta", {
-        "workers": DELTA_WORKERS,
-        "budget": budget,
-        "lease_size": lease_size,
-        "record_replay_bytes": off_bytes,
-        "delta_plane_bytes": on_bytes,
-        "delta_bytes": on_plane.get("net.delta_bytes", 0),
-        "records_elided": on_plane.get("net.records_delta_skipped", 0),
-        "bytes_saved": on_plane.get("net.bytes_saved", 0),
-        "reduction": round(reduction, 2),
-        "fingerprint_match": match,
-        "full_shape": full_shape,
-        "seconds": {"delta_on": round(on_s, 2),
-                    "delta_off": round(off_s, 2)},
-    })
-
-    report = BenchReport(
-        f"Federation delta plane ({DELTA_WORKERS} nodes, "
-        f"{budget} cases)")
-    report.add(f"record replay {off_bytes:>12,} bytes  ({off_s:5.1f}s)")
-    report.add(f"delta plane   {on_bytes:>12,} bytes  ({on_s:5.1f}s)")
-    report.add(f"reduction     {reduction:6.2f}x  "
-               f"({on_plane.get('net.records_delta_skipped', 0)} records "
-               "elided)")
-    report.add(f"fingerprint   {'MATCH' if match else 'MISMATCH'}")
-    if not full_shape:
-        report.add("reduction floor gated off (reduced budget or "
-                   "deadline truncation)")
-    report.emit(capsys)
-
-    assert match, "delta plane changed the campaign fingerprint"
-    assert on.engine_stats.iterations == budget
-    if full_shape:
-        assert reduction >= MIN_DELTA_REDUCTION, (
-            f"coverage plane reduced wire volume only {reduction:.2f}x "
-            f"(floor {MIN_DELTA_REDUCTION}x)")
 
 
 @pytest.mark.benchmark(group="perf-throughput")

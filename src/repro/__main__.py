@@ -107,21 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="persistent sync/checkpoint root for "
                                  "parallel campaigns (default: a "
                                  "temporary directory)")
-    federation = parser.add_argument_group("federation (DESIGN.md §14)")
-    federation.add_argument(
-        "--coordinator", default=None, metavar="ADDR",
-        help="run a federated campaign: serve leases and relay corpus "
-             "records at ADDR (host:port or unix:/path) to --workers "
-             "externally launched 'python -m repro --node ADDR' nodes")
-    federation.add_argument(
-        "--node", default=None, metavar="ADDR",
-        help="join a federated campaign as one node: dial the "
-             "coordinator at ADDR, fetch the campaign config, fuzz "
-             "until the shared budget drains")
-    federation.add_argument(
-        "--transport-timeout", type=float, default=5.0, metavar="SECONDS",
-        help="per-RPC reply timeout (and barrier resend period) for "
-             "the federation transport (default 5.0)")
     observability = parser.add_argument_group("observability (DESIGN.md §11)")
     observability.add_argument(
         "--telemetry", choices=("off", "metrics", "full"), default="metrics",
@@ -159,23 +144,6 @@ def telemetry_report_main(argv: list[str]) -> int:
     return 0
 
 
-def node_main(args) -> int:
-    """Entry point for ``python -m repro --node ADDR``."""
-    from repro.parallel import TransportError, run_federated_node
-
-    print(f"joining federation at {args.node}...")
-    try:
-        report = run_federated_node(args.node,
-                                    timeout=args.transport_timeout)
-    except (TransportError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    stats = report.result.engine_stats
-    print(f"node {report.index} done: {stats.iterations} case(s), "
-          f"{stats.crashes} crash(es), {stats.imported} import(s)")
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     if argv is None:
@@ -190,26 +158,10 @@ def main(argv: list[str] | None = None) -> int:
             ("--max-restarts", args.max_restarts < 0, ">= 0"),
             ("--checkpoint-interval", args.checkpoint_interval < 0, ">= 0"),
             ("--case-timeout",
-             args.case_timeout is not None and args.case_timeout <= 0, "> 0"),
-            ("--transport-timeout", args.transport_timeout <= 0, "> 0")):
+             args.case_timeout is not None and args.case_timeout <= 0, "> 0")):
         if bad:
             print(f"error: {flag} must be {bound}", file=sys.stderr)
             return 2
-    if args.coordinator and args.node:
-        print("error: --coordinator and --node are mutually exclusive "
-              "(one process is one role)", file=sys.stderr)
-        return 2
-    if args.node is not None:
-        return node_main(args)
-    if args.coordinator is not None and args.workers < 1:
-        print("error: --coordinator needs --workers >= 1 (how many nodes "
-              "will dial in)", file=sys.stderr)
-        return 2
-    if args.coordinator is not None and (args.resume
-                                         or args.checkpoint_interval):
-        print("error: --resume/--checkpoint-interval do not apply to "
-              "federated campaigns", file=sys.stderr)
-        return 2
     if args.hypervisor == "virtualbox" and args.vendor != "intel":
         print("error: the VirtualBox model is Intel-only", file=sys.stderr)
         return 2
@@ -242,10 +194,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.lease_size < 0:
         print("error: --lease-size must be >= 0", file=sys.stderr)
         return 2
-    if (args.lease_size and args.schedule != "stealing"
-            and args.coordinator is None):
-        print("error: --lease-size applies to --schedule stealing "
-              "(or a federated --coordinator campaign)", file=sys.stderr)
+    if args.lease_size and args.schedule != "stealing":
+        print("error: --lease-size applies to --schedule stealing",
+              file=sys.stderr)
         return 2
 
     toggles = ComponentToggles(
@@ -257,28 +208,7 @@ def main(argv: list[str] | None = None) -> int:
           f"(seed {args.seed}, {args.iterations} cases"
           + (f", {args.workers} workers" if args.workers > 1 else "")
           + ")...")
-    if args.coordinator is not None:
-        from repro.parallel import FederatedCampaign
-
-        campaign = FederatedCampaign(
-            hypervisor=args.hypervisor,
-            vendor=Vendor(args.vendor),
-            seed=args.seed,
-            workers=args.workers,
-            lease_size=args.lease_size,
-            sync_dir=args.sync_dir,
-            toggles=toggles,
-            coverage_guided=not args.blackbox,
-            patched=patched,
-            async_events=args.async_events,
-            address=args.coordinator,
-            transport_timeout=args.transport_timeout,
-            external=True,
-            telemetry_mode=args.telemetry)
-        print(f"federation coordinator at {args.coordinator}; start "
-              f"{args.workers} node(s) with: python -m repro --node "
-              f"{args.coordinator}")
-    elif args.workers > 1:
+    if args.workers > 1:
         from repro.parallel import ParallelCampaign
 
         campaign = ParallelCampaign(

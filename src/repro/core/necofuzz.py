@@ -112,6 +112,9 @@ class NecoFuzz:
     crash_dir: Path | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.vendor, Vendor):
+            raise TypeError(f"vendor must be a Vendor, not "
+                            f"{type(self.vendor).__name__} {self.vendor!r}")
         self.agent = Agent(AgentConfig(
             hypervisor=self.hypervisor,
             vendor=self.vendor,

@@ -267,34 +267,6 @@ class VirginMap:
         self.generation += 1
         return True
 
-    def delta_since(self, baseline: bytes, base_generation: int):
-        """The :class:`repro.coverage.delta.CoverageDelta` carrying
-        *baseline* → the current bits across the given watermark."""
-        from repro.coverage import delta
-
-        return delta.delta_between(baseline, bytes(self.bits),
-                                   base_generation, self.generation)
-
-    def apply_delta(self, cov_delta) -> bool:
-        """Merge a decoded delta in; returns whether anything changed."""
-        from repro.coverage import delta
-
-        changed = delta.apply_runs(self.bits, cov_delta.runs)
-        if changed:
-            self.generation += 1
-        return changed
-
-    def subsumes_delta(self, cov_delta) -> bool:
-        """Would applying *cov_delta* here change nothing?
-
-        The whole-batch form of :meth:`subsumes`: a partner whose entire
-        map diff is already present cannot ship any record that would
-        light up new local bits.
-        """
-        from repro.coverage import delta
-
-        return delta.runs_subsumed(self.bits, cov_delta.runs)
-
     def density(self) -> float:
         """Fraction of map bytes touched (AFL's map density)."""
         return (MAP_SIZE - self.bits.count(0)) / MAP_SIZE

@@ -1,29 +1,18 @@
-"""NCD1 coverage deltas: sparse, run-length diffs of the virgin map.
+"""NCD1 coverage deltas: sparse, run-length encodings of the virgin map.
 
-The distributed coverage plane used to move *corpus records* whenever a
-peer needed to learn what a node had covered — 2 KiB of case payload
-per entry to communicate a few dozen classified-bitmap cells. An NCD1
-delta moves only the coverage: the XOR of two snapshots of a node's
-64 KiB virgin map, encoded as ``(start, bytes)`` runs over the nonzero
-stretches, sealed with a CRC32 (:mod:`repro.parallel.checksum`).
+The local sync sidecar (``coverage.bin``, DESIGN.md §15) publishes a
+worker's 64 KiB virgin map next to its corpus queue, so a partner can
+reject a whole fresh batch from one map check instead of scanning every
+record. An NCD1 delta carries the map as ``(start, bytes)`` runs over
+its nonzero stretches, sealed with a CRC32
+(:mod:`repro.parallel.checksum`).
 
-Two properties make the encoding exact for virgin maps:
-
-* The map grows **monotonically** (cells only ever OR in new class
-  bits), so ``old XOR new == new & ~old`` — applying a delta by ORing
-  its runs into *old* reconstructs *new* bit-for-bit, and applying it
-  to any map that already advanced past *old* is a plain merge.
-* Every delta carries the **generation watermark** pair it was diffed
-  across (:attr:`CoverageDelta.base_generation` →
-  :attr:`CoverageDelta.generation`, the :class:`VirginMap` mutation
-  counter). A receiver whose stored generation does not match the base
-  rejects the delta and asks for a resync — a full-map delta with
-  ``base_generation == 0``, which is always applicable.
-
-The diff hot loop is vectorized like the bitmap kernels: one big-int
-XOR over the whole map, then a single C-level regex scan
-(:data:`_RUN_SCAN`) finds the nonzero runs, coalescing gaps smaller
-than a run header so a cluster of nearby cells costs one run, not ten.
+The map grows **monotonically** (cells only ever OR in new class bits),
+so a full snapshot (``base_generation == 0``) is applicable to any
+baseline, and a receiver tests it against its own map with
+:func:`runs_subsumed`. The run scan is one C-level regex pass
+(:data:`_RUN_SCAN`) that coalesces gaps smaller than a run header, so
+a cluster of nearby cells costs one run, not ten.
 """
 
 from __future__ import annotations
@@ -61,65 +50,23 @@ class CoverageDelta:
     base_generation: int
     #: Generation of the map the diff produces.
     generation: int
-    #: Sorted, non-overlapping ``(start, bytes)`` runs of the XOR diff.
+    #: Sorted, non-overlapping ``(start, bytes)`` runs.
     runs: tuple[tuple[int, bytes], ...]
 
     @property
-    def empty(self) -> bool:
-        return not self.runs
-
-    @property
     def full(self) -> bool:
-        """Is this a resync snapshot (applicable to any baseline)?"""
+        """Is this a full snapshot (applicable to any baseline)?"""
         return self.base_generation == 0
-
-    def payload_bytes(self) -> int:
-        """Run payload volume (what density the diff actually carries)."""
-        return sum(len(run) for _start, run in self.runs)
-
-
-def diff_runs(old: bytes, new: bytes) -> tuple[tuple[int, bytes], ...]:
-    """The nonzero runs of ``old XOR new`` (both full-map payloads)."""
-    if len(old) != MAP_SIZE or len(new) != MAP_SIZE:
-        raise ValueError("virgin-map payloads must be MAP_SIZE bytes")
-    xor = (int.from_bytes(old, "little") ^ int.from_bytes(new, "little"))
-    if not xor:
-        return ()
-    diff = xor.to_bytes(MAP_SIZE, "little")
-    return tuple((match.start(), match.group())
-                 for match in _RUN_SCAN.finditer(diff))
-
-
-def delta_between(old: bytes, new: bytes, base_generation: int,
-                  generation: int) -> CoverageDelta:
-    """The delta carrying *old* → *new* across the given watermarks."""
-    return CoverageDelta(base_generation=base_generation,
-                         generation=generation,
-                         runs=diff_runs(old, new))
 
 
 def full_delta(bits: bytes, generation: int) -> CoverageDelta:
-    """A resync snapshot (``base_generation == 0``) of *bits*."""
+    """A full snapshot (``base_generation == 0``) of *bits*: one run per
+    nonzero stretch of the map."""
+    if len(bits) != MAP_SIZE:
+        raise ValueError("virgin-map payloads must be MAP_SIZE bytes")
     return CoverageDelta(base_generation=0, generation=generation,
-                         runs=diff_runs(bytes(MAP_SIZE), bits))
-
-
-def apply_runs(bits: bytearray, runs) -> bool:
-    """OR delta runs into a live map; returns whether anything changed.
-
-    Correct for any baseline at or past the delta's base: the runs are
-    ``new & ~old`` of a monotone map, so ORing them is a merge.
-    """
-    changed = False
-    for start, run in runs:
-        end = start + len(run)
-        merged = (int.from_bytes(bits[start:end], "little")
-                  | int.from_bytes(run, "little"))
-        chunk = merged.to_bytes(len(run), "little")
-        if chunk != bits[start:end]:
-            bits[start:end] = chunk
-            changed = True
-    return changed
+                         runs=tuple((match.start(), match.group())
+                                    for match in _RUN_SCAN.finditer(bits)))
 
 
 def runs_subsumed(bits, runs) -> bool:
@@ -176,50 +123,3 @@ def decode(raw: bytes) -> CoverageDelta:
         raise DeltaError("trailing bytes after the last delta run")
     return CoverageDelta(base_generation=base_generation,
                          generation=generation, runs=tuple(runs))
-
-
-class DeltaTracker:
-    """Per-peer baseline for producing a chain of deltas.
-
-    The producer side of the watermark protocol: :meth:`take` diffs the
-    live map against the last baseline the peer acknowledged;
-    :meth:`commit` advances the baseline once the peer acked;
-    :meth:`resync` drops it to zero so the next :meth:`take` ships a
-    full snapshot (what a peer that lost state, or rejected a corrupt
-    delta, asks for).
-    """
-
-    def __init__(self) -> None:
-        self._bits = bytes(MAP_SIZE)
-        self._generation = 0
-        self._pending: CoverageDelta | None = None
-        self._pending_bits: bytes | None = None
-
-    @property
-    def generation(self) -> int:
-        return self._generation
-
-    def take(self, virgin) -> CoverageDelta:
-        """The delta from the acked baseline to *virgin*'s current bits."""
-        bits = bytes(virgin.bits)
-        delta = delta_between(self._bits, bits, self._generation,
-                              virgin.generation)
-        self._pending = delta
-        self._pending_bits = bits
-        return delta
-
-    def commit(self, delta: CoverageDelta) -> None:
-        """The peer acked *delta*: advance the baseline to it."""
-        if self._pending is not delta or self._pending_bits is None:
-            raise DeltaError("commit of a delta this tracker did not take")
-        self._bits = self._pending_bits
-        self._generation = delta.generation
-        self._pending = None
-        self._pending_bits = None
-
-    def resync(self) -> None:
-        """Drop the baseline: the next :meth:`take` is a full snapshot."""
-        self._bits = bytes(MAP_SIZE)
-        self._generation = 0
-        self._pending = None
-        self._pending_bits = None

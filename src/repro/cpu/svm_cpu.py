@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro import perf
 from repro.arch.bits import is_aligned
 from repro.arch.registers import Cr0, Cr4, Efer
 from repro.svm import fields as SF
@@ -178,11 +177,7 @@ class SvmCpu:
         if vmcb is None:
             return VmrunOutcome(False, SvmExitCode.INVALID,
                                 [SvmViolation("vmcb_pa", "no VMCB present")])
-        # check_vmcb is a pure function of the VMCB, so its result is
-        # memoized on the structure and revalidated against the dirty
-        # journal (the key is global: no capability MSRs feed the check).
-        violations = perf.memoized_check(
-            vmcb, "svm_vmcb_check", lambda: check_vmcb(vmcb))
+        violations = check_vmcb(vmcb)
         if violations:
             vmcb.write(SF.EXIT_CODE, int(SvmExitCode.INVALID))
             return VmrunOutcome(False, SvmExitCode.INVALID, violations)

@@ -35,19 +35,7 @@ KILL_EXIT_CODE = 86
 
 #: The fault kinds a plan may contain.
 KINDS = frozenset({"kill_worker", "delay_case", "corrupt_sync",
-                   "raise_in_hook",
-                   # Network faults (federation transport, DESIGN.md §14):
-                   "drop_frame", "delay_frame", "corrupt_frame",
-                   "partition", "kill_coordinator",
-                   # Coverage plane (DESIGN.md §15): flip a byte inside
-                   # an encoded NCD1 delta *before* framing, so the
-                   # frame decodes but the delta's own CRC fails and
-                   # the watermark resync path is exercised.
-                   "corrupt_delta"})
-
-#: The subset injected at a node's outbound-frame gate.
-NET_KINDS = frozenset({"drop_frame", "delay_frame", "corrupt_frame",
-                       "partition"})
+                   "raise_in_hook"})
 
 #: Sync-corruption shapes (what a crash mid-write can leave behind).
 CORRUPTION_MODES = frozenset({"truncate", "garbage", "tmp_orphan"})
@@ -87,15 +75,6 @@ class FaultSpec:
     corrupt: str = "truncate"
     #: Export round (1-based) for ``corrupt_sync``; ``None`` = first.
     at_export: int | None = None
-    #: Outbound transport frame (1-based, per node, heartbeats excluded)
-    #: for the network kinds; ``None`` = the node's next frame.
-    at_frame: int | None = None
-    #: Coordinator message counter (1-based) for ``kill_coordinator``;
-    #: ``None`` = the next message the coordinator processes.
-    at_event: int | None = None
-    #: Federation round (1-based) for ``corrupt_delta``; ``None`` = the
-    #: node's next coverage-delta push.
-    at_round: int | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -104,9 +83,6 @@ class FaultSpec:
             raise ValueError("raise_in_hook needs a hook name")
         if self.corrupt not in CORRUPTION_MODES:
             raise ValueError(f"unknown corruption mode {self.corrupt!r}")
-        if self.kind == "partition" and self.seconds <= 0:
-            raise ValueError("partition needs seconds > 0 (how long the "
-                             "link stays down)")
 
 
 @dataclass
@@ -148,32 +124,6 @@ class FaultPlan:
             s.kind == "corrupt_sync"
             and (s.worker is None or s.worker == worker)
             and (s.at_export is None or s.at_export == export_round)))
-
-    def take_net_fault(self, worker: int, frame_no: int) -> FaultSpec | None:
-        """The network fault due at *worker*'s Nth outbound frame.
-
-        Heartbeats are excluded from the frame numbering (they are
-        timing-driven), so ``at_frame`` counts protocol frames only and
-        a plan stays deterministic across machines of any speed.
-        """
-        return self._take(lambda s: (
-            s.kind in NET_KINDS
-            and (s.worker is None or s.worker == worker)
-            and (s.at_frame is None or s.at_frame == frame_no)))
-
-    def take_delta_fault(self, worker: int | None,
-                         round_no: int) -> FaultSpec | None:
-        """The ``corrupt_delta`` fault due at *worker*'s Nth delta push."""
-        return self._take(lambda s: (
-            s.kind == "corrupt_delta"
-            and (s.worker is None or s.worker == worker)
-            and (s.at_round is None or s.at_round == round_no)))
-
-    def take_coordinator_fault(self, event_no: int) -> FaultSpec | None:
-        """The ``kill_coordinator`` fault due at the Nth handled message."""
-        return self._take(lambda s: (
-            s.kind == "kill_coordinator"
-            and (s.at_event is None or s.at_event == event_no)))
 
     def take_hook_fault(self, name: str, worker: int | None) -> FaultSpec | None:
         """The injected exception due inside hook *name*, if any."""

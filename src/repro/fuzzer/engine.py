@@ -275,15 +275,13 @@ class FuzzEngine:
             absorb_lines(record.lines)
 
     def import_subsumed_batch(self, count: int) -> None:
-        """Bookkeeping for *count* partner records elided by the
-        coverage plane (DESIGN.md §15) without ever crossing the wire
-        or the disk.
+        """Bookkeeping for *count* partner records the sync sidecar
+        (DESIGN.md §15) absorbed without reading them from disk.
 
         Count-for-count identical to calling :meth:`import_subsumed`
-        once per record — the relay proved subsumption from the
-        receiver's own pushed virgin map, so the per-record decision is
-        reproduced exactly. Line coverage travels separately (one
-        unioned payload) and is absorbed by the caller.
+        once per record — the importer's own virgin map subsumed the
+        partner's whole map, so every record would have been skipped.
+        Line coverage travels separately and is absorbed by the caller.
         """
         if count <= 0:
             return

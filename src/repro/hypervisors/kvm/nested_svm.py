@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from repro import perf
 from repro.arch.registers import Cr0, Cr4, Efer
-from repro.cpu.svm_cpu import SvmCpu, check_vmcb
+from repro.cpu.svm_cpu import SvmCpu
 from repro.hypervisors.base import ExecResult, GuestInstruction, SanitizerKind
 from repro.hypervisors.kvm.mmu import KvmMmu
 from repro.hypervisors.kvm.module import KvmModuleParams
@@ -174,16 +174,16 @@ class NestedSvm:
         # Note: GIF does not gate vmrun — the canonical sequence is
         # clgi; vmrun; stgi, with GIF only masking interrupt delivery.
         state.current_vmcb12_pa = vmcb12_pa
-        # Both checks are pure in the VMCB12 fields (module params and the
-        # memory-window predicates are constant per instance), so their
-        # results are memoized on the VMCB and revalidated via the journal.
-        problems = perf.memoized_check(
-            vmcb12, ("kvm_svm", id(self), "controls"),
-            lambda: self.check_controls(vmcb12))
+        # Both checks are pure in the VMCB12 fields and cheap enough to
+        # run on every vmrun: a memo on the VMCB cost more than the checks
+        # it skipped.
+        problems = self.check_controls(vmcb12)
+        # The save area is checked only behind valid controls, as
+        # nested_vmcb_check_controls/_save order them.
         if not problems:
-            problems = perf.memoized_check(
-                vmcb12, ("kvm_svm", id(self), "save"),
-                lambda: self.check_save_area(vmcb12))
+            problems = self.check_save_area(vmcb12)
+        # The first problem fails vmrun with VMEXIT_INVALID, before any
+        # VMCB02 state is built.
         if problems:
             return self._fail_vmrun(state, vmcb12, problems[0])
 
@@ -379,12 +379,12 @@ class NestedSvm:
             vmcb02.write(SF.N_CR3, 0x20000)  # L0 shadow root
 
         # vmrun writes back into the installed VMCB (quirk fixups, exit
-        # codes), so on the incremental path publish_merged installs a
-        # copy and keeps the master pristine, with the vmrun check memo
-        # pre-warmed so the copy enters on a pure journal revalidation.
-        state.vmcb02 = perf.publish_merged(
-            vmcb02, lambda: perf.memoized_check(vmcb02, "svm_vmcb_check",
-                                                lambda: check_vmcb(vmcb02)))
+        # codes), so publish_merged installs a copy and keeps the master
+        # pristine; the same copy is reused while neither side has
+        # changed.
+        state.vmcb02 = perf.publish_merged(vmcb02)
+        # The hardware consistency check runs in phys.vmrun, on the
+        # installed copy.
         return None
 
     # ------------------------------------------------------------------

@@ -21,14 +21,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro import perf
 from repro.arch.registers import Cr0, Cr4, Efer
 from repro.cpu.svm_cpu import SvmCpu
 from repro.hypervisors.base import ExecResult, GuestInstruction
 from repro.hypervisors.memory import GuestMemory
 from repro.svm import fields as SF
 from repro.svm.exit_codes import SvmExitCode
-from repro.svm.fields import Misc1Intercept, Misc2Intercept, VintrControl
+from repro.svm.fields import (Misc1Intercept, Misc2Intercept,
+                              VintrControl)
 from repro.svm.vmcb import Vmcb
 from repro.validator.golden import golden_vmcb
 
@@ -144,12 +144,12 @@ class XenNestedSvm:
             return ExecResult.fault("#GP: no VMCB at address")
         state.current_vmcb12_pa = vmcb12_pa
 
-        # Pure in the VMCB12 fields: memoized on the VMCB and revalidated
-        # via the dirty journal. (The merge below is NOT cached — it
-        # depends on prev_l2_long_mode and the vgif/bug-#5 state.)
-        problems = perf.memoized_check(
-            vmcb12, ("xen_svm", id(self), "check"),
-            lambda: self.nsvm_vmcb_check(vmcb12))
+        # Pure in the VMCB12 fields and run directly on every vmrun.
+        # (The merge below is not cached either — it depends on
+        # prev_l2_long_mode and the vgif/bug-#5 state.)
+        problems = self.nsvm_vmcb_check(vmcb12)
+        # The first problem is reflected to L1 as VMEXIT_INVALID, before
+        # any VMCB02 state is built.
         if problems:
             return self.nsvm_vcpu_vmexit_inject(state, vmcb12, problems[0])
 

@@ -28,11 +28,6 @@ from repro.parallel.supervisor import (
     SupervisorEvent,
 )
 from repro.parallel.sync import SYNC_FORMATS, SyncDirectory, SyncStats
-from repro.parallel.transport import (
-    FederatedCampaign,
-    TransportError,
-    run_federated_node,
-)
 from repro.parallel.worker import CampaignWorker, WorkerSpec, worker_seed
 
 __all__ = [
@@ -40,7 +35,6 @@ __all__ = [
     "CampaignAborted",
     "CampaignWorker",
     "FailureKind",
-    "FederatedCampaign",
     "FileLeaseBoard",
     "Lease",
     "LeaseBoard",
@@ -55,10 +49,8 @@ __all__ = [
     "SupervisorEvent",
     "SyncDirectory",
     "SyncStats",
-    "TransportError",
     "WorkerPool",
     "WorkerSpec",
     "expo_backoff",
-    "run_federated_node",
     "worker_seed",
 ]

@@ -1,12 +1,8 @@
-"""Capped exponential backoff with optional jitter — one formula, shared.
+"""Capped exponential backoff with optional jitter.
 
-The supervisor's restart delays and the federation transport's reconnect
-loop both want the same curve: ``base * 2**(attempt-1)`` capped at
-``cap``, optionally spread by a symmetric jitter fraction so a herd of
-nodes reconnecting after a coordinator restart does not thundering-herd
-the listener. Keeping the formula here (instead of two slightly
-different inline copies) is what lets the backoff unit tests pin both
-call sites at once.
+The supervisor's restart delays follow ``base * 2**(attempt-1)``
+capped at ``cap``, optionally spread by a symmetric jitter fraction so
+several shards restarting at once do not retry in lockstep.
 """
 
 from __future__ import annotations

@@ -120,7 +120,7 @@ class ParallelCampaignResult(CampaignResult):
         skipped = self.engine_stats.imports_skipped_subsumed
         if skipped:
             text += f" ({skipped} subsumed, not re-executed)"
-        if self.schedule in ("stealing", "federated"):
+        if self.schedule == "stealing":
             text += (f", {len(self.lease_log)} lease(s) "
                      f"({self.steals} stolen, {self.reclaims} reclaimed)")
         if self.pool_reuse:
@@ -272,6 +272,9 @@ class ParallelCampaign:
     lease_log: list[LeaseRecord] | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.vendor, Vendor):
+            raise TypeError(f"vendor must be a Vendor, not "
+                            f"{type(self.vendor).__name__} {self.vendor!r}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if self.mode not in ("inline", "process"):

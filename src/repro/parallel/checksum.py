@@ -1,11 +1,9 @@
 """Shared CRC32 + length-prefix helpers for the binary protocols.
 
-Corpus protocol v2 (:mod:`repro.parallel.wire`), the NCF1 federation
-framing (:mod:`repro.parallel.transport.frames`), and the NCD1 coverage
-deltas (:mod:`repro.coverage.delta`) all checksum their payloads the
-same way; before this module each grew its own copy of the arithmetic.
-One definition keeps the protocols bit-compatible with each other and
-gives the property tests a single seam to pin.
+Corpus protocol v2 (:mod:`repro.parallel.wire`) and the NCD1 coverage
+deltas of the sync sidecar (:mod:`repro.coverage.delta`) checksum their
+payloads the same way. One definition keeps the formats bit-compatible
+with each other and gives the property tests a single seam to pin.
 
 Everything here is pure bytes-in/bytes-out: no I/O, no protocol
 knowledge beyond "a CRC32 and a little-endian u32 length prefix".

@@ -393,54 +393,6 @@ class FileLeaseBoard:
                 telemetry.counter("sched.steals")
         return Lease(lease_id, size)
 
-    def claim_once(self, worker: int, key: str, *,
-                   rate: float = 0.0) -> Lease | None:
-        """Idempotent claim, persisted under *key* (federation API).
-
-        The federation coordinator keys claims by ``"round:node"``: the
-        grant (or the fact that nothing was claimable) is recorded in
-        the same atomic board transaction that carves the lease, so a
-        node resending a claim after a lost reply — or a coordinator
-        restarting after a crash between carve and reply — returns the
-        recorded outcome instead of leaking a second lease out of the
-        budget.
-        """
-        with _locked(self.lock_path):
-            state = self._read()
-            grants = state.setdefault("grants", {})
-            if key in grants:
-                recorded = grants[key]
-                return (Lease(recorded[0], recorded[1])
-                        if recorded is not None else None)
-            carved = self._carve(state, worker, rate)
-            if carved is None:
-                grants[key] = None
-                self._write(state)
-                return None
-            lease_id, size, steal = carved
-            grants[key] = [lease_id, size]
-            self._write(state)
-        with telemetry.shard_scope(worker):
-            telemetry.counter("sched.leases_issued")
-            if steal:
-                telemetry.counter("sched.steals")
-        return Lease(lease_id, size)
-
-    def recorded_grant(self, key: str) -> tuple[bool, Lease | None]:
-        """Look up a :meth:`claim_once` outcome without carving.
-
-        Returns ``(recorded, lease)``: the federation coordinator uses
-        it to answer resent claims for already-released rounds without
-        taking the write path.
-        """
-        state = self._read()
-        grants = state.get("grants", {})
-        if key not in grants:
-            return False, None
-        recorded = grants[key]
-        return True, (Lease(recorded[0], recorded[1])
-                      if recorded is not None else None)
-
     def complete(self, lease_id: int, worker: int, *,
                  round_no: int = 0) -> None:
         with _locked(self.lock_path):

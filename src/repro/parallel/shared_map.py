@@ -94,15 +94,6 @@ class SharedVirginMap:
         with self.lock:
             return bytes(self.shm.buf[:MAP_SIZE])
 
-    def delta_since(self, baseline: bytes, base_generation: int,
-                    generation: int):
-        """The coverage delta from *baseline* to the segment's current
-        merged bits (one locked snapshot + one vectorized diff)."""
-        from repro.coverage import delta
-
-        return delta.delta_between(baseline, self.snapshot(),
-                                   base_generation, generation)
-
     def destroy(self) -> None:
         """Close and unlink; safe to call exactly once.
 

@@ -67,28 +67,6 @@ def record_subsumed(engine: FuzzEngine, record: wire.WireRecord, *,
     return engine.virgin.subsumes(record.coverage)
 
 
-def consume_record(engine: FuzzEngine, record: wire.WireRecord, *,
-                   absorb_lines=None, subsumption_filter: bool = True
-                   ) -> bool:
-    """Apply one partner record to *engine*; True when it was absorbed
-    without execution.
-
-    This is the exactly-once apply step both transports share: the
-    filesystem sync directory (:meth:`SyncDirectory._import_v2`) and
-    the federation node (:mod:`repro.parallel.transport`) — however a
-    record travelled, applying it goes through the same filter and the
-    same engine entry points, so the two data planes are
-    fingerprint-equivalent by construction.
-    """
-    if record_subsumed(engine, record, enabled=subsumption_filter):
-        engine.import_subsumed(record, absorb_lines)
-        telemetry.counter("sync.filter_subsumed")
-        return True
-    engine.import_packed(record)
-    telemetry.counter("sync.filter_executed")
-    return False
-
-
 def worker_queue_dir(root: Path, index: int) -> Path:
     """The queue directory one worker exports to."""
     return Path(root) / f"worker-{index:03d}" / "queue"

@@ -201,7 +201,7 @@ def parse_record(blob: bytes, codec: LineCodec | None = None
 class RecordSummary:
     """A codec-free header view of one record (coverage plane).
 
-    What the federation coordinator can see without holding the
+    What the sync sidecar writer reads without decoding through the
     campaign's :class:`LineCodec`: flags, the verified sparse coverage,
     and the *raw* line indices (every worker of a campaign shares one
     sorted universe, so indices are meaningful without decoding).
@@ -215,7 +215,7 @@ class RecordSummary:
 
     @property
     def skippable(self) -> bool:
-        """May a relay elide this record for a subsuming receiver?
+        """May a subsuming receiver absorb this record unexecuted?
 
         Mirrors :func:`repro.parallel.sync.record_subsumed`'s structural
         half: coverage and lines must both be shipped, and crashing or
@@ -229,9 +229,9 @@ class RecordSummary:
 def summarize_record(blob: bytes) -> RecordSummary | None:
     """Header + coverage view of one record, without a codec.
 
-    ``None`` for anything malformed — the caller then relays the blob
-    verbatim and lets the receiver's own parse handle it, so a relay
-    never makes a skip decision on bytes it could not verify.
+    ``None`` for anything malformed — the caller then leaves the record
+    to the receiver's own parse, so no skip decision is ever made on
+    bytes that could not be verified.
     """
     if len(blob) < RECORD_HEADER.size:
         return None
@@ -262,9 +262,9 @@ def summarize_record(blob: bytes) -> RecordSummary | None:
 def pack_line_indices(indices: Iterable[int]) -> bytes:
     """Raw u16 line indices as one :meth:`LineCodec.decode`-able payload.
 
-    The coordinator unions the indices of every record it elides and
-    ships them once; the receiver decodes the union with its own codec
-    and absorbs it in one call.
+    The sync sidecar ships one such payload per skippable record; the
+    receiver decodes it with its own codec and absorbs the lines in one
+    call when its virgin map already subsumes the record.
     """
     return b"".join(_LINE.pack(i) for i in sorted(indices))
 

@@ -1,11 +1,13 @@
 """The incremental hot path.
 
 Dirty-field tracking makes three hot-path stages incremental: VM-entry
-consistency checking, the hypervisor-level VMCS12/VMCB12 checks, and
-the VMCS02/VMCB02 merge. It is the only path: there is no switch. The
-full-recompute reference it must equal lives in the test suite
-(``tests.reference.full_recompute``), which swaps these functions for
-straight-through versions; tests/unit/test_incremental_equivalence.py
+consistency checking, the hypervisor-level VMCS12 checks, and the
+VMCS02/VMCB02 merge. The SVM checks run straight through: on a VMCB a
+memo cost more than the check it skipped. It is the only path: there
+is no switch. The full-recompute reference it must equal lives in the
+test suite (``tests.reference.full_recompute``), which swaps these
+functions for straight-through versions;
+tests/unit/test_incremental_equivalence.py
 pins the two equal (violation lists, corrections, exit reasons, VMCS02
 contents and coverage). The validators' rounding passes are not
 memoized: each case rounds a freshly deserialized structure, so a
@@ -22,7 +24,7 @@ from repro import telemetry
 def memoized_check(struct, key, compute: Callable[[], list]):
     """Memoize a pure consistency check on its structure object.
 
-    *struct* is a ``Vmcs`` or ``Vmcb``; *compute* must be a pure
+    *struct* is a ``Vmcs``; *compute* must be a pure
     function of the structure's fields (plus state that is constant for
     the lifetime of *key*, e.g. the capability MSRs of the hypervisor
     instance baked into the key). The read set is recorded dynamically

@@ -40,11 +40,6 @@ from repro.parallel.supervisor import (
     SupervisorConfig,
     SupervisorEvent,
 )
-from repro.parallel.transport import (
-    FederatedCampaign,
-    TransportError,
-    run_federated_node,
-)
 
 __all__ = [
     "CampaignAborted",
@@ -53,7 +48,6 @@ __all__ = [
     "FailureKind",
     "FaultPlan",
     "FaultSpec",
-    "FederatedCampaign",
     "InjectedFault",
     "LeaseBoardError",
     "ParallelCampaign",
@@ -61,12 +55,10 @@ __all__ = [
     "Supervisor",
     "SupervisorConfig",
     "SupervisorEvent",
-    "TransportError",
     "WorkerKilled",
     "campaign_fingerprint",
     "injected",
     "load_reproducer",
-    "run_federated_node",
 ]
 
 

@@ -35,9 +35,9 @@ class Vmcb:
     structure directly in memory.
 
     Dirty tracking mirrors :class:`repro.vmx.vmcs.Vmcs`: value-changing
-    writes bump a generation counter and journal the field name, memo
-    entries ride along on ``copy()``, and ``serialize()`` is cached
-    behind the generation counter.
+    writes bump a generation counter and journal the field name (the
+    kvm/amd merge cache reads the journal), and ``serialize()`` is
+    cached behind the generation counter.
     """
 
     def __init__(self) -> None:
@@ -45,15 +45,11 @@ class Vmcb:
         self._gen = 0
         self._log: list[str] = []
         self._log_base = 0
-        self._memo: dict = {}
         self._ser: bytes | None = None
         self._ser_gen = -1
-        self._read_trace: set[str] | None = None
 
     def read(self, name: str) -> int:
         """Read a field by name."""
-        if self._read_trace is not None:
-            self._read_trace.add(name)
         try:
             return self._values[name]
         except KeyError:
@@ -79,7 +75,7 @@ class Vmcb:
         """Copy the fields *keys* from *src*, in order, as one bulk write.
 
         Same contract as ``Vmcs.copy_fields``: equal to ``for k in keys:
-        self.write(k, src.read(k))``, journal and read trace included.
+        self.write(k, src.read(k))``, journal included.
         An unknown key raises ``KeyError`` before anything is written.
         """
         values = self._values
@@ -89,8 +85,6 @@ class Vmcb:
                 k for k in keys if values[k] != srcvals[k]))
         except KeyError as exc:
             raise KeyError(f"unknown VMCB field {exc.args[0]!r}") from None
-        if src._read_trace is not None:
-            src._read_trace.update(keys)
         if changed:
             values.update(zip(changed, map(srcvals.__getitem__, changed)))
             self._gen += len(changed)
@@ -122,15 +116,6 @@ class Vmcb:
             return None
         return set(self._log[gen - self._log_base:])
 
-    def memo_get(self, key):
-        """Fetch a memoized derived result (opaque entry) by *key*."""
-        return self._memo.get(key)
-
-    def memo_put(self, key, entry) -> None:
-        """Store a memoized result (entries are shared by copies —
-        replace, never mutate)."""
-        self._memo[key] = entry
-
     def __getitem__(self, name: str) -> int:
         return self.read(name)
 
@@ -142,9 +127,6 @@ class Vmcb:
         return zip(ALL_FIELDS, map(self._values.__getitem__, _NAMES))
 
     # --- convenience predicates used by emulation code ---------------------
-
-    # All predicates go through ``read`` so dynamic read-set recording
-    # sees the underlying field dependency.
 
     @property
     def nested_paging(self) -> bool:
@@ -181,8 +163,8 @@ class Vmcb:
     def copy(self) -> "Vmcb":
         """Deep copy (fast path: no ``__init__`` field-table rebuild).
 
-        The generation counter, change journal, memo entries, and the
-        serialization cache are carried over, so a snapshot starts warm
+        The generation counter, change journal, and the serialization
+        cache are carried over, so a snapshot starts warm
         and diverges from its parent through its own journal.
         """
         dup = Vmcb.__new__(Vmcb)
@@ -190,10 +172,8 @@ class Vmcb:
         dup._gen = self._gen
         dup._log = list(self._log)
         dup._log_base = self._log_base
-        dup._memo = dict(self._memo)
         dup._ser = self._ser
         dup._ser_gen = self._ser_gen
-        dup._read_trace = None
         return dup
 
     def snapshot(self) -> "Vmcb":

@@ -67,7 +67,6 @@ def campaign_summary(root: Path) -> dict:
     events = read_events(events_path) if events_path.exists() else []
     return {"root": str(root), "spans": spans, "counters": counters,
             "gauges": gauges, "scheduler": _scheduler_summary(registry),
-            "net": _net_summary(registry),
             "coverage_plane": _coverage_plane_summary(registry),
             "shards": skew, "event_count": len(events)}
 
@@ -92,42 +91,16 @@ def _scheduler_summary(registry: MetricsRegistry) -> dict:
     return summary
 
 
-#: The federation transport's counters (DESIGN.md §14): traffic volume,
-#: then the robustness machinery actually firing — resends, reconnects,
-#: decode errors, expiries, partition time.
-_NET_COUNTERS = ("net.frames_sent", "net.frames_received",
-                 "net.frames_resent", "net.frames_dropped",
-                 "net.decode_errors", "net.reconnects",
-                 "net.coordinator_restarts", "net.node_expiries",
-                 "net.lease_expiries", "net.partition_seconds",
-                 "net.records_pushed", "net.records_fetched")
-
-
-def _net_summary(registry: MetricsRegistry) -> dict:
-    """Transport block; empty (section omitted) for local campaigns."""
-    return {name: total for name in _NET_COUNTERS
-            if (total := registry.counter_total(name))}
-
-
-#: The coverage plane's counters (DESIGN.md §15): delta traffic and what
-#: it saved — relay records elided against pushed virgin-map mirrors,
-#: local batches rejected from one sidecar delta — plus the resyncs the
-#: fallback leg absorbed.
-_COVERAGE_PLANE_COUNTERS = ("net.delta_bytes", "net.bytes_saved",
-                            "net.relay_bytes", "net.records_delta_skipped",
-                            "net.delta_resyncs", "sync.delta_rejects")
+#: The coverage plane's counters (DESIGN.md §15): local partner
+#: batches rejected from one ``coverage.bin`` sidecar check.
+_COVERAGE_PLANE_COUNTERS = ("sync.delta_rejects",)
 
 
 def _coverage_plane_summary(registry: MetricsRegistry) -> dict:
-    """Coverage-plane block; empty (section omitted) when the campaign
-    never exchanged a delta."""
-    summary = {name: total for name in _COVERAGE_PLANE_COUNTERS
-               if (total := registry.counter_total(name))}
-    saved = summary.get("net.bytes_saved", 0)
-    relayed = summary.get("net.relay_bytes", 0)
-    if saved and relayed:
-        summary["relay_reduction"] = round((relayed + saved) / relayed, 2)
-    return summary
+    """Coverage-plane block; empty (section omitted) when no sidecar
+    rejected a batch."""
+    return {name: total for name in _COVERAGE_PLANE_COUNTERS
+            if (total := registry.counter_total(name))}
 
 
 def _shard_skew(registry: MetricsRegistry) -> dict:
@@ -184,20 +157,11 @@ def render_report(root: Path, *, top: int = 12) -> str:
             lines.append(f"  {name:<40} {rendered:>12}")
         lines.append("")
 
-    net = summary.get("net") or {}
-    if net:
-        lines.append("net (federation transport)")
-        for name, value in sorted(net.items()):
-            lines.append(f"  {name:<40} {value:>12}")
-        lines.append("")
-
     plane = summary.get("coverage_plane") or {}
     if plane:
-        lines.append("coverage plane (virgin-map deltas)")
+        lines.append("coverage plane (sync sidecar)")
         for name, value in sorted(plane.items()):
-            rendered = (f"{value:g}" if isinstance(value, float)
-                        else f"{value}")
-            lines.append(f"  {name:<40} {rendered:>12}")
+            lines.append(f"  {name:<40} {value:>12}")
         lines.append("")
 
     per_shard = summary["shards"]["per_shard"]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro import perf, telemetry
+from repro import telemetry
 from repro.arch.registers import Cr0, Cr4, Efer
 from repro.cpu.svm_cpu import SvmCpu, check_vmcb
 from repro.svm import fields as SF
@@ -135,10 +135,6 @@ class SvmHardwareOracle:
             cpu = SvmCpu()
             cpu.set_svme(True)
             cpu.set_hsave(0x3000)
-            # Pre-warm the persistent VMCB so each attempt's image
-            # copy carries a validated memo into vmrun.
-            perf.memoized_check(vmcb, "svm_vmcb_check",
-                                lambda: check_vmcb(vmcb))
             image = vmcb.copy()
             cpu.install_vmcb(self.VMCB_PA, image)
             outcome = cpu.vmrun(self.VMCB_PA)

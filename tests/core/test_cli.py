@@ -112,3 +112,14 @@ class TestRangeChecks:
             main(["--reuse-hypervisor"])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["--coordinator", "unix:/nonexistent/neco.sock"],
+        ["--node", "unix:/nonexistent/neco.sock"],
+        ["--transport-timeout", "5"],
+    ], ids=["coordinator", "node", "transport-timeout"])
+    def test_removed_federation_flags_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -1,9 +1,27 @@
 """Tests for the top-level NecoFuzz campaign API."""
 
+import pytest
+
 from repro import ComponentToggles, NecoFuzz, Vendor
 from repro.core.necofuzz import golden_seed
 from repro.fuzzer.input import INPUT_SIZE, VM_STATE_REGION
 from repro.fuzzer.rng import Rng
+from repro.parallel import ParallelCampaign
+
+
+class TestVendorType:
+    """A vendor given as a string is rejected at construction, naming
+    the parameter, instead of building an image for the wrong vendor
+    and failing far from the cause."""
+
+    @pytest.mark.parametrize("make", [
+        lambda vendor: NecoFuzz(vendor=vendor),
+        lambda vendor: ParallelCampaign(vendor=vendor, workers=2),
+    ], ids=["NecoFuzz", "ParallelCampaign"])
+    @pytest.mark.parametrize("vendor", ["intel", "amd"])
+    def test_string_vendor_is_a_type_error(self, make, vendor):
+        with pytest.raises(TypeError, match="vendor must be a Vendor"):
+            make(vendor)
 
 
 class TestGoldenSeed:

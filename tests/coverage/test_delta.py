@@ -1,10 +1,10 @@
 """Unit tests for NCD1 coverage deltas (DESIGN.md §15).
 
-Pins the codec round-trip, the monotone-map algebra that makes run
-application a plain merge (apply == OR, subsume == nothing-new), the
-corruption → :class:`DeltaError` contract the transport's resync
-fallback is built on, the gap-coalescing run scan, and the
-:class:`DeltaTracker` watermark state machine producers drive.
+Pins the codec round-trip, the full-snapshot run scan the sync
+sidecar publishes (gap coalescing, exact reconstruction), the
+subsumption test partners run against it (subsumed == nothing new),
+and the corruption → :class:`DeltaError` contract the sidecar reader
+falls back on.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import struct
 import pytest
 
 from repro.coverage import delta
-from repro.coverage.bitmap import MAP_SIZE, VirginMap
+from repro.coverage.bitmap import MAP_SIZE
 
 
 def _random_map(rng: random.Random, cells: int) -> bytearray:
@@ -32,14 +32,22 @@ def _grown(rng: random.Random, base: bytearray, cells: int) -> bytearray:
     return grown
 
 
+def _rebuilt(runs) -> bytearray:
+    """The map a full snapshot's runs describe."""
+    bits = bytearray(MAP_SIZE)
+    for start, run in runs:
+        bits[start:start + len(run)] = run
+    return bits
+
+
 # --- codec -----------------------------------------------------------------
 
 
 def test_encode_decode_round_trip():
     rng = random.Random(7)
-    old = _random_map(rng, 200)
-    new = _grown(rng, old, 150)
-    original = delta.delta_between(bytes(old), bytes(new), 3, 9)
+    runs = delta.full_delta(bytes(_random_map(rng, 200)), 9).runs
+    original = delta.CoverageDelta(base_generation=3, generation=9,
+                                   runs=runs)
     decoded = delta.decode(delta.encode(original))
     assert decoded == original
     assert decoded.base_generation == 3
@@ -48,10 +56,8 @@ def test_encode_decode_round_trip():
 
 
 def test_empty_delta_round_trips():
-    bits = bytes(MAP_SIZE)
-    original = delta.delta_between(bits, bits, 5, 5)
-    assert original.empty
-    assert original.payload_bytes() == 0
+    original = delta.full_delta(bytes(MAP_SIZE), 5)
+    assert original.runs == ()
     assert delta.decode(delta.encode(original)) == original
 
 
@@ -60,15 +66,13 @@ def test_full_delta_is_resync_snapshot():
     bits = _random_map(rng, 300)
     snap = delta.full_delta(bytes(bits), 42)
     assert snap.full and snap.base_generation == 0
-    rebuilt = bytearray(MAP_SIZE)
-    delta.apply_runs(rebuilt, snap.runs)
-    assert rebuilt == bits
+    assert _rebuilt(snap.runs) == bits
 
 
 def test_corrupt_payload_raises_delta_error():
     snap = delta.full_delta(bytes(_random_map(random.Random(3), 50)), 1)
     wire = bytearray(delta.encode(snap))
-    wire[len(wire) // 2] ^= 0xFF  # same flip the corrupt_delta fault makes
+    wire[len(wire) // 2] ^= 0xFF
     with pytest.raises(delta.DeltaError, match="CRC"):
         delta.decode(bytes(wire))
 
@@ -99,158 +103,44 @@ def test_out_of_order_runs_rejected():
 
 def test_wrong_size_payload_rejected():
     with pytest.raises(ValueError, match="MAP_SIZE"):
-        delta.diff_runs(b"\x00" * 10, bytes(MAP_SIZE))
+        delta.full_delta(b"\x00" * 10, 1)
 
 
 # --- run algebra -----------------------------------------------------------
 
 
-def test_apply_runs_reconstructs_new_map_exactly():
-    rng = random.Random(21)
-    old = _random_map(rng, 400)
-    new = _grown(rng, old, 300)
-    diff = delta.delta_between(bytes(old), bytes(new), 1, 2)
-    rebuilt = bytearray(old)
-    assert delta.apply_runs(rebuilt, diff.runs)
-    assert rebuilt == new
-
-
-def test_apply_runs_is_idempotent_merge():
-    rng = random.Random(22)
-    old = _random_map(rng, 100)
-    new = _grown(rng, old, 100)
-    diff = delta.delta_between(bytes(old), bytes(new), 1, 2)
-    # Applying to a map already past the base (here: new itself) is a
-    # no-op merge — the monotone property the protocol leans on.
-    target = bytearray(new)
-    assert not delta.apply_runs(target, diff.runs)
-    assert target == new
-
-
-def test_runs_subsumed_matches_apply_result():
+def test_runs_subsumed_means_nothing_new():
     rng = random.Random(23)
     for _ in range(20):
-        old = _random_map(rng, rng.randrange(300))
-        new = _grown(rng, old, rng.randrange(300))
-        local = _grown(rng, _random_map(rng, 200), 0)
-        diff = delta.delta_between(bytes(old), bytes(new), 1, 2)
-        probe = bytearray(local)
-        changed = delta.apply_runs(probe, diff.runs)
-        assert delta.runs_subsumed(local, diff.runs) == (not changed)
+        partner = _random_map(rng, rng.randrange(300))
+        local = _random_map(rng, 200)
+        if rng.random() < 0.5:
+            local = _grown(rng, partner, rng.randrange(50))
+        runs = delta.full_delta(bytes(partner), 2).runs
+        new_bits = (int.from_bytes(partner, "little")
+                    & ~int.from_bytes(local, "little"))
+        assert delta.runs_subsumed(local, runs) == (new_bits == 0)
 
 
 def test_run_scan_coalesces_small_gaps():
-    old = bytes(MAP_SIZE)
     new = bytearray(MAP_SIZE)
     new[100] = 1
     new[105] = 1  # 4-byte gap: cheaper as literal zeros than a new run
     new[200] = 1  # far away: its own run
-    runs = delta.diff_runs(old, bytes(new))
+    runs = delta.full_delta(bytes(new), 1).runs
     assert [start for start, _run in runs] == [100, 200]
     assert len(runs[0][1]) == 6
 
 
 def test_run_scan_splits_large_gaps():
-    old = bytes(MAP_SIZE)
     new = bytearray(MAP_SIZE)
     new[100] = 1
     new[120] = 1  # 19-byte gap: two runs beat shipping the zeros
-    runs = delta.diff_runs(old, bytes(new))
+    runs = delta.full_delta(bytes(new), 1).runs
     assert [start for start, _run in runs] == [100, 120]
 
 
 def test_delta_payload_is_sparse():
-    rng = random.Random(31)
-    old = _random_map(rng, 500)
-    new = _grown(rng, old, 40)
-    diff = delta.delta_between(bytes(old), bytes(new), 1, 2)
-    # 40 new cells must cost a tiny fraction of the 64 KiB map.
-    assert len(delta.encode(diff)) < MAP_SIZE // 16
-
-
-# --- VirginMap integration -------------------------------------------------
-
-
-def test_virgin_map_delta_round_trip():
-    producer = VirginMap()
-    rng = random.Random(41)
-    producer.merge_bits(bytes(_random_map(rng, 250)))
-    baseline = producer.snapshot()
-    base_gen = producer.generation
-    producer.merge_bits(bytes(_grown(rng, bytearray(baseline), 200)))
-
-    diff = producer.delta_since(baseline, base_gen)
-    assert diff.base_generation == base_gen
-    assert diff.generation == producer.generation
-
-    consumer = VirginMap()
-    consumer.restore(baseline)
-    assert consumer.apply_delta(diff)
-    assert bytes(consumer.bits) == producer.snapshot()
-    assert consumer.subsumes_delta(diff)
-    assert producer.subsumes_delta(diff)
-
-
-# --- DeltaTracker ----------------------------------------------------------
-
-
-def test_tracker_take_commit_advances_baseline():
-    virgin = VirginMap()
-    rng = random.Random(51)
-    tracker = delta.DeltaTracker()
-
-    virgin.merge_bits(bytes(_random_map(rng, 100)))
-    first = tracker.take(virgin)
-    assert first.full  # nothing acked yet: full snapshot
-    tracker.commit(first)
-    assert tracker.generation == virgin.generation
-
-    virgin.merge_bits(bytes(_grown(rng, virgin.bits, 100)))
-    second = tracker.take(virgin)
-    assert not second.full
-    assert second.base_generation == first.generation
-    # The chain replays to the live map.
-    rebuilt = bytearray(MAP_SIZE)
-    delta.apply_runs(rebuilt, first.runs)
-    delta.apply_runs(rebuilt, second.runs)
-    assert rebuilt == virgin.bits
-
-
-def test_tracker_uncommitted_take_keeps_baseline():
-    virgin = VirginMap()
-    rng = random.Random(52)
-    tracker = delta.DeltaTracker()
-    virgin.merge_bits(bytes(_random_map(rng, 80)))
-    taken = tracker.take(virgin)
-    tracker.commit(taken)
-
-    virgin.merge_bits(bytes(_grown(rng, virgin.bits, 80)))
-    lost = tracker.take(virgin)  # peer never acks (timeout)
-    retry = tracker.take(virgin)  # resent diff covers the same ground
-    assert retry == lost
-
-
-def test_tracker_commit_of_foreign_delta_rejected():
-    virgin = VirginMap()
-    virgin.merge_bits(bytes(_random_map(random.Random(53), 10)))
-    tracker = delta.DeltaTracker()
-    tracker.take(virgin)
-    foreign = delta.full_delta(bytes(virgin.bits), virgin.generation)
-    with pytest.raises(delta.DeltaError, match="did not take"):
-        tracker.commit(foreign)
-
-
-def test_tracker_resync_produces_full_snapshot():
-    virgin = VirginMap()
-    rng = random.Random(54)
-    tracker = delta.DeltaTracker()
-    virgin.merge_bits(bytes(_random_map(rng, 120)))
-    tracker.commit(tracker.take(virgin))
-    virgin.merge_bits(bytes(_grown(rng, virgin.bits, 60)))
-
-    tracker.resync()  # peer lost state / rejected a corrupt delta
-    snap = tracker.take(virgin)
-    assert snap.full
-    rebuilt = bytearray(MAP_SIZE)
-    delta.apply_runs(rebuilt, snap.runs)
-    assert rebuilt == virgin.bits
+    snap = delta.full_delta(bytes(_random_map(random.Random(31), 40)), 1)
+    # 40 touched cells must cost a tiny fraction of the 64 KiB map.
+    assert len(delta.encode(snap)) < MAP_SIZE // 16

@@ -1,9 +1,8 @@
 """Unit tests for the shared exponential-backoff curve.
 
-One formula serves both the supervisor's restart delays and the
-transport's reconnect loop (DESIGN.md §14), so these tests pin the
-deterministic core, the hard cap, and the seeded-jitter contract that
-the chaos suite relies on for reproducible schedules.
+The supervisor's restart delays follow this curve, so these tests pin
+the deterministic core, the hard cap, and the seeded-jitter contract
+that the chaos suite relies on for reproducible schedules.
 """
 
 from __future__ import annotations

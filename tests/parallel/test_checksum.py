@@ -1,10 +1,9 @@
 """Unit tests for the shared CRC32 + chunk helpers.
 
-The checksum module is the single seam the three binary protocols
-(corpus v2, NCF1 frames, NCD1 deltas) hash through; these tests pin the
+The checksum module is the single seam the two binary formats
+(corpus v2 and the NCD1 sync sidecar) hash through; these tests pin the
 seal/unseal and pack/unpack contracts — including the torn and lying
-length prefixes the sync and transport corruption paths depend on — and
-the bit-compatibility of the delegating protocol layers.
+length prefixes the sync corruption paths depend on.
 """
 
 from __future__ import annotations
@@ -55,15 +54,3 @@ def test_unpack_chunks_rejects_lying_prefix():
     raw[0] = 200  # claims 200 bytes; only 3 follow
     with pytest.raises(ValueError, match="exceeds"):
         checksum.unpack_chunks(bytes(raw))
-
-
-def test_frames_and_wire_delegate_to_shared_checksum():
-    # The protocols must stay bit-compatible: one definition, not three.
-    from repro.parallel.transport import frames
-
-    chunks = [b"one", b"two"]
-    assert frames.encode_blobs(chunks) == checksum.pack_chunks(chunks)
-    assert frames.decode_blobs(checksum.pack_chunks(chunks)) == chunks
-    raw = frames.pack_ctrl({"op": "ping"})
-    crc = frames.FRAME_HEADER.unpack_from(raw)[4]
-    assert checksum.verify(raw[frames.FRAME_HEADER.size:], crc)

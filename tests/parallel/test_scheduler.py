@@ -18,6 +18,7 @@ from repro.parallel.scheduler import (
     AdaptiveSync,
     FileLeaseBoard,
     LeaseBoard,
+    LeaseBoardError,
     LeaseRecord,
     PoolMismatch,
     WorkerPool,
@@ -168,6 +169,43 @@ class TestFileLeaseBoard:
                                       lease_size=10)
         assert not board.finished()
         assert board.summary()["completed"] == 0
+
+
+def _scribbled_board(tmp_path, garbage: str) -> FileLeaseBoard:
+    board = FileLeaseBoard.create(tmp_path, 16, 2, lease_size=8)
+    board.state_path.write_text(garbage)
+    return board
+
+
+@pytest.mark.parametrize("garbage", ["{truncated", "", "[1, 2, 3]", "42"])
+def test_corrupt_board_raises_lease_board_error(tmp_path, garbage):
+    """A scribbled ``board.json`` raises a clear :class:`LeaseBoardError`,
+    not a raw JSON traceback."""
+    board = _scribbled_board(tmp_path, garbage)
+    for operation in (lambda: board.claim(0), board.finished,
+                      board.summary):
+        with pytest.raises(LeaseBoardError) as excinfo:
+            operation()
+        # The message must name the file so the operator can act on it.
+        assert str(board.state_path) in str(excinfo.value)
+
+
+def test_corrupt_board_error_is_restartable(tmp_path):
+    """A fresh create() over the scribbled file recovers the board —
+    the supervisor's restart path after a LeaseBoardError death."""
+    board = _scribbled_board(tmp_path, "{nope")
+    with pytest.raises(LeaseBoardError):
+        board.finished()
+    recreated = FileLeaseBoard.create(tmp_path, 16, 2, lease_size=8)
+    assert recreated.claim(0).size == 8
+    assert not recreated.finished()
+
+
+def test_unreadable_board_raises_lease_board_error(tmp_path):
+    board = FileLeaseBoard.create(tmp_path, 16, 2)
+    board.state_path.unlink()
+    with pytest.raises(LeaseBoardError, match="unreadable"):
+        board.finished()
 
 
 class TestAdaptiveSync:

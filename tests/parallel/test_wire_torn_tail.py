@@ -1,7 +1,6 @@
 """Property tests for protocol-v2 torn-tail detection and healing.
 
-The exporter's crash-recovery contract (DESIGN.md §10, reused verbatim
-by the federation relay): after *any* truncation of ``queue.bin`` or
+The exporter's crash-recovery contract (DESIGN.md §10): after *any* truncation of ``queue.bin`` or
 ``queue.idx`` at an arbitrary byte offset,
 
 * :func:`tail_intact` notices the damage (O(1), before appending more);

@@ -163,7 +163,7 @@ def _churned(raw: bytes, churn: int) -> Vmcb:
 class TestCopyFields:
     """``copy_fields`` equals the per-field ``write(k, src.read(k))``
     loop: values, generations, journal (and so ``changes_since`` for
-    every earlier generation), truncation and the source read trace."""
+    every earlier generation) and truncation."""
 
     @given(st.binary(min_size=SF.LAYOUT_BYTES, max_size=SF.LAYOUT_BYTES),
            st.binary(min_size=SF.LAYOUT_BYTES, max_size=SF.LAYOUT_BYTES),
@@ -172,7 +172,6 @@ class TestCopyFields:
     @settings(max_examples=60, deadline=None)
     def test_equals_per_field_loop(self, raw_src, raw_dst, churn, key_lists):
         src, src_ref = Vmcb.deserialize(raw_src), Vmcb.deserialize(raw_src)
-        src._read_trace, src_ref._read_trace = set(), set()
         dst = _churned(raw_dst, churn)
         ref = dst.copy()
         marks = [dst.generation]
@@ -188,7 +187,6 @@ class TestCopyFields:
             for gen in {*marks, *range(max(base - 2, 0), base + 3),
                         *range(max(ref.generation - 3, 0), ref.generation + 1)}:
                 assert dst.changes_since(gen) == ref.changes_since(gen)
-            assert src._read_trace == src_ref._read_trace
             # The source is only read.
             assert src == src_ref and src.generation == src_ref.generation
             src.write(SF.RSP, src.read(SF.RSP) ^ 1)
@@ -212,12 +210,10 @@ class TestCopyFields:
 
     def test_unknown_key_raises_and_writes_nothing(self):
         src = Vmcb.deserialize(b"\x5a" * SF.LAYOUT_BYTES)
-        src._read_trace = set()
         dst = Vmcb()
         with pytest.raises(KeyError, match="unknown VMCB field"):
             dst.copy_fields(src, (SF.RIP, "bogus", SF.RSP))
         assert dst == Vmcb() and dst.generation == 0
-        assert src._read_trace == set()
 
     def test_unchanged_copy_keeps_generation(self):
         src = golden_vmcb()

@@ -21,6 +21,13 @@ class TestFaultSpec:
         with pytest.raises(ValueError):
             FaultSpec("corrupt_sync", corrupt="scramble")
 
+    @pytest.mark.parametrize("kind", [
+        "drop_frame", "delay_frame", "corrupt_frame", "partition",
+        "kill_coordinator", "corrupt_delta"])
+    def test_network_kinds_are_gone(self, kind):
+        with pytest.raises(ValueError, match="unknown fault kind"):
+            FaultSpec(kind, seconds=1.0)
+
 
 class TestFaultPlan:
     def test_case_fault_matches_worker_and_case(self):
