@@ -123,3 +123,29 @@ class TestRangeChecks:
             main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestFlagConflicts:
+    """Flags that only make sense together exit 2 naming the conflict;
+    ``--lease-size`` belongs to the stealing schedule alone."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--lease-size", "-1", "--workers", "2", "--schedule", "stealing"],
+         "--lease-size must be >= 0"),
+        (["--lease-size", "8", "--workers", "2"],
+         "--lease-size applies to --schedule stealing"),
+        (["--schedule", "stealing"], "--schedule stealing needs --workers"),
+        (["--checkpoint-interval", "5", "--workers", "2"],
+         "need a persistent --sync-dir"),
+        (["--checkpoint-interval", "5", "--sync-dir", "{tmp}"],
+         "checkpoint/resume applies to parallel campaigns"),
+    ], ids=["negative-lease", "lease-without-stealing",
+            "stealing-one-worker", "checkpoint-without-sync-dir",
+            "checkpoint-one-worker"])
+    def test_rejected_with_reason(self, argv, message, tmp_path, capsys):
+        sync_dir = tmp_path / "sync"
+        assert main([a.format(tmp=sync_dir) for a in argv]) == 2
+        assert not sync_dir.exists()
+        err = capsys.readouterr().err
+        assert message in err
+        assert "coordinator" not in err

@@ -13,9 +13,12 @@ import random
 import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.coverage import delta
 from repro.coverage.bitmap import MAP_SIZE
+from repro.parallel import checksum
 
 
 def _random_map(rng: random.Random, cells: int) -> bytearray:
@@ -84,21 +87,67 @@ def test_truncated_payload_raises_delta_error():
 
 
 def test_bad_magic_rejected():
-    from repro.parallel import checksum
-
     payload = struct.pack("<4sIII", b"XXXX", 0, 1, 0)
     with pytest.raises(delta.DeltaError, match="magic"):
         delta.decode(checksum.seal(payload))
 
 
 def test_out_of_order_runs_rejected():
-    from repro.parallel import checksum
-
     header = struct.pack("<4sIII", delta.DELTA_MAGIC, 0, 1, 2)
     run_a = struct.pack("<II", 100, 1) + b"\x01"
     run_b = struct.pack("<II", 50, 1) + b"\x01"  # overlaps backwards
     with pytest.raises(delta.DeltaError, match="out of"):
         delta.decode(checksum.seal(header + run_a + run_b))
+
+
+def _header(count: int) -> bytes:
+    return struct.pack("<4sIII", delta.DELTA_MAGIC, 0, 1, count)
+
+
+def _run(start: int, payload: bytes) -> bytes:
+    return struct.pack("<II", start, len(payload)) + payload
+
+
+#: Sealed payloads whose CRC is fine but whose body breaks one rule of
+#: the run layout, keyed by the rule.
+_MALFORMED = {
+    "short_header": b"NCD1" + b"\x00" * 4,
+    "zero_length_run": _header(1) + struct.pack("<II", 10, 0),
+    "run_past_map_end": _header(1) + _run(MAP_SIZE - 1, b"\x01\x01"),
+    "overlapping_runs": (_header(2) + _run(100, b"\x01" * 4)
+                         + _run(102, b"\x01")),
+    "truncated_run_header": _header(2) + _run(100, b"\x01") + b"\x00" * 4,
+    "truncated_run_payload": (_header(1) + struct.pack("<II", 100, 8)
+                              + b"\x01" * 3),
+    "trailing_bytes": _header(1) + _run(100, b"\x01") + b"\x00",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_MALFORMED))
+def test_malformed_run_layout_raises_delta_error(shape):
+    with pytest.raises(delta.DeltaError):
+        delta.decode(checksum.seal(_MALFORMED[shape]))
+
+
+def test_adjacent_runs_are_accepted():
+    # Touching (not overlapping) runs are in order: end == next start.
+    raw = checksum.seal(_header(2) + _run(100, b"\x01" * 4)
+                        + _run(104, b"\x02"))
+    assert delta.decode(raw).runs == ((100, b"\x01" * 4), (104, b"\x02"))
+
+
+def test_runs_at_both_map_edges_round_trip():
+    bits = bytearray(MAP_SIZE)
+    bits[0] = 0x80
+    bits[MAP_SIZE - 1] = 0x01
+    snap = delta.full_delta(bytes(bits), 3)
+    assert snap.runs == ((0, b"\x80"), (MAP_SIZE - 1, b"\x01"))
+    assert delta.decode(delta.encode(snap)) == snap
+
+
+def test_nonzero_base_is_not_full():
+    assert not delta.CoverageDelta(base_generation=4, generation=5,
+                                   runs=()).full
 
 
 def test_wrong_size_payload_rejected():
@@ -120,6 +169,63 @@ def test_runs_subsumed_means_nothing_new():
         new_bits = (int.from_bytes(partner, "little")
                     & ~int.from_bytes(local, "little"))
         assert delta.runs_subsumed(local, runs) == (new_bits == 0)
+
+
+@pytest.mark.parametrize("gap", range(1, 11))
+def test_run_scan_gap_threshold_is_one_run_header(gap):
+    """A zero gap shorter than a run header (8 bytes) stays inside one
+    run; a gap of 8 or more splits the runs."""
+    new = bytearray(MAP_SIZE)
+    new[100] = 1
+    new[101 + gap] = 1
+    runs = delta.full_delta(bytes(new), 1).runs
+    if gap <= 7:
+        assert runs == ((100, bytes(new[100:102 + gap])),)
+    else:
+        assert [start for start, _run in runs] == [100, 101 + gap]
+
+
+def test_runs_subsumed_sees_a_single_missing_edge_bit():
+    bits = bytearray(MAP_SIZE)
+    bits[0] = 0x03
+    bits[MAP_SIZE - 1] = 0x81
+    runs = delta.full_delta(bytes(bits), 1).runs
+    assert delta.runs_subsumed(bits, runs)
+    for cell, bit in ((0, 0x01), (MAP_SIZE - 1, 0x80)):
+        local = bytearray(bits)
+        local[cell] &= ~bit
+        assert not delta.runs_subsumed(local, runs)
+    assert delta.runs_subsumed(bytes(MAP_SIZE), ())
+
+
+@st.composite
+def _maps(draw):
+    bits = bytearray(MAP_SIZE)
+    for cell, value in draw(st.dictionaries(
+            st.integers(0, MAP_SIZE - 1), st.integers(1, 255),
+            max_size=120)).items():
+        bits[cell] = value
+    # Dense clusters exercise gap coalescing as well as sparse cells.
+    start = draw(st.integers(0, MAP_SIZE - 64))
+    bits[start:start + 64] = draw(st.binary(min_size=64, max_size=64))
+    return bytes(bits)
+
+
+@given(_maps(), st.integers(1, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_full_delta_describes_the_map_exactly(bits, generation):
+    snap = delta.full_delta(bits, generation)
+    assert _rebuilt(snap.runs) == bits
+    assert delta.runs_subsumed(bits, snap.runs)
+    previous_end = None
+    for start, run in snap.runs:
+        # Runs start and end on nonzero bytes ...
+        assert run[0] and run[-1]
+        # ... and are separated by at least a run header of zeros.
+        if previous_end is not None:
+            assert start - previous_end >= 8
+        previous_end = start + len(run)
+    assert delta.decode(delta.encode(snap)) == snap
 
 
 def test_run_scan_coalesces_small_gaps():

@@ -526,7 +526,29 @@ class TestDeltaBatchReject:
         assert sorted(set(on[2])) == sorted(set(off[2]))
         assert bytes(on[0].virgin.bits) == bytes(off[0].virgin.bits)
 
-    @pytest.mark.parametrize("damage", ["corrupt", "stale", "missing"])
+    @staticmethod
+    def _rewrite_sidecar(sidecar, edit) -> None:
+        """Re-seal the sidecar after *edit* mutates its chunk list, so
+        only the layout rule under test is broken, never the CRC."""
+        from repro.parallel import checksum
+        chunks = checksum.unpack_chunks(checksum.unseal(sidecar.read_bytes()))
+        edit(chunks)
+        sidecar.write_bytes(checksum.seal(checksum.pack_chunks(chunks)))
+
+    @staticmethod
+    def _foreign_universe(chunks) -> None:
+        meta = json.loads(chunks[0])
+        meta["universe"] += 1
+        chunks[0] = json.dumps(meta, sort_keys=True).encode()
+
+    @staticmethod
+    def _foreign_line_index(chunks) -> None:
+        from repro.parallel.wire import pack_line_indices
+        chunks[2:] = [pack_line_indices([0xFFFF])] * (len(chunks) - 2)
+
+    @pytest.mark.parametrize("damage", [
+        "corrupt", "stale", "missing", "universe", "bad_delta",
+        "line_chunk_missing", "foreign_line_index"])
     def test_unusable_sidecar_falls_back_to_per_record(self, tmp_path,
                                                        damage):
         codec = LineCodec(self.LINES)
@@ -553,8 +575,17 @@ class TestDeltaBatchReject:
             sidecar.write_bytes(
                 (worker_queue_dir(stale_root, 1) / COVERAGE_SIDECAR)
                 .read_bytes())
-        else:
+        elif damage == "missing":
             sidecar.unlink()
+        elif damage == "universe":
+            self._rewrite_sidecar(sidecar, self._foreign_universe)
+        elif damage == "bad_delta":
+            self._rewrite_sidecar(
+                sidecar, lambda chunks: chunks.__setitem__(1, b"NCD1junk"))
+        elif damage == "line_chunk_missing":
+            self._rewrite_sidecar(sidecar, lambda chunks: chunks.pop())
+        else:
+            self._rewrite_sidecar(sidecar, self._foreign_line_index)
 
         consumer.virgin.merge_bits(producer.virgin.snapshot())
         skipped_before = consumer.stats.imports_skipped_subsumed

@@ -1,5 +1,7 @@
 """Corpus protocol v2 wire-format tests: records, manifest, healing."""
 
+import pytest
+
 from repro.fuzzer.engine import FuzzEngine, RunFeedback
 from repro.fuzzer.input import INPUT_SIZE
 from repro.fuzzer.queue import QueueEntry
@@ -86,6 +88,103 @@ class TestLineCodec:
         big = wire.LineCodec([("m.py", i) for i in range(5)])
         payload = big.encode(frozenset({("m.py", 4)}))
         assert small.decode(payload) is None
+
+
+UNIVERSE = [("a.py", i) for i in range(1, 6)]
+
+
+def covered_entry(**kw):
+    kw.setdefault("coverage", ((7, 1), (500, 128)))
+    kw.setdefault("lines", frozenset({("a.py", 2), ("a.py", 5)}))
+    return entry(**kw)
+
+
+class TestRecordSummary:
+    """``summarize_record``: the codec-free view the sync sidecar writer
+    reads, which must agree with ``parse_record`` and refuse anything it
+    cannot verify."""
+
+    def test_summary_agrees_with_parse_record(self):
+        codec = wire.LineCodec(UNIVERSE)
+        blob = wire.pack_record(2, covered_entry(imported=True), codec)
+        summary = wire.summarize_record(blob)
+        record = wire.parse_record(blob, codec)
+        assert summary.coverage == record.coverage
+        assert summary.flags & wire.FLAG_IMPORTED
+        # Raw indices decode through any same-universe codec.
+        raw = wire.pack_line_indices(summary.line_indices)
+        assert wire.LineCodec(reversed(UNIVERSE)).decode(raw) == record.lines
+        assert summary.skippable
+
+    @pytest.mark.parametrize("flag", ["crashed", "anomaly"])
+    def test_crashing_or_anomalous_records_are_never_skippable(self, flag):
+        codec = wire.LineCodec(UNIVERSE)
+        blob = wire.pack_record(0, covered_entry(**{flag: True}), codec)
+        summary = wire.summarize_record(blob)
+        assert summary.coverage is not None
+        assert summary.line_indices is not None
+        assert not summary.skippable
+
+    def test_record_without_coverage_is_not_skippable(self):
+        codec = wire.LineCodec(UNIVERSE)
+        blob = wire.pack_record(0, covered_entry(coverage=None), codec)
+        summary = wire.summarize_record(blob)
+        assert summary.coverage is None
+        assert summary.line_indices == (1, 4)
+        assert not summary.skippable
+
+    def test_record_without_lines_is_not_skippable(self):
+        blob = wire.pack_record(0, covered_entry())  # no codec: no lines
+        summary = wire.summarize_record(blob)
+        assert summary.coverage == ((7, 1), (500, 128))
+        assert summary.line_indices is None
+        assert not summary.skippable
+
+    def test_empty_coverage_is_still_shipped_coverage(self):
+        codec = wire.LineCodec(UNIVERSE)
+        blob = wire.pack_record(0, covered_entry(coverage=()), codec)
+        summary = wire.summarize_record(blob)
+        assert summary.coverage == ()
+        assert summary.skippable
+
+    @staticmethod
+    def _mangled(shape: str) -> bytes:
+        blob = bytearray(wire.pack_record(
+            0, covered_entry(), wire.LineCodec(UNIVERSE)))
+        if shape == "short":
+            return bytes(blob[:wire.RECORD_HEADER.size - 1])
+        if shape == "magic":
+            blob[:4] = b"XXXX"
+        elif shape == "extra_byte":
+            blob.append(0)
+        elif shape == "truncated":
+            del blob[-1]
+        elif shape == "digest":
+            # Flip a coverage cell byte: the header digest no longer fits.
+            blob[wire.RECORD_HEADER.size + INPUT_SIZE] ^= 0xFF
+        elif shape == "empty_data":
+            return wire.pack_record(0, covered_entry(data=b""))
+        return bytes(blob)
+
+    @pytest.mark.parametrize("shape", ["short", "magic", "extra_byte",
+                                       "truncated", "digest", "empty_data"])
+    def test_malformed_record_has_no_summary(self, shape):
+        blob = self._mangled(shape)
+        assert wire.summarize_record(blob) is None
+        assert wire.parse_record(blob) is None
+
+
+class TestPackLineIndices:
+    def test_indices_are_sorted_like_codec_encode(self):
+        codec = wire.LineCodec(UNIVERSE)
+        lines = frozenset({("a.py", 5), ("a.py", 1), ("a.py", 3)})
+        indices = [codec.universe.index(line) for line in lines]
+        assert wire.pack_line_indices(reversed(sorted(indices))) \
+            == codec.encode(lines)
+
+    def test_no_indices_pack_to_an_empty_payload(self):
+        assert wire.pack_line_indices(()) == b""
+        assert wire.LineCodec(UNIVERSE).decode(b"") == frozenset()
 
 
 class TestManifestFiles:

@@ -35,6 +35,20 @@ class TestFieldAccess:
         vmcb[SF.RAX] = 3
         assert vmcb[SF.RAX] == 3
 
+    def test_reads_leave_the_structure_untouched(self):
+        """Reads keep no per-instance record: every field read, item read
+        and predicate leaves the VMCB's state exactly as it was."""
+        vmcb = golden_vmcb()
+        before = {k: (v.copy() if isinstance(v, (dict, list, set)) else v)
+                  for k, v in vars(vmcb).items()}
+        for spec, value in vmcb.fields():
+            assert vmcb.read(spec.name) == vmcb[spec.name] == value
+        for predicate in ("nested_paging", "long_mode_active",
+                          "paging_enabled", "vgif_enabled", "vgif_value",
+                          "avic_enabled"):
+            getattr(vmcb, predicate)
+        assert vars(vmcb) == before
+
 
 class TestPredicates:
     def test_nested_paging(self):

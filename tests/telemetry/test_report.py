@@ -7,11 +7,14 @@ to within rounding — both sinks are fed the same elapsed value by
 double-counted span.
 """
 
+import json
+
 import pytest
 
 from repro import Vendor
 from repro.__main__ import main
 from repro.parallel import ParallelCampaign
+from repro.telemetry import METRICS_NAME, MetricsRegistry
 from repro.telemetry.report import (
     campaign_summary,
     load_campaign_metrics,
@@ -110,3 +113,66 @@ class TestCli:
         assert "telemetry-report" in capsys.readouterr().out
         assert (tmp_path / "metrics.json").exists()
         assert (tmp_path / "events.jsonl").exists()
+
+
+def _write_root(root, fill) -> None:
+    """A campaign root holding one merged snapshot built by *fill*."""
+    registry = MetricsRegistry()
+    fill(registry)
+    (root / METRICS_NAME).write_text(json.dumps(registry.snapshot()))
+
+
+class TestSummarySections:
+    """The scheduler and coverage-plane blocks, computed from a merged
+    snapshot and rendered only when they hold something."""
+
+    def test_coverage_plane_totals_sidecar_rejects(self, tmp_path):
+        def fill(registry):
+            registry.counter("sync.delta_rejects", 2, shard=0)
+            registry.counter("sync.delta_rejects", 3, shard=1)
+        _write_root(tmp_path, fill)
+        summary = campaign_summary(tmp_path)
+        assert summary["coverage_plane"] == {"sync.delta_rejects": 5}
+        assert "coverage plane (sync sidecar)" in render_report(tmp_path)
+
+    def test_coverage_plane_omitted_without_rejects(self, tmp_path):
+        _write_root(tmp_path,
+                    lambda registry: registry.counter("sync.rounds", 4))
+        assert campaign_summary(tmp_path)["coverage_plane"] == {}
+        assert "coverage plane" not in render_report(tmp_path)
+
+    def test_network_counters_form_no_section(self, tmp_path):
+        """Counters a snapshot still carries under ``net.*`` are listed
+        as plain counters; there is no network block any more."""
+        def fill(registry):
+            registry.counter("net.records_fetched", 7)
+            registry.counter("sync.delta_rejects", 1)
+        _write_root(tmp_path, fill)
+        summary = campaign_summary(tmp_path)
+        assert set(summary) == {"root", "spans", "counters", "gauges",
+                                "scheduler", "coverage_plane", "shards",
+                                "event_count"}
+        assert summary["coverage_plane"] == {"sync.delta_rejects": 1}
+        assert summary["counters"]["net.records_fetched"] == 7
+        text = render_report(tmp_path)
+        assert "federation" not in text
+        assert text.count("net.records_fetched") == 1
+
+    def test_scheduler_block_holds_leases_and_interval(self, tmp_path):
+        def fill(registry):
+            registry.counter("sched.leases_issued", 6, shard=0)
+            registry.counter("sched.leases_issued", 4, shard=1)
+            registry.counter("sched.steals", 1, shard=1)
+            registry.gauge("sync.interval", 20.0, shard=0)
+            registry.gauge("sync.interval", 40.0, shard=1)
+        _write_root(tmp_path, fill)
+        assert campaign_summary(tmp_path)["scheduler"] == {
+            "sched.leases_issued": 10, "sched.steals": 1,
+            "sync.interval": 40.0}
+        assert "\nscheduler\n" in render_report(tmp_path)
+
+    def test_scheduler_block_omitted_for_static_runs(self, tmp_path):
+        _write_root(tmp_path,
+                    lambda registry: registry.observe("case", 0.01, shard=0))
+        assert campaign_summary(tmp_path)["scheduler"] == {}
+        assert "\nscheduler\n" not in render_report(tmp_path)

@@ -28,6 +28,11 @@ class TestFaultSpec:
         with pytest.raises(ValueError, match="unknown fault kind"):
             FaultSpec(kind, seconds=1.0)
 
+    @pytest.mark.parametrize("field", ["at_frame", "at_event", "at_round"])
+    def test_network_trigger_fields_are_gone(self, field):
+        with pytest.raises(TypeError, match=field):
+            FaultSpec("kill_worker", **{field: 1})
+
 
 class TestFaultPlan:
     def test_case_fault_matches_worker_and_case(self):
