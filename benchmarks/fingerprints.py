@@ -10,8 +10,9 @@ that print the same lines ran the same campaigns bit for bit:
   each report's iteration, signature and command line, the coverage
   timeline and the queue's inputs.
 * ``inline/<vendor>/<schedule>``: a 2-worker inline ``ParallelCampaign``
-  on kvm, with the static schedule and with stealing at
-  ``lease_size=10``, digested by ``resilience.campaign_fingerprint``.
+  on kvm, with the static schedule, with stealing at ``lease_size=10``,
+  and with static adaptive sync (``sync_every=5``, ``sync_adaptive``),
+  digested by ``resilience.campaign_fingerprint``.
 
 Coverage cells and digests name source files relative to the ``repro``
 package, so outputs from different checkout directories compare equal.
@@ -34,7 +35,9 @@ SERIAL_TARGETS = (("kvm", Vendor.INTEL), ("kvm", Vendor.AMD),
                   ("xen", Vendor.INTEL), ("xen", Vendor.AMD),
                   ("virtualbox", Vendor.INTEL))
 INLINE_SCHEDULES = (("static", {}),
-                    ("stealing", {"schedule": "stealing", "lease_size": 10}))
+                    ("stealing", {"schedule": "stealing", "lease_size": 10}),
+                    ("static-adaptive", {"sync_every": 5,
+                                         "sync_adaptive": True}))
 
 
 def serial_digest(hypervisor: str, vendor: Vendor) -> str:
@@ -54,9 +57,10 @@ def serial_digest(hypervisor: str, vendor: Vendor) -> str:
 
 def inline_digest(vendor: Vendor, **schedule) -> str:
     """``campaign_fingerprint`` of a 2-worker inline kvm campaign."""
-    campaign = ParallelCampaign(hypervisor="kvm", vendor=vendor, seed=SEED,
-                                workers=2, sync_every=25, mode="inline",
-                                telemetry_mode="off", **schedule)
+    kwargs = dict(hypervisor="kvm", vendor=vendor, seed=SEED, workers=2,
+                  sync_every=25, mode="inline", telemetry_mode="off")
+    kwargs.update(schedule)
+    campaign = ParallelCampaign(**kwargs)
     return campaign_fingerprint(campaign.run(INLINE_BUDGET))[:16]
 
 

@@ -63,10 +63,11 @@ def build_parser() -> argparse.ArgumentParser:
                              "per worker")
     parser.add_argument("--schedule", choices=("static", "stealing"),
                         default="static",
-                        help="static = fixed per-worker shares; stealing = "
-                             "workers pull adaptively sized leases off a "
-                             "shared board, and stragglers' leases are "
-                             "reclaimed and re-issued (DESIGN.md §13)")
+                        help="how the lease board is carved: static = one "
+                             "fixed pool per worker, leased one sync round "
+                             "at a time; stealing = workers pull "
+                             "adaptively sized leases off one shared pool "
+                             "(DESIGN.md §13)")
     parser.add_argument("--lease-size", type=int, default=0, metavar="CASES",
                         help="fixed cases per lease under --schedule "
                              "stealing; 0 (default) sizes leases from each "
@@ -76,11 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "geometrically while the subsumption filter "
                              "absorbs >=90%% of imports; snap back to "
                              "--sync-every on new virgin bits")
-    parser.add_argument("--sync-format", choices=("v1", "v2"), default="v2",
-                        help="corpus wire format between workers: v2 = "
-                             "binary append-only queue (default), v1 = "
-                             "legacy per-entry files for pre-existing "
-                             "sync directories")
     parser.add_argument("--corpus-dir", type=Path, default=None,
                         help="resume from a saved corpus directory "
                              "(serial campaigns only); crash reproducers "
@@ -219,7 +215,6 @@ def main(argv: list[str] | None = None) -> int:
             sync_every=args.sync_every,
             mode=args.parallel_mode,
             sync_dir=args.sync_dir,
-            sync_format=args.sync_format,
             toggles=toggles,
             coverage_guided=not args.blackbox,
             patched=patched,

@@ -142,7 +142,7 @@ class Agent:
     def absorb_lines(self, lines) -> None:
         """Merge line coverage recorded by a sync partner.
 
-        Used when the protocol-v2 import filter skips executing a
+        Used when the corpus-sync import filter skips executing a
         subsumed entry: the entry's shipped line set stands in for the
         lines a local execution would have produced.
         """

@@ -153,7 +153,7 @@ class CoverageBitmap:
     def sparse_classified(self) -> tuple[tuple[int, int], ...]:
         """The touched cells as sorted ``(cell, class-bit)`` pairs.
 
-        This is the wire representation corpus protocol v2 ships with
+        This is the wire representation the corpus sync format ships with
         every exported entry: a few dozen pairs instead of a 64 KiB map,
         enough for a partner to test subsumption against its own virgin
         map without executing the entry.
@@ -218,7 +218,7 @@ class VirginMap:
     def subsumes(self, coverage: Iterable[tuple[int, int]]) -> bool:
         """Would this sparse ``(cell, class-bit)`` coverage find nothing new?
 
-        The import-filter predicate of corpus protocol v2: a partner
+        The import-filter predicate of corpus sync: a partner
         entry whose recorded coverage is already fully present here
         cannot contribute virgin bits and need not be executed.
         """

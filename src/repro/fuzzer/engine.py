@@ -43,7 +43,7 @@ class RunFeedback:
     crashed: bool = False
     anomaly: str | None = None
     #: Source lines this case covered. Stored with queue entries so
-    #: protocol-v2 sync partners that skip a subsumed import can still
+    #: sync partners that skip a subsumed import can still
     #: absorb its line coverage. None when the executor does not track
     #: lines.
     lines: frozenset | None = None
@@ -77,10 +77,10 @@ class EngineStats:
     #: Corrupt corpus entries (truncated / invalid JSON) skipped by
     #: :meth:`FuzzEngine.import_case` instead of raising.
     import_skipped: int = 0
-    #: Protocol-v2 imports consumed *without* execution because their
-    #: recorded coverage was already subsumed by the local virgin map.
-    #: Counted inside ``imported`` as well; kept out of the campaign
-    #: fingerprint so v1 and v2 runs stay comparable.
+    #: Imports consumed *without* execution because their recorded
+    #: coverage was already subsumed by the local virgin map. Counted
+    #: inside ``imported`` as well; kept out of the campaign fingerprint
+    #: so runs with and without the filter stay comparable.
     imports_skipped_subsumed: int = 0
 
 
@@ -256,11 +256,11 @@ class FuzzEngine:
         return new_bits
 
     def import_packed(self, record) -> int:
-        """Execute one already-decoded protocol-v2 partner record."""
+        """Execute one already-decoded partner wire record."""
         return self._run_import(record.data)
 
     def import_subsumed(self, record, absorb_lines=None) -> None:
-        """Consume a protocol-v2 record without executing it.
+        """Consume a partner wire record without executing it.
 
         The sync layer calls this when *record*'s shipped coverage is
         fully subsumed by the local virgin map: executing it could not
@@ -292,15 +292,13 @@ class FuzzEngine:
 
     # --- corpus persistence (AFL queue-directory style) -----------------
 
-    def save_corpus(self, directory, *, exclude_imported: bool = False) -> int:
+    def save_corpus(self, directory) -> int:
         """Write every queue entry to *directory* as ``id:NNNNNN`` files.
 
         Returns the number of entries written. The format matches AFL's
         queue directory closely enough to eyeball with the same habits.
-        With ``exclude_imported=True`` only locally discovered entries
-        are exported — what a sync partner wants to read, since entries
-        it handed us would only ping-pong back. The queue is append-only,
-        so indices are stable across repeated incremental saves.
+        The queue is append-only, so indices are stable across repeated
+        incremental saves.
 
         Every entry is written atomically (``*.tmp`` + ``os.replace``):
         a worker dying mid-export leaves at worst a ``*.tmp`` orphan,
@@ -310,8 +308,7 @@ class FuzzEngine:
 
         path = Path(directory)
         path.mkdir(parents=True, exist_ok=True)
-        entries = [e for e in self.queue.entries
-                   if not (exclude_imported and e.imported)]
+        entries = self.queue.entries
         for index, entry in enumerate(entries):
             suffix = f",found:{entry.found_at}" if entry.found_at else ",seed"
             atomic_write_bytes(path / f"id:{index:06d}{suffix}", entry.data)

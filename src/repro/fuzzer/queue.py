@@ -25,7 +25,7 @@ class QueueEntry:
     favored: bool = False
     imported: bool = False   # pulled in from a sync partner, not found locally
     #: Sparse classified coverage ((cell, class-bit) pairs, sorted) the
-    #: entry produced when found — what corpus protocol v2 exports so
+    #: entry produced when found — what the corpus wire format exports so
     #: partners can test subsumption without executing. None for seeds
     #: and legacy-loaded entries (which are then never filter-skipped).
     coverage: Optional[tuple] = None

@@ -27,7 +27,7 @@ from repro.parallel.supervisor import (
     SupervisorConfig,
     SupervisorEvent,
 )
-from repro.parallel.sync import SYNC_FORMATS, SyncDirectory, SyncStats
+from repro.parallel.sync import SyncDirectory, SyncStats
 from repro.parallel.worker import CampaignWorker, WorkerSpec, worker_seed
 
 __all__ = [
@@ -43,7 +43,6 @@ __all__ = [
     "ParallelCampaign",
     "ParallelCampaignResult",
     "SCHEDULES",
-    "SYNC_FORMATS",
     "Supervisor",
     "SupervisorConfig",
     "SupervisorEvent",

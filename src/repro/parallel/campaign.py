@@ -1,11 +1,13 @@
 """The parallel campaign orchestrator.
 
 ``ParallelCampaign`` shards one iteration budget across N workers and
-merges their results. Two execution modes share all of the sharding,
-sync, and merge machinery:
+merges their results. Every campaign runs on a lease board
+(:mod:`repro.parallel.scheduler`); the schedule only decides how the
+board is carved. Two execution modes share all of the sharding, sync,
+and merge machinery:
 
 * ``mode="inline"`` runs the workers round-robin in this process —
-  fully deterministic (chunk order and sync order are fixed), the mode
+  fully deterministic (lease order and sync order are fixed), the mode
   the determinism tests and single-core CI use;
 * ``mode="process"`` forks one OS process per worker for real
   parallelism; workers sync through the filesystem at their own pace,
@@ -19,7 +21,7 @@ covered-line set is a superset-style union — not bit-for-bit comparable
 to any serial run, but measured over the same instrumented universe.
 
 Resilience (off by default, see DESIGN.md §9): inline mode restores a
-killed worker from an in-memory snapshot and replays its chunk, process
+killed worker from an in-memory snapshot and replays its lease, process
 mode delegates to :class:`repro.parallel.supervisor.Supervisor`, and
 ``checkpoint_interval``/``resume`` give interrupted inline campaigns a
 bit-for-bit continuation from the last round boundary.
@@ -49,6 +51,7 @@ from repro.parallel.scheduler import (
     LeaseBoard,
     LeaseRecord,
     WorkerPool,
+    split_budget,
 )
 from repro.parallel.supervisor import (
     CampaignAborted,
@@ -57,7 +60,7 @@ from repro.parallel.supervisor import (
     SupervisorConfig,
     SupervisorEvent,
 )
-from repro.parallel.sync import SYNC_FORMATS, SyncDirectory, SyncStats
+from repro.parallel.sync import SyncDirectory, SyncStats
 from repro.parallel.worker import (
     CampaignWorker,
     WorkerReport,
@@ -99,7 +102,7 @@ class ParallelCampaignResult(CampaignResult):
     telemetry: dict | None = None
     #: Which scheduler ran the campaign: "static" or "stealing".
     schedule: str = "static"
-    #: Completion-ordered lease ledger (stealing only). Feeding it back
+    #: Completion-ordered lease ledger. Under stealing, feeding it back
     #: as ``ParallelCampaign(lease_log=...)`` replays the identical
     #: lease assignment, pinning the fingerprint of an adaptively sized
     #: run.
@@ -211,13 +214,6 @@ class ParallelCampaign:
     mode: str = "inline"  # "inline" (deterministic) or "process" (forked)
     #: Sync-directory root; a temporary directory when None.
     sync_dir: Path | None = None
-    #: Corpus wire format: "v2" (binary append-only, default) or "v1"
-    #: (legacy per-entry files) for pre-existing sync roots.
-    sync_format: str = "v2"
-    #: Let v2 imports skip executing entries whose shipped coverage is
-    #: already subsumed locally. Off isolates the wire format from the
-    #: filter (equivalence pins, debugging).
-    subsumption_filter: bool = True
     #: Publish per-worker coverage sidecars so importers can reject a
     #: partner's whole fresh batch from one virgin-map delta before
     #: scanning its queue file (DESIGN.md §15). Fingerprint-neutral.
@@ -251,12 +247,14 @@ class ParallelCampaign:
     #: fingerprint, and results are bit-for-bit identical across modes.
     telemetry_mode: str = "metrics"
     # --- scheduling (DESIGN.md §13) -----------------------------------
-    #: "static" — the classic fixed divmod split; "stealing" — workers
-    #: pull adaptively sized leases off a shared board, and a dead
-    #: worker's leases are reclaimed and re-issued.
+    #: How the lease board is carved. "static" — one pool per worker,
+    #: the fixed divmod split, leased one sync round (``sync_every``
+    #: cases) at a time to its owner only; "stealing" — one shared
+    #: pool that workers pull adaptively sized leases from. Either way
+    #: a dead worker's leases are reclaimed and re-issued.
     schedule: str = "static"
-    #: Fixed cases per lease (stealing). 0 sizes each lease from the
-    #: claimant's measured cases/sec; a fixed size makes inline
+    #: Fixed cases per lease (stealing only). 0 sizes each lease from
+    #: the claimant's measured cases/sec; a fixed size makes inline
     #: stealing fully deterministic.
     lease_size: int = 0
     #: Back off the sync interval geometrically while the subsumption
@@ -283,6 +281,8 @@ class ParallelCampaign:
             raise ValueError(f"unknown schedule {self.schedule!r}")
         if self.lease_size < 0:
             raise ValueError("lease_size must be >= 0")
+        if self.lease_size and self.schedule != "stealing":
+            raise ValueError("lease_size applies to schedule='stealing'")
         if self.lease_log is not None and self.schedule != "stealing":
             raise ValueError("lease_log replay requires schedule='stealing'")
         if self.lease_log is not None and self.mode != "inline":
@@ -296,8 +296,6 @@ class ParallelCampaign:
         if self.telemetry_mode not in telemetry.MODES:
             raise ValueError(
                 f"unknown telemetry_mode {self.telemetry_mode!r}")
-        if self.sync_format not in SYNC_FORMATS:
-            raise ValueError(f"unknown sync_format {self.sync_format!r}")
         if self.sync_every < 1:
             raise ValueError("sync_every must be >= 1")
         if self.max_restarts < 0:
@@ -355,23 +353,28 @@ class ParallelCampaign:
         if self.schedule == "stealing":
             # Shares are claimed lease by lease; specs start empty and
             # grow (WorkerSpec.iterations tracks the claimed total).
-            return [WorkerSpec(index=i, seed=worker_seed(self.seed, i),
-                               iterations=0)
-                    for i in range(self._stealing_worker_count(iterations))]
-        base, remainder = divmod(iterations, self.workers)
-        specs = [
-            WorkerSpec(index=i,
-                       seed=worker_seed(self.seed, i),
-                       iterations=base + (1 if i < remainder else 0))
-            for i in range(self.workers)
-        ]
-        # With iterations < workers the tail shards get zero cases;
-        # spawning them would cost a process + an empty report each.
-        # Keeping the non-empty prefix (shares are monotone
-        # non-increasing) preserves contiguous worker indices, which
-        # partner scans and derived seeds both rely on.
-        active = [spec for spec in specs if spec.iterations > 0]
-        return active or specs[:1]
+            shares = [0] * self._stealing_worker_count(iterations)
+        else:
+            # With iterations < workers the tail shards get zero cases;
+            # spawning them would cost a process + an empty report
+            # each. Keeping the non-empty prefix (shares are monotone
+            # non-increasing) preserves contiguous worker indices,
+            # which partner scans and derived seeds both rely on. The
+            # pinned board re-splits the budget over the kept workers,
+            # which gives these same shares.
+            shares = [share for share in split_budget(iterations,
+                                                      self.workers)
+                      if share] or [0]
+        return [WorkerSpec(index=i, seed=worker_seed(self.seed, i),
+                           iterations=share)
+                for i, share in enumerate(shares)]
+
+    def _board_shape(self) -> dict:
+        """How the lease board is carved for this schedule: static pins
+        one pool per worker, leased one sync round at a time."""
+        if self.schedule == "stealing":
+            return {"lease_size": self.lease_size}
+        return {"lease_size": self.sync_every, "pinned": True}
 
     def run(self, iterations: int, *,
             sample_every: int = 10) -> ParallelCampaignResult:
@@ -400,16 +403,13 @@ class ParallelCampaign:
                   iterations: int,
                   sample_every: int) -> ParallelCampaignResult:
         shared_bits = None
-        sched: dict = {}
         with telemetry.span("campaign.run"):
             if self.mode == "process" and len(specs) > 1:
                 reports, shared_bits, sched = self._run_processes(
                     root, specs, iterations, sample_every)
-            elif self.schedule == "stealing":
-                reports, sched = self._run_inline_stealing(
-                    root, specs, iterations, sample_every)
             else:
-                reports, sched = self._run_inline(root, specs, sample_every)
+                reports, sched = self._run_inline(
+                    root, specs, iterations, sample_every)
         result = self._merge(reports, shared_bits, sched)
         result.telemetry = self._finish_telemetry(root, reports)
         return result
@@ -442,12 +442,11 @@ class ParallelCampaign:
         return root / "campaign.ckpt"
 
     def _manifest(self, specs: list[WorkerSpec], sample_every: int,
-                  iterations: int | None = None) -> tuple:
-        shares = (tuple(spec.iterations for spec in specs)
-                  if self.schedule == "static" else (iterations or 0,))
-        return (self.seed, self.workers, shares, sample_every,
+                  iterations: int) -> tuple:
+        shares = tuple(spec.iterations for spec in specs)
+        return (self.seed, self.workers, iterations, shares, sample_every,
                 self.sync_every, self.schedule, self.lease_size,
-                self.sync_adaptive, self.sync_format, self._config_key())
+                self.sync_adaptive, self._config_key())
 
     def _save_campaign_checkpoint(self, path: Path, manifest: tuple,
                                   workers: list[CampaignWorker],
@@ -474,48 +473,8 @@ class ParallelCampaign:
             return None
         return payload
 
-    def _run_chunk_isolated(self, worker: CampaignWorker,
-                            restarts: dict[int, int]) -> None:
-        """One chunk, surviving injected worker deaths.
-
-        A killed worker is rolled back to the pre-chunk snapshot and the
-        chunk replayed — deterministic because exports only happen after
-        a chunk completes, and the one-shot fault stays consumed. The
-        snapshot is taken only when a fault plan is live, keeping the
-        plain path allocation-free.
-        """
-        while True:
-            snapshot = (pickle.dumps(worker)
-                        if faults.active() is not None else None)
-            try:
-                worker.run_chunk(self.sync_every)
-                return
-            except faults.WorkerKilled as death:
-                index = worker.spec.index
-                restarts[index] = restarts.get(index, 0) + 1
-                if snapshot is None or restarts[index] > self.max_restarts:
-                    self.events.append(SupervisorEvent(
-                        index, FailureKind.WORKER_CRASH, str(death),
-                        "abort"))
-                    raise CampaignAborted(
-                        f"worker {index} died {restarts[index]} time(s), "
-                        f"exceeding max_restarts={self.max_restarts}"
-                    ) from death
-                log.warning("worker %d died inline (%s); restart %d/%d "
-                            "from pre-chunk snapshot", index, death,
-                            restarts[index], self.max_restarts)
-                self.events.append(SupervisorEvent(
-                    index, FailureKind.WORKER_CRASH, str(death), "restart"))
-                # Replace, don't merge: attributes still at their class
-                # defaults when the snapshot was taken (e.g. ``done``)
-                # are absent from the pickled __dict__ and must revert.
-                restored = pickle.loads(snapshot)
-                worker.__dict__.clear()
-                worker.__dict__.update(restored.__dict__)
-
     def _pool_key(self, specs: list[WorkerSpec]) -> tuple:
-        return (self.seed, len(specs), self.schedule, self.sync_format,
-                self._config_key())
+        return (self.seed, len(specs), self.schedule, self._config_key())
 
     def _build_inline_workers(self, root: Path, specs: list[WorkerSpec],
                               sample_every: int, syncing: bool
@@ -542,21 +501,15 @@ class ParallelCampaign:
                     warm.sync = None
                 elif (warm.sync is None
                         or Path(warm.sync.root) != Path(root)):
-                    warm.sync = SyncDirectory(
-                        root, spec.index, len(specs),
-                        sync_format=self.sync_format,
-                        subsumption_filter=self.subsumption_filter,
-                        delta_plane=self.sync_delta)
+                    warm.sync = SyncDirectory(root, spec.index, len(specs),
+                                              delta_plane=self.sync_delta)
                 workers.append(warm)
                 reused += 1
                 continue
             workers.append(CampaignWorker(
                 spec, self._campaign_kwargs(), sample_every=sample_every,
-                sync=SyncDirectory(
-                    root, spec.index, len(specs),
-                    sync_format=self.sync_format,
-                    subsumption_filter=self.subsumption_filter,
-                    delta_plane=self.sync_delta)
+                sync=SyncDirectory(root, spec.index, len(specs),
+                                   delta_plane=self.sync_delta)
                 if syncing else None,
                 case_timeout=self.case_timeout))
         return workers, reused
@@ -566,59 +519,18 @@ class ParallelCampaign:
                              if self.sync_adaptive else None)
                 for spec in specs}
 
-    def _run_inline(self, root: Path, specs: list[WorkerSpec],
-                    sample_every: int) -> tuple[list[WorkerReport], dict]:
-        syncing = len(specs) > 1
-        checkpointing = self.checkpoint_interval > 0 or self.resume
-        ckpt = self._campaign_checkpoint_path(root) if checkpointing else None
-        manifest = self._manifest(specs, sample_every)
-        workers, rounds, adaptives, pool_reuse = None, 0, None, 0
-        if self.resume and ckpt is not None and ckpt.exists():
-            payload = self._load_campaign_checkpoint(ckpt, manifest)
-            if payload is not None:
-                workers = payload["workers"]
-                rounds = payload["rounds"]
-                adaptives = payload.get("adaptives")
-                log.info("resuming inline campaign from round %d", rounds)
-        if workers is None:
-            workers, pool_reuse = self._build_inline_workers(
-                root, specs, sample_every, syncing)
-        if adaptives is None:
-            adaptives = self._adaptives(specs)
-        restarts: dict[int, int] = {}
-        while any(not worker.finished for worker in workers):
-            for worker in workers:
-                if not worker.finished:
-                    self._run_chunk_isolated(worker, restarts)
-                    worker.export()
-            if syncing:
-                # Bidirectional round: everyone has published, so every
-                # worker sees every partner's finds from this round.
-                for worker in workers:
-                    worker.maybe_import(adaptives[worker.spec.index])
-            rounds += 1
-            if (ckpt is not None and self.checkpoint_interval
-                    and rounds % self.checkpoint_interval == 0):
-                self._save_campaign_checkpoint(ckpt, manifest, workers,
-                                               rounds,
-                                               {"adaptives": adaptives})
-        if self.pool is not None:
-            self.pool.park(self._pool_key(specs), workers)
-        return ([worker.report() for worker in workers],
-                {"schedule": "static", "pool_reuse": pool_reuse})
-
-    # --- inline stealing (DESIGN.md §13) ------------------------------------
-
     def _run_lease_isolated(self, worker: CampaignWorker, lease, board,
                             restarts: dict[int, int]) -> bool:
         """Run one lease, surviving injected deaths; False = retired.
 
-        Same snapshot-and-replay contract as the static chunk path, with
-        one stealing-specific twist past ``max_restarts``: instead of
-        aborting the campaign, the worker is **retired** — rolled back
-        to its pre-lease snapshot and its lease reclaimed for a
-        surviving partner to pick up (with the same id and size, so the
-        ledger still records that lease exactly once).
+        A killed worker is rolled back to the pre-lease snapshot and the
+        lease replayed — deterministic because exports only happen after
+        a lease completes, and the one-shot fault stays consumed. The
+        snapshot is taken only when a fault plan is live, keeping the
+        plain path allocation-free. Past ``max_restarts`` the worker is
+        **retired** instead: rolled back, and its lease reclaimed (same
+        id and size, so the ledger still records it exactly once) for
+        the next claimant of its pool.
         """
         while True:
             snapshot = (pickle.dumps(worker)
@@ -680,12 +592,18 @@ class ParallelCampaign:
                     worker.maybe_import(adaptives[worker.spec.index])
         if not board.drained():
             raise ValueError(
-                f"lease log is short of the budget: {board.remaining} "
-                f"case(s) left unassigned")
+                f"lease log is short of the budget: "
+                f"{sum(board.remaining)} case(s) left unassigned")
 
-    def _run_inline_stealing(self, root: Path, specs: list[WorkerSpec],
-                             iterations: int, sample_every: int
-                             ) -> tuple[list[WorkerReport], dict]:
+    def _run_inline(self, root: Path, specs: list[WorkerSpec],
+                    iterations: int, sample_every: int
+                    ) -> tuple[list[WorkerReport], dict]:
+        """Round-robin the workers over the lease board.
+
+        Each round every live worker claims at most one lease, runs it
+        and exports; then every live worker imports its partners'
+        finds, so everyone sees every partner's finds from the round.
+        """
         syncing = len(specs) > 1
         checkpointing = self.checkpoint_interval > 0 or self.resume
         ckpt = self._campaign_checkpoint_path(root) if checkpointing else None
@@ -696,20 +614,17 @@ class ParallelCampaign:
         if self.resume and ckpt is not None and ckpt.exists():
             payload = self._load_campaign_checkpoint(ckpt, manifest)
             if payload is not None:
-                workers = payload["workers"]
-                rounds = payload["rounds"]
-                board = payload.get("board")
-                adaptives = payload.get("adaptives")
-                retired = payload.get("retired", set())
-                log.info("resuming stealing campaign from round %d "
-                         "(%d lease(s) completed)", rounds,
-                         len(board.log) if board is not None else 0)
+                workers, rounds = payload["workers"], payload["rounds"]
+                board, adaptives = payload["board"], payload["adaptives"]
+                retired = payload["retired"]
+                log.info("resuming inline campaign from round %d "
+                         "(%d lease(s) completed)", rounds, len(board.log))
         if workers is None:
             workers, pool_reuse = self._build_inline_workers(
                 root, specs, sample_every, syncing)
         if board is None:
             board = LeaseBoard(total=iterations, workers=len(specs),
-                               lease_size=self.lease_size)
+                               **self._board_shape())
         if adaptives is None:
             adaptives = self._adaptives(specs)
         if self.lease_log is not None:
@@ -728,18 +643,26 @@ class ParallelCampaign:
                                                 restarts):
                         board.complete(lease.id, index, round_no=rounds)
                         worker.export()
-                    else:
-                        retired.add(index)
+                        continue
+                    retired.add(index)
+                    live = [w.spec.index for w in workers
+                            if w.spec.index not in retired]
+                    if board.stranded(live):
+                        detail = (f"{board.total - board.completed_total()}"
+                                  f" case(s) unexecuted, no live worker "
+                                  f"can claim them")
+                        self.events.append(SupervisorEvent(
+                            index, FailureKind.WORKER_CRASH, detail,
+                            "abort"))
+                        raise CampaignAborted(
+                            f"worker {index} retired after "
+                            f"{restarts[index]} death(s), exceeding "
+                            f"max_restarts={self.max_restarts}: {detail}")
                 if syncing:
                     for worker in workers:
                         if worker.spec.index not in retired:
                             worker.maybe_import(adaptives[worker.spec.index])
                 rounds += 1
-                if len(retired) == len(workers) and not board.drained():
-                    raise CampaignAborted(
-                        f"all {len(workers)} worker(s) retired with "
-                        f"{board.total - board.completed_total()} case(s) "
-                        f"unexecuted")
                 if (ckpt is not None and self.checkpoint_interval
                         and rounds % self.checkpoint_interval == 0):
                     self._save_campaign_checkpoint(
@@ -748,12 +671,8 @@ class ParallelCampaign:
                          "retired": retired})
         if self.pool is not None:
             self.pool.park(self._pool_key(specs), workers)
-        summary = board.summary()
         return ([worker.report() for worker in workers],
-                {"schedule": "stealing", "lease_log": summary["log"],
-                 "steals": summary["steals"],
-                 "reclaims": summary["reclaims"],
-                 "pool_reuse": pool_reuse})
+                dict(board.summary(), pool_reuse=pool_reuse))
 
     # --- process mode -------------------------------------------------------
 
@@ -768,13 +687,15 @@ class ParallelCampaign:
             for spec in specs:
                 sup.checkpoint_path(root, spec.index).unlink(missing_ok=True)
                 sup.report_path(root, spec.index).unlink(missing_ok=True)
-        board = None
-        if self.schedule == "stealing":
-            board = FileLeaseBoard(root)
-            if not (self.resume and board.exists()):
-                board = FileLeaseBoard.create(
-                    root, iterations, len(specs),
-                    lease_size=self.lease_size)
+        board = FileLeaseBoard(root)
+        if self.resume and board.exists():
+            # The interrupted campaign's workers are all dead: hand their
+            # unfinished leases back, or nobody could ever claim them.
+            for spec in specs:
+                board.reclaim(spec.index)
+        else:
+            board = FileLeaseBoard.create(root, iterations, len(specs),
+                                          **self._board_shape())
         config = SupervisorConfig(max_restarts=self.max_restarts)
         if self.case_timeout is not None:
             config.case_timeout = self.case_timeout
@@ -782,30 +703,21 @@ class ParallelCampaign:
             root=root, specs=specs, campaign_kwargs=self._campaign_kwargs(),
             sample_every=sample_every, sync_every=self.sync_every,
             config=config, fault_plan=self.fault_plan or faults.active(),
-            sync_format=self.sync_format,
-            subsumption_filter=self.subsumption_filter,
             sync_delta=self.sync_delta,
             telemetry_mode=self.telemetry_mode,
-            schedule=self.schedule, sync_adaptive=self.sync_adaptive,
-            lease_board=board)
+            sync_adaptive=self.sync_adaptive, lease_board=board)
         try:
             reports = supervisor.run()
-            sched = {"schedule": self.schedule, "pool_reuse": 0}
-            if board is not None:
-                summary = board.summary()
-                sched.update(lease_log=summary["log"],
-                             steals=summary["steals"],
-                             reclaims=summary["reclaims"])
-            return reports, supervisor.merged_virgin_bits, sched
+            return reports, supervisor.merged_virgin_bits, board.summary()
         finally:
             self.events.extend(supervisor.events)
 
     # --- merge --------------------------------------------------------------
 
-    def _merge(self, reports: list[WorkerReport],
-               shared_bits: bytes | None = None,
-               sched: dict | None = None) -> ParallelCampaignResult:
-        sched = sched or {}
+    def _merge(self, reports: list[WorkerReport], shared_bits: bytes | None,
+               sched: dict) -> ParallelCampaignResult:
+        """Merge worker reports; *sched* is the lease board's summary
+        (plus ``pool_reuse`` inline)."""
         reports = sorted(reports, key=lambda r: r.index)
         instrumented = reports[0].result.instrumented_lines
         for report in reports[1:]:
@@ -834,8 +746,8 @@ class ParallelCampaign:
             deadline_overruns=sum(r.deadline_overruns for r in reports),
             sync_overhead=_merge_sync_overhead(reports),
             shared_virgin_map=shared_bits is not None,
-            schedule=sched.get("schedule", self.schedule),
-            lease_log=list(sched.get("lease_log", [])),
-            steals=sched.get("steals", 0),
-            reclaims=sched.get("reclaims", 0),
+            schedule=self.schedule,
+            lease_log=list(sched["log"]),
+            steals=sched["steals"],
+            reclaims=sched["reclaims"],
             pool_reuse=sched.get("pool_reuse", 0))

@@ -1,6 +1,6 @@
 """Shared CRC32 + length-prefix helpers for the binary protocols.
 
-Corpus protocol v2 (:mod:`repro.parallel.wire`) and the NCD1 coverage
+The corpus wire format (:mod:`repro.parallel.wire`) and the NCD1 coverage
 deltas of the sync sidecar (:mod:`repro.coverage.delta`) checksum their
 payloads the same way. One definition keeps the formats bit-compatible
 with each other and gives the property tests a single seam to pin.

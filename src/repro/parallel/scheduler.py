@@ -1,32 +1,37 @@
-"""Work-stealing shard scheduler, warm pools, adaptive sync (DESIGN.md §13).
+"""Lease-board scheduling, warm pools, adaptive sync (DESIGN.md §13).
 
-The static split in :meth:`ParallelCampaign._specs` fixes every worker's
-share up front, so the slowest (or most-restarted) shard defines the
-campaign's critical path. This module replaces that with a **lease
-queue**: the campaign budget is carved into chunks ("leases") that idle
-workers pull on demand, adaptively sized from each worker's measured
-cases/sec, and reclaimed for re-issue when their owner dies or stalls.
+Every parallel campaign runs on a **lease board**: the budget is carved
+into chunks ("leases") that workers claim, run, and complete one sync
+round at a time, and a dead worker's leases are reclaimed for re-issue.
+The schedule only decides how the board is carved:
+
+* ``static`` pins one pool per worker, sized by the fixed divmod split
+  (:func:`split_budget`), and cuts it into ``sync_every``-sized leases
+  that only the owner may claim;
+* ``stealing`` shares one pool, cut into fixed or adaptively sized
+  leases (from each claimant's measured cases/sec) that any idle
+  worker may pull.
 
 Three pieces live here, all shared by inline and process mode:
 
-* :class:`LeaseBoard` — the in-memory queue driving inline stealing
-  campaigns (and the accounting core the tests pin: every lease id
-  completes exactly once, completed sizes sum to the budget).
-* :class:`FileLeaseBoard` — the same contract over one flock-guarded
-  JSON state file, for process-mode workers that share nothing but the
-  sync directory. Claims, completions, and reclaims are read-modify-
-  write transactions under an exclusive lock.
+* :class:`LeaseBoard` — the in-memory board and the one accounting core
+  (every lease id completes exactly once, completed sizes sum to the
+  budget);
+* :class:`FileLeaseBoard` — the same board persisted as one
+  flock-guarded JSON file, for process-mode workers that share nothing
+  but the sync directory. Each operation loads a :class:`LeaseBoard`,
+  runs it, and writes it back under an exclusive lock.
 * :class:`AdaptiveSync` — the sync-interval controller: back off
   geometrically while the subsumption filter absorbs >90% of imports
   (syncing is pure overhead then), snap back to the base interval the
   moment an import lights a new virgin bit.
 
 Determinism: the board appends one :class:`LeaseRecord` per *completed*
-lease. Inline stealing with a fixed ``lease_size`` is fully
-deterministic; with adaptive sizing the lease log is the one
-nondeterministic input, and replaying a recorded log
-(``ParallelCampaign(lease_log=...)``) reproduces the campaign
-fingerprint bit for bit (pinned by
+lease. Inline campaigns with fixed lease sizes (static always, stealing
+with a fixed ``lease_size``) are fully deterministic; with adaptive
+sizing the lease log is the one nondeterministic input, and replaying a
+recorded log (``ParallelCampaign(lease_log=...)``) reproduces the
+campaign fingerprint bit for bit (pinned by
 ``tests/parallel/test_stealing_campaign.py``).
 """
 
@@ -35,7 +40,7 @@ from __future__ import annotations
 import json
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from pathlib import Path
 
 from repro import telemetry
@@ -82,11 +87,12 @@ class LeaseRecord:
     id: int
     worker: int
     size: int
-    #: Inline sync-round number the lease completed in (0 in process
-    #: mode, where rounds are per-worker and unordered).
+    #: Inline sync-round number the lease completed in (in process
+    #: mode, the claimant's own round counter).
     round: int = 0
-    #: Claimed past the claimant's static fair share — work that a
-    #: static split would have assigned to somebody else.
+    #: Claimed past the claimant's fair share of a shared pool, or
+    #: re-issued to a worker other than the one that lost it — work
+    #: that a static split would have assigned to somebody else.
     steal: bool = False
     #: Previously claimed by a worker that died; re-issued.
     reissued: bool = False
@@ -102,6 +108,13 @@ class LeaseRecord:
                    size=int(data["size"]), round=int(data.get("round", 0)),
                    steal=bool(data.get("steal", False)),
                    reissued=bool(data.get("reissued", False)))
+
+
+def split_budget(total: int, workers: int) -> list[int]:
+    """The static divmod split: the first ``total % workers`` shares
+    get one extra case."""
+    base, remainder = divmod(total, workers)
+    return [base + (1 if i < remainder else 0) for i in range(workers)]
 
 
 def _cut(remaining: int, fixed: int, lo: int, hi: int, rate: float) -> int:
@@ -126,7 +139,12 @@ def _fair_share(total: int, workers: int) -> int:
 
 @dataclass
 class LeaseBoard:
-    """In-memory lease queue for inline stealing campaigns.
+    """The lease queue and its accounting, for both schedules.
+
+    The budget not yet carved sits in pools (:attr:`remaining`). One
+    pool is shared by every worker (stealing); with ``pinned=True``
+    there is one pool per worker, sized by :func:`split_budget`, and
+    pool ``w`` belongs to worker ``w`` alone (static).
 
     Invariants (the accounting contract the property tests pin):
 
@@ -134,8 +152,9 @@ class LeaseBoard:
       ``total``;
     * a lease id is completed at most once, and :meth:`drained` is true
       exactly when every carved lease has completed;
-    * a reclaimed lease keeps its id and size and is served to the next
-      claimant before any fresh budget is carved.
+    * a reclaimed lease keeps its id and size, returns to its pool, and
+      is served to that pool's next claimant before any fresh budget is
+      carved. Handing it back to the worker that lost it is not a steal.
     """
 
     total: int
@@ -143,13 +162,16 @@ class LeaseBoard:
     lease_size: int = 0  # fixed cases per lease; 0 = adaptive
     lease_min: int = LEASE_MIN
     lease_max: int = LEASE_MAX
-    remaining: int = field(init=False)
+    pinned: InitVar[bool] = False
+    #: Cases not yet carved, per pool.
+    remaining: list = field(init=False)
     next_id: int = field(default=0, init=False)
-    #: id -> (worker, size) for claimed-but-unfinished leases.
+    #: id -> (worker, size, steal, reissued) for claimed-but-unfinished
+    #: leases.
     issued: dict = field(default_factory=dict, init=False)
     #: id -> size for finished leases.
     completed: dict = field(default_factory=dict, init=False)
-    #: Reclaimed leases awaiting re-issue, FIFO.
+    #: Reclaimed leases awaiting re-issue, FIFO: (id, size, last owner).
     reissue: list = field(default_factory=list, init=False)
     #: worker -> iterations claimed so far (steal classification).
     claimed_by: dict = field(default_factory=dict, init=False)
@@ -157,31 +179,42 @@ class LeaseBoard:
     steals: int = 0
     reclaims: int = 0
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, pinned: bool) -> None:
         if self.total < 0:
             raise ValueError("total must be >= 0")
-        self.remaining = self.total
+        self.remaining = (split_budget(self.total, self.workers) if pinned
+                          else [self.total])
+
+    def _pool(self, worker: int) -> int:
+        return worker if len(self.remaining) > 1 else 0
 
     # --- claim / complete / reclaim ------------------------------------
 
     def claim(self, worker: int, *, rate: float = 0.0) -> Lease | None:
         """The next lease for *worker*, or ``None`` when nothing is
         claimable (the board may still have issued leases in flight)."""
-        reissued = False
-        if self.reissue:
-            lease_id, size = self.reissue.pop(0)
-            reissued = True
-        elif self.remaining > 0:
-            size = _cut(self.remaining, self.lease_size, self.lease_min,
-                        self.lease_max, rate)
+        pool = self._pool(worker)
+        back = next((entry for entry in self.reissue
+                     if self._pool(entry[2]) == pool), None)
+        if back is not None:
+            self.reissue.remove(back)
+            lease_id, size, owner = back
+        elif pool < len(self.remaining) and self.remaining[pool] > 0:
+            size = _cut(self.remaining[pool], self.lease_size,
+                        self.lease_min, self.lease_max, rate)
             lease_id = self.next_id
             self.next_id += 1
-            self.remaining -= size
+            self.remaining[pool] -= size
+            owner = worker
         else:
             return None
-        prior = self.claimed_by.get(worker, 0)
-        steal = reissued or prior >= _fair_share(self.total, self.workers)
-        self.claimed_by[worker] = prior + size
+        steal = (owner != worker or self.claimed_by.get(worker, 0)
+                 >= _fair_share(self.total, self.workers))
+        return self._issue(worker, lease_id, size, steal, back is not None)
+
+    def _issue(self, worker: int, lease_id: int, size: int, steal: bool,
+               reissued: bool) -> Lease:
+        self.claimed_by[worker] = self.claimed_by.get(worker, 0) + size
         self.issued[lease_id] = (worker, size, steal, reissued)
         with telemetry.shard_scope(worker):
             telemetry.counter("sched.leases_issued")
@@ -202,38 +235,60 @@ class LeaseBoard:
                                     reissued=reissued))
 
     def reclaim_lease(self, lease_id: int) -> None:
-        """Return one issued lease to the queue (its owner died)."""
+        """Return one issued lease to its pool (its owner died)."""
         worker, size, _steal, _re = self.issued.pop(lease_id)
         self.claimed_by[worker] = self.claimed_by.get(worker, 0) - size
-        self.reissue.append((lease_id, size))
+        self.reissue.append((lease_id, size, worker))
         self.reclaims += 1
         telemetry.counter("sched.reclaims")
 
+    def reclaim(self, worker: int) -> int:
+        """Reclaim every unfinished lease *worker* holds; returns how
+        many. Only safe once the owner is known dead."""
+        mine = sorted(lease_id for lease_id, entry in self.issued.items()
+                      if entry[0] == worker)
+        for lease_id in mine:
+            self.reclaim_lease(lease_id)
+        return len(mine)
+
     def claim_replay(self, record: LeaseRecord, worker: int) -> Lease:
-        """Claim exactly *record* (lease-log replay mode)."""
-        if record.size > self.remaining:
+        """Claim exactly *record* (lease-log replay of a shared pool)."""
+        if record.size > self.remaining[0]:
             raise ValueError(
                 f"lease log does not fit the budget: lease {record.id} "
-                f"needs {record.size}, {self.remaining} remaining")
-        self.remaining -= record.size
-        prior = self.claimed_by.get(worker, 0)
-        self.claimed_by[worker] = prior + record.size
-        self.issued[record.id] = (worker, record.size, record.steal,
-                                  record.reissued)
-        if record.steal:
-            self.steals += 1
-        with telemetry.shard_scope(worker):
-            telemetry.counter("sched.leases_issued")
-            if record.steal:
-                telemetry.counter("sched.steals")
-        return Lease(record.id, record.size)
+                f"needs {record.size}, {self.remaining[0]} remaining")
+        self.remaining[0] -= record.size
+        return self._issue(worker, record.id, record.size, record.steal,
+                           record.reissued)
 
     # --- progress -------------------------------------------------------
 
     def drained(self) -> bool:
         """Every carved lease has completed and no budget is left."""
-        return (self.remaining == 0 and not self.issued
+        return (not any(self.remaining) and not self.issued
                 and not self.reissue)
+
+    def exhausted(self, worker: int) -> bool:
+        """Nothing in *worker*'s pool is left, waiting, or in flight.
+
+        The worker may stop polling then: an in-flight lease of its pool
+        could still be reclaimed and re-issued, nothing else can.
+        """
+        pool = self._pool(worker)
+        return pool >= len(self.remaining) or (
+            self.remaining[pool] == 0
+            and not any(self._pool(owner) == pool
+                        for _id, _size, owner in self.reissue)
+            and not any(self._pool(entry[0]) == pool
+                        for entry in self.issued.values()))
+
+    def stranded(self, live) -> bool:
+        """Whether some unclaimed work has no claimant among *live*
+        workers (a pinned pool whose owner retired, or a shared pool
+        with nobody left)."""
+        waiting = {pool for pool, left in enumerate(self.remaining) if left}
+        waiting.update(self._pool(owner) for _id, _size, owner in self.reissue)
+        return bool(waiting - {self._pool(worker) for worker in live})
 
     def completed_total(self) -> int:
         return sum(self.completed.values())
@@ -242,6 +297,41 @@ class LeaseBoard:
         return {"log": list(self.log), "steals": self.steals,
                 "reclaims": self.reclaims,
                 "completed": self.completed_total()}
+
+    # --- persistence ----------------------------------------------------
+
+    def to_state(self) -> dict:
+        """The board as a JSON-ready dict (``board.json``)."""
+        return {
+            "total": self.total, "workers": self.workers,
+            "lease_size": self.lease_size, "lease_min": self.lease_min,
+            "lease_max": self.lease_max, "next_id": self.next_id,
+            "remaining": list(self.remaining),
+            "issued": {str(k): list(v) for k, v in self.issued.items()},
+            "completed": {str(k): v for k, v in self.completed.items()},
+            "reissue": [list(entry) for entry in self.reissue],
+            "claimed_by": {str(k): v for k, v in self.claimed_by.items()},
+            "steals": self.steals, "reclaims": self.reclaims,
+            "log": [record.to_dict() for record in self.log],
+        }
+
+    @classmethod
+    def from_state(cls, state: dict) -> "LeaseBoard":
+        """Inverse of :meth:`to_state`."""
+        board = cls(total=state["total"], workers=state["workers"],
+                    lease_size=state["lease_size"],
+                    lease_min=state["lease_min"],
+                    lease_max=state["lease_max"],
+                    steals=state["steals"], reclaims=state["reclaims"])
+        board.remaining = list(state["remaining"])
+        board.next_id = state["next_id"]
+        board.issued = {int(k): tuple(v) for k, v in state["issued"].items()}
+        board.completed = {int(k): v for k, v in state["completed"].items()}
+        board.reissue = [tuple(entry) for entry in state["reissue"]]
+        board.claimed_by = {int(k): v
+                            for k, v in state["claimed_by"].items()}
+        board.log = [LeaseRecord.from_dict(raw) for raw in state["log"]]
+        return board
 
 
 # --- process-mode board ----------------------------------------------------
@@ -280,14 +370,15 @@ def _locked(lock_path: Path):
 
 
 class FileLeaseBoard:
-    """The lease queue as one flock-guarded JSON file (process mode).
+    """A :class:`LeaseBoard` kept in one flock-guarded JSON file.
 
     Workers in separate processes share nothing but the sync root, so
-    every board operation is a read-modify-write transaction on
+    every board operation loads the board from
     ``<root>/leases/board.json`` under an exclusive lock on
-    ``<root>/leases/board.lock``. The state file is written atomically;
-    a worker crashing mid-transaction leaves the previous state intact
-    and its issued leases reclaimable by the supervisor.
+    ``<root>/leases/board.lock``, runs the in-memory operation, and
+    writes the board back atomically; a worker crashing
+    mid-transaction leaves the previous state intact and its issued
+    leases reclaimable by the supervisor.
     """
 
     DIR = "leases"
@@ -300,28 +391,23 @@ class FileLeaseBoard:
         self.state_path = self.dir / self.STATE
         self.lock_path = self.dir / self.LOCK
 
-    # --- state plumbing -------------------------------------------------
-
     @classmethod
     def create(cls, root: Path, total: int, workers: int, *,
                lease_size: int = 0, lease_min: int = LEASE_MIN,
-               lease_max: int = LEASE_MAX) -> "FileLeaseBoard":
+               lease_max: int = LEASE_MAX,
+               pinned: bool = False) -> "FileLeaseBoard":
         """Write a fresh board (clobbering any previous campaign's)."""
         board = cls(root)
         board.dir.mkdir(parents=True, exist_ok=True)
-        board._write({
-            "total": total, "workers": workers, "lease_size": lease_size,
-            "lease_min": lease_min, "lease_max": lease_max,
-            "next_id": 0, "remaining": total,
-            "issued": {}, "completed": {}, "reissue": [],
-            "claimed_by": {}, "steals": 0, "reclaims": 0, "log": [],
-        })
+        board._save(LeaseBoard(total=total, workers=workers,
+                               lease_size=lease_size, lease_min=lease_min,
+                               lease_max=lease_max, pinned=pinned))
         return board
 
     def exists(self) -> bool:
         return self.state_path.exists()
 
-    def _read(self) -> dict:
+    def _load(self) -> LeaseBoard:
         try:
             raw = self.state_path.read_text()
         except OSError as exc:
@@ -335,99 +421,52 @@ class FileLeaseBoard:
                 f"lease board {self.state_path} is corrupt "
                 f"({exc}); a fresh campaign must recreate it"
             ) from exc
-        if not isinstance(state, dict) or "remaining" not in state:
+        try:
+            return LeaseBoard.from_state(state)
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise LeaseBoardError(
                 f"lease board {self.state_path} has unexpected shape "
-                f"({type(state).__name__}); a fresh campaign must "
-                f"recreate it")
-        return state
+                f"({type(state).__name__}: {exc!r}); a fresh campaign "
+                f"must recreate it") from exc
 
-    def _write(self, state: dict) -> None:
-        payload = json.dumps(state, sort_keys=True).encode()
+    def _save(self, board: LeaseBoard) -> None:
+        payload = json.dumps(board.to_state(), sort_keys=True).encode()
         atomic_write_bytes(self.state_path, payload)
 
     # --- transactions ---------------------------------------------------
 
-    @staticmethod
-    def _carve(state: dict, worker: int, rate: float
-               ) -> tuple[int, int, bool] | None:
-        """Cut (or re-issue) the next lease for *worker* inside *state*.
-
-        Mutates *state*; the caller persists it. Returns
-        ``(lease_id, size, steal)`` or ``None`` when nothing is
-        claimable.
-        """
-        reissued = False
-        if state["reissue"]:
-            lease_id, size = state["reissue"].pop(0)
-            reissued = True
-        elif state["remaining"] > 0:
-            size = _cut(state["remaining"], state["lease_size"],
-                        state["lease_min"], state["lease_max"], rate)
-            lease_id = state["next_id"]
-            state["next_id"] += 1
-            state["remaining"] -= size
-        else:
-            return None
-        prior = state["claimed_by"].get(str(worker), 0)
-        steal = (reissued
-                 or prior >= _fair_share(state["total"],
-                                         state["workers"]))
-        state["claimed_by"][str(worker)] = prior + size
-        state["issued"][str(lease_id)] = [worker, size, steal, reissued]
-        if steal:
-            state["steals"] += 1
-        return lease_id, size, steal
-
     def claim(self, worker: int, *, rate: float = 0.0) -> Lease | None:
         with _locked(self.lock_path):
-            state = self._read()
-            carved = self._carve(state, worker, rate)
-            if carved is None:
-                return None
-            lease_id, size, steal = carved
-            self._write(state)
-        with telemetry.shard_scope(worker):
-            telemetry.counter("sched.leases_issued")
-            if steal:
-                telemetry.counter("sched.steals")
-        return Lease(lease_id, size)
+            board = self._load()
+            lease = board.claim(worker, rate=rate)
+            if lease is not None:
+                self._save(board)
+        return lease
 
     def complete(self, lease_id: int, worker: int, *,
                  round_no: int = 0) -> None:
+        """Retire *lease_id*; a no-op when a reclaim already took it back
+        (a worker presumed dead racing its own completion must never be
+        double-counted)."""
         with _locked(self.lock_path):
-            state = self._read()
-            entry = state["issued"].pop(str(lease_id), None)
-            if entry is None or str(lease_id) in state["completed"]:
-                # Already retired (a reclaim raced our completion);
-                # never double-count.
-                return
-            _owner, size, steal, reissued = entry
-            state["completed"][str(lease_id)] = size
-            state["log"].append(LeaseRecord(
-                id=lease_id, worker=worker, size=size, round=round_no,
-                steal=bool(steal), reissued=bool(reissued)).to_dict())
-            self._write(state)
+            board = self._load()
+            if lease_id in board.issued:
+                board.complete(lease_id, worker, round_no=round_no)
+                self._save(board)
 
     def reclaim(self, worker: int) -> int:
         """Re-queue every unfinished lease *worker* holds; returns how
         many were reclaimed. Only safe once the owner is known dead."""
         with _locked(self.lock_path):
-            state = self._read()
-            mine = [(int(lease_id), entry)
-                    for lease_id, entry in state["issued"].items()
-                    if entry[0] == worker]
-            for lease_id, entry in mine:
-                del state["issued"][str(lease_id)]
-                size = entry[1]
-                state["claimed_by"][str(worker)] = (
-                    state["claimed_by"].get(str(worker), 0) - size)
-                state["reissue"].append([lease_id, size])
-                state["reclaims"] += 1
-            if mine:
-                self._write(state)
-        telemetry.counter("sched.reclaims", len(mine))
-        return len(mine)
+            board = self._load()
+            reclaimed = board.reclaim(worker)
+            if reclaimed:
+                self._save(board)
+        return reclaimed
+
+    def exhausted(self, worker: int) -> bool:
+        """:meth:`LeaseBoard.exhausted` on the current file state."""
+        return self._load().exhausted(worker)
 
     def finished(self) -> bool:
         """No budget left, nothing issued, nothing awaiting re-issue.
@@ -437,18 +476,10 @@ class FileLeaseBoard:
         board that could never drain — a silent hang; crashing is
         restartable, spinning is not).
         """
-        state = self._read()
-        return (state["remaining"] == 0 and not state["issued"]
-                and not state["reissue"])
+        return self._load().drained()
 
     def summary(self) -> dict:
-        state = self._read()
-        return {
-            "log": [LeaseRecord.from_dict(raw) for raw in state["log"]],
-            "steals": state["steals"],
-            "reclaims": state["reclaims"],
-            "completed": sum(state["completed"].values()),
-        }
+        return self._load().summary()
 
 
 # --- adaptive sync ---------------------------------------------------------

@@ -130,15 +130,13 @@ def process_worker_main(spec: WorkerSpec, campaign_kwargs: dict,
                         sample_every: int, sync_every: int, root: str,
                         total_workers: int, case_timeout: float | None,
                         fault_plan: faults.FaultPlan | None,
-                        sync_format: str = "v2",
-                        subsumption_filter: bool = True,
                         sync_delta: bool = True,
                         shm_name: str | None = None,
                         shm_lock=None,
                         telemetry_mode: str = "metrics",
-                        schedule: str = "static",
                         sync_adaptive: bool = False) -> None:
-    """Child-process entry point: run one share, write the report.
+    """Child-process entry point: run leases off the board, write the
+    report.
 
     Resumes from the shard checkpoint when one exists (this is how a
     restarted replacement avoids redoing the whole share), installs the
@@ -168,8 +166,6 @@ def process_worker_main(spec: WorkerSpec, campaign_kwargs: dict,
         worker = CampaignWorker(
             spec, campaign_kwargs, sample_every=sample_every,
             sync=SyncDirectory(rootp, spec.index, total_workers,
-                               sync_format=sync_format,
-                               subsumption_filter=subsumption_filter,
                                delta_plane=sync_delta),
             heartbeat_path=heartbeat_path(rootp, spec.index),
             checkpoint_path=checkpoint_path(rootp, spec.index),
@@ -183,11 +179,8 @@ def process_worker_main(spec: WorkerSpec, campaign_kwargs: dict,
     adaptive = (AdaptiveSync(base=sync_every) if sync_adaptive else None)
     try:
         try:
-            if schedule == "stealing":
-                board = FileLeaseBoard(rootp)
-                report = worker.run_leases(board, adaptive=adaptive)
-            else:
-                report = worker.run_share(sync_every, adaptive)
+            report = worker.run_leases(FileLeaseBoard(rootp),
+                                       adaptive=adaptive)
         finally:
             if shm_publisher is not None:
                 shm_publisher.close()
@@ -213,19 +206,14 @@ class Supervisor:
     sync_every: int
     config: SupervisorConfig = field(default_factory=SupervisorConfig)
     fault_plan: faults.FaultPlan | None = None
-    sync_format: str = "v2"
-    subsumption_filter: bool = True
     #: Coverage-sidecar batch rejection in the workers (DESIGN.md §15).
     sync_delta: bool = True
     telemetry_mode: str = "metrics"
-    #: "static" (fixed shares) or "stealing" (shared lease board).
-    schedule: str = "static"
     #: Adaptive sync-interval back-off in the workers (DESIGN.md §13).
     sync_adaptive: bool = False
-    #: The shared lease board when ``schedule == "stealing"`` — the
-    #: supervisor reclaims a confirmed-dead worker's claims from it
-    #: before restarting, so stragglers' leases are re-issued instead
-    #: of lost.
+    #: The campaign's lease board under ``root`` — the supervisor
+    #: reclaims a confirmed-dead worker's claims from it before
+    #: restarting, so stragglers' leases are re-issued instead of lost.
     lease_board: FileLeaseBoard | None = None
     events: list[SupervisorEvent] = field(default_factory=list)
     restarts: dict[int, int] = field(default_factory=dict)
@@ -281,12 +269,10 @@ class Supervisor:
                         args=(spec, self.campaign_kwargs, self.sample_every,
                               self.sync_every, str(self.root),
                               len(self.specs), self.config.case_timeout,
-                              self.fault_plan, self.sync_format,
-                              self.subsumption_filter, self.sync_delta,
+                              self.fault_plan, self.sync_delta,
                               shared.name if shared else None,
                               shared.lock if shared else None,
-                              self.telemetry_mode, self.schedule,
-                              self.sync_adaptive),
+                              self.telemetry_mode, self.sync_adaptive),
                         daemon=False)
                     proc.start()
                 except (OSError, RuntimeError, pickle.PicklingError) as exc:
@@ -452,8 +438,6 @@ class Supervisor:
             worker = CampaignWorker(
                 spec, self.campaign_kwargs, sample_every=self.sample_every,
                 sync=SyncDirectory(self.root, spec.index, len(self.specs),
-                                   sync_format=self.sync_format,
-                                   subsumption_filter=self.subsumption_filter,
                                    delta_plane=self.sync_delta),
                 heartbeat_path=heartbeat_path(self.root, spec.index),
                 checkpoint_path=checkpoint_path(self.root, spec.index),
@@ -466,10 +450,7 @@ class Supervisor:
         adaptive = (AdaptiveSync(base=self.sync_every)
                     if self.sync_adaptive else None)
         try:
-            if self.lease_board is not None:
-                return worker.run_leases(self.lease_board,
-                                         adaptive=adaptive)
-            return worker.run_share(self.sync_every, adaptive)
+            return worker.run_leases(self.lease_board, adaptive=adaptive)
         except faults.WorkerKilled as death:
             self.events.append(SupervisorEvent(
                 spec.index, FailureKind.WORKER_CRASH, str(death), "abort"))

@@ -1,28 +1,21 @@
 """Corpus sync between campaign workers (AFL's ``sync_fuzzers`` shape).
 
-Each worker owns ``<root>/worker-NNN/queue/``. Two wire formats share
-this module:
+Each worker owns ``<root>/worker-NNN/queue/`` and speaks one wire
+format, the binary protocol from :mod:`repro.parallel.wire`: exports
+*append* only newly found entries to ``queue.bin`` + ``queue.idx``,
+importers seek straight to the first unconsumed manifest record, and
+each record ships its sparse classified coverage so the **subsumption
+filter** can consume entries that cannot light up new local virgin
+bits without executing them (their shipped line coverage is absorbed
+instead). Crashing or anomalous entries are always executed, keeping
+crash accounting identical to executing every import.
 
-* ``sync_format="v2"`` (default) — the binary protocol from
-  :mod:`repro.parallel.wire`: exports *append* only newly found entries
-  to ``queue.bin`` + ``queue.idx``, importers seek straight to the
-  first unconsumed manifest record, and each record ships its sparse
-  classified coverage so the **subsumption filter** can consume entries
-  that cannot light up new local virgin bits without executing them
-  (their shipped line coverage is absorbed instead). Crashing or
-  anomalous entries are always executed, keeping crash accounting
-  identical to v1.
-* ``sync_format="v1"`` — the legacy per-entry-file layout written by
-  :meth:`FuzzEngine.save_corpus`; kept for old sync roots and because
-  crash reproducers share its JSON decoder.
-
-Robustness contract (both formats): the import side tolerates whatever
-a partner crashing mid-write can leave behind. V1 heals because the
-owner rewrites every entry file each round; v2 heals because the owner
-checks its append tail (size + tail CRC, O(1)) on every export and
-rewrites both files from the live queue when the tail is broken. A
-corrupt record is skipped and counted (``stats.import_skipped``) once,
-kept on a retry list, and imported after it heals.
+Robustness contract: the import side tolerates whatever a partner
+crashing mid-write can leave behind. The owner checks its append tail
+(size + tail CRC, O(1)) on every export and rewrites both files from
+the live queue when the tail is broken. A corrupt record is skipped and
+counted (``stats.import_skipped``) once, kept on a retry list, and
+imported after it heals.
 """
 
 from __future__ import annotations
@@ -40,26 +33,22 @@ from repro.fuzzer.crashes import atomic_write_bytes
 from repro.fuzzer.engine import FuzzEngine
 from repro.parallel import checksum, wire
 
-SYNC_FORMATS = ("v1", "v2")
-
 #: Per-queue-dir coverage sidecar (DESIGN.md §15): the exporter's full
 #: virgin map as one NCD1 payload, plus the metadata an importer needs
 #: to reject the whole fresh batch without opening ``queue.bin``.
 COVERAGE_SIDECAR = "coverage.bin"
 
 
-def record_subsumed(engine: FuzzEngine, record: wire.WireRecord, *,
-                    enabled: bool = True) -> bool:
+def record_subsumed(engine: FuzzEngine, record: wire.WireRecord) -> bool:
     """The subsumption-filter contract, in one place.
 
     Skip execution only when it provably changes nothing: the record
     must ship both coverage and absorbable lines, must not have crashed
     or anomaled when found (those always re-execute so crash accounting
-    matches v1), and every shipped ``(cell, class-bit)`` pair must
-    already be present in the local virgin map.
+    matches executing every import), and every shipped
+    ``(cell, class-bit)`` pair must already be present in the local
+    virgin map.
     """
-    if not enabled:
-        return False
     if record.coverage is None or record.lines is None:
         return False
     if record.crashed or record.anomaly:
@@ -77,32 +66,20 @@ def _corrupt(queue_dir: Path, spec) -> None:
 
     Writes bypass the atomic path on purpose: the fault simulates the
     partial state a crash mid-write would leave *without* atomicity.
-    Shapes adapt to whichever format's artifacts are present.
     """
     bin_path = queue_dir / wire.QUEUE_BIN
-    if bin_path.exists():  # protocol v2
-        if spec.corrupt == "truncate":
-            raw = bin_path.read_bytes()
-            bin_path.write_bytes(raw[:-17] if len(raw) > 17 else b"")
-        elif spec.corrupt == "garbage":
-            manifest = wire.read_manifest(queue_dir)
-            if manifest:
-                offset, length, _ = manifest[-1]
-                raw = bytearray(bin_path.read_bytes())
-                raw[offset:offset + length] = b"\xa5" * length
-                bin_path.write_bytes(bytes(raw))
-        elif spec.corrupt == "tmp_orphan":
-            (queue_dir / (wire.QUEUE_BIN + ".tmp")).write_bytes(b"partial")
-        return
-    entries = sorted(p for p in queue_dir.iterdir()
-                     if p.is_file() and p.name.startswith("id:"))
-    if spec.corrupt == "truncate" and entries:
-        victim = entries[-1]
-        victim.write_bytes(victim.read_bytes()[:17])
-    elif spec.corrupt == "garbage" and entries:
-        entries[-1].write_bytes(b'{"input": not-json')
+    if spec.corrupt == "truncate":
+        raw = bin_path.read_bytes()
+        bin_path.write_bytes(raw[:-17] if len(raw) > 17 else b"")
+    elif spec.corrupt == "garbage":
+        manifest = wire.read_manifest(queue_dir)
+        if manifest:
+            offset, length, _ = manifest[-1]
+            raw = bytearray(bin_path.read_bytes())
+            raw[offset:offset + length] = b"\xa5" * length
+            bin_path.write_bytes(bytes(raw))
     elif spec.corrupt == "tmp_orphan":
-        (queue_dir / "id:999999,found:0.tmp").write_bytes(b"partial")
+        (queue_dir / (wire.QUEUE_BIN + ".tmp")).write_bytes(b"partial")
 
 
 @dataclass
@@ -146,11 +123,6 @@ class SyncDirectory:
     root: Path
     worker: int
     total_workers: int
-    sync_format: str = "v2"
-    #: Skip executing imports whose shipped coverage is already subsumed
-    #: by the local virgin map (v2 only). The off switch exists for
-    #: format-equivalence pins and debugging.
-    subsumption_filter: bool = True
     #: Publish a coverage sidecar next to the queue files and use
     #: partners' sidecars to reject whole fresh batches from one delta
     #: comparison before scanning ``queue.bin`` (DESIGN.md §15). Purely
@@ -158,16 +130,13 @@ class SyncDirectory:
     #: the per-record filter would have taken, so fingerprints are
     #: identical with the switch on or off.
     delta_plane: bool = True
-    #: v1: per-partner filenames already imported (valid entries only,
-    #: so a corrupt entry is retried once its owner rewrites it).
-    seen: dict[int, set[str]] = field(default_factory=dict)
-    #: v2: per-partner count of manifest records consumed (imported,
+    #: Per-partner count of manifest records consumed (imported,
     #: filtered, or parked on the retry list below).
     consumed: dict[int, int] = field(default_factory=dict)
-    #: v2: per-partner manifest indices that failed to read/parse and
-    #: are retried each round until the owner's tail check heals them.
+    #: Per-partner manifest indices that failed to read/parse and are
+    #: retried each round until the owner's tail check heals them.
     retry: dict[int, set[int]] = field(default_factory=dict)
-    #: v2: records/bytes this worker has appended to its own queue.bin,
+    #: Records/bytes this worker has appended to its own queue.bin,
     #: for the O(1) tail-intact check on the next export.
     exported_records: int = 0
     exported_bytes: int = 0
@@ -182,10 +151,6 @@ class SyncDirectory:
     #: records it batch-skips, no more.
     _sidecar_flagged: list[int] = field(default_factory=list)
     _sidecar_lines: list[bytes] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if self.sync_format not in SYNC_FORMATS:
-            raise ValueError(f"unknown sync_format {self.sync_format!r}")
 
     @contextmanager
     def _timed(self, span_name: str, attr: str):
@@ -213,15 +178,12 @@ class SyncDirectory:
                codec: wire.LineCodec | None = None) -> int:
         """Publish the worker's locally found queue entries.
 
-        Returns the total number of entries now published (v1 rewrites
-        them all; v2 appends only the ones found since the last round).
+        Returns the total number of entries now published; only the ones
+        found since the last round are appended.
         """
         queue_dir = worker_queue_dir(self.root, self.worker)
         with self._timed("sync.export", "export_seconds"):
-            if self.sync_format == "v1":
-                written = engine.save_corpus(queue_dir, exclude_imported=True)
-            else:
-                written = self._export_v2(engine, queue_dir, codec)
+            written = self._export(engine, queue_dir, codec)
         self.exports += 1
         telemetry.event("sync.export", round=self.exports, written=written)
         plan = faults.active()
@@ -232,8 +194,8 @@ class SyncDirectory:
                 _corrupt(queue_dir, spec)
         return written
 
-    def _export_v2(self, engine: FuzzEngine, queue_dir: Path,
-                   codec: wire.LineCodec | None) -> int:
+    def _export(self, engine: FuzzEngine, queue_dir: Path,
+                codec: wire.LineCodec | None) -> int:
         queue_dir.mkdir(parents=True, exist_ok=True)
         entries = [e for e in engine.queue.entries if not e.imported]
         if not wire.tail_intact(queue_dir, self.exported_records,
@@ -311,8 +273,8 @@ class SyncDirectory:
                    absorb_lines=None) -> int:
         """Consume every not-yet-seen partner entry through *engine*.
 
-        Returns the number of entries consumed — executed, or (v2)
-        absorbed through the subsumption filter without execution;
+        Returns the number of entries consumed — executed, or absorbed
+        through the subsumption filter without execution;
         either way they count in ``stats.imported``. Entries that fail
         to decode are skipped (counted once in ``stats.import_skipped``)
         and retried on later rounds, after the owner heals them.
@@ -325,40 +287,13 @@ class SyncDirectory:
             queue_dir = worker_queue_dir(self.root, partner)
             if not queue_dir.is_dir():
                 continue
-            if self.sync_format == "v1":
-                imported += self._import_v1(engine, partner, queue_dir)
-            else:
-                imported += self._import_v2(engine, partner, queue_dir,
-                                            codec, absorb_lines)
+            imported += self._import_from(engine, partner, queue_dir,
+                                          codec, absorb_lines)
         return imported
 
-    def _import_v1(self, engine: FuzzEngine, partner: int,
-                   queue_dir: Path) -> int:
-        imported = 0
-        seen = self.seen.setdefault(partner, set())
-        files = sorted(p for p in queue_dir.iterdir()
-                       if p.is_file() and p.name.startswith("id:")
-                       and not p.name.endswith(".tmp"))
-        for path in files:
-            if path.name in seen:
-                continue
-            try:
-                payload = path.read_bytes()
-            except OSError:
-                engine.stats.import_skipped += 1
-                telemetry.counter("sync.imports_skipped")
-                continue
-            with self._timed("sync.execute", "execute_seconds"):
-                new_bits = engine.import_case(payload)
-            if new_bits is None:
-                telemetry.counter("sync.imports_skipped")
-                continue  # corrupt entry: counted, retried later
-            seen.add(path.name)
-            imported += 1
-        return imported
-
-    def _import_v2(self, engine: FuzzEngine, partner: int, queue_dir: Path,
-                   codec: wire.LineCodec | None, absorb_lines) -> int:
+    def _import_from(self, engine: FuzzEngine, partner: int,
+                     queue_dir: Path, codec: wire.LineCodec | None,
+                     absorb_lines) -> int:
         with self._timed("sync.scan", "scan_seconds"):
             manifest = wire.read_manifest(queue_dir)
         consumed = self.consumed.get(partner, 0)
@@ -368,8 +303,8 @@ class SyncDirectory:
         if not todo:
             return 0
         rejected = 0
-        if (self.delta_plane and self.subsumption_filter and not retry
-                and codec is not None and consumed < len(manifest)):
+        if (self.delta_plane and not retry and codec is not None
+                and consumed < len(manifest)):
             rejected = self._delta_reject(engine, partner, queue_dir,
                                           manifest, consumed, codec,
                                           absorb_lines)
@@ -507,5 +442,4 @@ class SyncDirectory:
         """:func:`record_subsumed`, with the check's wall clock charged
         to ``stats.filter_seconds``."""
         with self._timed("sync.filter", "filter_seconds"):
-            return record_subsumed(engine, record,
-                                   enabled=self.subsumption_filter)
+            return record_subsumed(engine, record)

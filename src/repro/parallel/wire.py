@@ -1,11 +1,9 @@
-"""Corpus protocol v2: struct-packed queue records + append-only manifest.
+"""The corpus wire format: struct-packed queue records + append-only manifest.
 
-Protocol v1 (``FuzzEngine.save_corpus``) writes one file per queue entry
-and rewrites *all* of them on every export; importers re-list and
-re-read the directory every sync round. That is O(corpus) filesystem
-work per round and is why the first parallel benchmark lost to serial.
-
-V2 keeps exactly two files per worker queue directory:
+Workers never write one file per queue entry (``FuzzEngine.save_corpus``
+does that for ``--corpus-dir``): rewriting and re-listing a directory
+every sync round is O(corpus) filesystem work per round. The wire
+format keeps exactly two files per worker queue directory:
 
 ``queue.bin``
     Concatenated binary records, append-only. Each record is a fixed
@@ -26,15 +24,14 @@ partner and only read record payloads past that point — a seek into
 ``queue.bin`` instead of a directory re-listing. Exporters remember how
 many records (and bytes) they have appended; on each export they verify
 the tail still matches (size + last-record CRC, O(1)) and, when a crash
-or injected corruption broke it, rewrite both files from the live queue
-— the append-only analogue of v1's rewrite-everything healing.
+or injected corruption broke it, rewrite both files from the live queue.
 
 The per-entry coverage and line payloads exist for the subsumption
 filter: a partner whose virgin map already contains every shipped
 ``(cell, class-bit)`` pair skips *executing* the entry and just absorbs
 the shipped line coverage. Crashing or anomalous entries never carry
 that shortcut — they are always re-executed so crash accounting stays
-identical to v1.
+identical to executing every import.
 """
 
 from __future__ import annotations
@@ -69,7 +66,7 @@ FLAG_LINES = 32     # record carries covered-line indices
 
 @dataclass(frozen=True)
 class WireRecord:
-    """One decoded protocol-v2 corpus entry."""
+    """One decoded corpus entry."""
 
     index: int
     data: bytes

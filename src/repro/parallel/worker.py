@@ -130,7 +130,7 @@ class CampaignWorker:
         self.timeline = CoverageTimeline(label, self.campaign.iterations_per_hour)
         self.samples: list[tuple[int, frozenset]] = []
         self._seen_lines: set = set()
-        #: Shared line-index table for protocol-v2 records; identical
+        #: Shared line-index table for wire records; identical
         #: across workers because they instrument the same modules.
         self.line_codec = LineCodec(self.campaign.agent.tracer.instrumented)
 
@@ -193,14 +193,17 @@ class CampaignWorker:
         return steps
 
     def run_lease(self, size: int) -> int:
-        """Extend this worker's share by one lease and run it.
+        """Run one lease of *size* cases, extending the share to cover it.
 
-        Under the stealing schedule a worker's share is whatever it has
-        claimed so far: the spec grows lease by lease, so ``finished``,
-        sampling, and reports all see the claimed total. The lease's
-        wall-clock feeds :attr:`rate`, which sizes the next claim.
+        A static worker's share is preset, and its pinned leases fall
+        inside it, so the spec keeps the share (and the serial closing
+        sample at ``i == share``). A stealing worker's share is whatever
+        it has claimed so far: its spec grows lease by lease, so
+        ``finished``, sampling, and reports all see the claimed total.
+        The lease's wall-clock feeds :attr:`rate`, which sizes the next
+        stealing claim.
         """
-        self.spec.iterations += size
+        self.spec.iterations = max(self.spec.iterations, self.done + size)
         started = time.perf_counter()
         steps = self.run_chunk(size)
         elapsed = time.perf_counter() - started
@@ -294,32 +297,14 @@ class CampaignWorker:
             return
         self._published_generation = virgin.generation
 
-    def run_share(self, sync_every: int,
-                  adaptive: AdaptiveSync | None = None) -> "WorkerReport":
-        """Self-paced loop for process mode: chunk, publish, import."""
-        rounds = 0
-        while not self.finished:
-            self.run_chunk(sync_every)
-            self.export()
-            self.maybe_import(adaptive)
-            self.publish_virgin()
-            rounds += 1
-            with telemetry.shard_scope(self.spec.index):
-                telemetry.event("worker.sync_round", round=rounds,
-                                done=self.done,
-                                queue=len(self.campaign.engine.queue))
-                telemetry.flush()
-            self.save_checkpoint()
-        if self.spec.iterations == 0:
-            self.export()
-        return self.report()
-
     def run_leases(self, board, *, adaptive: AdaptiveSync | None = None,
                    idle_poll: float = 0.01) -> "WorkerReport":
-        """Self-paced stealing loop for process mode: claim, run, sync.
+        """Self-paced process-mode loop: claim, run, sync.
 
-        The worker pulls leases off the shared board until the board is
-        drained. ``board.complete`` runs **before** the checkpoint, so
+        The worker pulls leases off the shared board until nothing is
+        left for it: a static worker stops once its own pool is empty,
+        a stealing worker once the board has drained.
+        ``board.complete`` runs **before** the checkpoint, so
         the ledger — not the snapshot — is authoritative: a lease can
         never be re-executed because its completion record survives any
         crash that follows it (the converse window, a crash between
@@ -333,7 +318,7 @@ class CampaignWorker:
         while True:
             lease = board.claim(self.spec.index, rate=self.rate)
             if lease is None:
-                if board.finished():
+                if board.exhausted(self.spec.index):
                     break
                 self._heartbeat()
                 time.sleep(idle_poll)

@@ -66,10 +66,10 @@ def campaign_fingerprint(result: ParallelCampaignResult) -> str:
     """Deterministic digest of a campaign's complete observable outcome.
 
     ``stats.imports_skipped_subsumed`` is deliberately excluded: it
-    counts imports the protocol-v2 filter consumed *without* execution,
+    counts imports the subsumption filter consumed *without* execution,
     an implementation detail of how the same observable outcome was
-    reached — including it would make v1 and v2 sync-format runs
-    incomparable by construction.
+    reached — including it would make runs with the filter and the
+    execute-every-import reference incomparable by construction.
 
     Telemetry (``ParallelCampaignResult.telemetry`` and the campaign's
     ``telemetry_mode``) is excluded for the same reason: it describes

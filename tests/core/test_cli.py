@@ -125,6 +125,17 @@ class TestRangeChecks:
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--workers", "2", "--sync-format", "v1"],
+    ["--workers", "2", "--sync-format", "v2"],
+], ids=["v1", "v2"])
+def test_removed_sync_format_flag_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestFlagConflicts:
     """Flags that only make sense together exit 2 naming the conflict;
     ``--lease-size`` belongs to the stealing schedule alone."""

@@ -1,5 +1,7 @@
 """Tests for the coverage-guided engine and seed queue."""
 
+import pytest
+
 from repro.coverage.bitmap import CoverageBitmap
 from repro.fuzzer.engine import FuzzEngine, RunFeedback
 from repro.fuzzer.input import INPUT_SIZE
@@ -206,12 +208,11 @@ class TestCorpusPersistence:
         assert len(engine.queue) == queue_len
         assert engine.stats.imported == 2
 
-    def test_save_corpus_can_exclude_imported(self, tmp_path):
+    def test_save_corpus_keeps_imported_entries(self, tmp_path):
         engine = make_engine(self._novel_execute())
         engine.run(2)
         engine.import_case(b"\x03" * INPUT_SIZE)
         assert engine.queue.entries[-1].imported
-        local_only = engine.save_corpus(tmp_path / "local",
-                                        exclude_imported=True)
-        everything = engine.save_corpus(tmp_path / "all")
-        assert everything == local_only + 1
+        assert engine.save_corpus(tmp_path / "all") == len(engine.queue)
+        with pytest.raises(TypeError):
+            engine.save_corpus(tmp_path / "local", exclude_imported=True)

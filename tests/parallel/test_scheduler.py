@@ -7,6 +7,7 @@ identity, and the adaptive-sync controller moves monotonically between
 its base and its cap.
 """
 
+import json
 import pickle
 import random
 
@@ -22,7 +23,37 @@ from repro.parallel.scheduler import (
     LeaseRecord,
     PoolMismatch,
     WorkerPool,
+    split_budget,
 )
+
+
+def _churn(rng, board, workers, mirror=None):
+    """Drive *board* until drained with random claims, completions and
+    reclaims, with up to three leases in flight; every step is repeated
+    on *mirror* (a :class:`FileLeaseBoard`), which must hand out the
+    same leases."""
+    held = []  # (worker, lease) in flight
+    while not board.drained():
+        if held and (len(held) >= 3 or rng.random() < 0.5):
+            worker, lease = held.pop(rng.randrange(len(held)))
+            if rng.random() < 0.2:
+                # The worker died: everything it holds goes back.
+                held = [(w, other) for w, other in held if w != worker]
+                assert board.reclaim(worker) >= 1
+                if mirror is not None:
+                    mirror.reclaim(worker)
+            else:
+                board.complete(lease.id, worker)
+                if mirror is not None:
+                    mirror.complete(lease.id, worker)
+            continue
+        worker = rng.randrange(workers)
+        rate = rng.uniform(0, 5000)
+        lease = board.claim(worker, rate=rate)
+        if mirror is not None:
+            assert mirror.claim(worker, rate=rate) == lease
+        if lease is not None:
+            held.append((worker, lease))
 
 
 class TestLeaseBoard:
@@ -90,22 +121,50 @@ class TestLeaseBoard:
             workers = rng.randrange(1, 6)
             board = LeaseBoard(total=total, workers=workers,
                                lease_size=rng.choice([0, 7, 64]))
-            while not board.drained():
-                worker = rng.randrange(workers)
-                lease = board.claim(worker, rate=rng.uniform(0, 5000))
-                if lease is None:
-                    # Budget carved out; only reclaims can unblock.
-                    assert board.issued
-                    victim = rng.choice(list(board.issued))
-                    board.reclaim_lease(victim)
-                    continue
-                if rng.random() < 0.2:
-                    board.reclaim_lease(lease.id)
-                else:
-                    board.complete(lease.id, worker)
+            _churn(rng, board, workers)
             assert board.completed_total() == total
             ids = [record.id for record in board.log]
             assert len(ids) == len(set(ids)), "a lease completed twice"
+
+    def test_pinned_churn_completes_exactly_the_divmod_shares(self):
+        rng = random.Random(4321)
+        for trial in range(25):
+            total = rng.randrange(0, 2000)
+            workers = rng.randrange(1, 6)
+            board = LeaseBoard(total=total, workers=workers,
+                               lease_size=rng.choice([1, 7, 64]),
+                               pinned=True)
+            _churn(rng, board, workers)
+            done = [0] * workers
+            for record in board.log:
+                done[record.worker] += record.size
+            assert done == split_budget(total, workers)
+            assert board.steals == 0
+            assert not any(record.steal for record in board.log)
+            ids = [record.id for record in board.log]
+            assert len(ids) == len(set(ids)), "a lease completed twice"
+
+    @pytest.mark.parametrize("pinned", [False, True],
+                             ids=["shared", "pinned"])
+    def test_file_board_matches_in_memory_board_under_churn(self, tmp_path,
+                                                            pinned):
+        rng = random.Random(77)
+        for trial in range(6):
+            total = rng.randrange(0, 400)
+            workers = rng.randrange(1, 5)
+            lease_size = rng.choice([0, 7, 64]) if not pinned else 9
+            board = LeaseBoard(total=total, workers=workers,
+                               lease_size=lease_size, lease_min=8,
+                               lease_max=32, pinned=pinned)
+            mirror = FileLeaseBoard.create(
+                tmp_path / str(trial), total, workers,
+                lease_size=lease_size, lease_min=8, lease_max=32,
+                pinned=pinned)
+            _churn(rng, board, workers, mirror)
+            assert mirror.finished()
+            assert mirror.summary() == board.summary()
+            assert (json.loads(mirror.state_path.read_text())
+                    == board.to_state())
 
     def test_board_pickles_for_checkpoints(self):
         board = LeaseBoard(total=50, workers=2, lease_size=10)
@@ -119,6 +178,94 @@ class TestLeaseBoard:
         board = LeaseBoard(total=10, workers=1, lease_size=10)
         with pytest.raises(ValueError):
             board.claim_replay(LeaseRecord(id=0, worker=0, size=11), 0)
+
+
+class TestPinnedLeaseBoard:
+    """The static schedule's board: one pool per worker."""
+
+    def test_pools_are_the_divmod_shares(self):
+        board = LeaseBoard(total=50, workers=3, lease_size=10, pinned=True)
+        assert board.remaining == [17, 17, 16] == split_budget(50, 3)
+
+    def test_pinned_leases_are_claimed_only_by_their_owner(self):
+        board = LeaseBoard(total=30, workers=2, lease_size=10, pinned=True)
+        sizes = []
+        while (lease := board.claim(0)) is not None:
+            sizes.append(lease.size)
+            board.complete(lease.id, 0)
+        assert sizes == [10, 5]
+        # Worker 1's pool is untouched, and nobody else can draw on it.
+        assert board.remaining == [0, 15]
+        assert board.claim(2) is None
+        assert not board.drained()
+        lease = board.claim(1)
+        assert lease.size == 10
+        assert board.claim(0) is None
+
+    def test_reclaimed_pinned_lease_returns_to_its_owner(self):
+        board = LeaseBoard(total=40, workers=2, lease_size=10, pinned=True)
+        lost = board.claim(0)
+        board.reclaim_lease(lost.id)
+        # Worker 1 carves from its own pool; the lost lease waits for 0.
+        other = board.claim(1)
+        assert other.id != lost.id
+        board.complete(other.id, 1)
+        again = board.claim(0)
+        assert (again.id, again.size) == (lost.id, lost.size)
+        board.complete(again.id, 0)
+        record = board.log[-1]
+        assert record.reissued and not record.steal
+        assert (board.steals, board.reclaims) == (0, 1)
+
+    def test_reissue_to_the_owner_is_not_a_steal_on_a_shared_pool(self):
+        board = LeaseBoard(total=40, workers=2, lease_size=10)
+        lost = board.claim(0)
+        board.reclaim_lease(lost.id)
+        again = board.claim(0)
+        board.complete(again.id, 0)
+        assert board.log[-1].reissued and not board.log[-1].steal
+        assert board.steals == 0
+
+    def test_exhausted_is_per_pool(self):
+        pinned = LeaseBoard(total=20, workers=2, lease_size=10, pinned=True)
+        held = pinned.claim(1)
+        lease = pinned.claim(0)
+        pinned.complete(lease.id, 0)
+        # Worker 0 has nothing left to wait for; worker 1 still holds a
+        # lease of its own pool that could be reclaimed.
+        assert pinned.exhausted(0)
+        assert not pinned.exhausted(1)
+        shared = LeaseBoard(total=20, workers=2, lease_size=10)
+        held = shared.claim(1)
+        lease = shared.claim(0)
+        shared.complete(lease.id, 0)
+        assert not shared.exhausted(0)  # worker 1's lease may come back
+        shared.complete(held.id, 1)
+        assert shared.exhausted(0) and shared.exhausted(1)
+
+    def test_stranded_work_has_no_live_claimant(self):
+        pinned = LeaseBoard(total=20, workers=2, lease_size=10, pinned=True)
+        lease = pinned.claim(0)
+        pinned.complete(lease.id, 0)
+        lost = pinned.claim(1)
+        pinned.reclaim_lease(lost.id)
+        assert pinned.stranded([0])
+        assert not pinned.stranded([1])
+        shared = LeaseBoard(total=20, workers=2, lease_size=10)
+        assert not shared.stranded([1])
+        assert shared.stranded([])
+        assert not LeaseBoard(total=0, workers=2).stranded([])
+
+    def test_pinned_file_board_lets_the_owner_stop_polling(self, tmp_path):
+        board = FileLeaseBoard.create(tmp_path, 20, 2, lease_size=10,
+                                      pinned=True)
+        board.claim(1)
+        lease = board.claim(0)
+        board.complete(lease.id, 0)
+        assert board.claim(0) is None
+        assert board.exhausted(0)
+        assert not board.exhausted(1)
+        assert not board.finished()
 
 
 class TestFileLeaseBoard:

@@ -1,9 +1,8 @@
 """Corpus-sync protocol tests (export / incremental import / corruption).
 
-Behavioural tests run against both wire formats — the binary v2
-protocol must behave exactly like the legacy v1 per-file layout for
-everything a campaign can observe. Format-specific classes cover the
-on-disk layout and the v2-only subsumption filter.
+Behavioural tests cover what a campaign can observe of the wire
+format; further classes cover the on-disk layout, the subsumption
+filter and the coverage sidecar.
 """
 
 import json
@@ -22,6 +21,7 @@ from repro.parallel.sync import (
     worker_queue_dir,
 )
 from repro.parallel.wire import QUEUE_BIN, QUEUE_IDX, LineCodec
+from tests.reference import execute_every_import
 
 
 def novel_execute():
@@ -42,42 +42,36 @@ def make_engine(seed=1, execute=None):
     return engine
 
 
-@pytest.fixture(params=["v1", "v2"])
-def sync_format(request):
-    return request.param
-
-
-def make_sync(root, worker, sync_format, total_workers=2):
-    return SyncDirectory(root, worker=worker, total_workers=total_workers,
-                         sync_format=sync_format)
+def make_sync(root, worker, total_workers=2):
+    return SyncDirectory(root, worker=worker, total_workers=total_workers)
 
 
 class TestSyncDirectory:
-    def test_export_covers_the_whole_local_queue(self, tmp_path, sync_format):
+    def test_export_covers_the_whole_local_queue(self, tmp_path):
         engine = make_engine()
         engine.run(4)
-        sync = make_sync(tmp_path, 0, sync_format)
+        sync = make_sync(tmp_path, 0)
         assert sync.export(engine) == len(engine.queue)
 
-    def test_import_new_executes_partner_entries(self, tmp_path, sync_format):
+    def test_import_new_executes_partner_entries(self, tmp_path):
         producer = make_engine(seed=1)
         producer.run(3)
-        make_sync(tmp_path, 1, sync_format).export(producer)
+        make_sync(tmp_path, 1).export(producer)
 
         consumer = make_engine(seed=2)
-        sync = make_sync(tmp_path, 0, sync_format)
+        sync = make_sync(tmp_path, 0)
         imported = sync.import_new(consumer)
         assert imported == len(producer.queue)
         assert consumer.stats.imported == imported
 
-    def test_import_is_incremental(self, tmp_path, sync_format):
+    def test_import_is_incremental(self, tmp_path):
         producer = make_engine(seed=1)
         producer.run(2)
-        producer_sync = make_sync(tmp_path, 1, sync_format)
+        producer_sync = make_sync(tmp_path, 1)
         producer_sync.export(producer)
 
         consumer = make_engine(seed=2)
-        sync = make_sync(tmp_path, 0, sync_format)
+        sync = make_sync(tmp_path, 0)
         first = sync.import_new(consumer)
         assert sync.import_new(consumer) == 0  # nothing new yet
         producer.run(2)
@@ -85,41 +79,41 @@ class TestSyncDirectory:
         second = sync.import_new(consumer)
         assert first > 0 and second == 2  # only the fresh entries
 
-    def test_imported_entries_not_reexported(self, tmp_path, sync_format):
+    def test_imported_entries_not_reexported(self, tmp_path):
         producer = make_engine(seed=1)
         producer.run(3)
-        make_sync(tmp_path, 1, sync_format).export(producer)
+        make_sync(tmp_path, 1).export(producer)
 
         consumer = make_engine(seed=2)
         consumer.run(1)
-        sync = make_sync(tmp_path, 0, sync_format)
+        sync = make_sync(tmp_path, 0)
         sync.import_new(consumer)
         local = sum(1 for e in consumer.queue.entries if not e.imported)
         assert sync.export(consumer) == local
         assert local < len(consumer.queue)  # some imports did join the queue
 
-    def test_own_directory_never_imported(self, tmp_path, sync_format):
+    def test_own_directory_never_imported(self, tmp_path):
         engine = make_engine()
         engine.run(2)
-        sync = make_sync(tmp_path, 0, sync_format)
+        sync = make_sync(tmp_path, 0)
         sync.export(engine)
         assert sync.import_new(engine) == 0
 
 
 class TestV2Layout:
-    """Protocol v2 on-disk shape: two files, append-only growth."""
+    """On-disk shape: two files, append-only growth."""
 
     def test_exactly_two_files(self, tmp_path):
         engine = make_engine()
         engine.run(4)
-        make_sync(tmp_path, 0, "v2").export(engine)
+        make_sync(tmp_path, 0).export(engine)
         names = {p.name for p in worker_queue_dir(tmp_path, 0).iterdir()}
         assert names == {QUEUE_BIN, QUEUE_IDX}
 
     def test_reexport_appends_instead_of_rewriting(self, tmp_path):
         engine = make_engine()
         engine.run(3)
-        sync = make_sync(tmp_path, 0, "v2")
+        sync = make_sync(tmp_path, 0)
         sync.export(engine)
         queue_dir = worker_queue_dir(tmp_path, 0)
         first_size = (queue_dir / QUEUE_BIN).stat().st_size
@@ -135,7 +129,7 @@ class TestV2Layout:
     def test_noop_export_writes_nothing(self, tmp_path):
         engine = make_engine()
         engine.run(3)
-        sync = make_sync(tmp_path, 0, "v2")
+        sync = make_sync(tmp_path, 0)
         sync.export(engine)
         queue_dir = worker_queue_dir(tmp_path, 0)
         before = ((queue_dir / QUEUE_BIN).stat().st_mtime_ns,
@@ -147,7 +141,7 @@ class TestV2Layout:
 
 
 class TestSubsumptionFilter:
-    """V2-only: imports whose coverage is already known are not executed."""
+    """Imports whose coverage is already known are not executed."""
 
     LINE = ("nested.py", 7)
 
@@ -165,7 +159,7 @@ class TestSubsumptionFilter:
         producer = make_engine(seed=1,
                                execute=self._constant_edge_execute([]))
         producer.run(5)
-        make_sync(tmp_path, 1, "v2").export(producer, codec=codec)
+        make_sync(tmp_path, 1).export(producer, codec=codec)
 
         executions = []
         consumer = make_engine(seed=2,
@@ -173,7 +167,7 @@ class TestSubsumptionFilter:
         consumer.run(1)  # the local run already lit the shared cell
         baseline = len(executions)
         absorbed = []
-        sync = make_sync(tmp_path, 0, "v2")
+        sync = make_sync(tmp_path, 0)
         imported = sync.import_new(consumer, codec=codec,
                                    absorb_lines=absorbed.extend)
         queued = [e for e in producer.queue.entries if e.coverage is not None]
@@ -188,29 +182,29 @@ class TestSubsumptionFilter:
         codec = LineCodec([self.LINE])
         producer = make_engine(seed=1)  # novel edge per case
         producer.run(3)
-        make_sync(tmp_path, 1, "v2").export(producer)
+        make_sync(tmp_path, 1).export(producer)
 
         consumer = make_engine(seed=2)
-        sync = make_sync(tmp_path, 0, "v2")
+        sync = make_sync(tmp_path, 0)
         imported = sync.import_new(consumer, codec=codec)
         assert imported == len(producer.queue)
         assert consumer.stats.imports_skipped_subsumed == 0
 
-    def test_filter_can_be_disabled(self, tmp_path):
+    def test_reference_executes_every_import(self, tmp_path):
         codec = LineCodec([self.LINE])
         producer = make_engine(seed=1,
                                execute=self._constant_edge_execute([]))
         producer.run(5)
-        make_sync(tmp_path, 1, "v2").export(producer, codec=codec)
+        make_sync(tmp_path, 1).export(producer, codec=codec)
 
         executions = []
         consumer = make_engine(seed=2,
                                execute=self._constant_edge_execute(executions))
         consumer.run(1)
         baseline = len(executions)
-        sync = make_sync(tmp_path, 0, "v2")
-        sync.subsumption_filter = False
-        imported = sync.import_new(consumer, codec=codec)
+        sync = make_sync(tmp_path, 0)
+        with execute_every_import():
+            imported = sync.import_new(consumer, codec=codec)
         assert imported == len(producer.queue)
         assert consumer.stats.imports_skipped_subsumed == 0
         assert len(executions) == baseline + imported
@@ -218,10 +212,10 @@ class TestSubsumptionFilter:
     def test_overhead_phases_are_accounted(self, tmp_path):
         producer = make_engine(seed=1)
         producer.run(3)
-        producer_sync = make_sync(tmp_path, 1, "v2")
+        producer_sync = make_sync(tmp_path, 1)
         producer_sync.export(producer)
         consumer = make_engine(seed=2)
-        sync = make_sync(tmp_path, 0, "v2")
+        sync = make_sync(tmp_path, 0)
         sync.import_new(consumer)
         assert producer_sync.stats.export_seconds > 0
         assert producer_sync.stats.entries_exported == len(producer.queue)
@@ -249,14 +243,14 @@ class TestPhaseTimersSurviveFailures:
     def test_crc_failed_records_still_charge_scan_time(self, tmp_path):
         producer = make_engine(seed=1)
         producer.run(3)
-        producer_sync = make_sync(tmp_path, 1, "v2")
+        producer_sync = make_sync(tmp_path, 1)
         plan = FaultPlan([FaultSpec("corrupt_sync", worker=1, at_export=1,
                                     corrupt="garbage")])
         with faults.injected(plan):
             producer_sync.export(producer)
 
         consumer = make_engine(seed=2)
-        sync = make_sync(tmp_path, 0, "v2")
+        sync = make_sync(tmp_path, 0)
         with self._registry(tmp_path) as registry:
             sync.import_new(consumer)
         assert consumer.stats.import_skipped == 1
@@ -270,7 +264,7 @@ class TestPhaseTimersSurviveFailures:
                                                           monkeypatch):
         producer = make_engine(seed=1)
         producer.run(2)
-        make_sync(tmp_path, 1, "v2").export(producer)
+        make_sync(tmp_path, 1).export(producer)
 
         import repro.parallel.sync as sync_mod
 
@@ -278,16 +272,15 @@ class TestPhaseTimersSurviveFailures:
             raise RuntimeError("torn manifest")
 
         monkeypatch.setattr(sync_mod.wire, "read_manifest", explode)
-        sync = make_sync(tmp_path, 0, "v2")
+        sync = make_sync(tmp_path, 0)
         with pytest.raises(RuntimeError):
             sync.import_new(make_engine(seed=2))
         assert sync.stats.scan_seconds > 0
 
-    def test_execute_time_recorded_when_import_raises(self, tmp_path,
-                                                      sync_format):
+    def test_execute_time_recorded_when_import_raises(self, tmp_path):
         producer = make_engine(seed=1)
         producer.run(2)
-        make_sync(tmp_path, 1, sync_format).export(producer)
+        make_sync(tmp_path, 1).export(producer)
 
         consumer = make_engine(seed=2)
         boom = RuntimeError("executor died")
@@ -297,7 +290,7 @@ class TestPhaseTimersSurviveFailures:
 
         consumer.import_case = explode
         consumer.import_packed = explode
-        sync = make_sync(tmp_path, 0, sync_format)
+        sync = make_sync(tmp_path, 0)
         with pytest.raises(RuntimeError):
             sync.import_new(consumer)
         assert sync.stats.execute_seconds > 0
@@ -314,29 +307,27 @@ class TestPhaseTimersSurviveFailures:
 
         producer = make_engine(seed=1, execute=covered_execute)
         producer.run(2)
-        make_sync(tmp_path, 1, "v2").export(producer, codec=codec)
+        make_sync(tmp_path, 1).export(producer, codec=codec)
 
         consumer = make_engine(seed=2, execute=covered_execute)
         monkeypatch.setattr(
             consumer.virgin, "subsumes",
             lambda coverage: (_ for _ in ()).throw(RuntimeError("virgin")))
-        sync = make_sync(tmp_path, 0, "v2")
+        sync = make_sync(tmp_path, 0)
         with pytest.raises(RuntimeError):
             sync.import_new(consumer, codec=codec)
         assert sync.stats.filter_seconds > 0
 
     def test_export_time_recorded_when_export_raises(self, tmp_path,
-                                                     sync_format,
                                                      monkeypatch):
         engine = make_engine()
         engine.run(2)
-        sync = make_sync(tmp_path, 0, sync_format)
+        sync = make_sync(tmp_path, 0)
         import repro.parallel.sync as sync_mod
 
         def explode(*args, **kwargs):
             raise OSError("disk full")
 
-        monkeypatch.setattr(engine, "save_corpus", explode)
         monkeypatch.setattr(sync_mod.wire, "append_records", explode)
         monkeypatch.setattr(sync_mod.wire, "rewrite_records", explode)
         with pytest.raises(OSError):
@@ -347,10 +338,10 @@ class TestPhaseTimersSurviveFailures:
 class TestSyncCorruption:
     """Injected mid-write corruption: skip, count, heal on re-export."""
 
-    def _corrupted_export(self, tmp_path, mode, sync_format):
+    def _corrupted_export(self, tmp_path, mode):
         producer = make_engine(seed=1)
         producer.run(3)
-        sync = make_sync(tmp_path, 1, sync_format)
+        sync = make_sync(tmp_path, 1)
         plan = FaultPlan([FaultSpec("corrupt_sync", worker=1, at_export=1,
                                     corrupt=mode)])
         with faults.injected(plan):
@@ -359,41 +350,37 @@ class TestSyncCorruption:
         return producer, sync
 
     @pytest.mark.parametrize("mode", ["truncate", "garbage"])
-    def test_corrupt_entry_skipped_then_healed(self, tmp_path, sync_format,
+    def test_corrupt_entry_skipped_then_healed(self, tmp_path,
                                                mode):
-        producer, producer_sync = self._corrupted_export(tmp_path, mode,
-                                                         sync_format)
+        producer, producer_sync = self._corrupted_export(tmp_path, mode)
         consumer = make_engine(seed=2)
-        sync = make_sync(tmp_path, 0, sync_format)
+        sync = make_sync(tmp_path, 0)
         first = sync.import_new(consumer)
         assert first == len(producer.queue) - 1
         assert consumer.stats.import_skipped == 1
-        # The owner's next export heals the damage (v1 rewrites every
-        # file; v2 notices the broken tail and rebuilds both files);
-        # the entry was never marked consumed, so it imports now.
+        # The owner's next export notices the broken tail and rebuilds
+        # both files; the entry was never marked consumed, so it
+        # imports now.
         producer_sync.export(producer)
         assert sync.import_new(consumer) == 1
         assert consumer.stats.imported == len(producer.queue)
 
-    def test_corrupt_entry_counted_only_once(self, tmp_path, sync_format):
+    def test_corrupt_entry_counted_only_once(self, tmp_path):
         producer, producer_sync = self._corrupted_export(
-            tmp_path, "truncate", sync_format)
+            tmp_path, "truncate")
         consumer = make_engine(seed=2)
-        sync = make_sync(tmp_path, 0, sync_format)
+        sync = make_sync(tmp_path, 0)
         sync.import_new(consumer)
         skipped = consumer.stats.import_skipped
         assert skipped == 1
-        if sync_format == "v2":
-            # V1 recounts on every retry round (the pre-heal rounds are
-            # bounded by sync cadence); v2 pins the stricter contract.
-            sync.import_new(consumer)
-            assert consumer.stats.import_skipped == skipped
+        # A retry round before the heal does not count it again.
+        sync.import_new(consumer)
+        assert consumer.stats.import_skipped == skipped
 
-    def test_tmp_orphan_never_listed(self, tmp_path, sync_format):
-        producer, _ = self._corrupted_export(tmp_path, "tmp_orphan",
-                                             sync_format)
+    def test_tmp_orphan_never_listed(self, tmp_path):
+        producer, _ = self._corrupted_export(tmp_path, "tmp_orphan")
         consumer = make_engine(seed=2)
-        sync = make_sync(tmp_path, 0, sync_format)
+        sync = make_sync(tmp_path, 0)
         assert sync.import_new(consumer) == len(producer.queue)
         assert consumer.stats.import_skipped == 0
         orphans = list(worker_queue_dir(tmp_path, 1).glob("*.tmp"))
@@ -401,7 +388,7 @@ class TestSyncCorruption:
 
 
 class TestDeltaBatchReject:
-    """V2-only coverage sidecar (DESIGN.md §15): a reader whose virgin
+    """Coverage sidecar (DESIGN.md §15): a reader whose virgin
     map subsumes the exporter's entire map absorbs the fresh batch from
     one NCD1 delta, without opening ``queue.bin`` — and every fallback
     (corrupt or stale sidecar, flagged head record, novel coverage,
@@ -427,7 +414,7 @@ class TestDeltaBatchReject:
     def _producer(self, tmp_path, codec, runs=3):
         producer = make_engine(seed=1, execute=self._novel_lines_execute())
         producer.run(runs)
-        psync = make_sync(tmp_path, 1, "v2")
+        psync = make_sync(tmp_path, 1)
         psync.export(producer, codec=codec)
         return producer, psync
 
@@ -470,7 +457,7 @@ class TestDeltaBatchReject:
         consumer = make_engine(seed=2,
                                execute=self._novel_lines_execute(executions))
         consumer.virgin.merge_bits(producer.virgin.snapshot())
-        sync = make_sync(tmp_path, 0, "v2")
+        sync = make_sync(tmp_path, 0)
         absorbed = []
         self._catch_up(tmp_path, codec, consumer, sync, absorbed)
 
@@ -504,7 +491,7 @@ class TestDeltaBatchReject:
                                    execute=self._novel_lines_execute())
             consumer.virgin.merge_bits(producer.virgin.snapshot())
             sync = SyncDirectory(tmp_path, worker=worker, total_workers=3,
-                                 sync_format="v2", delta_plane=delta_plane)
+                                 delta_plane=delta_plane)
             absorbed = []
             sync.import_new(consumer, codec=codec,
                             absorb_lines=absorbed.extend)
@@ -555,7 +542,7 @@ class TestDeltaBatchReject:
         producer, psync = self._producer(tmp_path, codec)
         consumer = make_engine(seed=2, execute=self._novel_lines_execute())
         consumer.virgin.merge_bits(producer.virgin.snapshot())
-        sync = make_sync(tmp_path, 0, "v2")
+        sync = make_sync(tmp_path, 0)
         self._catch_up(tmp_path, codec, consumer, sync, [])
 
         producer.run(3)
@@ -571,7 +558,7 @@ class TestDeltaBatchReject:
                                     execute=self._novel_lines_execute())
             producer2.run(3)
             stale_root = tmp_path / "stale"
-            make_sync(stale_root, 1, "v2").export(producer2, codec=codec)
+            make_sync(stale_root, 1).export(producer2, codec=codec)
             sidecar.write_bytes(
                 (worker_queue_dir(stale_root, 1) / COVERAGE_SIDECAR)
                 .read_bytes())
@@ -601,7 +588,7 @@ class TestDeltaBatchReject:
         executions = []
         consumer = make_engine(seed=2,
                                execute=self._novel_lines_execute(executions))
-        sync = make_sync(tmp_path, 0, "v2")
+        sync = make_sync(tmp_path, 0)
         # No superset merge: the partner's map holds bits this reader
         # has never seen, so the whole-batch subsumption must fail and
         # every record must execute.
@@ -615,7 +602,7 @@ class TestDeltaBatchReject:
         producer, psync = self._producer(tmp_path, codec)
         consumer = make_engine(seed=2, execute=self._novel_lines_execute())
         consumer.virgin.merge_bits(producer.virgin.snapshot())
-        sync = make_sync(tmp_path, 0, "v2")
+        sync = make_sync(tmp_path, 0)
         self._catch_up(tmp_path, codec, consumer, sync, [])
 
         producer.run(3)
@@ -648,7 +635,7 @@ class TestDeltaBatchReject:
         codec = LineCodec(self.LINES)
         producer = make_engine(seed=1, execute=self._novel_lines_execute())
         producer.run(2)
-        psync = make_sync(tmp_path, 1, "v2")
+        psync = make_sync(tmp_path, 1)
         psync.delta_plane = False
         psync.export(producer, codec=codec)
         assert not (worker_queue_dir(tmp_path, 1) / COVERAGE_SIDECAR).exists()

@@ -11,7 +11,7 @@ The exporter's crash-recovery contract (DESIGN.md §10): after *any* truncation 
   full record set reads back bit for bit — zero record loss.
 
 Hypothesis drives the record shapes and the cut offsets; the exporter
-model mirrors ``SyncDirectory._export_v2`` (count + byte bookkeeping,
+model mirrors ``SyncDirectory._export`` (count + byte bookkeeping,
 ``tail_intact`` check, rewrite on damage).
 """
 

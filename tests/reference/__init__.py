@@ -14,6 +14,9 @@ optimisation must equal lives here, in the tests only:
   as it is made (tests/validator/test_rounding.py);
 * :func:`per_write_storm` sends every vmwrite of the init-phase storm
   through the L0 model (tests/core/test_harness.py);
+* :func:`execute_every_import` executes every synced partner entry
+  instead of absorbing the ones whose coverage is already known
+  (tests/parallel/test_protocol_equivalence.py);
 * :func:`guest_state_copy` and :func:`save_area_copy` are the
   per-field loops the nested models ran before their group copies
   became one ``Vmcs``/``Vmcb.copy_fields`` call each, and
@@ -61,6 +64,7 @@ from repro.cpu.entry_checks import IncrementalChecker, check_all
 from repro.hypervisors.kvm import KvmHypervisor
 from repro.hypervisors.vbox import VboxHypervisor
 from repro.hypervisors.xen import XenHypervisor
+from repro.parallel import sync
 from repro.svm import fields as SF
 from repro.svm.vmcb import Vmcb
 from repro.validator import guest_state, host_state, vm_controls
@@ -183,6 +187,21 @@ def per_write_storm(*models: type) -> Iterator[None]:
         for model in models or INTEL_MODELS:
             stack.enter_context(mock.patch.object(
                 model, "current_vmcs12", lambda self, vcpu: None))
+        yield
+
+
+@contextmanager
+def execute_every_import() -> Iterator[None]:
+    """Turn corpus sync's subsumption filter off: every import executes.
+
+    Neither the per-record predicate nor the coverage sidecar's batch
+    path may consume a partner entry without executing it. Campaigns
+    must reach the same fingerprint either way.
+    """
+    with mock.patch.object(sync, "record_subsumed",
+                           lambda engine, record: False), \
+            mock.patch.object(sync.SyncDirectory, "_delta_reject",
+                              lambda self, *args: 0):
         yield
 
 
