@@ -132,6 +132,9 @@ def telemetry_report_main(argv: list[str]) -> int:
     from repro.telemetry.report import render_report
 
     args = build_report_parser().parse_args(argv)
+    if args.top < 1:
+        print("error: --top must be >= 1", file=sys.stderr)
+        return 2
     try:
         print(render_report(args.root, top=args.top))
     except FileNotFoundError as exc:

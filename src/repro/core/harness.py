@@ -32,6 +32,14 @@ from repro.vmx import fields as F
 #: family is where CVE-2024-21106 lives.
 _MSR_AREA_CANDIDATES = INTERESTING_MSRS
 
+#: The fields the Intel init phase's vmwrite storm programs, in write
+#: order: every writable VMCS field, in layout order.
+STORM_FIELDS = tuple(spec.encoding for spec in F.ALL_FIELDS
+                     if spec.group is not F.FieldGroup.READ_ONLY)
+
+#: How many instruction results :attr:`HarnessStats.results` keeps.
+RESULTS_KEPT = 64
+
 
 @dataclass
 class HarnessStats:
@@ -153,41 +161,42 @@ class VmExecutionHarness:
                            stats: HarnessStats) -> None:
         """Emit the vmwrite storm that programs VMCS12.
 
-        Only the first vmwrite runs through the L0 model. The vmwrite
-        handlers of all three Intel models branch on nested state and on
-        the field spec, never on the value, and a vmwrite changes no
-        nested state, so every write of the storm takes the same path
-        and emits the same kcov slice. Once the first write succeeds,
-        the rest are written straight into the current VMCS12 (the
-        handler's only side effect) and the recorded slice is appended
-        once more: the repeat reproduces the last-to-first loop-back
-        edge, leaving the drained line and edge sets unchanged. After a
-        failed first write, every write goes through the model.
+        One vmwrite per :data:`STORM_FIELDS` entry, but only the first
+        runs through the L0 model. The vmwrite handlers of all three
+        Intel models branch on nested state and on the field spec, never
+        on the value, and a vmwrite changes no nested state, so every
+        write of the storm takes the same path, emits the same kcov slice
+        and returns an equal result. The rest are replayed from the
+        first: on success they are copied straight into the current
+        VMCS12 (the handler's only side effect); on failure (VMfail,
+        #UD, host down) nothing is written and they are only counted:
+        as instructions, and as faults and bounded ``results`` entries
+        if the first one faulted. Either way the recorded
+        slice is appended once more: the repeat reproduces the
+        last-to-first loop-back edge, leaving the drained line and edge
+        sets unchanged.
         """
-        writes = [(spec.encoding, value) for spec, value in vm_state.fields()
-                  if spec.group is not F.FieldGroup.READ_ONLY]
-        if not writes:
-            return
+        first, rest = STORM_FIELDS[0], STORM_FIELDS[1:]
         sink = kcov.event_sink()
         mark = len(sink) if sink is not None else 0
-        encoding, value = writes[0]
         result = self._exec(hv, vcpu, GuestInstruction(
-            "vmwrite", {"field": encoding, "value": value}), stats)
-        rest = writes[1:]
-        vmcs12 = None
-        if rest and result.ok and result.value is None:
-            vmcs12 = hv.current_vmcs12(vcpu)
-        if vmcs12 is None:
-            for encoding, value in rest:
-                self._exec(hv, vcpu, GuestInstruction(
-                    "vmwrite", {"field": encoding, "value": value}), stats)
+            "vmwrite", {"field": first, "value": vm_state.read(first)}),
+            stats)
+        if not rest:
             return
-        write = vmcs12.write
-        for encoding, value in rest:
-            write(encoding, value)
+        if result.ok and result.value is None:
+            vmcs12 = hv.current_vmcs12(vcpu)
+            if vmcs12 is None:
+                raise RuntimeError(
+                    f"{hv.name}: vmwrite succeeded with no current VMCS12")
+            vmcs12.copy_fields(vm_state, rest)
+        elif not result.ok:
+            stats.faults += len(rest)
+            results = stats.results
+            results += [result] * min(len(rest), RESULTS_KEPT - len(results))
+        stats.instructions += len(rest)
         if sink is not None:
             sink.extend(sink[mark:])
-        stats.instructions += len(rest)
 
     # ------------------------------------------------------------------
     # Runtime phase
@@ -294,6 +303,6 @@ class VmExecutionHarness:
         # Keep a bounded trace for diagnosis; the vmwrite storm would
         # flood it, so routine successful vmwrites are not recorded.
         if instr.mnemonic != "vmwrite" or not result.ok:
-            if len(stats.results) < 64:
+            if len(stats.results) < RESULTS_KEPT:
                 stats.results.append(result)
         return result

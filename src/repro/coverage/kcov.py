@@ -110,7 +110,8 @@ def event_sink() -> "list[int] | None":
     cache hits, :func:`repro.perf.merge_state` replays the build and
     control slices of a merge section it skips, and the harness's
     vmwrite storm (``VmExecutionHarness._write_vmcs_fields``) replays
-    the first vmwrite's slice for the writes it makes directly.
+    the first vmwrite's slice for the rest of the storm, whether that
+    write succeeded or failed.
     """
     tracer = _ACTIVE_TRACER
     return tracer._events if tracer is not None else None
@@ -468,8 +469,10 @@ class KcovTracer:
         self.instrumented: set[Line] = set()
         self.unswapped: tuple[str, ...] = ()
         for module in self.modules:
-            self.instrumented |= executable_lines(module)
+            # Instrumenting parses the file and fills the universe cache
+            # executable_lines reads, so each file is parsed once.
             self.unswapped += instrument_module(module)
+            self.instrumented |= executable_lines(module)
         #: :attr:`instrumented` as line ids.
         self.instrumented_ids = frozenset(line_ids(self.instrumented))
         #: Markers append line ids here in execution order while the

@@ -42,15 +42,22 @@ class InputCursor:
         self.offset = sum(data) % len(data) if spread else 0
 
     def _take(self, n: int) -> bytes:
-        out = bytearray()
-        for _ in range(n):
-            out.append(self.data[self.offset % len(self.data)])
-            self.offset += 1
-        return bytes(out)
+        data = self.data
+        size = len(data)
+        start = self.offset % size
+        self.offset += n
+        end = start + n
+        if end <= size:
+            return data[start:end]
+        # The read runs past the end: wrap, repeating the data as often
+        # as *n* needs.
+        return (data[start:] + data * (n // size + 1))[:n]
 
     def u8(self) -> int:
         """Consume one byte."""
-        return self._take(1)[0]
+        offset = self.offset
+        self.offset = offset + 1
+        return self.data[offset % len(self.data)]
 
     def u16(self) -> int:
         """Consume two bytes, little-endian."""
@@ -84,7 +91,7 @@ class InputCursor:
 
     def take_bytes(self, n: int) -> bytes:
         """Consume *n* raw bytes."""
-        return self._take(n)
+        return bytes(self._take(n))
 
 
 @dataclass(frozen=True)

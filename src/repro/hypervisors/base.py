@@ -130,8 +130,9 @@ class L0Hypervisor(ABC):
     def current_vmcs12(self, vcpu: Any) -> Any:
         """The VMCS12 L1 made current with vmptrld, or None.
 
-        The VMX models override this; None keeps every vmwrite of the
-        harness's vmwrite storm on :meth:`execute`.
+        The VMX models override this. The harness's vmwrite storm
+        copies its replayed writes into it after a successful first
+        vmwrite, and raises ``RuntimeError`` if it is None then.
         """
         return None
 

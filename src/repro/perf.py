@@ -39,9 +39,10 @@ def memoized_check(struct, key, compute: Callable[[], list]):
     without a tracer carries no event slice and is recomputed if a
     tracer is active when it is next consulted. :func:`merge_state`
     and the harness's vmwrite storm
-    (``VmExecutionHarness._write_vmcs_fields``) are the other two users
-    of this record-and-replay scheme (see
-    :func:`repro.coverage.kcov.event_sink`).
+    (``VmExecutionHarness._write_vmcs_fields``, which runs one vmwrite
+    through the L0 model and replays the rest on success and failure
+    alike) are the other two users of this record-and-replay scheme
+    (see :func:`repro.coverage.kcov.event_sink`).
 
     Entries record the *values* read, not just the field set, and a
     journalled write back to the recorded value does not invalidate: a

@@ -5,10 +5,15 @@ import pytest
 from repro.arch.cpuid import Vendor
 from repro.arch.exceptions import HostCrash
 from repro.core import harness as harness_module
-from repro.core.harness import HarnessStats, VmExecutionHarness
+from repro.core.harness import (
+    RESULTS_KEPT,
+    STORM_FIELDS,
+    HarnessStats,
+    VmExecutionHarness,
+)
 from repro.core.necofuzz import NecoFuzz, golden_seed
 from repro.core.state_generator import VmcbStateGenerator, VmStateGenerator
-from repro.core.templates import intel_init_sequence
+from repro.core.templates import VMCS12_GPA, InitStep, intel_init_sequence
 from repro.coverage.kcov import KcovTracer
 from repro.fuzzer.input import FuzzInput
 from repro.fuzzer.rng import Rng
@@ -19,7 +24,6 @@ from repro.hypervisors import (
     XenHypervisor,
 )
 from repro.hypervisors.base import GuestInstruction, VmCrash
-from repro.vmx import fields as F
 from tests.reference import INTEL_MODELS, per_write_storm
 
 
@@ -146,24 +150,8 @@ HYPERVISOR_NAMES = {KvmHypervisor: "kvm", XenHypervisor: "xen",
                     VboxHypervisor: "virtualbox"}
 
 
-class _ShortState:
-    """A VM state whose storm is only its first *count* writable fields."""
-
-    def __init__(self, vmcs, count):
-        self.vmcs = vmcs
-        self.count = count
-
-    def fields(self):
-        writable = [(spec, value) for spec, value in self.vmcs.fields()
-                    if spec.group is not F.FieldGroup.READ_ONLY]
-        return writable[:self.count]
-
-    def read(self, encoding):
-        return self.vmcs.read(encoding)
-
-
-def _run_case(model, seed, *, traced=True, crashed=False, storm=None,
-              mutate=True, storm_only=False):
+def _run_case(model, seed, *, traced=True, crashed=False, mutate=True,
+              storm_only=False):
     """One Intel harness case; returns what the replay must preserve
     plus the vmwrites that went through ``hv.execute``.
 
@@ -176,8 +164,6 @@ def _run_case(model, seed, *, traced=True, crashed=False, storm=None,
     vcpu = hv.create_vcpu()
     fi = FuzzInput(golden_seed(Vendor.INTEL, Rng(seed)))
     state, _ = VmStateGenerator(hv.nested_vmx.caps).generate(fi)
-    if storm is not None:
-        state = _ShortState(state, storm)
     harness = VmExecutionHarness(Vendor.INTEL, mutate=mutate,
                                  runtime_iterations=12)
     # Results of the storm's vmwrites that went through the model.
@@ -233,15 +219,24 @@ def _run_case(model, seed, *, traced=True, crashed=False, storm=None,
 
 def _both_paths(model, seed, **kwargs):
     replayed, replay_execs = _run_case(model, seed, **kwargs)
-    with per_write_storm(model):
+    with per_write_storm():
         reference, reference_execs = _run_case(model, seed, **kwargs)
     return replayed, reference, replay_execs, reference_execs
+
+
+def _init_sequence(*steps):
+    """An ``init_sequence`` stand-in that returns *steps*."""
+    return lambda vendor: list(steps)
+
+
+VMXON, VMCLEAR, VMPTRLD, VMLAUNCH = intel_init_sequence()
 
 
 class TestVmwriteReplay:
     """The replayed storm is indistinguishable from one vmwrite per
     field through the L0 model: VMCS12 contents, every harness stat,
-    and the drained line and edge sets."""
+    and the drained line and edge sets. Whatever the first write
+    returns, it is the only one that runs through the model."""
 
     @pytest.mark.parametrize("model", INTEL_MODELS, ids=INTEL_IDS)
     def test_equivalent_over_seeds(self, model):
@@ -250,44 +245,77 @@ class TestVmwriteReplay:
             replayed, reference, replay_execs, reference_execs = _both_paths(
                 model, seed)
             assert replayed == reference, seed
+            assert len(replay_execs) <= 1, seed
             skipped += len(reference_execs) - len(replay_execs)
         # The comparison is vacuous unless the replay actually ran.
         assert skipped > 100 * 20
 
-    @pytest.mark.parametrize("model", INTEL_MODELS, ids=INTEL_IDS)
-    def test_first_write_vmfail_invalid_falls_back(self, model, monkeypatch):
-        # No vmptrld: no current VMCS12, every vmwrite is VMfailInvalid.
-        monkeypatch.setattr(harness_module, "init_sequence", lambda vendor: [
-            step for step in intel_init_sequence()
-            if step.mnemonic != "vmptrld"])
+    def _replays_failure(self, model, monkeypatch, steps, **kwargs):
+        """Run *steps* as the init sequence on both paths; return the
+        first storm write's result."""
+        monkeypatch.setattr(harness_module, "init_sequence",
+                            _init_sequence(*steps))
         replayed, reference, replay_execs, reference_execs = _both_paths(
-            model, 3, mutate=False)
+            model, 3, mutate=False, **kwargs)
         assert replayed == reference
-        assert replay_execs[0].ok and replay_execs[0].value == -1
-        assert len(replay_execs) == len(reference_execs) > 100
+        assert len(replay_execs) == 1
+        assert len(reference_execs) == len(STORM_FIELDS) > 100
+        assert reference_execs == replay_execs * len(reference_execs)
+        return replay_execs[0]
 
-    def test_first_write_ud_falls_back(self, monkeypatch):
-        monkeypatch.setattr(harness_module, "init_sequence", lambda vendor: [
-            step for step in intel_init_sequence()
-            if step.mnemonic != "vmxon"])
-        replayed, reference, replay_execs, reference_execs = _both_paths(
-            KvmHypervisor, 3, mutate=False)
-        assert replayed == reference
-        assert not replay_execs[0].ok
-        assert replay_execs[0].detail.startswith("#UD")
-        assert len(replay_execs) == len(reference_execs) > 100
+    @pytest.mark.parametrize("model", INTEL_MODELS, ids=INTEL_IDS)
+    def test_first_write_vmfail_invalid_replays(self, model, monkeypatch):
+        # No vmptrld: no current VMCS12, every vmwrite is VMfailInvalid.
+        first = self._replays_failure(model, monkeypatch,
+                                      [VMXON, VMCLEAR, VMLAUNCH])
+        assert first.ok and first.value == -1
+
+    @pytest.mark.parametrize("model", INTEL_MODELS, ids=INTEL_IDS)
+    def test_vmptrld_before_vmclear_replays(self, model, monkeypatch):
+        # The swap mutation: vmptrld finds no VMCS before vmclear made
+        # one, and vmclear would unload it anyway. Nothing is current.
+        first = self._replays_failure(model, monkeypatch,
+                                      [VMXON, VMPTRLD, VMCLEAR, VMLAUNCH])
+        assert first.ok and first.value == -1
+
+    @pytest.mark.parametrize("addr", [VMCS12_GPA | 0x10, VMCS12_GPA + 0x1000],
+                             ids=["unaligned", "unmapped"])
+    @pytest.mark.parametrize("model", INTEL_MODELS, ids=INTEL_IDS)
+    def test_perturbed_vmptrld_replays(self, model, addr, monkeypatch):
+        # The argument perturbation: vmptrld VMfails, nothing is current.
+        perturbed = InitStep("vmptrld", {"addr": addr})
+        first = self._replays_failure(model, monkeypatch,
+                                      [VMXON, VMCLEAR, perturbed, VMLAUNCH])
+        assert first.ok and first.value == -1
+
+    def test_first_write_ud_replays(self, monkeypatch):
+        first = self._replays_failure(KvmHypervisor, monkeypatch,
+                                      [VMCLEAR, VMPTRLD, VMLAUNCH])
+        assert not first.ok
+        assert first.detail.startswith("#UD")
 
     @pytest.mark.parametrize("storm_only", [False, True],
                              ids=["case", "storm-only"])
     @pytest.mark.parametrize("model", INTEL_MODELS, ids=INTEL_IDS)
-    def test_crashed_host_falls_back(self, model, storm_only):
+    def test_crashed_host_replays(self, model, storm_only):
         # Storm-only crashes the host after vmptrld: a VMCS12 is current,
         # but the first write faults.
         replayed, reference, replay_execs, reference_execs = _both_paths(
             model, 1, crashed=True, storm_only=storm_only)
         assert replayed == reference
         assert not replay_execs[0].ok
-        assert len(replay_execs) == len(reference_execs) > 100
+        assert len(replay_execs) == 1
+        assert len(reference_execs) == len(STORM_FIELDS) > 100
+        # The faults fill the bounded result list.
+        assert len(replayed[1].results) == RESULTS_KEPT
+
+    @pytest.mark.parametrize("model", INTEL_MODELS, ids=INTEL_IDS)
+    def test_success_without_vmcs12_raises(self, model, monkeypatch):
+        # A silent per-write fallback is not allowed: a model that
+        # accepts a vmwrite must have a current VMCS12.
+        monkeypatch.setattr(model, "current_vmcs12", lambda self, vcpu: None)
+        with pytest.raises(RuntimeError, match="no current VMCS12"):
+            _run_case(model, 1, mutate=False, storm_only=True)
 
     @pytest.mark.parametrize("model", INTEL_MODELS, ids=INTEL_IDS)
     def test_no_tracer_replays(self, model):
@@ -296,14 +324,17 @@ class TestVmwriteReplay:
         assert replayed == reference
         assert len(replay_execs) == 1 < len(reference_execs)
 
+    @pytest.mark.parametrize("crashed", [False, True], ids=["ok", "crashed"])
     @pytest.mark.parametrize("storm_only", [False, True],
                              ids=["case", "storm-only"])
     @pytest.mark.parametrize("storm", [1, 2, None], ids=["1", "2", "full"])
     @pytest.mark.parametrize("model", INTEL_MODELS, ids=INTEL_IDS)
-    def test_storm_sizes(self, model, storm, storm_only):
+    def test_storm_sizes(self, model, storm, storm_only, crashed,
+                         monkeypatch):
+        monkeypatch.setattr(harness_module, "STORM_FIELDS",
+                            STORM_FIELDS[:storm])
         replayed, reference, replay_execs, reference_execs = _both_paths(
-            model, 1, storm=storm, mutate=False,
-            storm_only=storm_only)
+            model, 1, mutate=False, storm_only=storm_only, crashed=crashed)
         assert replayed == reference
         assert len(reference_execs) == (storm or 150)
         assert len(replay_execs) == 1
@@ -318,5 +349,5 @@ class TestVmwriteReplay:
                      for r in result.reports])
 
         replayed = fingerprint()
-        with per_write_storm(model):
+        with per_write_storm():
             assert fingerprint() == replayed

@@ -1,13 +1,18 @@
 """Tests for the compiled line coverage (kcov analogue)."""
 
+import importlib.util
+
 import pytest
 
+from repro.arch.cpuid import Vendor
+from repro.coverage import kcov
 from repro.coverage.kcov import (
     KcovTracer,
     executable_lines,
     line_id,
     lines_of,
 )
+from repro.hypervisors import KvmHypervisor, VboxHypervisor, XenHypervisor
 
 # A tiny target module defined in-repo for tracing tests.
 from tests.coverage import traced_target
@@ -34,6 +39,43 @@ class TestExecutableLines:
         lines = executable_lines(traced_target)
         linenos = {lineno for _, lineno in lines}
         assert traced_target.METHOD_BODY_LINE in linenos
+
+
+MODEL_CONFIGS = [(KvmHypervisor, Vendor.INTEL), (KvmHypervisor, Vendor.AMD),
+                 (XenHypervisor, Vendor.INTEL), (XenHypervisor, Vendor.AMD),
+                 (VboxHypervisor, Vendor.INTEL)]
+
+
+class TestTracerUniverse:
+    @pytest.mark.parametrize("model,vendor", MODEL_CONFIGS,
+                             ids=["kvm-intel", "kvm-amd", "xen-intel",
+                                  "xen-amd", "vbox-intel"])
+    def test_universe_equals_a_fresh_parse(self, model, vendor):
+        modules = model.nested_modules(vendor)
+        expected = set()
+        for module in modules:
+            tree = kcov._parse(module.__file__)
+            expected |= {(module.__file__, n)
+                         for n in kcov._process_tree(tree, 0)}
+        assert KcovTracer(modules).instrumented == expected
+
+    def test_construction_parses_each_file_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "kcov_fresh_target.py"
+        path.write_text("def f(x):\n    if x:\n        return 1\n"
+                        "    return 2\n")
+        spec = importlib.util.spec_from_file_location("kcov_fresh_target",
+                                                      path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        parsed = []
+        parse = kcov._parse
+        monkeypatch.setattr(kcov, "_parse",
+                            lambda filename: parsed.append(filename)
+                            or parse(filename))
+        tracer = KcovTracer([module])
+        assert parsed == [str(path)]
+        assert tracer.instrumented == {
+            (str(path), n) for n in kcov._process_tree(parse(str(path)), 0)}
 
 
 class TestTracing:

@@ -14,6 +14,7 @@ from repro.fuzzer.input import (
     InputCursor,
 )
 from repro.vmx import fields as F
+from tests.reference import PerByteCursor
 
 
 class TestRegions:
@@ -105,3 +106,49 @@ class TestInputCursor:
         cursor = InputCursor(data)
         for _ in range(4):
             assert 0 <= cursor.below(bound) < bound
+
+
+#: One cursor read: a method name and its arguments.
+_READS = st.one_of(
+    st.sampled_from([("u8",), ("u16",), ("u32",), ("u64",)]),
+    st.tuples(st.just("below"), st.integers(min_value=1, max_value=1 << 40)),
+    st.tuples(st.just("chance"), st.integers(min_value=0, max_value=64),
+              st.integers(min_value=1, max_value=64)),
+    st.tuples(st.just("take_bytes"), st.integers(min_value=0, max_value=5000)),
+)
+
+
+class TestSliceReadsMatchPerByteCursor:
+    """The slice-reading cursor returns the values and leaves the offsets
+    of the per-byte reference cursor, wrap included."""
+
+    @given(data=st.binary(min_size=1, max_size=2048), spread=st.booleans(),
+           skip=st.integers(min_value=0, max_value=4096),
+           reads=st.lists(_READS, max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_mixed_reads(self, data, spread, skip, reads):
+        cursor = InputCursor(data, spread=spread)
+        reference = PerByteCursor(data, spread=spread)
+        # Start anywhere, as the runtime phase's skip past the init
+        # phase's bytes does.
+        cursor.offset += skip
+        reference.offset += skip
+        for name, *args in reads:
+            got = getattr(cursor, name)(*args)
+            expected = getattr(reference, name)(*args)
+            assert (got, type(got)) == (expected, type(expected))
+            assert cursor.offset == reference.offset
+
+    @pytest.mark.parametrize("spread", [False, True])
+    @pytest.mark.parametrize("size", [1, 3, 7, 8, 9, 2048])
+    def test_reads_that_wrap(self, size, spread):
+        data = bytes((i * 37 + 11) % 256 for i in range(size))
+        cursor = InputCursor(data, spread=spread)
+        reference = PerByteCursor(data, spread=spread)
+        for _ in range(3 * size + 8):
+            for name in ("u64", "u32", "u16", "u8"):
+                assert getattr(cursor, name)() == getattr(reference, name)()
+                assert cursor.offset == reference.offset
+        assert cursor.take_bytes(2 * size + 5) == reference.take_bytes(
+            2 * size + 5)
+        assert cursor.offset == reference.offset

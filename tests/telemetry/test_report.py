@@ -105,6 +105,20 @@ class TestCli:
         assert main(["telemetry-report", str(tmp_path)]) == 2
         assert "no telemetry snapshots" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("top", ["0", "-1"])
+    def test_top_below_one_is_a_usage_error(self, tmp_path, capsys, top):
+        _write_root(tmp_path, _two_spans)
+        assert main(["telemetry-report", str(tmp_path), "--top", top]) == 2
+        captured = capsys.readouterr()
+        assert "error: --top must be >= 1" in captured.err
+        assert captured.out == ""
+
+    def test_top_limits_the_span_rows(self, tmp_path, capsys):
+        _write_root(tmp_path, _two_spans)
+        assert main(["telemetry-report", str(tmp_path), "--top", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "case.slow" in out and "case.fast" not in out
+
     def test_fuzz_cli_accepts_the_telemetry_flag(self, tmp_path, capsys):
         code = main(["--iterations", "20", "--seed", "3", "--workers", "2",
                      "--sync-every", "10", "--parallel-mode", "inline",
@@ -120,6 +134,11 @@ def _write_root(root, fill) -> None:
     registry = MetricsRegistry()
     fill(registry)
     (root / METRICS_NAME).write_text(json.dumps(registry.snapshot()))
+
+
+def _two_spans(registry) -> None:
+    registry.observe("case.slow", 0.5)
+    registry.observe("case.fast", 0.1)
 
 
 class TestSummarySections:
