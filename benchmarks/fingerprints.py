@@ -10,9 +10,9 @@ that print the same lines ran the same campaigns bit for bit:
   each report's iteration, signature and command line, the coverage
   timeline and the queue's inputs.
 * ``inline/<vendor>/<schedule>``: a 2-worker inline ``ParallelCampaign``
-  on kvm, with the static schedule, with stealing at ``lease_size=10``,
-  and with static adaptive sync (``sync_every=5``, ``sync_adaptive``),
-  digested by ``resilience.campaign_fingerprint``.
+  on kvm, with the static schedule at ``sync_every=25`` and with
+  stealing at ``sync_every=10``, digested by
+  ``resilience.campaign_fingerprint``.
 
 Coverage cells and digests name source files relative to the ``repro``
 package, so outputs from different checkout directories compare equal.
@@ -35,9 +35,7 @@ SERIAL_TARGETS = (("kvm", Vendor.INTEL), ("kvm", Vendor.AMD),
                   ("xen", Vendor.INTEL), ("xen", Vendor.AMD),
                   ("virtualbox", Vendor.INTEL))
 INLINE_SCHEDULES = (("static", {}),
-                    ("stealing", {"schedule": "stealing", "lease_size": 10}),
-                    ("static-adaptive", {"sync_every": 5,
-                                         "sync_adaptive": True}))
+                    ("stealing", {"schedule": "stealing", "sync_every": 10}))
 
 
 def serial_digest(hypervisor: str, vendor: Vendor) -> str:

@@ -219,7 +219,9 @@ def test_stealing_wall_clock(capsys):
     backlog. On an idle symmetric runner the two should be within noise
     of each other — the stage exists to catch the stealing machinery
     *costing* wall clock, and to put lease/steal counts in the JSON.
+    Either way a lease is one sync round of ``sync_every`` cases.
     """
+    sync_every = 50
     cpus = os.cpu_count() or 1
     if cpus < 2:
         _update_json("stealing", {
@@ -227,14 +229,13 @@ def test_stealing_wall_clock(capsys):
             "single_cpu": True,
             "schedule": "stealing",
             "workers": None,
-            "lease_size": 0,
+            "sync_every": sync_every,
             "static_seconds": None,
             "stealing_seconds": None,
             "wall_clock_speedup": None,
             "leases": None,
             "steals": None,
             "reclaims": None,
-            "pool_reuse": 0,
             "deadline_truncated": {"static": False, "stealing": False},
         })
         report = BenchReport("Work-stealing wall clock")
@@ -252,7 +253,7 @@ def test_stealing_wall_clock(capsys):
         start = time.perf_counter()
         merged = ParallelCampaign(
             hypervisor="kvm", vendor=Vendor.INTEL, seed=SEED,
-            workers=workers, sync_every=50, mode="process",
+            workers=workers, sync_every=sync_every, mode="process",
             schedule=schedule, sync_dir=root).run(BUDGET, sample_every=100)
         elapsed = time.perf_counter() - start
         deadline.expired()
@@ -271,14 +272,13 @@ def test_stealing_wall_clock(capsys):
         "single_cpu": False,
         "schedule": "stealing",
         "workers": workers,
-        "lease_size": 0,
+        "sync_every": sync_every,
         "static_seconds": round(static_s, 2),
         "stealing_seconds": round(stolen_s, 2),
         "wall_clock_speedup": round(speedup, 2),
         "leases": len(stolen.lease_log),
         "steals": stolen.steals,
         "reclaims": stolen.reclaims,
-        "pool_reuse": stolen.pool_reuse,
         "deadline_truncated": {"static": static_cut,
                                "stealing": stolen_cut},
     })

@@ -54,8 +54,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="shard the campaign across N synced workers "
                              "(1 = serial; see DESIGN.md)")
     parser.add_argument("--sync-every", type=int, default=100,
-                        help="iterations each worker runs between corpus "
-                             "sync points (workers > 1 only)")
+                        help="cases per lease: each worker syncs its "
+                             "corpus after every lease (workers > 1 only)")
     parser.add_argument("--parallel-mode", choices=("inline", "process"),
                         default="process",
                         help="inline = deterministic round-robin in one "
@@ -63,20 +63,10 @@ def build_parser() -> argparse.ArgumentParser:
                              "per worker")
     parser.add_argument("--schedule", choices=("static", "stealing"),
                         default="static",
-                        help="how the lease board is carved: static = one "
-                             "fixed pool per worker, leased one sync round "
-                             "at a time; stealing = workers pull "
-                             "adaptively sized leases off one shared pool "
-                             "(DESIGN.md §13)")
-    parser.add_argument("--lease-size", type=int, default=0, metavar="CASES",
-                        help="fixed cases per lease under --schedule "
-                             "stealing; 0 (default) sizes leases from each "
-                             "worker's measured cases/sec")
-    parser.add_argument("--sync-adaptive", action="store_true",
-                        help="back off the corpus-sync interval "
-                             "geometrically while the subsumption filter "
-                             "absorbs >=90%% of imports; snap back to "
-                             "--sync-every on new virgin bits")
+                        help="how the lease board is pooled (every lease "
+                             "is one sync round): static = one fixed pool "
+                             "per worker; stealing = one pool shared by "
+                             "all workers (DESIGN.md §13)")
     parser.add_argument("--corpus-dir", type=Path, default=None,
                         help="resume from a saved corpus directory "
                              "(serial campaigns only); crash reproducers "
@@ -190,13 +180,6 @@ def main(argv: list[str] | None = None) -> int:
         print("error: --schedule stealing needs --workers >= 2 "
               "(one worker has nobody to steal from)", file=sys.stderr)
         return 2
-    if args.lease_size < 0:
-        print("error: --lease-size must be >= 0", file=sys.stderr)
-        return 2
-    if args.lease_size and args.schedule != "stealing":
-        print("error: --lease-size applies to --schedule stealing",
-              file=sys.stderr)
-        return 2
 
     toggles = ComponentToggles(
         use_harness=not args.no_harness_mutation,
@@ -227,9 +210,7 @@ def main(argv: list[str] | None = None) -> int:
             checkpoint_interval=args.checkpoint_interval,
             resume=args.resume,
             telemetry_mode=args.telemetry,
-            schedule=args.schedule,
-            lease_size=args.lease_size,
-            sync_adaptive=args.sync_adaptive)
+            schedule=args.schedule)
     else:
         from repro import telemetry
 

@@ -12,13 +12,11 @@ from repro.parallel.backoff import expo_backoff
 from repro.parallel.campaign import ParallelCampaign, ParallelCampaignResult
 from repro.parallel.scheduler import (
     SCHEDULES,
-    AdaptiveSync,
     FileLeaseBoard,
     Lease,
     LeaseBoard,
     LeaseBoardError,
     LeaseRecord,
-    WorkerPool,
 )
 from repro.parallel.supervisor import (
     CampaignAborted,
@@ -31,7 +29,6 @@ from repro.parallel.sync import SyncDirectory, SyncStats
 from repro.parallel.worker import CampaignWorker, WorkerSpec, worker_seed
 
 __all__ = [
-    "AdaptiveSync",
     "CampaignAborted",
     "CampaignWorker",
     "FailureKind",
@@ -48,7 +45,6 @@ __all__ = [
     "SupervisorEvent",
     "SyncDirectory",
     "SyncStats",
-    "WorkerPool",
     "WorkerSpec",
     "expo_backoff",
     "worker_seed",

@@ -2,13 +2,15 @@
 
 ``ParallelCampaign`` shards one iteration budget across N workers and
 merges their results. Every campaign runs on a lease board
-(:mod:`repro.parallel.scheduler`); the schedule only decides how the
-board is carved. Two execution modes share all of the sharding, sync,
-and merge machinery:
+(:mod:`repro.parallel.scheduler`) whose leases are one sync round
+(``sync_every`` cases) each; the schedule only decides whether each
+worker has a pool of its own (static) or all share one (stealing). Two
+execution modes share all of the sharding, sync, and merge machinery:
 
 * ``mode="inline"`` runs the workers round-robin in this process —
-  fully deterministic (lease order and sync order are fixed), the mode
-  the determinism tests and single-core CI use;
+  fully deterministic under either schedule (lease sizes, lease order
+  and sync order are fixed), the mode the determinism tests and
+  single-core CI use;
 * ``mode="process"`` forks one OS process per worker for real
   parallelism; workers sync through the filesystem at their own pace,
   so merged trajectories are only reproducible in the aggregate
@@ -44,13 +46,10 @@ from repro.coverage.bitmap import VirginMap
 from repro.fuzzer.crashes import atomic_write_bytes
 from repro.fuzzer.engine import EngineStats
 from repro.parallel.scheduler import (
-    LEASE_MIN,
     SCHEDULES,
-    AdaptiveSync,
     FileLeaseBoard,
     LeaseBoard,
     LeaseRecord,
-    WorkerPool,
     split_budget,
 )
 from repro.parallel.supervisor import (
@@ -77,7 +76,7 @@ class ParallelCampaignResult(CampaignResult):
 
     #: Workers that ran, which can be fewer than requested: shards with
     #: no cases are never spawned, and stealing caps the count at the
-    #: number of minimum-sized leases.
+    #: number of leases the budget divides into.
     workers: int
     per_worker: list[CampaignResult]
     #: OR-merge of every worker's virgin map: the campaign-global
@@ -102,19 +101,14 @@ class ParallelCampaignResult(CampaignResult):
     telemetry: dict | None = None
     #: Which scheduler ran the campaign: "static" or "stealing".
     schedule: str = "static"
-    #: Completion-ordered lease ledger. Under stealing, feeding it back
-    #: as ``ParallelCampaign(lease_log=...)`` replays the identical
-    #: lease assignment, pinning the fingerprint of an adaptively sized
-    #: run.
+    #: Completion-ordered lease ledger, one record per sync round a
+    #: worker ran.
     lease_log: list[LeaseRecord] = field(default_factory=list)
     #: Leases claimed beyond a worker's static fair share (or re-issued
     #: after a reclaim) — the work the stealing schedule actually moved.
     steals: int = 0
     #: Leases taken back from dead or retired workers and re-issued.
     reclaims: int = 0
-    #: Warm workers this run continued from the ``pool=`` handle
-    #: instead of rebuilding.
-    pool_reuse: int = 0
 
     def summary(self) -> str:
         text = (super().summary()
@@ -126,8 +120,6 @@ class ParallelCampaignResult(CampaignResult):
         if self.schedule == "stealing":
             text += (f", {len(self.lease_log)} lease(s) "
                      f"({self.steals} stolen, {self.reclaims} reclaimed)")
-        if self.pool_reuse:
-            text += f", {self.pool_reuse} warm worker(s) reused"
         if self.events:
             restarted = sum(1 for e in self.events if e.action == "restart")
             text += (f", {len(self.events)} fault event(s) "
@@ -247,27 +239,12 @@ class ParallelCampaign:
     #: fingerprint, and results are bit-for-bit identical across modes.
     telemetry_mode: str = "metrics"
     # --- scheduling (DESIGN.md §13) -----------------------------------
-    #: How the lease board is carved. "static" — one pool per worker,
-    #: the fixed divmod split, leased one sync round (``sync_every``
-    #: cases) at a time to its owner only; "stealing" — one shared
-    #: pool that workers pull adaptively sized leases from. Either way
-    #: a dead worker's leases are reclaimed and re-issued.
+    #: How the lease board is pooled. Either way a lease is one sync
+    #: round (``sync_every`` cases) and a dead worker's leases are
+    #: reclaimed and re-issued. "static" — one pool per worker, the
+    #: fixed divmod split, claimed by its owner only; "stealing" — one
+    #: shared pool that any idle worker pulls from.
     schedule: str = "static"
-    #: Fixed cases per lease (stealing only). 0 sizes each lease from
-    #: the claimant's measured cases/sec; a fixed size makes inline
-    #: stealing fully deterministic.
-    lease_size: int = 0
-    #: Back off the sync interval geometrically while the subsumption
-    #: filter absorbs >=90% of imports; snap back on new virgin bits.
-    sync_adaptive: bool = False
-    #: Warm worker pool (inline only). Pass the same ``WorkerPool``
-    #: to successive campaigns with the same shape and each ``run()``
-    #: continues the pooled workers — cumulative stats, no respawn.
-    pool: WorkerPool | None = None
-    #: Replay a previous stealing run's ``result.lease_log`` verbatim
-    #: (inline only): same seed + same lease log => identical
-    #: fingerprint, even when the original sizing was adaptive.
-    lease_log: list[LeaseRecord] | None = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.vendor, Vendor):
@@ -279,20 +256,6 @@ class ParallelCampaign:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.schedule not in SCHEDULES:
             raise ValueError(f"unknown schedule {self.schedule!r}")
-        if self.lease_size < 0:
-            raise ValueError("lease_size must be >= 0")
-        if self.lease_size and self.schedule != "stealing":
-            raise ValueError("lease_size applies to schedule='stealing'")
-        if self.lease_log is not None and self.schedule != "stealing":
-            raise ValueError("lease_log replay requires schedule='stealing'")
-        if self.lease_log is not None and self.mode != "inline":
-            raise ValueError("lease_log replay requires mode='inline'")
-        if self.lease_log is not None and self.resume:
-            raise ValueError("lease_log replay and resume are exclusive")
-        if self.pool is not None and self.mode != "inline":
-            raise ValueError("a worker pool requires mode='inline' "
-                             "(process workers already persist for the "
-                             "campaign's lifetime)")
         if self.telemetry_mode not in telemetry.MODES:
             raise ValueError(
                 f"unknown telemetry_mode {self.telemetry_mode!r}")
@@ -325,8 +288,8 @@ class ParallelCampaign:
     def _config_key(self) -> tuple:
         """The worker construction arguments, comparable across runs.
 
-        Part of the pool key and the checkpoint manifest: a warm worker
-        or a checkpoint built under another config is not this campaign.
+        Part of the checkpoint manifest: a checkpoint built under
+        another config is not this campaign.
         """
         kwargs = self._campaign_kwargs()
         kwargs["vendor"] = self.vendor.value
@@ -337,16 +300,11 @@ class ParallelCampaign:
     def _stealing_worker_count(self, iterations: int) -> int:
         """How many workers a stealing campaign actually spawns.
 
-        There is no point holding a worker hostage for fewer cases than
-        one minimum lease, so the count is capped at the number of
-        minimum-sized leases the budget divides into. The formula is a
-        pure function of (workers, iterations, lease_size): a lease-log
-        replay rebuilds the identical worker set — every worker
-        contributes its corpus digest to the fingerprint, claimant or
-        not.
+        A worker with no lease to claim would only cost a build and an
+        empty report, so the count is capped at the number of leases
+        (sync rounds) the budget divides into.
         """
-        floor = self.lease_size if self.lease_size > 0 else LEASE_MIN
-        leases = -(-iterations // floor) if iterations else 1
+        leases = -(-iterations // self.sync_every) if iterations else 1
         return max(1, min(self.workers, leases))
 
     def _specs(self, iterations: int) -> list[WorkerSpec]:
@@ -370,11 +328,10 @@ class ParallelCampaign:
                 for i, share in enumerate(shares)]
 
     def _board_shape(self) -> dict:
-        """How the lease board is carved for this schedule: static pins
-        one pool per worker, leased one sync round at a time."""
-        if self.schedule == "stealing":
-            return {"lease_size": self.lease_size}
-        return {"lease_size": self.sync_every, "pinned": True}
+        """How the lease board is carved: one sync round per lease, and
+        static pins one pool per worker."""
+        return {"lease_size": self.sync_every,
+                "pinned": self.schedule == "static"}
 
     def run(self, iterations: int, *,
             sample_every: int = 10) -> ParallelCampaignResult:
@@ -445,8 +402,7 @@ class ParallelCampaign:
                   iterations: int) -> tuple:
         shares = tuple(spec.iterations for spec in specs)
         return (self.seed, self.workers, iterations, shares, sample_every,
-                self.sync_every, self.schedule, self.lease_size,
-                self.sync_adaptive, self._config_key())
+                self.sync_every, self.schedule, self._config_key())
 
     def _save_campaign_checkpoint(self, path: Path, manifest: tuple,
                                   workers: list[CampaignWorker],
@@ -472,52 +428,6 @@ class ParallelCampaign:
                         path)
             return None
         return payload
-
-    def _pool_key(self, specs: list[WorkerSpec]) -> tuple:
-        return (self.seed, len(specs), self.schedule, self._config_key())
-
-    def _build_inline_workers(self, root: Path, specs: list[WorkerSpec],
-                              sample_every: int, syncing: bool
-                              ) -> tuple[list[CampaignWorker], int]:
-        """Build (or warm-acquire) the inline worker set.
-
-        A pooled worker carries its engine, corpus, and virgin map from
-        the previous ``run()``; this run *continues* it — its share is
-        extended by the new spec's budget and its stats stay cumulative.
-        Pooled workers are re-bound to this run's sync root when it
-        changed: the fresh ``SyncDirectory``'s zeroed export cursor
-        fails the tail-intact check against the new (empty) queue dir,
-        which rewrites the full live queue there — nothing is lost.
-        """
-        key = self._pool_key(specs)
-        workers: list[CampaignWorker] = []
-        reused = 0
-        for spec in specs:
-            warm = (self.pool.acquire(key, spec.index)
-                    if self.pool is not None else None)
-            if warm is not None:
-                warm.spec.iterations += spec.iterations
-                if not syncing:
-                    warm.sync = None
-                elif (warm.sync is None
-                        or Path(warm.sync.root) != Path(root)):
-                    warm.sync = SyncDirectory(root, spec.index, len(specs),
-                                              delta_plane=self.sync_delta)
-                workers.append(warm)
-                reused += 1
-                continue
-            workers.append(CampaignWorker(
-                spec, self._campaign_kwargs(), sample_every=sample_every,
-                sync=SyncDirectory(root, spec.index, len(specs),
-                                   delta_plane=self.sync_delta)
-                if syncing else None,
-                case_timeout=self.case_timeout))
-        return workers, reused
-
-    def _adaptives(self, specs: list[WorkerSpec]) -> dict:
-        return {spec.index: (AdaptiveSync(base=self.sync_every)
-                             if self.sync_adaptive else None)
-                for spec in specs}
 
     def _run_lease_isolated(self, worker: CampaignWorker, lease, board,
                             restarts: dict[int, int]) -> bool:
@@ -568,33 +478,6 @@ class ParallelCampaign:
                 self.events.append(SupervisorEvent(
                     index, FailureKind.WORKER_CRASH, str(death), "restart"))
 
-    def _replay_leases(self, board, workers: list[CampaignWorker],
-                       adaptives: dict, syncing: bool) -> None:
-        """Re-drive a recorded lease log verbatim (fingerprint replay)."""
-        by_index = {worker.spec.index: worker for worker in workers}
-        by_round: dict[int, list[LeaseRecord]] = {}
-        for record in self.lease_log or []:
-            by_round.setdefault(record.round, []).append(record)
-        for round_no in sorted(by_round):
-            for record in by_round[round_no]:
-                worker = by_index.get(record.worker)
-                if worker is None:
-                    raise ValueError(
-                        f"lease log names worker {record.worker}, but "
-                        f"this campaign builds {len(workers)} worker(s)")
-                board.claim_replay(record, record.worker)
-                worker.run_lease(record.size)
-                board.complete(record.id, record.worker,
-                               round_no=record.round)
-                worker.export()
-            if syncing:
-                for worker in workers:
-                    worker.maybe_import(adaptives[worker.spec.index])
-        if not board.drained():
-            raise ValueError(
-                f"lease log is short of the budget: "
-                f"{sum(board.remaining)} case(s) left unassigned")
-
     def _run_inline(self, root: Path, specs: list[WorkerSpec],
                     iterations: int, sample_every: int
                     ) -> tuple[list[WorkerReport], dict]:
@@ -608,71 +491,61 @@ class ParallelCampaign:
         checkpointing = self.checkpoint_interval > 0 or self.resume
         ckpt = self._campaign_checkpoint_path(root) if checkpointing else None
         manifest = self._manifest(specs, sample_every, iterations)
-        workers = board = adaptives = None
-        rounds, pool_reuse = 0, 0
-        retired: set[int] = set()
+        payload = None
         if self.resume and ckpt is not None and ckpt.exists():
             payload = self._load_campaign_checkpoint(ckpt, manifest)
-            if payload is not None:
-                workers, rounds = payload["workers"], payload["rounds"]
-                board, adaptives = payload["board"], payload["adaptives"]
-                retired = payload["retired"]
-                log.info("resuming inline campaign from round %d "
-                         "(%d lease(s) completed)", rounds, len(board.log))
-        if workers is None:
-            workers, pool_reuse = self._build_inline_workers(
-                root, specs, sample_every, syncing)
-        if board is None:
+        if payload is not None:
+            workers, rounds = payload["workers"], payload["rounds"]
+            board, retired = payload["board"], payload["retired"]
+            log.info("resuming inline campaign from round %d "
+                     "(%d lease(s) completed)", rounds, len(board.log))
+        else:
+            workers = [CampaignWorker(
+                spec, self._campaign_kwargs(), sample_every=sample_every,
+                sync=SyncDirectory(root, spec.index, len(specs),
+                                   delta_plane=self.sync_delta)
+                if syncing else None,
+                case_timeout=self.case_timeout) for spec in specs]
             board = LeaseBoard(total=iterations, workers=len(specs),
                                **self._board_shape())
-        if adaptives is None:
-            adaptives = self._adaptives(specs)
-        if self.lease_log is not None:
-            self._replay_leases(board, workers, adaptives, syncing)
-        else:
-            restarts: dict[int, int] = {}
-            while not board.drained():
+            rounds, retired = 0, set()
+        restarts: dict[int, int] = {}
+        while not board.drained():
+            for worker in workers:
+                index = worker.spec.index
+                if index in retired:
+                    continue
+                lease = board.claim(index)
+                if lease is None:
+                    continue
+                if self._run_lease_isolated(worker, lease, board, restarts):
+                    board.complete(lease.id, index, round_no=rounds)
+                    worker.export()
+                    continue
+                retired.add(index)
+                live = [w.spec.index for w in workers
+                        if w.spec.index not in retired]
+                if board.stranded(live):
+                    detail = (f"{board.total - board.completed_total()}"
+                              f" case(s) unexecuted, no live worker "
+                              f"can claim them")
+                    self.events.append(SupervisorEvent(
+                        index, FailureKind.WORKER_CRASH, detail, "abort"))
+                    raise CampaignAborted(
+                        f"worker {index} retired after "
+                        f"{restarts[index]} death(s), exceeding "
+                        f"max_restarts={self.max_restarts}: {detail}")
+            if syncing:
                 for worker in workers:
-                    index = worker.spec.index
-                    if index in retired:
-                        continue
-                    lease = board.claim(index, rate=worker.rate)
-                    if lease is None:
-                        continue
-                    if self._run_lease_isolated(worker, lease, board,
-                                                restarts):
-                        board.complete(lease.id, index, round_no=rounds)
-                        worker.export()
-                        continue
-                    retired.add(index)
-                    live = [w.spec.index for w in workers
-                            if w.spec.index not in retired]
-                    if board.stranded(live):
-                        detail = (f"{board.total - board.completed_total()}"
-                                  f" case(s) unexecuted, no live worker "
-                                  f"can claim them")
-                        self.events.append(SupervisorEvent(
-                            index, FailureKind.WORKER_CRASH, detail,
-                            "abort"))
-                        raise CampaignAborted(
-                            f"worker {index} retired after "
-                            f"{restarts[index]} death(s), exceeding "
-                            f"max_restarts={self.max_restarts}: {detail}")
-                if syncing:
-                    for worker in workers:
-                        if worker.spec.index not in retired:
-                            worker.maybe_import(adaptives[worker.spec.index])
-                rounds += 1
-                if (ckpt is not None and self.checkpoint_interval
-                        and rounds % self.checkpoint_interval == 0):
-                    self._save_campaign_checkpoint(
-                        ckpt, manifest, workers, rounds,
-                        {"board": board, "adaptives": adaptives,
-                         "retired": retired})
-        if self.pool is not None:
-            self.pool.park(self._pool_key(specs), workers)
-        return ([worker.report() for worker in workers],
-                dict(board.summary(), pool_reuse=pool_reuse))
+                    if worker.spec.index not in retired:
+                        worker.import_new()
+            rounds += 1
+            if (ckpt is not None and self.checkpoint_interval
+                    and rounds % self.checkpoint_interval == 0):
+                self._save_campaign_checkpoint(
+                    ckpt, manifest, workers, rounds,
+                    {"board": board, "retired": retired})
+        return [worker.report() for worker in workers], board.summary()
 
     # --- process mode -------------------------------------------------------
 
@@ -701,11 +574,10 @@ class ParallelCampaign:
             config.case_timeout = self.case_timeout
         supervisor = Supervisor(
             root=root, specs=specs, campaign_kwargs=self._campaign_kwargs(),
-            sample_every=sample_every, sync_every=self.sync_every,
+            sample_every=sample_every,
             config=config, fault_plan=self.fault_plan or faults.active(),
             sync_delta=self.sync_delta,
-            telemetry_mode=self.telemetry_mode,
-            sync_adaptive=self.sync_adaptive, lease_board=board)
+            telemetry_mode=self.telemetry_mode, lease_board=board)
         try:
             reports = supervisor.run()
             return reports, supervisor.merged_virgin_bits, board.summary()
@@ -716,13 +588,17 @@ class ParallelCampaign:
 
     def _merge(self, reports: list[WorkerReport], shared_bits: bytes | None,
                sched: dict) -> ParallelCampaignResult:
-        """Merge worker reports; *sched* is the lease board's summary
-        (plus ``pool_reuse`` inline)."""
+        """Merge worker reports; *sched* is the lease board's summary."""
         reports = sorted(reports, key=lambda r: r.index)
         instrumented = reports[0].result.instrumented_lines
         for report in reports[1:]:
-            assert report.result.instrumented_lines == instrumented, \
-                "workers disagree on the instrumented universe"
+            if report.result.instrumented_lines != instrumented:
+                raise RuntimeError(
+                    f"workers disagree on the instrumented universe: "
+                    f"worker {report.index} instruments "
+                    f"{len(report.result.instrumented_lines)} line(s), "
+                    f"worker {reports[0].index} "
+                    f"{len(instrumented)}")
         covered: set = set()
         merged_reports = []
         for report in reports:
@@ -749,5 +625,4 @@ class ParallelCampaign:
             schedule=self.schedule,
             lease_log=list(sched["log"]),
             steals=sched["steals"],
-            reclaims=sched["reclaims"],
-            pool_reuse=sched.get("pool_reuse", 0))
+            reclaims=sched["reclaims"])

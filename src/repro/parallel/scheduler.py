@@ -1,18 +1,16 @@
-"""Lease-board scheduling, warm pools, adaptive sync (DESIGN.md §13).
+"""Lease-board scheduling (DESIGN.md §13).
 
 Every parallel campaign runs on a **lease board**: the budget is carved
-into chunks ("leases") that workers claim, run, and complete one sync
-round at a time, and a dead worker's leases are reclaimed for re-issue.
-The schedule only decides how the board is carved:
+into leases of one sync round each (``sync_every`` cases, only the last
+lease of a pool may be shorter) that workers claim, run, and complete,
+and a dead worker's leases are reclaimed for re-issue. The schedule
+only decides how the board is pooled:
 
 * ``static`` pins one pool per worker, sized by the fixed divmod split
-  (:func:`split_budget`), and cuts it into ``sync_every``-sized leases
-  that only the owner may claim;
-* ``stealing`` shares one pool, cut into fixed or adaptively sized
-  leases (from each claimant's measured cases/sec) that any idle
-  worker may pull.
+  (:func:`split_budget`), that only the owner may claim from;
+* ``stealing`` shares one pool that any idle worker may pull from.
 
-Three pieces live here, all shared by inline and process mode:
+Two pieces live here, both shared by inline and process mode:
 
 * :class:`LeaseBoard` — the in-memory board and the one accounting core
   (every lease id completes exactly once, completed sizes sum to the
@@ -21,18 +19,10 @@ Three pieces live here, all shared by inline and process mode:
   flock-guarded JSON file, for process-mode workers that share nothing
   but the sync directory. Each operation loads a :class:`LeaseBoard`,
   runs it, and writes it back under an exclusive lock.
-* :class:`AdaptiveSync` — the sync-interval controller: back off
-  geometrically while the subsumption filter absorbs >90% of imports
-  (syncing is pure overhead then), snap back to the base interval the
-  moment an import lights a new virgin bit.
 
 Determinism: the board appends one :class:`LeaseRecord` per *completed*
-lease. Inline campaigns with fixed lease sizes (static always, stealing
-with a fixed ``lease_size``) are fully deterministic; with adaptive
-sizing the lease log is the one nondeterministic input, and replaying a
-recorded log (``ParallelCampaign(lease_log=...)``) reproduces the
-campaign fingerprint bit for bit (pinned by
-``tests/parallel/test_stealing_campaign.py``).
+lease. Lease sizes never depend on timing, so every inline campaign,
+static or stealing, is fully deterministic.
 """
 
 from __future__ import annotations
@@ -50,12 +40,6 @@ try:  # POSIX; process mode already depends on fork-style semantics.
     import fcntl
 except ImportError:  # pragma: no cover - non-POSIX fallback below
     fcntl = None
-
-#: Adaptive lease-size bounds (cases per lease) and the wall-clock a
-#: lease should roughly take: size ~= measured cases/sec * target.
-LEASE_MIN = 64
-LEASE_MAX = 256
-LEASE_TARGET_SECONDS = 0.5
 
 SCHEDULES = ("static", "stealing")
 
@@ -117,22 +101,6 @@ def split_budget(total: int, workers: int) -> list[int]:
     return [base + (1 if i < remainder else 0) for i in range(workers)]
 
 
-def _cut(remaining: int, fixed: int, lo: int, hi: int, rate: float) -> int:
-    """Next lease size: fixed, or sized from the claimant's rate.
-
-    A fixed size is honoured exactly (it is the determinism knob — only
-    the remainder lease may be shorter). Adaptive sizing targets
-    ``rate * LEASE_TARGET_SECONDS`` cases so a fast worker amortizes
-    claim overhead over bigger leases while a slow one never holds more
-    than ~half a second of work hostage — clamped into [lo, hi], and
-    never more than what is left.
-    """
-    if fixed > 0:
-        return max(1, min(remaining, fixed))
-    size = int(round(rate * LEASE_TARGET_SECONDS)) if rate > 0 else lo
-    return max(1, min(remaining, max(lo, min(hi, size))))
-
-
 def _fair_share(total: int, workers: int) -> int:
     return -(-total // max(1, workers))  # ceil
 
@@ -159,9 +127,9 @@ class LeaseBoard:
 
     total: int
     workers: int = 1
-    lease_size: int = 0  # fixed cases per lease; 0 = adaptive
-    lease_min: int = LEASE_MIN
-    lease_max: int = LEASE_MAX
+    #: Cases per lease (one sync round); only a pool's last lease may
+    #: be shorter.
+    lease_size: int = 1
     pinned: InitVar[bool] = False
     #: Cases not yet carved, per pool.
     remaining: list = field(init=False)
@@ -182,6 +150,8 @@ class LeaseBoard:
     def __post_init__(self, pinned: bool) -> None:
         if self.total < 0:
             raise ValueError("total must be >= 0")
+        if self.lease_size < 1:
+            raise ValueError("lease_size must be >= 1")
         self.remaining = (split_budget(self.total, self.workers) if pinned
                           else [self.total])
 
@@ -190,7 +160,7 @@ class LeaseBoard:
 
     # --- claim / complete / reclaim ------------------------------------
 
-    def claim(self, worker: int, *, rate: float = 0.0) -> Lease | None:
+    def claim(self, worker: int) -> Lease | None:
         """The next lease for *worker*, or ``None`` when nothing is
         claimable (the board may still have issued leases in flight)."""
         pool = self._pool(worker)
@@ -200,8 +170,7 @@ class LeaseBoard:
             self.reissue.remove(back)
             lease_id, size, owner = back
         elif pool < len(self.remaining) and self.remaining[pool] > 0:
-            size = _cut(self.remaining[pool], self.lease_size,
-                        self.lease_min, self.lease_max, rate)
+            size = min(self.remaining[pool], self.lease_size)
             lease_id = self.next_id
             self.next_id += 1
             self.remaining[pool] -= size
@@ -227,8 +196,6 @@ class LeaseBoard:
     def complete(self, lease_id: int, worker: int, *, round_no: int = 0) -> None:
         """Retire one issued lease and append it to the lease log."""
         issued_to, size, steal, reissued = self.issued.pop(lease_id)
-        assert lease_id not in self.completed, \
-            f"lease {lease_id} completed twice"
         self.completed[lease_id] = size
         self.log.append(LeaseRecord(id=lease_id, worker=worker, size=size,
                                     round=round_no, steal=steal,
@@ -250,16 +217,6 @@ class LeaseBoard:
         for lease_id in mine:
             self.reclaim_lease(lease_id)
         return len(mine)
-
-    def claim_replay(self, record: LeaseRecord, worker: int) -> Lease:
-        """Claim exactly *record* (lease-log replay of a shared pool)."""
-        if record.size > self.remaining[0]:
-            raise ValueError(
-                f"lease log does not fit the budget: lease {record.id} "
-                f"needs {record.size}, {self.remaining[0]} remaining")
-        self.remaining[0] -= record.size
-        return self._issue(worker, record.id, record.size, record.steal,
-                           record.reissued)
 
     # --- progress -------------------------------------------------------
 
@@ -304,8 +261,7 @@ class LeaseBoard:
         """The board as a JSON-ready dict (``board.json``)."""
         return {
             "total": self.total, "workers": self.workers,
-            "lease_size": self.lease_size, "lease_min": self.lease_min,
-            "lease_max": self.lease_max, "next_id": self.next_id,
+            "lease_size": self.lease_size, "next_id": self.next_id,
             "remaining": list(self.remaining),
             "issued": {str(k): list(v) for k, v in self.issued.items()},
             "completed": {str(k): v for k, v in self.completed.items()},
@@ -320,8 +276,6 @@ class LeaseBoard:
         """Inverse of :meth:`to_state`."""
         board = cls(total=state["total"], workers=state["workers"],
                     lease_size=state["lease_size"],
-                    lease_min=state["lease_min"],
-                    lease_max=state["lease_max"],
                     steals=state["steals"], reclaims=state["reclaims"])
         board.remaining = list(state["remaining"])
         board.next_id = state["next_id"]
@@ -393,15 +347,13 @@ class FileLeaseBoard:
 
     @classmethod
     def create(cls, root: Path, total: int, workers: int, *,
-               lease_size: int = 0, lease_min: int = LEASE_MIN,
-               lease_max: int = LEASE_MAX,
+               lease_size: int = 1,
                pinned: bool = False) -> "FileLeaseBoard":
         """Write a fresh board (clobbering any previous campaign's)."""
         board = cls(root)
         board.dir.mkdir(parents=True, exist_ok=True)
         board._save(LeaseBoard(total=total, workers=workers,
-                               lease_size=lease_size, lease_min=lease_min,
-                               lease_max=lease_max, pinned=pinned))
+                               lease_size=lease_size, pinned=pinned))
         return board
 
     def exists(self) -> bool:
@@ -435,10 +387,10 @@ class FileLeaseBoard:
 
     # --- transactions ---------------------------------------------------
 
-    def claim(self, worker: int, *, rate: float = 0.0) -> Lease | None:
+    def claim(self, worker: int) -> Lease | None:
         with _locked(self.lock_path):
             board = self._load()
-            lease = board.claim(worker, rate=rate)
+            lease = board.claim(worker)
             if lease is not None:
                 self._save(board)
         return lease
@@ -480,107 +432,3 @@ class FileLeaseBoard:
 
     def summary(self) -> dict:
         return self._load().summary()
-
-
-# --- adaptive sync ---------------------------------------------------------
-
-
-@dataclass
-class AdaptiveSync:
-    """Geometric back-off controller for the corpus-sync interval.
-
-    The worker consults :attr:`interval` (in cases) before scanning
-    partners and reports back what each scan round yielded:
-
-    * a round where imports lit **new virgin bits**, or where fewer
-      than ``absorb_threshold`` of the consumed entries were absorbed
-      by the subsumption filter, snaps the interval back to ``base`` —
-      partners are finding things we do not have, sync eagerly;
-    * any other round (everything absorbed, or nothing to import at
-      all) doubles the interval, capped at ``base * max_factor`` —
-      scanning is pure overhead while the filter eats everything.
-    """
-
-    base: int
-    growth: int = 2
-    max_factor: int = 8
-    absorb_threshold: float = 0.9
-    interval: int = 0
-
-    def __post_init__(self) -> None:
-        if self.base < 1:
-            raise ValueError("base must be >= 1")
-        if self.growth < 2:
-            raise ValueError("growth must be >= 2")
-        if self.interval <= 0:
-            self.interval = self.base
-
-    @property
-    def cap(self) -> int:
-        return self.base * self.max_factor
-
-    def record_round(self, *, executed: int, subsumed: int,
-                     new_bits: bool) -> int:
-        """Feed one scan round's outcome; returns the next interval."""
-        consumed = executed + subsumed
-        productive = new_bits or (
-            consumed > 0 and subsumed < self.absorb_threshold * consumed)
-        if productive:
-            self.interval = self.base
-        else:
-            self.interval = min(self.interval * self.growth, self.cap)
-        return self.interval
-
-
-# --- warm worker pool ------------------------------------------------------
-
-
-class PoolMismatch(ValueError):
-    """The pooled workers were built for a different campaign shape."""
-
-
-class WorkerPool:
-    """Warm inline workers reused across ``ParallelCampaign.run()`` calls.
-
-    Worker construction is the expensive part of starting a campaign
-    (module instrumentation, agent + hypervisor build, bitmap
-    allocation). A pool keeps the finished workers — engines, corpora,
-    virgin maps and all — so the next ``run()`` on a campaign carrying
-    ``pool=`` continues them instead of rebuilding: subsequent runs are
-    *continuations* of the same logical campaign (cumulative stats,
-    like a corpus resume), which is exactly what long-lived fuzzing
-    services want between budget grants.
-
-    The pool is inline-only: process-mode workers already live for the
-    whole campaign in their own processes (that is their warm pool),
-    and their state dies with them by design.
-    """
-
-    def __init__(self) -> None:
-        self.workers: dict[int, object] = {}
-        self.key: tuple | None = None
-        self.runs: int = 0
-        self.reused: int = 0
-
-    def compatible(self, key: tuple) -> bool:
-        return self.key is None or self.key == key
-
-    def acquire(self, key: tuple, index: int):
-        """The warm worker for shard *index*, or ``None`` (cold)."""
-        if not self.compatible(key):
-            raise PoolMismatch(
-                f"pool was built for campaign shape {self.key}, "
-                f"requested {key}")
-        worker = self.workers.get(index)
-        if worker is not None:
-            self.reused += 1
-            with telemetry.shard_scope(index):
-                telemetry.counter("pool.worker_reuse")
-        return worker
-
-    def park(self, key: tuple, workers: list) -> None:
-        """Keep *workers* warm for the next run."""
-        self.key = key
-        self.runs += 1
-        for worker in workers:
-            self.workers[worker.spec.index] = worker

@@ -41,7 +41,7 @@ from pathlib import Path
 
 from repro import faults, telemetry
 from repro.parallel.backoff import expo_backoff
-from repro.parallel.scheduler import AdaptiveSync, FileLeaseBoard, LeaseBoardError
+from repro.parallel.scheduler import FileLeaseBoard, LeaseBoardError
 from repro.parallel.worker import CampaignWorker, WorkerReport, WorkerSpec
 
 log = logging.getLogger("repro.parallel")
@@ -127,14 +127,13 @@ def report_path(root: Path, index: int) -> Path:
 
 
 def process_worker_main(spec: WorkerSpec, campaign_kwargs: dict,
-                        sample_every: int, sync_every: int, root: str,
+                        sample_every: int, root: str,
                         total_workers: int, case_timeout: float | None,
                         fault_plan: faults.FaultPlan | None,
                         sync_delta: bool = True,
                         shm_name: str | None = None,
                         shm_lock=None,
-                        telemetry_mode: str = "metrics",
-                        sync_adaptive: bool = False) -> None:
+                        telemetry_mode: str = "metrics") -> None:
     """Child-process entry point: run leases off the board, write the
     report.
 
@@ -176,11 +175,9 @@ def process_worker_main(spec: WorkerSpec, campaign_kwargs: dict,
 
         shm_publisher = publisher(shm_name, shm_lock)
         worker.virgin_publisher = shm_publisher
-    adaptive = (AdaptiveSync(base=sync_every) if sync_adaptive else None)
     try:
         try:
-            report = worker.run_leases(FileLeaseBoard(rootp),
-                                       adaptive=adaptive)
+            report = worker.run_leases(FileLeaseBoard(rootp))
         finally:
             if shm_publisher is not None:
                 shm_publisher.close()
@@ -203,14 +200,11 @@ class Supervisor:
     specs: list[WorkerSpec]
     campaign_kwargs: dict
     sample_every: int
-    sync_every: int
     config: SupervisorConfig = field(default_factory=SupervisorConfig)
     fault_plan: faults.FaultPlan | None = None
     #: Coverage-sidecar batch rejection in the workers (DESIGN.md §15).
     sync_delta: bool = True
     telemetry_mode: str = "metrics"
-    #: Adaptive sync-interval back-off in the workers (DESIGN.md §13).
-    sync_adaptive: bool = False
     #: The campaign's lease board under ``root`` — the supervisor
     #: reclaims a confirmed-dead worker's claims from it before
     #: restarting, so stragglers' leases are re-issued instead of lost.
@@ -267,12 +261,12 @@ class Supervisor:
                     proc = ctx.Process(
                         target=process_worker_main,
                         args=(spec, self.campaign_kwargs, self.sample_every,
-                              self.sync_every, str(self.root),
+                              str(self.root),
                               len(self.specs), self.config.case_timeout,
                               self.fault_plan, self.sync_delta,
                               shared.name if shared else None,
                               shared.lock if shared else None,
-                              self.telemetry_mode, self.sync_adaptive),
+                              self.telemetry_mode),
                         daemon=False)
                     proc.start()
                 except (OSError, RuntimeError, pickle.PicklingError) as exc:
@@ -447,10 +441,8 @@ class Supervisor:
         previous_worker = faults.current_worker()
         if self.fault_plan is not None:
             faults.install(self.fault_plan)
-        adaptive = (AdaptiveSync(base=self.sync_every)
-                    if self.sync_adaptive else None)
         try:
-            return worker.run_leases(self.lease_board, adaptive=adaptive)
+            return worker.run_leases(self.lease_board)
         except faults.WorkerKilled as death:
             self.events.append(SupervisorEvent(
                 spec.index, FailureKind.WORKER_CRASH, str(death), "abort"))

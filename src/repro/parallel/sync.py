@@ -94,9 +94,6 @@ class SyncStats:
     entries_scanned: int = 0
     #: Import rounds that actually scanned partners.
     import_rounds: int = 0
-    #: Import rounds the adaptive-sync controller elided (the scan cost
-    #: the geometric back-off saved; see DESIGN.md §13).
-    rounds_skipped_adaptive: int = 0
     #: Whole partner batches rejected from one coverage sidecar delta
     #: without scanning the queue file (DESIGN.md §15).
     batches_delta_rejected: int = 0
@@ -110,8 +107,6 @@ class SyncStats:
             entries_exported=self.entries_exported + other.entries_exported,
             entries_scanned=self.entries_scanned + other.entries_scanned,
             import_rounds=self.import_rounds + other.import_rounds,
-            rounds_skipped_adaptive=(self.rounds_skipped_adaptive
-                                     + other.rounds_skipped_adaptive),
             batches_delta_rejected=(self.batches_delta_rejected
                                     + other.batches_delta_rejected))
 

@@ -6,6 +6,9 @@ bit for bit; workers 1..N-1 get seeds derived through the same
 multiplier :meth:`repro.fuzzer.rng.Rng.fork` uses, with a salt space
 disjoint from the campaign's own seed-corpus salts.
 
+A worker runs its share one lease at a time: each lease is one sync
+round, after which it exports its finds and imports its partners'.
+
 Resilience plumbing (all optional, off in the plain fast path):
 
 * ``heartbeat_path`` — the worker stamps its case counter there before
@@ -32,7 +35,6 @@ from repro import faults, telemetry
 from repro.analysis.timeline import CoverageTimeline
 from repro.core.necofuzz import CampaignResult, NecoFuzz
 from repro.fuzzer.crashes import atomic_write_bytes
-from repro.parallel.scheduler import AdaptiveSync
 from repro.parallel.sync import SyncDirectory, SyncStats
 from repro.parallel.wire import LineCodec
 
@@ -115,11 +117,6 @@ class CampaignWorker:
     done: int = field(default=0, init=False)
     deadline_overruns: int = field(default=0, init=False)
     _published_generation: int = field(default=0, init=False)
-    #: Measured throughput (cases/sec) of the last lease — what the
-    #: lease board sizes this worker's next lease from.
-    rate: float = field(default=0.0, init=False)
-    #: Cases executed since the last import round (adaptive-sync gate).
-    _since_import: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
         self.campaign = NecoFuzz(seed=self.spec.seed, **self.campaign_kwargs)
@@ -189,7 +186,6 @@ class CampaignWorker:
         finally:
             faults.set_current_worker(previous_worker)
             telemetry.set_shard(previous_shard)
-        self._since_import += steps
         return steps
 
     def run_lease(self, size: int) -> int:
@@ -200,16 +196,9 @@ class CampaignWorker:
         sample at ``i == share``). A stealing worker's share is whatever
         it has claimed so far: its spec grows lease by lease, so
         ``finished``, sampling, and reports all see the claimed total.
-        The lease's wall-clock feeds :attr:`rate`, which sizes the next
-        stealing claim.
         """
         self.spec.iterations = max(self.spec.iterations, self.done + size)
-        started = time.perf_counter()
-        steps = self.run_chunk(size)
-        elapsed = time.perf_counter() - started
-        if steps and elapsed > 0:
-            self.rate = steps / elapsed
-        return steps
+        return self.run_chunk(size)
 
     def _sample(self, i: int, agent) -> None:
         """Record one timeline sample and its newly covered lines."""
@@ -238,40 +227,6 @@ class CampaignWorker:
                 self.campaign.engine, codec=self.line_codec,
                 absorb_lines=self.campaign.agent.absorb_lines)
 
-    def maybe_import(self, adaptive: AdaptiveSync | None = None) -> int:
-        """Import partners' finds, subject to the adaptive-sync gate.
-
-        With no controller this is :meth:`import_new`. With one, the
-        scan only runs once the cases executed since the last import
-        reach the controller's current interval; the round's outcome
-        (executed vs subsumed entries, whether any import lit new
-        virgin bits) is fed back to the controller, and the resulting
-        interval is published as the ``sync.interval`` gauge. Skipped
-        rounds are counted in ``sync_stats.rounds_skipped_adaptive`` —
-        they are the sync overhead the controller saved.
-        """
-        if self.sync is None:
-            return 0
-        if adaptive is not None and self._since_import < adaptive.interval:
-            self.sync.stats.rounds_skipped_adaptive += 1
-            return 0
-        stats = self.campaign.engine.stats
-        virgin = self.campaign.engine.virgin
-        imported_before = stats.imported
-        subsumed_before = stats.imports_skipped_subsumed
-        generation_before = virgin.generation
-        imported = self.import_new()
-        self._since_import = 0
-        if adaptive is not None:
-            subsumed = stats.imports_skipped_subsumed - subsumed_before
-            executed = (stats.imported - imported_before) - subsumed
-            interval = adaptive.record_round(
-                executed=executed, subsumed=subsumed,
-                new_bits=virgin.generation > generation_before)
-            with telemetry.shard_scope(self.spec.index):
-                telemetry.gauge("sync.interval", interval)
-        return imported
-
     def publish_virgin(self) -> None:
         """OR local virgin bits into the shared map, if one is attached.
 
@@ -297,8 +252,7 @@ class CampaignWorker:
             return
         self._published_generation = virgin.generation
 
-    def run_leases(self, board, *, adaptive: AdaptiveSync | None = None,
-                   idle_poll: float = 0.01) -> "WorkerReport":
+    def run_leases(self, board, *, idle_poll: float = 0.01) -> "WorkerReport":
         """Self-paced process-mode loop: claim, run, sync.
 
         The worker pulls leases off the shared board until nothing is
@@ -316,7 +270,7 @@ class CampaignWorker:
         """
         rounds = 0
         while True:
-            lease = board.claim(self.spec.index, rate=self.rate)
+            lease = board.claim(self.spec.index)
             if lease is None:
                 if board.exhausted(self.spec.index):
                     break
@@ -326,7 +280,7 @@ class CampaignWorker:
             self.run_lease(lease.size)
             board.complete(lease.id, self.spec.index, round_no=rounds)
             self.export()
-            self.maybe_import(adaptive)
+            self.import_new()
             self.publish_virgin()
             rounds += 1
             with telemetry.shard_scope(self.spec.index):

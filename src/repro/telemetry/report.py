@@ -73,22 +73,14 @@ def campaign_summary(root: Path) -> dict:
 
 #: The work-stealing scheduler's own counters (DESIGN.md §13), pulled
 #: into their own report block so lease churn is visible at a glance.
-_SCHED_COUNTERS = ("sched.leases_issued", "sched.steals", "sched.reclaims",
-                   "pool.worker_reuse")
+_SCHED_COUNTERS = ("sched.leases_issued", "sched.steals", "sched.reclaims")
 
 
 def _scheduler_summary(registry: MetricsRegistry) -> dict:
-    """Scheduler block: lease counters plus the adaptive-sync interval.
-
-    Empty when the campaign ran the static schedule with adaptive sync
-    off — the renderer then omits the section entirely.
-    """
-    summary = {name: total for name in _SCHED_COUNTERS
-               if (total := registry.counter_total(name))}
-    interval = registry.gauge_max("sync.interval")
-    if interval is not None:
-        summary["sync.interval"] = interval
-    return summary
+    """Scheduler block: the lease counters; empty (section omitted)
+    when no lease was issued."""
+    return {name: total for name in _SCHED_COUNTERS
+            if (total := registry.counter_total(name))}
 
 
 #: The coverage plane's counters (DESIGN.md §15): local partner

@@ -23,13 +23,13 @@ from repro.resilience import (
 
 SEED = 11
 BUDGET = 60
-SYNC_EVERY = 20
+SYNC_EVERY = 10
 
 
 def _campaign(**overrides):
     kwargs = dict(hypervisor="kvm", vendor=Vendor.INTEL, seed=SEED,
-                  workers=3, schedule="stealing", lease_size=10,
-                  sync_every=SYNC_EVERY, mode="inline")
+                  workers=3, schedule="stealing", sync_every=SYNC_EVERY,
+                  mode="inline")
     kwargs.update(overrides)
     return ParallelCampaign(**kwargs)
 
@@ -110,7 +110,7 @@ class TestProcessKillReclaim:
         plan = FaultPlan([FaultSpec("kill_worker", worker=1, at_case=7)])
         result = ParallelCampaign(
             hypervisor="kvm", vendor=Vendor.INTEL, seed=SEED, workers=2,
-            schedule="stealing", lease_size=25, sync_every=50,
+            schedule="stealing", sync_every=25,
             mode="process", sync_dir=tmp_path,
             fault_plan=plan).run(100, sample_every=25)
         _ledger_is_sound(result, budget=100)

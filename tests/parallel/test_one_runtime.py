@@ -2,9 +2,10 @@
 corpus wire format.
 
 Pins that the static schedule is the lease board with one pinned pool
-per worker (no second loop), that ``lease_size`` belongs to the stealing
-schedule alone, and that the per-entry-file corpus format and the sync
-switches only tests used to set are gone.
+per worker (no second loop), that a lease is one sync round under either
+schedule (adaptive lease sizing, lease-log replay, adaptive sync and the
+warm worker pool are gone), and that the per-entry-file corpus format
+and the sync switches only tests used to set are gone.
 """
 
 from __future__ import annotations
@@ -16,7 +17,11 @@ import pytest
 
 import repro.parallel
 from repro import Vendor, faults
+from repro.__main__ import main
+from repro.analysis.timeline import CoverageTimeline
+from repro.core.necofuzz import CampaignResult
 from repro.faults import FaultPlan, FaultSpec
+from repro.fuzzer.engine import EngineStats
 from repro.parallel import (
     CampaignWorker,
     FileLeaseBoard,
@@ -24,10 +29,12 @@ from repro.parallel import (
     Supervisor,
     SyncDirectory,
     WorkerSpec,
+    scheduler,
     sync,
 )
 from repro.parallel.supervisor import process_worker_main
-from repro.resilience import CampaignAborted
+from repro.parallel.worker import WorkerReport
+from repro.resilience import CampaignAborted, campaign_fingerprint
 
 SEED = 3
 
@@ -115,15 +122,56 @@ class TestStaticIsPinnedLeases:
         assert report.result.engine_stats.iterations == 4
 
 
-class TestLeaseSizeBelongsToStealing:
-    def test_static_lease_size_is_rejected(self):
-        with pytest.raises(ValueError,
-                           match="lease_size applies to schedule='stealing'"):
-            ParallelCampaign(lease_size=50, workers=2)
+class TestOneLeasePerSyncRound:
+    @pytest.mark.parametrize("keyword,value", [
+        ("lease_size", 10), ("sync_adaptive", True), ("pool", None),
+        ("lease_log", [])])
+    def test_removed_campaign_keywords_are_type_errors(self, keyword, value):
+        with pytest.raises(TypeError):
+            ParallelCampaign(**{keyword: value})
 
-    def test_stealing_lease_size_is_accepted(self):
-        assert ParallelCampaign(lease_size=50, workers=2,
-                                schedule="stealing").lease_size == 50
+    @pytest.mark.parametrize("name", [
+        "AdaptiveSync", "WorkerPool", "PoolMismatch", "LEASE_MIN",
+        "LEASE_MAX", "LEASE_TARGET_SECONDS"])
+    def test_adaptive_names_are_gone(self, name):
+        assert name not in repro.parallel.__all__
+        assert not hasattr(repro.parallel, name)
+        assert not hasattr(scheduler, name)
+
+    @pytest.mark.parametrize("argv", [
+        ["--workers", "2", "--schedule", "stealing", "--lease-size", "50"],
+        ["--workers", "2", "--sync-adaptive"],
+    ], ids=["lease-size", "sync-adaptive"])
+    def test_removed_flags_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_stealing_leases_are_sync_rounds(self):
+        result = _static(schedule="stealing").run(45)
+        assert sorted(record.size for record in result.lease_log) \
+            == [5, 10, 10, 10, 10]
+
+    def test_inline_stealing_is_deterministic(self):
+        first = _static(schedule="stealing", workers=2).run(60)
+        second = _static(schedule="stealing", workers=2).run(60)
+        assert campaign_fingerprint(first) == campaign_fingerprint(second)
+        assert first.lease_log == second.lease_log
+
+    def test_workers_disagreeing_on_the_universe_is_a_runtime_error(self):
+        def report(index, instrumented):
+            result = CampaignResult(
+                timeline=CoverageTimeline("w", 10.0), covered_lines=set(),
+                instrumented_lines=instrumented, reports=[],
+                engine_stats=EngineStats(), watchdog_restarts=0)
+            return WorkerReport(index=index, share=0, result=result,
+                                samples=[], virgin_bits=b"")
+
+        sched = {"log": [], "steals": 0, "reclaims": 0}
+        with pytest.raises(RuntimeError, match="instrumented universe"):
+            _static(workers=2)._merge([report(0, {1, 2}), report(1, {1})],
+                                      None, sched)
 
 
 class TestOneWireFormat:

@@ -110,7 +110,7 @@ class TestShardedCampaign:
 
     @pytest.mark.parametrize("iterations,kwargs", [
         pytest.param(1, dict(workers=3), id="static-budget-below-workers"),
-        pytest.param(15, dict(workers=4, schedule="stealing", lease_size=10),
+        pytest.param(15, dict(workers=4, schedule="stealing", sync_every=10),
                      id="stealing-capped-by-leases"),
     ])
     def test_workers_reports_the_count_that_ran(self, iterations, kwargs):

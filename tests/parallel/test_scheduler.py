@@ -2,9 +2,8 @@
 
 The accounting contract (DESIGN.md §13) pinned here, independent of any
 campaign: every carved lease completes exactly once, completed sizes
-always sum to the requested budget, reclaimed leases keep their
-identity, and the adaptive-sync controller moves monotonically between
-its base and its cap.
+always sum to the requested budget, and reclaimed leases keep their
+identity.
 """
 
 import json
@@ -14,15 +13,9 @@ import random
 import pytest
 
 from repro.parallel.scheduler import (
-    LEASE_MAX,
-    LEASE_MIN,
-    AdaptiveSync,
     FileLeaseBoard,
     LeaseBoard,
     LeaseBoardError,
-    LeaseRecord,
-    PoolMismatch,
-    WorkerPool,
     split_budget,
 )
 
@@ -48,10 +41,9 @@ def _churn(rng, board, workers, mirror=None):
                     mirror.complete(lease.id, worker)
             continue
         worker = rng.randrange(workers)
-        rate = rng.uniform(0, 5000)
-        lease = board.claim(worker, rate=rate)
+        lease = board.claim(worker)
         if mirror is not None:
-            assert mirror.claim(worker, rate=rate) == lease
+            assert mirror.claim(worker) == lease
         if lease is not None:
             held.append((worker, lease))
 
@@ -70,19 +62,6 @@ class TestLeaseBoard:
             board.complete(lease.id, 0)
         assert sizes == [10, 10, 5]
         assert board.drained()
-
-    def test_adaptive_size_clamped_to_bounds(self):
-        board = LeaseBoard(total=100_000, workers=2)
-        slow = board.claim(0, rate=1.0)        # ~0.5 cases/target
-        fast = board.claim(1, rate=1_000_000)  # ~500k cases/target
-        assert slow.size == LEASE_MIN
-        assert fast.size == LEASE_MAX
-
-    def test_adaptive_size_tracks_rate(self):
-        board = LeaseBoard(total=100_000, workers=1)
-        lease = board.claim(0, rate=300.0)  # 150 cases per 0.5 s target
-        assert LEASE_MIN <= lease.size <= LEASE_MAX
-        assert lease.size == 150
 
     def test_reclaimed_lease_keeps_identity_and_is_reissued_first(self):
         board = LeaseBoard(total=300, workers=2, lease_size=100)
@@ -107,6 +86,11 @@ class TestLeaseBoard:
         assert board.steals == 1
         assert board.log[-1].steal
 
+    @pytest.mark.parametrize("lease_size", [0, -5])
+    def test_leases_smaller_than_one_case_are_rejected(self, lease_size):
+        with pytest.raises(ValueError, match="lease_size must be >= 1"):
+            LeaseBoard(total=10, workers=1, lease_size=lease_size)
+
     def test_double_complete_asserts(self):
         board = LeaseBoard(total=10, workers=1, lease_size=10)
         lease = board.claim(0)
@@ -120,7 +104,7 @@ class TestLeaseBoard:
             total = rng.randrange(1, 2000)
             workers = rng.randrange(1, 6)
             board = LeaseBoard(total=total, workers=workers,
-                               lease_size=rng.choice([0, 7, 64]))
+                               lease_size=rng.choice([1, 7, 64]))
             _churn(rng, board, workers)
             assert board.completed_total() == total
             ids = [record.id for record in board.log]
@@ -152,14 +136,12 @@ class TestLeaseBoard:
         for trial in range(6):
             total = rng.randrange(0, 400)
             workers = rng.randrange(1, 5)
-            lease_size = rng.choice([0, 7, 64]) if not pinned else 9
+            lease_size = rng.choice([1, 7, 64]) if not pinned else 9
             board = LeaseBoard(total=total, workers=workers,
-                               lease_size=lease_size, lease_min=8,
-                               lease_max=32, pinned=pinned)
+                               lease_size=lease_size, pinned=pinned)
             mirror = FileLeaseBoard.create(
                 tmp_path / str(trial), total, workers,
-                lease_size=lease_size, lease_min=8, lease_max=32,
-                pinned=pinned)
+                lease_size=lease_size, pinned=pinned)
             _churn(rng, board, workers, mirror)
             assert mirror.finished()
             assert mirror.summary() == board.summary()
@@ -173,12 +155,6 @@ class TestLeaseBoard:
         clone = pickle.loads(pickle.dumps(board))
         assert clone.completed_total() == 10
         assert clone.log[0].id == lease.id
-
-    def test_replay_overrunning_budget_rejected(self):
-        board = LeaseBoard(total=10, workers=1, lease_size=10)
-        with pytest.raises(ValueError):
-            board.claim_replay(LeaseRecord(id=0, worker=0, size=11), 0)
-
 
 class TestPinnedLeaseBoard:
     """The static schedule's board: one pool per worker."""
@@ -348,72 +324,22 @@ def test_corrupt_board_error_is_restartable(tmp_path):
     assert not recreated.finished()
 
 
+def test_adaptive_era_board_raises_lease_board_error(tmp_path):
+    """A ``board.json`` written by an adaptively sized campaign
+    (``lease_size: 0`` plus its size bounds) is not run as 1-case
+    leases: loading it names the file."""
+    board = FileLeaseBoard.create(tmp_path, 16, 2, lease_size=8)
+    state = json.loads(board.state_path.read_text())
+    state.update(lease_size=0, lease_min=64, lease_max=256)
+    board.state_path.write_text(json.dumps(state))
+    with pytest.raises(LeaseBoardError) as excinfo:
+        board.claim(0)
+    assert str(board.state_path) in str(excinfo.value)
+    assert "lease_size must be >= 1" in str(excinfo.value)
+
+
 def test_unreadable_board_raises_lease_board_error(tmp_path):
     board = FileLeaseBoard.create(tmp_path, 16, 2)
     board.state_path.unlink()
     with pytest.raises(LeaseBoardError, match="unreadable"):
         board.finished()
-
-
-class TestAdaptiveSync:
-    def test_interval_growth_is_monotone_and_capped(self):
-        sync = AdaptiveSync(base=100)
-        seen = [sync.interval]
-        for _ in range(10):
-            seen.append(sync.record_round(executed=0, subsumed=10,
-                                          new_bits=False))
-        assert seen == sorted(seen), "back-off must be monotone"
-        assert seen[0] == 100
-        assert seen[-1] == sync.cap == 800
-
-    def test_empty_rounds_also_back_off(self):
-        sync = AdaptiveSync(base=50)
-        assert sync.record_round(executed=0, subsumed=0,
-                                 new_bits=False) == 100
-
-    def test_new_bits_snap_back_to_base(self):
-        sync = AdaptiveSync(base=100)
-        for _ in range(5):
-            sync.record_round(executed=0, subsumed=10, new_bits=False)
-        assert sync.interval > 100
-        assert sync.record_round(executed=3, subsumed=0,
-                                 new_bits=True) == 100
-
-    def test_sub_threshold_absorption_counts_as_productive(self):
-        sync = AdaptiveSync(base=100)
-        sync.record_round(executed=0, subsumed=10, new_bits=False)
-        # 5 of 10 absorbed is well below the 90% threshold: partners
-        # are shipping things we do not have, so sync eagerly again.
-        assert sync.record_round(executed=5, subsumed=5,
-                                 new_bits=False) == 100
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            AdaptiveSync(base=0)
-        with pytest.raises(ValueError):
-            AdaptiveSync(base=10, growth=1)
-
-
-class TestWorkerPool:
-    class _Worker:
-        def __init__(self, index):
-            from repro.parallel.worker import WorkerSpec
-
-            self.spec = WorkerSpec(index=index, seed=index, iterations=0)
-
-    def test_cold_pool_returns_none_then_reuses(self):
-        pool = WorkerPool()
-        key = ("kvm", "intel", 1, 2)
-        assert pool.acquire(key, 0) is None
-        workers = [self._Worker(0), self._Worker(1)]
-        pool.park(key, workers)
-        assert pool.acquire(key, 0) is workers[0]
-        assert pool.acquire(key, 1) is workers[1]
-        assert pool.reused == 2
-        assert pool.runs == 1
-
-    def test_mismatched_shape_raises(self):
-        pool = WorkerPool()
-        pool.park(("kvm", "intel", 1, 2), [self._Worker(0)])
-        with pytest.raises(PoolMismatch):
-            pool.acquire(("xen", "amd", 9, 4), 0)

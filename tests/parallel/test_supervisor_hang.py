@@ -30,7 +30,6 @@ def supervisor(tmp_path):
     spec = WorkerSpec(index=0, seed=1, iterations=10)
     return Supervisor(
         root=tmp_path, specs=[spec], campaign_kwargs={}, sample_every=10,
-        sync_every=10,
         config=SupervisorConfig(case_timeout=TIMEOUT, startup_grace=GRACE))
 
 

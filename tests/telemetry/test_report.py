@@ -177,17 +177,14 @@ class TestSummarySections:
         assert "federation" not in text
         assert text.count("net.records_fetched") == 1
 
-    def test_scheduler_block_holds_leases_and_interval(self, tmp_path):
+    def test_scheduler_block_holds_lease_counters(self, tmp_path):
         def fill(registry):
             registry.counter("sched.leases_issued", 6, shard=0)
             registry.counter("sched.leases_issued", 4, shard=1)
             registry.counter("sched.steals", 1, shard=1)
-            registry.gauge("sync.interval", 20.0, shard=0)
-            registry.gauge("sync.interval", 40.0, shard=1)
         _write_root(tmp_path, fill)
         assert campaign_summary(tmp_path)["scheduler"] == {
-            "sched.leases_issued": 10, "sched.steals": 1,
-            "sync.interval": 40.0}
+            "sched.leases_issued": 10, "sched.steals": 1}
         assert "\nscheduler\n" in render_report(tmp_path)
 
     def test_scheduler_block_omitted_for_static_runs(self, tmp_path):
