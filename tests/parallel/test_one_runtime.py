@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import inspect
 import json
+from dataclasses import fields
 
 import pytest
 
@@ -25,6 +26,7 @@ from repro.fuzzer.engine import EngineStats
 from repro.parallel import (
     CampaignWorker,
     FileLeaseBoard,
+    LeaseBoard,
     ParallelCampaign,
     Supervisor,
     SyncDirectory,
@@ -158,6 +160,65 @@ class TestOneLeasePerSyncRound:
         second = _static(schedule="stealing", workers=2).run(60)
         assert campaign_fingerprint(first) == campaign_fingerprint(second)
         assert first.lease_log == second.lease_log
+
+    @pytest.mark.parametrize("make_board", [
+        lambda root: LeaseBoard(total=20, workers=2, lease_size=10),
+        lambda root: FileLeaseBoard.create(root, 20, 2, lease_size=10),
+    ], ids=["memory", "file"])
+    def test_claim_takes_no_rate(self, tmp_path, make_board):
+        board = make_board(tmp_path)
+        with pytest.raises(TypeError):
+            board.claim(0, rate=1000.0)
+        assert board.claim(0).size == 10
+
+    def test_board_state_has_no_adaptive_bounds(self, tmp_path):
+        board = LeaseBoard(total=20, workers=2, lease_size=10)
+        state = board.to_state()
+        assert "lease_min" not in state and "lease_max" not in state
+        assert LeaseBoard.from_state(state).to_state() == state
+        with pytest.raises(TypeError):
+            FileLeaseBoard.create(tmp_path, 20, 2, lease_size=10,
+                                  lease_min=8)
+
+    @pytest.mark.parametrize("iterations,sync_every,workers,spawned", [
+        (45, 10, 3, 3), (15, 10, 3, 2), (10, 10, 4, 1), (0, 10, 3, 1)])
+    def test_stealing_spawns_at_most_one_worker_per_sync_round(
+            self, iterations, sync_every, workers, spawned):
+        campaign = _static(schedule="stealing", workers=workers,
+                           sync_every=sync_every)
+        assert campaign._stealing_worker_count(iterations) == spawned
+        assert len(campaign._specs(iterations)) == spawned
+
+    def test_short_stealing_budget_runs_only_the_capped_workers(self):
+        result = _static(schedule="stealing", workers=3).run(15)
+        assert len(result.per_worker) == 2
+        assert sorted(record.size for record in result.lease_log) == [5, 10]
+        assert result.engine_stats.iterations == 15
+
+    @pytest.mark.parametrize("name", ["maybe_import", "rate",
+                                      "_since_import"])
+    def test_worker_has_no_adaptive_hooks(self, name):
+        assert not hasattr(CampaignWorker, name)
+        assert name not in {f.name for f in fields(CampaignWorker)}
+
+    def test_run_leases_takes_no_controller(self):
+        assert list(inspect.signature(CampaignWorker.run_leases).parameters) \
+            == ["self", "board", "idle_poll"]
+
+    @pytest.mark.parametrize("target", [process_worker_main, Supervisor])
+    def test_process_entry_points_take_no_sync_interval(self, target):
+        params = inspect.signature(target).parameters
+        for name in ("sync_every", "sync_adaptive"):
+            assert name not in params
+
+    def test_sync_stats_count_no_adaptive_skips(self):
+        assert "rounds_skipped_adaptive" not in {
+            f.name for f in fields(sync.SyncStats)}
+
+    def test_result_reports_no_pool_reuse(self):
+        result = _static(workers=2).run(20)
+        assert not hasattr(result, "pool_reuse")
+        assert "pool" not in result.summary()
 
     def test_workers_disagreeing_on_the_universe_is_a_runtime_error(self):
         def report(index, instrumented):

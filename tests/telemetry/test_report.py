@@ -187,6 +187,17 @@ class TestSummarySections:
             "sched.leases_issued": 10, "sched.steals": 1}
         assert "\nscheduler\n" in render_report(tmp_path)
 
+    def test_scheduler_block_ignores_a_sync_interval_gauge(self, tmp_path):
+        # Adaptive sync is gone, so an old snapshot's interval gauge is
+        # not a scheduler row.
+        def fill(registry):
+            registry.counter("sched.leases_issued", 2, shard=0)
+            registry.gauge("sync.interval", 40, shard=0)
+            registry.counter("pool.worker_reuse", 1, shard=0)
+        _write_root(tmp_path, fill)
+        assert campaign_summary(tmp_path)["scheduler"] == {
+            "sched.leases_issued": 2}
+
     def test_scheduler_block_omitted_for_static_runs(self, tmp_path):
         _write_root(tmp_path,
                     lambda registry: registry.observe("case", 0.01, shard=0))
