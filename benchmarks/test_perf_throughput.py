@@ -164,7 +164,6 @@ def test_parallel_wall_clock(capsys):
                                else round(serial_s / parallel_s, 2)),
         "serial_covered": len(serial_covered),
         "merged_covered": len(merged.covered_lines),
-        "shared_virgin_map": merged.shared_virgin_map,
         "imports_skipped_subsumed":
             merged.engine_stats.imports_skipped_subsumed,
         "sync_overhead_seconds": {

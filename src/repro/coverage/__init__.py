@@ -4,11 +4,6 @@ from repro.coverage.bitmap import MAP_SIZE, CoverageBitmap, VirginMap
 from repro.coverage.kcov import KcovTracer, executable_lines
 from repro.coverage.report import CoverageReport, CoverageTable
 
-# NCD1 coverage deltas live in repro.coverage.delta; import the module
-# directly — re-exporting it here would drag repro.parallel (its
-# checksum helpers) into this package's import chain, which the engine
-# imports before repro.parallel finishes initializing.
-
 __all__ = [
     "KcovTracer",
     "executable_lines",

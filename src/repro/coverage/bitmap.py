@@ -180,9 +180,6 @@ class VirginMap:
 
     def __init__(self) -> None:
         self.bits = bytearray(MAP_SIZE)  # accumulated classified bits
-        #: Bumped on every mutation; lets publishers (shared-memory map,
-        #: ``merge_from`` fast path) skip work when nothing changed.
-        self.generation = 0
 
     def has_new_bits(self, run: CoverageBitmap) -> int:
         """Merge *run* into the map.
@@ -211,8 +208,6 @@ class VirginMap:
             if cls & ~old:
                 ret = 2 if old == 0 else max(ret, 1)
                 bits[idx] = old | cls
-        if ret:
-            self.generation += 1
         return ret
 
     def subsumes(self, coverage: Iterable[tuple[int, int]]) -> bool:
@@ -239,7 +234,6 @@ class VirginMap:
                 f"virgin-map snapshot is {len(bits)} bytes, "
                 f"expected {MAP_SIZE}")
         self.bits = bytearray(bits)
-        self.generation += 1
 
     def merge_from(self, other: "VirginMap") -> bool:
         """OR another virgin map into this one (parallel-campaign merge).
@@ -264,7 +258,6 @@ class VirginMap:
         if merged == mine:
             return False
         self.bits = bytearray(merged.to_bytes(MAP_SIZE, "little"))
-        self.generation += 1
         return True
 
     def density(self) -> float:

@@ -274,22 +274,6 @@ class FuzzEngine:
         if absorb_lines is not None and record.lines:
             absorb_lines(record.lines)
 
-    def import_subsumed_batch(self, count: int) -> None:
-        """Bookkeeping for *count* partner records the sync sidecar
-        (DESIGN.md §15) absorbed without reading them from disk.
-
-        Count-for-count identical to calling :meth:`import_subsumed`
-        once per record — the importer's own virgin map subsumed the
-        partner's whole map, so every record would have been skipped.
-        Line coverage travels separately and is absorbed by the caller.
-        """
-        if count <= 0:
-            return
-        self.stats.imported += count
-        self.stats.imports_skipped_subsumed += count
-        telemetry.counter("engine.imports", count)
-        telemetry.counter("engine.imports_subsumed", count)
-
     # --- corpus persistence (AFL queue-directory style) -----------------
 
     def save_corpus(self, directory) -> int:

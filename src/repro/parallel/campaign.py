@@ -16,6 +16,11 @@ execution modes share all of the sharding, sync, and merge machinery:
   so merged trajectories are only reproducible in the aggregate
   (superset semantics), exactly like AFL++ primary/secondary instances.
 
+In both modes each worker's report carries its full virgin map and the
+merge ORs them into :attr:`ParallelCampaignResult.virgin`; a report
+without a full map fails the merge instead of dropping that worker's
+bits.
+
 The determinism contract: with ``workers=1`` the (single) worker uses
 the campaign seed verbatim, never imports anything, and reproduces the
 serial ``NecoFuzz.run`` result bit for bit. With N workers the merged
@@ -92,9 +97,6 @@ class ParallelCampaignResult(CampaignResult):
     #: Per-phase sync wall-clock, summed across workers (where the
     #: parallel overhead actually goes; exported to the bench JSON).
     sync_overhead: SyncStats = field(default_factory=SyncStats)
-    #: Whether process-mode workers merged through a shared-memory
-    #: virgin map instead of pickled report snapshots.
-    shared_virgin_map: bool = False
     #: Merged telemetry snapshot (campaign scope + every worker), the
     #: same payload ``<root>/metrics.json`` persists. ``None`` when the
     #: campaign ran with ``telemetry_mode="off"``.
@@ -141,19 +143,16 @@ def _merge_stats(stats: list[EngineStats]) -> EngineStats:
                                      for s in stats))
 
 
-def _merge_virgin(reports: list[WorkerReport],
-                  shared_bits: bytes | None = None) -> VirginMap:
-    """OR worker snapshots (and the shared-map state, if any) together.
+def _merge_virgin(reports: list[WorkerReport]) -> VirginMap:
+    """OR every worker's virgin map together.
 
-    Workers that published into a shared-memory map ship empty
-    ``virgin_bits``; their contribution arrives through *shared_bits*.
+    Every report must carry its full ``MAP_SIZE``-byte map: one that
+    does not raises :class:`ValueError` rather than silently leaving
+    its worker's bits out of the merge.
     """
     merged = VirginMap()
-    if shared_bits:
-        merged.merge_bits(shared_bits)
     for report in reports:
-        if report.virgin_bits:
-            merged.merge_bits(bytes(report.virgin_bits))
+        merged.merge_bits(report.virgin_bits)
     return merged
 
 
@@ -206,10 +205,6 @@ class ParallelCampaign:
     mode: str = "inline"  # "inline" (deterministic) or "process" (forked)
     #: Sync-directory root; a temporary directory when None.
     sync_dir: Path | None = None
-    #: Publish per-worker coverage sidecars so importers can reject a
-    #: partner's whole fresh batch from one virgin-map delta before
-    #: scanning its queue file (DESIGN.md §15). Fingerprint-neutral.
-    sync_delta: bool = True
     toggles: ComponentToggles = field(default_factory=ComponentToggles)
     coverage_guided: bool = True
     patched: frozenset = frozenset()
@@ -359,15 +354,14 @@ class ParallelCampaign:
     def _dispatch(self, root: Path, specs: list[WorkerSpec],
                   iterations: int,
                   sample_every: int) -> ParallelCampaignResult:
-        shared_bits = None
         with telemetry.span("campaign.run"):
             if self.mode == "process" and len(specs) > 1:
-                reports, shared_bits, sched = self._run_processes(
+                reports, sched = self._run_processes(
                     root, specs, iterations, sample_every)
             else:
                 reports, sched = self._run_inline(
                     root, specs, iterations, sample_every)
-        result = self._merge(reports, shared_bits, sched)
+        result = self._merge(reports, sched)
         result.telemetry = self._finish_telemetry(root, reports)
         return result
 
@@ -502,8 +496,7 @@ class ParallelCampaign:
         else:
             workers = [CampaignWorker(
                 spec, self._campaign_kwargs(), sample_every=sample_every,
-                sync=SyncDirectory(root, spec.index, len(specs),
-                                   delta_plane=self.sync_delta)
+                sync=SyncDirectory(root, spec.index, len(specs))
                 if syncing else None,
                 case_timeout=self.case_timeout) for spec in specs]
             board = LeaseBoard(total=iterations, workers=len(specs),
@@ -551,7 +544,7 @@ class ParallelCampaign:
 
     def _run_processes(self, root: Path, specs: list[WorkerSpec],
                        iterations: int, sample_every: int
-                       ) -> tuple[list[WorkerReport], bytes | None, dict]:
+                       ) -> tuple[list[WorkerReport], dict]:
         from repro.parallel import supervisor as sup
 
         if not self.resume:
@@ -576,17 +569,15 @@ class ParallelCampaign:
             root=root, specs=specs, campaign_kwargs=self._campaign_kwargs(),
             sample_every=sample_every,
             config=config, fault_plan=self.fault_plan or faults.active(),
-            sync_delta=self.sync_delta,
             telemetry_mode=self.telemetry_mode, lease_board=board)
         try:
-            reports = supervisor.run()
-            return reports, supervisor.merged_virgin_bits, board.summary()
+            return supervisor.run(), board.summary()
         finally:
             self.events.extend(supervisor.events)
 
     # --- merge --------------------------------------------------------------
 
-    def _merge(self, reports: list[WorkerReport], shared_bits: bytes | None,
+    def _merge(self, reports: list[WorkerReport],
                sched: dict) -> ParallelCampaignResult:
         """Merge worker reports; *sched* is the lease board's summary."""
         reports = sorted(reports, key=lambda r: r.index)
@@ -616,12 +607,11 @@ class ParallelCampaign:
             watchdog_restarts=sum(r.result.watchdog_restarts for r in reports),
             workers=len(reports),
             per_worker=[r.result for r in reports],
-            virgin=_merge_virgin(reports, shared_bits),
+            virgin=_merge_virgin(reports),
             corpus_digests=[r.corpus_digest for r in reports],
             events=list(self.events),
             deadline_overruns=sum(r.deadline_overruns for r in reports),
             sync_overhead=_merge_sync_overhead(reports),
-            shared_virgin_map=shared_bits is not None,
             schedule=self.schedule,
             lease_log=list(sched["log"]),
             steals=sched["steals"],

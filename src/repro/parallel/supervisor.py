@@ -16,6 +16,10 @@ responds:
   a broken spawn context), the whole campaign falls back to inline
   execution, loudly.
 
+Once started, a worker talks to the supervisor only through files
+under the sync root: heartbeats, checkpoints, the lease board, and one
+pickled report per worker that carries its full virgin map.
+
 Failure taxonomy
 ----------------
 
@@ -130,9 +134,6 @@ def process_worker_main(spec: WorkerSpec, campaign_kwargs: dict,
                         sample_every: int, root: str,
                         total_workers: int, case_timeout: float | None,
                         fault_plan: faults.FaultPlan | None,
-                        sync_delta: bool = True,
-                        shm_name: str | None = None,
-                        shm_lock=None,
                         telemetry_mode: str = "metrics") -> None:
     """Child-process entry point: run leases off the board, write the
     report.
@@ -142,14 +143,6 @@ def process_worker_main(spec: WorkerSpec, campaign_kwargs: dict,
     fault plan scoped to this worker, and converts an injected
     :class:`~repro.faults.WorkerKilled` into an abrupt ``os._exit`` —
     no cleanup, no report, exactly like a real worker death.
-
-    When the supervisor created a shared virgin-map segment, its name
-    and lock arrive here and the worker publishes into it at sync
-    rounds instead of shipping a 64 KiB snapshot in its report. The
-    attached mapping is closed in a ``finally`` — even a fault raised
-    mid-sync must not leak the segment out of the worker (an injected
-    kill is the one exception: ``os._exit`` models a real SIGKILL,
-    where the OS reclaims the mapping, not the process).
     """
     rootp = Path(root)
     shard_dir = worker_dir(rootp, spec.index)
@@ -164,23 +157,12 @@ def process_worker_main(spec: WorkerSpec, campaign_kwargs: dict,
 
         worker = CampaignWorker(
             spec, campaign_kwargs, sample_every=sample_every,
-            sync=SyncDirectory(rootp, spec.index, total_workers,
-                               delta_plane=sync_delta),
+            sync=SyncDirectory(rootp, spec.index, total_workers),
             heartbeat_path=heartbeat_path(rootp, spec.index),
             checkpoint_path=checkpoint_path(rootp, spec.index),
             case_timeout=case_timeout)
-    shm_publisher = None
-    if shm_name is not None and shm_lock is not None:
-        from repro.parallel.shared_map import publisher
-
-        shm_publisher = publisher(shm_name, shm_lock)
-        worker.virgin_publisher = shm_publisher
     try:
-        try:
-            report = worker.run_leases(FileLeaseBoard(rootp))
-        finally:
-            if shm_publisher is not None:
-                shm_publisher.close()
+        report = worker.run_leases(FileLeaseBoard(rootp))
     except faults.WorkerKilled:
         os._exit(faults.KILL_EXIT_CODE)
     report.telemetry = telemetry.snapshot()
@@ -202,8 +184,6 @@ class Supervisor:
     sample_every: int
     config: SupervisorConfig = field(default_factory=SupervisorConfig)
     fault_plan: faults.FaultPlan | None = None
-    #: Coverage-sidecar batch rejection in the workers (DESIGN.md §15).
-    sync_delta: bool = True
     telemetry_mode: str = "metrics"
     #: The campaign's lease board under ``root`` — the supervisor
     #: reclaims a confirmed-dead worker's claims from it before
@@ -217,28 +197,11 @@ class Supervisor:
     #: mtimes are only ever compared with other mtimes, never with the
     #: (NTP-steppable) wall clock.
     _beat_seen: dict = field(default_factory=dict, init=False, repr=False)
-    #: Final shared virgin-map snapshot; ``None`` when the segment was
-    #: unavailable and reports carried full snapshots instead.
-    merged_virgin_bits: bytes | None = field(default=None, init=False)
-    #: Live SharedVirginMap while :meth:`run` is executing.
-    _shared: object = field(default=None, init=False, repr=False)
 
     def run(self) -> list[WorkerReport]:
         """Supervise every shard to a report; raises CampaignAborted
         only when even the inline last resort fails."""
-        from repro.parallel.shared_map import SharedVirginMap
-
         ctx = mp_context()
-        self._shared = SharedVirginMap.create(ctx)
-        try:
-            return self._run(ctx)
-        finally:
-            if self._shared is not None:
-                self.merged_virgin_bits = self._shared.snapshot()
-                self._shared.destroy()
-                self._shared = None
-
-    def _run(self, ctx) -> list[WorkerReport]:
         reports: dict[int, WorkerReport] = {}
         running: dict[int, tuple] = {}  # index -> (process, started_at)
         pending = list(self.specs)
@@ -256,17 +219,13 @@ class Supervisor:
                 except OSError:
                     pass
                 self._beat_seen.pop(spec.index, None)
-                shared = self._shared
                 try:
                     proc = ctx.Process(
                         target=process_worker_main,
                         args=(spec, self.campaign_kwargs, self.sample_every,
                               str(self.root),
                               len(self.specs), self.config.case_timeout,
-                              self.fault_plan, self.sync_delta,
-                              shared.name if shared else None,
-                              shared.lock if shared else None,
-                              self.telemetry_mode),
+                              self.fault_plan, self.telemetry_mode),
                         daemon=False)
                     proc.start()
                 except (OSError, RuntimeError, pickle.PicklingError) as exc:
@@ -431,13 +390,10 @@ class Supervisor:
         if worker is None:
             worker = CampaignWorker(
                 spec, self.campaign_kwargs, sample_every=self.sample_every,
-                sync=SyncDirectory(self.root, spec.index, len(self.specs),
-                                   delta_plane=self.sync_delta),
+                sync=SyncDirectory(self.root, spec.index, len(self.specs)),
                 heartbeat_path=heartbeat_path(self.root, spec.index),
                 checkpoint_path=checkpoint_path(self.root, spec.index),
                 case_timeout=self.config.case_timeout)
-        if self._shared is not None:
-            worker.virgin_publisher = self._shared.publish
         previous_worker = faults.current_worker()
         if self.fault_plan is not None:
             faults.install(self.fault_plan)

@@ -8,7 +8,10 @@ each record ships its sparse classified coverage so the **subsumption
 filter** can consume entries that cannot light up new local virgin
 bits without executing them (their shipped line coverage is absorbed
 instead). Crashing or anomalous entries are always executed, keeping
-crash accounting identical to executing every import.
+crash accounting identical to executing every import. That per-record
+filter is the only import shortcut: every partner record is read and
+decided on its own, and an importer reads nothing in a partner's queue
+directory but its two queue files.
 
 Robustness contract: the import side tolerates whatever a partner
 crashing mid-write can leave behind. The owner checks its append tail
@@ -20,23 +23,14 @@ imported after it heals.
 
 from __future__ import annotations
 
-import bisect
-import json
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro import faults, telemetry
-from repro.coverage import delta
-from repro.fuzzer.crashes import atomic_write_bytes
 from repro.fuzzer.engine import FuzzEngine
-from repro.parallel import checksum, wire
-
-#: Per-queue-dir coverage sidecar (DESIGN.md §15): the exporter's full
-#: virgin map as one NCD1 payload, plus the metadata an importer needs
-#: to reject the whole fresh batch without opening ``queue.bin``.
-COVERAGE_SIDECAR = "coverage.bin"
+from repro.parallel import wire
 
 
 def record_subsumed(engine: FuzzEngine, record: wire.WireRecord) -> bool:
@@ -94,8 +88,10 @@ class SyncStats:
     entries_scanned: int = 0
     #: Import rounds that actually scanned partners.
     import_rounds: int = 0
-    #: Whole partner batches rejected from one coverage sidecar delta
-    #: without scanning the queue file (DESIGN.md §15).
+    #: Always 0: the coverage sidecar that counted whole-batch rejects
+    #: is gone (DESIGN.md §15). Its only reader is perfbench's
+    #: ``SYNC_FIELDS``, which ``getattr``s it, so removing the field is
+    #: a change to the benchmark, made on its own.
     batches_delta_rejected: int = 0
 
     def merged_with(self, other: "SyncStats") -> "SyncStats":
@@ -118,13 +114,6 @@ class SyncDirectory:
     root: Path
     worker: int
     total_workers: int
-    #: Publish a coverage sidecar next to the queue files and use
-    #: partners' sidecars to reject whole fresh batches from one delta
-    #: comparison before scanning ``queue.bin`` (DESIGN.md §15). Purely
-    #: an I/O optimization: every decision the batch path takes is one
-    #: the per-record filter would have taken, so fingerprints are
-    #: identical with the switch on or off.
-    delta_plane: bool = True
     #: Per-partner count of manifest records consumed (imported,
     #: filtered, or parked on the retry list below).
     consumed: dict[int, int] = field(default_factory=dict)
@@ -138,14 +127,6 @@ class SyncDirectory:
     #: Export rounds completed (drives ``corrupt_sync`` fault timing).
     exports: int = 0
     stats: SyncStats = field(default_factory=SyncStats)
-    #: Sidecar accumulators (queue files are append-only, so both grow
-    #: incrementally; a tail rewrite rebuilds them from scratch):
-    #: manifest indices an importer may never batch-skip, and one
-    #: packed line-index payload per *skippable* record, in manifest
-    #: order — so an importer can absorb exactly the lines of the
-    #: records it batch-skips, no more.
-    _sidecar_flagged: list[int] = field(default_factory=list)
-    _sidecar_lines: list[bytes] = field(default_factory=list)
 
     @contextmanager
     def _timed(self, span_name: str, attr: str):
@@ -202,10 +183,6 @@ class SyncDirectory:
             self.exported_bytes = wire.rewrite_records(queue_dir, blobs)
             self.exported_records = len(blobs)
             self.stats.entries_exported += len(blobs)
-            self._sidecar_flagged.clear()
-            self._sidecar_lines.clear()
-            self._accumulate_sidecar(blobs, 0)
-            self._write_sidecar(engine, queue_dir, codec)
             return len(entries)
         fresh = entries[self.exported_records:]
         if fresh:
@@ -215,51 +192,7 @@ class SyncDirectory:
             self.exported_bytes += wire.append_records(queue_dir, blobs)
             self.exported_records += len(blobs)
             self.stats.entries_exported += len(blobs)
-            self._accumulate_sidecar(blobs, base)
-            self._write_sidecar(engine, queue_dir, codec)
         return len(entries)
-
-    def _accumulate_sidecar(self, blobs: list[bytes], base: int) -> None:
-        """Fold freshly exported records into the sidecar accumulators.
-
-        Records are summarized from their packed form — the exact bytes
-        an importer will see — so the flagged list reproduces the
-        structural gates of :func:`record_subsumed` without a second
-        encoding path that could drift.
-        """
-        if not self.delta_plane:
-            return
-        for k, blob in enumerate(blobs):
-            summary = wire.summarize_record(blob)
-            if summary is None or not summary.skippable:
-                self._sidecar_flagged.append(base + k)
-                continue
-            self._sidecar_lines.append(
-                wire.pack_line_indices(summary.line_indices))
-
-    def _write_sidecar(self, engine: FuzzEngine, queue_dir: Path,
-                       codec: wire.LineCodec | None) -> None:
-        """Atomically publish the coverage sidecar for the queue dir.
-
-        The NCD1 payload is a *full* snapshot of the exporter's virgin
-        map, covering every record exported so far (each record's
-        coverage was merged into the map at discovery), so any reader
-        whose map subsumes it subsumes every skippable record — the
-        whole-batch rejection the import side runs before touching
-        ``queue.bin``.
-        """
-        if not self.delta_plane or codec is None:
-            return
-        meta = {"records": self.exported_records,
-                "universe": len(codec.universe),
-                "flagged": self._sidecar_flagged,
-                "generation": engine.virgin.generation}
-        chunks = [json.dumps(meta, sort_keys=True).encode(),
-                  delta.encode(delta.full_delta(bytes(engine.virgin.bits),
-                                                engine.virgin.generation))]
-        chunks.extend(self._sidecar_lines)
-        payload = checksum.seal(checksum.pack_chunks(chunks))
-        atomic_write_bytes(queue_dir / COVERAGE_SIDECAR, payload)
 
     # --- import ---------------------------------------------------------
 
@@ -297,18 +230,7 @@ class SyncDirectory:
         todo += range(consumed, len(manifest))
         if not todo:
             return 0
-        rejected = 0
-        if (self.delta_plane and not retry and codec is not None
-                and consumed < len(manifest)):
-            rejected = self._delta_reject(engine, partner, queue_dir,
-                                          manifest, consumed, codec,
-                                          absorb_lines)
-            if rejected:
-                consumed += rejected
-                todo = list(range(consumed, len(manifest)))
-                if not todo:
-                    return rejected
-        imported = rejected
+        imported = 0
         try:
             handle = open(queue_dir / wire.QUEUE_BIN, "rb")
         except OSError:
@@ -340,98 +262,6 @@ class SyncDirectory:
                 imported += 1
         self.consumed[partner] = len(manifest)
         return imported
-
-    def _delta_reject(self, engine: FuzzEngine, partner: int,
-                      queue_dir: Path, manifest: list, consumed: int,
-                      codec: wire.LineCodec, absorb_lines) -> int:
-        """Absorb the fresh batch's clean prefix from the sidecar alone.
-
-        Returns how many records were absorbed without opening the data
-        file — the run from *consumed* up to the first *flagged* record
-        (crashed, anomalous, or shipped without coverage/lines; those
-        must execute, and the caller's per-record path picks up exactly
-        there). 0 means no precondition held and the per-record path
-        runs unchanged. Every decision here is one that path would have
-        made:
-
-        * the sidecar is intact and describes this manifest length and
-          this line universe;
-        * the local virgin map subsumes the partner's *entire* map —
-          and therefore every record's coverage individually (each
-          record's coverage was merged into the partner's map when the
-          entry was found);
-        * when the prefix reaches the manifest tail, the last record's
-          CRC verifies — a partner crash (or an injected
-          ``corrupt_sync`` fault) only ever damages the append tail,
-          and the per-record path would park a damaged record on the
-          retry list rather than absorb it. Interior records of an
-          append-only file cannot be torn, so prefixes that stop short
-          of the tail need no read at all.
-
-        The line payloads absorbed are exactly the prefix records' own
-        shipped line sets (the sidecar carries one packed payload per
-        skippable record) — bit-for-bit what :meth:`import_subsumed`
-        would have absorbed record by record.
-        """
-        try:
-            raw = (queue_dir / COVERAGE_SIDECAR).read_bytes()
-        except OSError:
-            return 0
-        body = checksum.unseal(raw)
-        if body is None:
-            return 0
-        try:
-            chunks = checksum.unpack_chunks(body)
-            meta = json.loads(chunks[0])
-            side = delta.decode(chunks[1])
-        except (IndexError, ValueError, delta.DeltaError):
-            return 0
-        flagged = sorted(meta.get("flagged", ()))
-        if (meta.get("records") != len(manifest)
-                or meta.get("universe") != len(codec.universe)
-                or len(chunks) != 2 + len(manifest) - len(flagged)):
-            return 0
-        limit = len(manifest)
-        for index in flagged:
-            if consumed <= index < limit:
-                limit = index
-                break  # flagged is sorted: the first hit is the min
-        count = limit - consumed
-        if count <= 0:
-            return 0
-        with self._timed("sync.filter", "filter_seconds"):
-            subsumed = delta.runs_subsumed(engine.virgin.bits, side.runs)
-        if not subsumed:
-            return 0
-        if limit == len(manifest):
-            # The prefix reaches the append tail — the only place a
-            # partner crash or injected corruption can damage. One O(1)
-            # CRC read keeps batch and per-record paths agreeing on it.
-            offset, length, crc = manifest[-1]
-            try:
-                with open(queue_dir / wire.QUEUE_BIN, "rb") as handle:
-                    if wire.read_record_blob(handle, offset, length,
-                                             crc) is None:
-                        return 0
-            except OSError:
-                return 0
-        # Record *index* maps to line chunk 2 + index - |flagged below|.
-        pos = 2 + consumed - bisect.bisect_left(flagged, consumed)
-        union: set = set()
-        for payload in chunks[pos:pos + count]:
-            lines = codec.decode(payload)
-            if lines is None:
-                return 0  # produced against a different universe
-            union |= lines
-        engine.import_subsumed_batch(count)
-        if absorb_lines is not None and union:
-            absorb_lines(union)
-        self.consumed[partner] = limit
-        self.stats.entries_scanned += count
-        self.stats.batches_delta_rejected += 1
-        telemetry.counter("sync.filter_subsumed", count)
-        telemetry.counter("sync.delta_rejects")
-        return count
 
     def _filtered(self, engine: FuzzEngine, record: wire.WireRecord) -> bool:
         """:func:`record_subsumed`, with the check's wall clock charged

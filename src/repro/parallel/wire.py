@@ -14,7 +14,8 @@ format keeps exactly two files per worker queue directory:
 
 ``queue.idx``
     The manifest: one fixed 16-byte record ``(offset, length, crc32)``
-    per ``queue.bin`` record, appended *after* the data record. Torn
+    per ``queue.bin`` record (``zlib.crc32`` of the record bytes),
+    appended *after* the data record. Torn
     tails are therefore invisible: a partial manifest record (size not a
     multiple of 16) is ignored, and a manifest record whose data fails
     its CRC is skipped and retried after the owner heals the file.
@@ -31,18 +32,18 @@ filter: a partner whose virgin map already contains every shipped
 ``(cell, class-bit)`` pair skips *executing* the entry and just absorbs
 the shipped line coverage. Crashing or anomalous entries never carry
 that shortcut — they are always re-executed so crash accounting stays
-identical to executing every import.
+identical to executing every import. The filter decides record by
+record; no per-queue summary travels beside the two files.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import BinaryIO, Iterable, Sequence
-
-from repro.parallel import checksum
 
 QUEUE_BIN = "queue.bin"
 QUEUE_IDX = "queue.idx"
@@ -194,78 +195,6 @@ def parse_record(blob: bytes, codec: LineCodec | None = None
         coverage=coverage, lines=lines)
 
 
-@dataclass(frozen=True)
-class RecordSummary:
-    """A codec-free header view of one record (coverage plane).
-
-    What the sync sidecar writer reads without decoding through the
-    campaign's :class:`LineCodec`: flags, the verified sparse coverage,
-    and the *raw* line indices (every worker of a campaign shares one
-    sorted universe, so indices are meaningful without decoding).
-    """
-
-    flags: int
-    #: Verified sorted ``(cell, class-bit)`` pairs, or None.
-    coverage: tuple[tuple[int, int], ...] | None
-    #: Raw u16 indices into the shared line universe, or None.
-    line_indices: tuple[int, ...] | None
-
-    @property
-    def skippable(self) -> bool:
-        """May a subsuming receiver absorb this record unexecuted?
-
-        Mirrors :func:`repro.parallel.sync.record_subsumed`'s structural
-        half: coverage and lines must both be shipped, and crashing or
-        anomalous entries always travel in full (they re-execute).
-        """
-        return (self.coverage is not None
-                and self.line_indices is not None
-                and not self.flags & (FLAG_CRASHED | FLAG_ANOMALY))
-
-
-def summarize_record(blob: bytes) -> RecordSummary | None:
-    """Header + coverage view of one record, without a codec.
-
-    ``None`` for anything malformed — the caller then leaves the record
-    to the receiver's own parse, so no skip decision is ever made on
-    bytes that could not be verified.
-    """
-    if len(blob) < RECORD_HEADER.size:
-        return None
-    (magic, _index, _found_at, _new_bits, flags, cell_count, line_count,
-     data_len, digest) = RECORD_HEADER.unpack_from(blob)
-    expected = (RECORD_HEADER.size + data_len + cell_count * _CELL.size
-                + line_count * _LINE.size)
-    if magic != RECORD_MAGIC or data_len == 0 or len(blob) != expected:
-        return None
-    offset = RECORD_HEADER.size + data_len
-    coverage = None
-    if flags & FLAG_COVERAGE:
-        coverage = tuple(
-            _CELL.unpack_from(blob, offset + k * _CELL.size)
-            for k in range(cell_count))
-        if coverage_digest(coverage) != digest:
-            return None
-    offset += cell_count * _CELL.size
-    line_indices = None
-    if flags & FLAG_LINES:
-        line_indices = tuple(
-            i for (i,) in _LINE.iter_unpack(
-                blob[offset:offset + line_count * _LINE.size]))
-    return RecordSummary(flags=flags, coverage=coverage,
-                         line_indices=line_indices)
-
-
-def pack_line_indices(indices: Iterable[int]) -> bytes:
-    """Raw u16 line indices as one :meth:`LineCodec.decode`-able payload.
-
-    The sync sidecar ships one such payload per skippable record; the
-    receiver decodes it with its own codec and absorbs the lines in one
-    call when its virgin map already subsumes the record.
-    """
-    return b"".join(_LINE.pack(i) for i in sorted(indices))
-
-
 # --- file layer ---------------------------------------------------------
 
 
@@ -292,7 +221,7 @@ def read_record_blob(handle: BinaryIO, offset: int, length: int,
         blob = handle.read(length)
     except OSError:
         return None
-    if len(blob) != length or not checksum.verify(blob, crc):
+    if len(blob) != length or zlib.crc32(blob) != crc:
         return None
     return blob
 
@@ -313,7 +242,7 @@ def append_records(queue_dir: Path, blobs: Sequence[bytes]) -> int:
         for blob in blobs:
             f.write(blob)
             manifest += MANIFEST_RECORD.pack(offset + added, len(blob),
-                                             checksum.checksum(blob))
+                                             zlib.crc32(blob))
             added += len(blob)
         f.flush()
     with open(queue_dir / QUEUE_IDX, "ab") as f:
@@ -331,7 +260,7 @@ def rewrite_records(queue_dir: Path, blobs: Sequence[bytes]) -> int:
     offset = 0
     for blob in blobs:
         manifest += MANIFEST_RECORD.pack(offset, len(blob),
-                                         checksum.checksum(blob))
+                                         zlib.crc32(blob))
         offset += len(blob)
     atomic_write_bytes(queue_dir / QUEUE_BIN, b"".join(blobs))
     atomic_write_bytes(queue_dir / QUEUE_IDX, bytes(manifest))

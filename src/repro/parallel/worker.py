@@ -7,7 +7,10 @@ multiplier :meth:`repro.fuzzer.rng.Rng.fork` uses, with a salt space
 disjoint from the campaign's own seed-corpus salts.
 
 A worker runs its share one lease at a time: each lease is one sync
-round, after which it exports its finds and imports its partners'.
+round, after which it exports its finds and imports its partners'. Its
+:class:`WorkerReport` carries everything the orchestrator merges, the
+full virgin map included, whether the worker ran inline or in a
+process of its own.
 
 Resilience plumbing (all optional, off in the plain fast path):
 
@@ -24,12 +27,10 @@ Resilience plumbing (all optional, off in the plain fast path):
 from __future__ import annotations
 
 import hashlib
-import logging
 import pickle
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
 
 from repro import faults, telemetry
 from repro.analysis.timeline import CoverageTimeline
@@ -37,8 +38,6 @@ from repro.core.necofuzz import CampaignResult, NecoFuzz
 from repro.fuzzer.crashes import atomic_write_bytes
 from repro.parallel.sync import SyncDirectory, SyncStats
 from repro.parallel.wire import LineCodec
-
-log = logging.getLogger("repro.parallel")
 
 #: Salt base for derived worker seeds (disjoint from the small corpus
 #: salts NecoFuzz.__post_init__ forks off the campaign RNG).
@@ -75,8 +74,8 @@ class WorkerReport:
     result: CampaignResult
     #: Per-sample newly covered lines: (local iteration, line delta).
     samples: list[tuple[int, frozenset]]
-    #: Snapshot of the worker's virgin map for the merged map — empty
-    #: when the worker published into a shared-memory map instead.
+    #: The worker's full ``MAP_SIZE``-byte virgin map, OR-merged into
+    #: the campaign's map.
     virgin_bits: bytes
     #: Order-sensitive digest of the final seed queue (entry data +
     #: provenance flags) — the corpus half of the campaign fingerprint.
@@ -110,13 +109,8 @@ class CampaignWorker:
     #: Per-case wall-clock deadline (bookkeeping only in-process; the
     #: supervisor is what actually preempts a hung process worker).
     case_timeout: float | None = None
-    #: Shared-memory virgin-map publisher (process mode). Process-local:
-    #: dropped from checkpoints and re-injected by whichever process
-    #: restores the worker.
-    virgin_publisher: Callable[[bytes], None] | None = None
     done: int = field(default=0, init=False)
     deadline_overruns: int = field(default=0, init=False)
-    _published_generation: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
         self.campaign = NecoFuzz(seed=self.spec.seed, **self.campaign_kwargs)
@@ -227,31 +221,6 @@ class CampaignWorker:
                 self.campaign.engine, codec=self.line_codec,
                 absorb_lines=self.campaign.agent.absorb_lines)
 
-    def publish_virgin(self) -> None:
-        """OR local virgin bits into the shared map, if one is attached.
-
-        Free when nothing changed since the last publish (the map's
-        generation counter). A failing publisher — the segment vanished
-        under us — is dropped for good: reports then carry the full
-        snapshot again, so no bits are ever lost.
-        """
-        publisher = self.virgin_publisher
-        if publisher is None:
-            return
-        virgin = self.campaign.engine.virgin
-        if virgin.generation == self._published_generation:
-            return
-        try:
-            with telemetry.shard_scope(self.spec.index):
-                publisher(bytes(virgin.bits))
-        except Exception as exc:
-            log.warning("worker %d: shared virgin-map publish failed (%s); "
-                        "falling back to report snapshots",
-                        self.spec.index, exc)
-            self.virgin_publisher = None
-            return
-        self._published_generation = virgin.generation
-
     def run_leases(self, board, *, idle_poll: float = 0.01) -> "WorkerReport":
         """Self-paced process-mode loop: claim, run, sync.
 
@@ -281,7 +250,6 @@ class CampaignWorker:
             board.complete(lease.id, self.spec.index, round_no=rounds)
             self.export()
             self.import_new()
-            self.publish_virgin()
             rounds += 1
             with telemetry.shard_scope(self.spec.index):
                 telemetry.event("worker.lease", round=rounds,
@@ -293,16 +261,6 @@ class CampaignWorker:
         return self.report()
 
     # --- checkpointing ------------------------------------------------------
-
-    def __getstate__(self) -> dict:
-        # The shared-memory publisher is a process-local handle; the
-        # restoring process re-injects its own. Dropping the published
-        # generation with it forces a full republish after restore — a
-        # restarted supervisor may own a brand-new (empty) segment.
-        state = self.__dict__.copy()
-        state.pop("virgin_publisher", None)
-        state.pop("_published_generation", None)
-        return state
 
     def save_checkpoint(self) -> None:
         """Atomically snapshot this worker's complete state, if enabled."""
@@ -342,17 +300,12 @@ class CampaignWorker:
             watchdog_restarts=agent.watchdog.restarts)
 
     def report(self) -> WorkerReport:
-        # With a live shared map the final publish lands there and the
-        # report ships an empty snapshot instead of 64 KiB of pickle.
-        self.publish_virgin()
-        virgin_bits = (b"" if self.virgin_publisher is not None
-                       else bytes(self.campaign.engine.virgin.bits))
         return WorkerReport(
             index=self.spec.index,
             share=self.spec.iterations,
             result=self.result(),
             samples=list(self.samples),
-            virgin_bits=virgin_bits,
+            virgin_bits=self.campaign.engine.virgin.snapshot(),
             corpus_digest=self.corpus_digest(),
             deadline_overruns=self.deadline_overruns,
             sync_stats=self.sync.stats if self.sync is not None else None)

@@ -67,7 +67,6 @@ def campaign_summary(root: Path) -> dict:
     events = read_events(events_path) if events_path.exists() else []
     return {"root": str(root), "spans": spans, "counters": counters,
             "gauges": gauges, "scheduler": _scheduler_summary(registry),
-            "coverage_plane": _coverage_plane_summary(registry),
             "shards": skew, "event_count": len(events)}
 
 
@@ -80,18 +79,6 @@ def _scheduler_summary(registry: MetricsRegistry) -> dict:
     """Scheduler block: the lease counters; empty (section omitted)
     when no lease was issued."""
     return {name: total for name in _SCHED_COUNTERS
-            if (total := registry.counter_total(name))}
-
-
-#: The coverage plane's counters (DESIGN.md §15): local partner
-#: batches rejected from one ``coverage.bin`` sidecar check.
-_COVERAGE_PLANE_COUNTERS = ("sync.delta_rejects",)
-
-
-def _coverage_plane_summary(registry: MetricsRegistry) -> dict:
-    """Coverage-plane block; empty (section omitted) when no sidecar
-    rejected a batch."""
-    return {name: total for name in _COVERAGE_PLANE_COUNTERS
             if (total := registry.counter_total(name))}
 
 
@@ -147,13 +134,6 @@ def render_report(root: Path, *, top: int = 12) -> str:
             rendered = (f"{value:g}" if isinstance(value, float)
                         else f"{value}")
             lines.append(f"  {name:<40} {rendered:>12}")
-        lines.append("")
-
-    plane = summary.get("coverage_plane") or {}
-    if plane:
-        lines.append("coverage plane (sync sidecar)")
-        for name, value in sorted(plane.items()):
-            lines.append(f"  {name:<40} {value:>12}")
         lines.append("")
 
     per_shard = summary["shards"]["per_shard"]

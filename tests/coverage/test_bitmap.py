@@ -2,6 +2,7 @@
 
 from types import SimpleNamespace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -270,9 +271,9 @@ class TestVirginMerge:
 
     def test_merge_from_skips_empty_other(self):
         a = self._populated((1, 2))
-        generation = a.generation
+        before = a.snapshot()
         assert not a.merge_from(VirginMap())
-        assert a.generation == generation
+        assert a.snapshot() == before
 
     def test_merge_from_reports_no_change_for_subset(self):
         a = self._populated((1, 2), (3, 4))
@@ -285,19 +286,53 @@ class TestVirginMerge:
         with pytest.raises(ValueError):
             VirginMap().merge_bits(b"\x00" * 10)
 
-    def test_generation_tracks_every_mutation(self):
-        virgin = VirginMap()
-        assert virgin.generation == 0
-        run = CoverageBitmap()
-        run.record_edge(1, 2)
-        virgin.has_new_bits(run)
-        after_new = virgin.generation
-        assert after_new > 0
-        rerun = CoverageBitmap()
-        rerun.record_edge(1, 2)
-        virgin.has_new_bits(rerun)  # nothing new: generation untouched
-        assert virgin.generation == after_new
-        virgin.merge_from(self._populated((5, 6)))
-        assert virgin.generation > after_new
-        virgin.restore(virgin.snapshot())
-        assert virgin.generation > after_new + 1
+    def test_merge_bits_reports_change_only_when_new(self):
+        payload = self._populated((1, 2)).snapshot()
+        target = VirginMap()
+        assert target.merge_bits(payload)
+        assert not target.merge_bits(payload)
+        assert target.snapshot() == payload
+
+    def test_merge_bits_never_clears_a_bit(self):
+        a = self._populated((1, 2))
+        before = a.snapshot()
+        assert not a.merge_bits(bytes(MAP_SIZE))
+        assert a.snapshot() == before
+
+    def test_merge_is_order_independent(self):
+        maps = [self._populated((1, 2)), self._populated((3, 4), (1, 2)),
+                self._populated((5, 6))]
+        forward, backward = VirginMap(), VirginMap()
+        for virgin in maps:
+            forward.merge_bits(virgin.snapshot())
+        for virgin in reversed(maps):
+            backward.merge_bits(virgin.snapshot())
+        assert forward.snapshot() == backward.snapshot()
+
+    def test_snapshot_is_an_independent_copy(self):
+        a = self._populated((1, 2))
+        snapshot = a.snapshot()
+        a.merge_from(self._populated((3, 4)))
+        assert snapshot != a.snapshot()
+        assert isinstance(snapshot, bytes)
+
+    def test_restore_round_trips_a_snapshot(self):
+        a = self._populated((1, 2), (3, 4))
+        b = VirginMap()
+        b.restore(a.snapshot())
+        assert b.snapshot() == a.snapshot()
+        assert b.subsumes(((edge_index(3, 4), 1),))
+
+
+@pytest.mark.parametrize("size", [0, 1, MAP_SIZE - 1, MAP_SIZE + 1])
+def test_merge_bits_wants_exactly_one_map(size):
+    with pytest.raises(ValueError, match="expected"):
+        VirginMap().merge_bits(bytes(size))
+
+
+@pytest.mark.parametrize("size", [0, MAP_SIZE + 1])
+def test_restore_wants_exactly_one_map(size):
+    virgin = VirginMap()
+    with pytest.raises(ValueError, match="expected"):
+        virgin.restore(bytes(size))
+    assert virgin.snapshot() == bytes(MAP_SIZE)

@@ -232,7 +232,7 @@ class TestOneLeasePerSyncRound:
         sched = {"log": [], "steals": 0, "reclaims": 0}
         with pytest.raises(RuntimeError, match="instrumented universe"):
             _static(workers=2)._merge([report(0, {1, 2}), report(1, {1})],
-                                      None, sched)
+                                      sched)
 
 
 class TestOneWireFormat:

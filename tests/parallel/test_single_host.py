@@ -2,8 +2,8 @@
 
 Pins that the socket federation stays removed: the transport package
 and its public names are gone, the lease board keeps only the plain
-claim/complete ledger, and the coverage plane keeps only what the local
-``coverage.bin`` sync sidecar uses.
+claim/complete ledger, and the coverage plane (the NCD1 delta codec
+and the ``coverage.bin`` sync sidecar it fed) is gone.
 """
 
 from __future__ import annotations
@@ -13,10 +13,9 @@ import json
 
 import pytest
 
-from repro.coverage import delta
 from repro.coverage.bitmap import VirginMap
 from repro.parallel import FileLeaseBoard, sync
-from repro.parallel.shared_map import SharedVirginMap
+from repro.telemetry import report
 
 
 def test_transport_package_is_gone():
@@ -49,15 +48,11 @@ def test_lease_board_keeps_only_the_claim_ledger(tmp_path):
     assert not hasattr(board, "recorded_grant")
 
 
-def test_coverage_plane_keeps_only_sidecar_helpers():
-    for owner, name in ((delta, "DeltaTracker"), (delta, "delta_between"),
-                        (delta, "diff_runs"), (delta, "apply_runs"),
-                        (VirginMap, "delta_since"), (VirginMap, "apply_delta"),
+def test_coverage_plane_is_gone():
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.coverage.delta")
+    for owner, name in ((VirginMap, "delta_since"), (VirginMap, "apply_delta"),
                         (VirginMap, "subsumes_delta"),
-                        (SharedVirginMap, "delta_since"),
-                        (sync, "consume_record")):
+                        (sync, "consume_record"),
+                        (report, "_COVERAGE_PLANE_COUNTERS")):
         assert not hasattr(owner, name), f"{owner.__name__}.{name}"
-    # What the sidecar writer and reader use stays.
-    for name in ("CoverageDelta", "DeltaError", "full_delta", "encode",
-                 "decode", "runs_subsumed"):
-        assert hasattr(delta, name)

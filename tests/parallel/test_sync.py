@@ -1,11 +1,15 @@
 """Corpus-sync protocol tests (export / incremental import / corruption).
 
 Behavioural tests cover what a campaign can observe of the wire
-format; further classes cover the on-disk layout, the subsumption
-filter and the coverage sidecar.
+format; further classes cover the on-disk layout and the per-record
+subsumption filter.
 """
 
 import json
+import re
+import struct
+import zlib
+from dataclasses import fields
 
 import pytest
 
@@ -15,12 +19,8 @@ from repro.faults import FaultPlan, FaultSpec
 from repro.fuzzer.engine import FuzzEngine, RunFeedback
 from repro.fuzzer.input import INPUT_SIZE
 from repro.fuzzer.rng import Rng
-from repro.parallel.sync import (
-    COVERAGE_SIDECAR,
-    SyncDirectory,
-    worker_queue_dir,
-)
-from repro.parallel.wire import QUEUE_BIN, QUEUE_IDX, LineCodec
+from repro.parallel.sync import SyncDirectory, SyncStats, worker_queue_dir
+from repro.parallel.wire import QUEUE_BIN, QUEUE_IDX, LineCodec, read_manifest
 from tests.reference import execute_every_import
 
 
@@ -387,13 +387,34 @@ class TestSyncCorruption:
         assert orphans  # the fault really did leave one behind
 
 
-class TestDeltaBatchReject:
-    """Coverage sidecar (DESIGN.md §15): a reader whose virgin
-    map subsumes the exporter's entire map absorbs the fresh batch from
-    one NCD1 delta, without opening ``queue.bin`` — and every fallback
-    (corrupt or stale sidecar, flagged head record, novel coverage,
-    torn tail) degrades to the per-record path with identical results.
-    """
+def legacy_sidecar(engine, codec) -> bytes:
+    """A ``coverage.bin`` in the layout older versions wrote next to
+    each queue: CRC-sealed, length-prefixed chunks holding JSON
+    metadata, an NCD1 full snapshot of the exporter's virgin map, and
+    one packed line payload per record a reader could absorb."""
+    entries = engine.queue.entries
+    flagged = [i for i, e in enumerate(entries)
+               if e.coverage is None or e.lines is None
+               or e.crashed or e.anomaly]
+    meta = {"records": len(entries), "universe": len(codec.universe),
+            "flagged": flagged, "generation": 1}
+    runs = [(m.start(), m.group())
+            for m in re.finditer(rb"[^\x00]+", bytes(engine.virgin.bits))]
+    ncd1 = struct.pack("<4sIII", b"NCD1", 0, 1, len(runs)) + b"".join(
+        struct.pack("<II", start, len(run)) + run for start, run in runs)
+    ncd1 += struct.pack("<I", zlib.crc32(ncd1))
+    chunks = [json.dumps(meta, sort_keys=True).encode(), ncd1]
+    chunks += [codec.encode(e.lines) for i, e in enumerate(entries)
+               if i not in flagged]
+    body = b"".join(struct.pack("<I", len(c)) + c for c in chunks)
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+class TestPerRecordFilter:
+    """Every partner record is read and decided on its own: a reader
+    whose virgin map already holds a record's coverage absorbs it
+    unexecuted, a torn record waits on the retry list, and nothing in
+    the queue directory but the two queue files is ever read."""
 
     LINES = [("nested.py", n) for n in range(1, 9)]
 
@@ -402,7 +423,7 @@ class TestDeltaBatchReject:
 
         def execute(fi):
             if executions is not None:
-                executions.append(bytes(fi))
+                executions.append(fi.data)
             counter["n"] += 1
             bitmap = CoverageBitmap()
             bitmap.record_edge(counter["n"] * 64, counter["n"] * 64 + 1)
@@ -411,231 +432,238 @@ class TestDeltaBatchReject:
 
         return execute
 
-    def _producer(self, tmp_path, codec, runs=3):
+    def _producer(self, root, codec, runs=3):
         producer = make_engine(seed=1, execute=self._novel_lines_execute())
         producer.run(runs)
-        psync = make_sync(tmp_path, 1)
+        psync = make_sync(root, 1)
         psync.export(producer, codec=codec)
         return producer, psync
 
-    def _catch_up(self, tmp_path, codec, consumer, sync, absorbed):
-        """First round: reader imports everything per-record (the seed
-        heads the batch and is flagged — no coverage — so the batch
-        path must decline) and ends a full superset of the exporter."""
-        imported = sync.import_new(consumer, codec=codec,
-                                   absorb_lines=absorbed.extend)
-        assert imported > 0
-        assert sync.stats.batches_delta_rejected == 0
-        return imported
-
-    def test_sidecar_written_next_to_queue(self, tmp_path):
-        codec = LineCodec(self.LINES)
-        producer, _psync = self._producer(tmp_path, codec)
-        sidecar = worker_queue_dir(tmp_path, 1) / COVERAGE_SIDECAR
-        assert sidecar.exists()
-        from repro.coverage import delta
-        from repro.parallel import checksum
-        chunks = checksum.unpack_chunks(checksum.unseal(sidecar.read_bytes()))
-        meta = json.loads(chunks[0])
-        assert meta["records"] == len(producer.queue)
-        assert meta["universe"] == len(codec.universe)
-        assert meta["flagged"] == [0]  # the seed ships no coverage
-        side = delta.decode(chunks[1])
-        assert side.full
-        rebuilt = bytearray(len(producer.virgin.bits))
-        for start, run in side.runs:
-            rebuilt[start:start + len(run)] = run
-        assert rebuilt == producer.virgin.bits
-        # One packed line payload per skippable record.
-        assert len(chunks) == 2 + meta["records"] - 1
-
-    def test_superset_reader_rejects_batch_without_reading_records(
-            self, tmp_path):
-        codec = LineCodec(self.LINES)
-        producer, psync = self._producer(tmp_path, codec)
-        executions = []
+    def _caught_up_reader(self, root, codec, producer, executions=None,
+                          absorbed=None):
+        """A reader that imported the producer's first batch and whose
+        map is a superset of the producer's."""
         consumer = make_engine(seed=2,
                                execute=self._novel_lines_execute(executions))
         consumer.virgin.merge_bits(producer.virgin.snapshot())
-        sync = make_sync(tmp_path, 0)
-        absorbed = []
-        self._catch_up(tmp_path, codec, consumer, sync, absorbed)
+        sync = make_sync(root, 0)
+        extend = absorbed.extend if absorbed is not None else None
+        assert sync.import_new(consumer, codec=codec,
+                               absorb_lines=extend) > 0
+        return consumer, sync
 
+    def test_export_with_a_codec_writes_only_the_queue_files(self, tmp_path):
+        codec = LineCodec(self.LINES)
+        self._producer(tmp_path, codec)
+        names = {p.name for p in worker_queue_dir(tmp_path, 1).iterdir()}
+        assert names == {QUEUE_BIN, QUEUE_IDX}
+
+    def test_superset_reader_absorbs_fresh_records_unexecuted(self,
+                                                              tmp_path):
+        codec = LineCodec(self.LINES)
+        producer, psync = self._producer(tmp_path, codec)
+        executions, absorbed = [], []
+        consumer, sync = self._caught_up_reader(tmp_path, codec, producer,
+                                                executions, absorbed)
         producer.run(3)
         psync.export(producer, codec=codec)
         consumer.virgin.merge_bits(producer.virgin.snapshot())
         skipped_before = consumer.stats.imports_skipped_subsumed
+        scanned_before = sync.stats.entries_scanned
         executed_before = len(executions)
-        imported = sync.import_new(consumer, codec=codec,
-                                   absorb_lines=absorbed.extend)
-        assert imported == 3
-        assert sync.stats.batches_delta_rejected == 1
+        assert sync.import_new(consumer, codec=codec,
+                               absorb_lines=absorbed.extend) == 3
         assert consumer.stats.imports_skipped_subsumed == skipped_before + 3
+        assert sync.stats.entries_scanned == scanned_before + 3
         assert len(executions) == executed_before  # nothing executed
-        # The fresh records' own lines were absorbed from the sidecar.
-        fresh_lines = {e.lines for e in producer.queue.entries[-3:]}
-        assert all(line in absorbed
-                   for lines in fresh_lines for line in lines)
-        # The cursor really advanced: nothing left to import.
+        # Each fresh record's own shipped lines were absorbed.
+        for entry in producer.queue.entries[-3:]:
+            assert entry.lines <= set(absorbed)
+        # The cursor advanced: nothing is left to import.
         assert sync.import_new(consumer, codec=codec) == 0
+        assert sync.stats.entries_scanned == scanned_before + 3
 
-    def test_batch_and_per_record_paths_are_equivalent(self, tmp_path):
-        """The acceptance pin: a delta-plane reader and a per-record
-        reader observe identical engine state from the same queue."""
+    def test_torn_tail_record_waits_then_heals(self, tmp_path):
         codec = LineCodec(self.LINES)
         producer, psync = self._producer(tmp_path, codec)
-
-        readers = {}
-        for worker, delta_plane in ((0, True), (2, False)):
-            consumer = make_engine(seed=2,
-                                   execute=self._novel_lines_execute())
-            consumer.virgin.merge_bits(producer.virgin.snapshot())
-            sync = SyncDirectory(tmp_path, worker=worker, total_workers=3,
-                                 delta_plane=delta_plane)
-            absorbed = []
-            sync.import_new(consumer, codec=codec,
-                            absorb_lines=absorbed.extend)
-            readers[worker] = (consumer, sync, absorbed)
-
-        producer.run(3)
-        psync.export(producer, codec=codec)
-        for worker, (consumer, sync, absorbed) in readers.items():
-            consumer.virgin.merge_bits(producer.virgin.snapshot())
-            sync.import_new(consumer, codec=codec,
-                            absorb_lines=absorbed.extend)
-
-        on, off = readers[0], readers[2]
-        assert on[1].stats.batches_delta_rejected == 1
-        assert off[1].stats.batches_delta_rejected == 0
-        assert on[0].stats.imported == off[0].stats.imported
-        assert (on[0].stats.imports_skipped_subsumed
-                == off[0].stats.imports_skipped_subsumed)
-        assert sorted(set(on[2])) == sorted(set(off[2]))
-        assert bytes(on[0].virgin.bits) == bytes(off[0].virgin.bits)
-
-    @staticmethod
-    def _rewrite_sidecar(sidecar, edit) -> None:
-        """Re-seal the sidecar after *edit* mutates its chunk list, so
-        only the layout rule under test is broken, never the CRC."""
-        from repro.parallel import checksum
-        chunks = checksum.unpack_chunks(checksum.unseal(sidecar.read_bytes()))
-        edit(chunks)
-        sidecar.write_bytes(checksum.seal(checksum.pack_chunks(chunks)))
-
-    @staticmethod
-    def _foreign_universe(chunks) -> None:
-        meta = json.loads(chunks[0])
-        meta["universe"] += 1
-        chunks[0] = json.dumps(meta, sort_keys=True).encode()
-
-    @staticmethod
-    def _foreign_line_index(chunks) -> None:
-        from repro.parallel.wire import pack_line_indices
-        chunks[2:] = [pack_line_indices([0xFFFF])] * (len(chunks) - 2)
-
-    @pytest.mark.parametrize("damage", [
-        "corrupt", "stale", "missing", "universe", "bad_delta",
-        "line_chunk_missing", "foreign_line_index"])
-    def test_unusable_sidecar_falls_back_to_per_record(self, tmp_path,
-                                                       damage):
-        codec = LineCodec(self.LINES)
-        producer, psync = self._producer(tmp_path, codec)
-        consumer = make_engine(seed=2, execute=self._novel_lines_execute())
-        consumer.virgin.merge_bits(producer.virgin.snapshot())
-        sync = make_sync(tmp_path, 0)
-        self._catch_up(tmp_path, codec, consumer, sync, [])
-
-        producer.run(3)
-        psync.export(producer, codec=codec)
-        sidecar = worker_queue_dir(tmp_path, 1) / COVERAGE_SIDECAR
-        if damage == "corrupt":
-            raw = bytearray(sidecar.read_bytes())
-            raw[len(raw) // 2] ^= 0xFF
-            sidecar.write_bytes(bytes(raw))
-        elif damage == "stale":
-            # A sidecar describing the previous, shorter manifest.
-            producer2 = make_engine(seed=1,
-                                    execute=self._novel_lines_execute())
-            producer2.run(3)
-            stale_root = tmp_path / "stale"
-            make_sync(stale_root, 1).export(producer2, codec=codec)
-            sidecar.write_bytes(
-                (worker_queue_dir(stale_root, 1) / COVERAGE_SIDECAR)
-                .read_bytes())
-        elif damage == "missing":
-            sidecar.unlink()
-        elif damage == "universe":
-            self._rewrite_sidecar(sidecar, self._foreign_universe)
-        elif damage == "bad_delta":
-            self._rewrite_sidecar(
-                sidecar, lambda chunks: chunks.__setitem__(1, b"NCD1junk"))
-        elif damage == "line_chunk_missing":
-            self._rewrite_sidecar(sidecar, lambda chunks: chunks.pop())
-        else:
-            self._rewrite_sidecar(sidecar, self._foreign_line_index)
-
-        consumer.virgin.merge_bits(producer.virgin.snapshot())
-        skipped_before = consumer.stats.imports_skipped_subsumed
-        imported = sync.import_new(consumer, codec=codec)
-        assert imported == 3
-        assert sync.stats.batches_delta_rejected == 0
-        # Per-record filtering still absorbed every record.
-        assert consumer.stats.imports_skipped_subsumed == skipped_before + 3
-
-    def test_novel_partner_coverage_declines_the_batch(self, tmp_path):
-        codec = LineCodec(self.LINES)
-        producer, psync = self._producer(tmp_path, codec)
-        executions = []
-        consumer = make_engine(seed=2,
-                               execute=self._novel_lines_execute(executions))
-        sync = make_sync(tmp_path, 0)
-        # No superset merge: the partner's map holds bits this reader
-        # has never seen, so the whole-batch subsumption must fail and
-        # every record must execute.
-        imported = sync.import_new(consumer, codec=codec)
-        assert imported == len(producer.queue)
-        assert sync.stats.batches_delta_rejected == 0
-        assert consumer.stats.imports_skipped_subsumed == 0
-
-    def test_torn_tail_declines_batch_then_heals(self, tmp_path):
-        codec = LineCodec(self.LINES)
-        producer, psync = self._producer(tmp_path, codec)
-        consumer = make_engine(seed=2, execute=self._novel_lines_execute())
-        consumer.virgin.merge_bits(producer.virgin.snapshot())
-        sync = make_sync(tmp_path, 0)
-        self._catch_up(tmp_path, codec, consumer, sync, [])
-
+        consumer, sync = self._caught_up_reader(tmp_path, codec, producer)
         producer.run(3)
         psync.export(producer, codec=codec)
         consumer.virgin.merge_bits(producer.virgin.snapshot())
 
-        # Tear the append tail the way a partner crash would: the batch
-        # prefix reaches the manifest end, so the O(1) tail CRC check
-        # must catch it and decline the whole batch.
-        from repro.parallel.wire import read_manifest
+        # Tear the append tail the way a partner crash would.
         queue_dir = worker_queue_dir(tmp_path, 1)
-        offset, length, _crc = read_manifest(queue_dir)[-1]
+        offset, _length, _crc = read_manifest(queue_dir)[-1]
         raw = bytearray((queue_dir / QUEUE_BIN).read_bytes())
         original = raw[offset + 5]
         raw[offset + 5] ^= 0xFF
         (queue_dir / QUEUE_BIN).write_bytes(bytes(raw))
 
-        imported = sync.import_new(consumer, codec=codec)
-        assert sync.stats.batches_delta_rejected == 0
-        assert imported == 2  # the torn record parked on the retry list
-        assert consumer.stats.import_skipped == 1
+        skipped_before = consumer.stats.imports_skipped_subsumed
+        assert sync.import_new(consumer, codec=codec) == 2
+        assert consumer.stats.import_skipped == 1  # parked for retry
+        assert consumer.stats.imports_skipped_subsumed == skipped_before + 2
 
-        # Heal the tail; the retry set forces the per-record path.
+        # Heal the tail; the parked record is retried and absorbed.
         raw[offset + 5] = original
         (queue_dir / QUEUE_BIN).write_bytes(bytes(raw))
         assert sync.import_new(consumer, codec=codec) == 1
         assert consumer.stats.import_skipped == 1  # counted once
+        assert consumer.stats.imports_skipped_subsumed == skipped_before + 3
 
-    def test_delta_plane_off_writes_no_sidecar(self, tmp_path):
+    def test_stray_legacy_sidecar_is_ignored(self, tmp_path):
+        """A ``coverage.bin`` an older version left in a partner's
+        queue directory changes nothing: same imports, same sync
+        counts, same engine stats as a directory without one."""
+        codec = LineCodec(self.LINES)
+        outcomes = []
+        for root, stray in ((tmp_path / "stray", True),
+                            (tmp_path / "clean", False)):
+            producer, psync = self._producer(root, codec)
+            sidecar = worker_queue_dir(root, 1) / "coverage.bin"
+            if stray:
+                sidecar.write_bytes(legacy_sidecar(producer, codec))
+            absorbed = []
+            consumer, sync = self._caught_up_reader(root, codec, producer,
+                                                    absorbed=absorbed)
+            producer.run(3)
+            psync.export(producer, codec=codec)
+            if stray:
+                sidecar.write_bytes(legacy_sidecar(producer, codec))
+            consumer.virgin.merge_bits(producer.virgin.snapshot())
+            imported = sync.import_new(consumer, codec=codec,
+                                       absorb_lines=absorbed.extend)
+            counts = {f.name: getattr(sync.stats, f.name)
+                      for f in fields(SyncStats)
+                      if not f.name.endswith("_seconds")}
+            outcomes.append((imported, counts, consumer.stats,
+                             sorted(absorbed), bytes(consumer.virgin.bits)))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == 3
+        assert outcomes[0][1]["batches_delta_rejected"] == 0
+
+
+    @pytest.mark.parametrize("stray", ["garbage", "empty", "directory"])
+    def test_any_stray_sidecar_is_ignored(self, tmp_path, stray):
+        codec = LineCodec(self.LINES)
+        producer, psync = self._producer(tmp_path, codec)
+        sidecar = worker_queue_dir(tmp_path, 1) / "coverage.bin"
+        if stray == "directory":
+            sidecar.mkdir()
+        else:
+            sidecar.write_bytes(b"\xa5" * 64 if stray == "garbage" else b"")
+        consumer, sync = self._caught_up_reader(tmp_path, codec, producer)
+        assert consumer.stats.imported == len(producer.queue)
+        assert consumer.stats.import_skipped == 0
+        assert sync.stats.entries_scanned == len(producer.queue)
+
+    def test_reader_without_a_codec_executes_every_record(self, tmp_path):
+        codec = LineCodec(self.LINES)
+        producer, _psync = self._producer(tmp_path, codec)
+        executions = []
+        consumer = make_engine(seed=2,
+                               execute=self._novel_lines_execute(executions))
+        consumer.virgin.merge_bits(producer.virgin.snapshot())
+        # Without a codec no record decodes its lines, so none may be
+        # absorbed: line coverage could not be accounted for.
+        assert make_sync(tmp_path, 0).import_new(consumer) \
+            == len(producer.queue)
+        assert consumer.stats.imports_skipped_subsumed == 0
+        assert len(executions) == len(producer.queue)
+
+    def test_absorbs_each_records_own_lines(self, tmp_path):
+        codec = LineCodec(self.LINES)
+        producer, psync = self._producer(tmp_path, codec)
+        consumer, sync = self._caught_up_reader(tmp_path, codec, producer)
+        producer.run(3)
+        psync.export(producer, codec=codec)
+        consumer.virgin.merge_bits(producer.virgin.snapshot())
+        calls = []
+        sync.import_new(consumer, codec=codec, absorb_lines=calls.append)
+        assert calls == [entry.lines
+                         for entry in producer.queue.entries[-3:]]
+        assert sync.stats.filter_seconds > 0
+
+    @pytest.mark.parametrize("flag", ["crashed", "anomaly"])
+    def test_known_crashing_records_still_execute(self, tmp_path, flag):
+        codec = LineCodec(self.LINES)
+        novel = self._novel_lines_execute()
+
+        def failing(fi):
+            feedback = novel(fi)
+            if flag == "crashed":
+                feedback.crashed = True
+            else:
+                feedback.anomaly = "anomaly"
+            return feedback
+
+        producer = make_engine(seed=1, execute=failing)
+        producer.run(3)
+        make_sync(tmp_path, 1).export(producer, codec=codec)
+        flagged = [e for e in producer.queue.entries if getattr(e, flag)]
+        assert flagged and all(e.coverage is not None for e in flagged)
+
+        executions = []
+        consumer = make_engine(seed=2,
+                               execute=self._novel_lines_execute(executions))
+        consumer.virgin.merge_bits(producer.virgin.snapshot())
+        imported = make_sync(tmp_path, 0).import_new(consumer, codec=codec)
+        assert imported == len(producer.queue)
+        # Only the seed (no coverage) and the failing records execute.
+        assert len(executions) == 1 + len(flagged)
+        assert consumer.stats.imports_skipped_subsumed \
+            == imported - 1 - len(flagged)
+
+    def test_counts_accumulate_across_rounds(self, tmp_path):
+        codec = LineCodec(self.LINES)
+        producer, psync = self._producer(tmp_path, codec)
+        first = len(producer.queue)
+        consumer, sync = self._caught_up_reader(tmp_path, codec, producer)
+        producer.run(2)
+        psync.export(producer, codec=codec)
+        psync.export(producer, codec=codec)  # nothing new
+        sync.import_new(consumer, codec=codec)
+        sync.import_new(consumer, codec=codec)
+        assert psync.stats.entries_exported == len(producer.queue)
+        assert len(producer.queue) == first + 2
+        assert sync.stats.entries_scanned == len(producer.queue)
+        assert sync.stats.import_rounds == 3
+
+    def test_heal_rewrites_only_the_queue_files(self, tmp_path):
         codec = LineCodec(self.LINES)
         producer = make_engine(seed=1, execute=self._novel_lines_execute())
-        producer.run(2)
+        producer.run(3)
         psync = make_sync(tmp_path, 1)
-        psync.delta_plane = False
-        psync.export(producer, codec=codec)
-        assert not (worker_queue_dir(tmp_path, 1) / COVERAGE_SIDECAR).exists()
+        plan = FaultPlan([FaultSpec("corrupt_sync", worker=1, at_export=1,
+                                    corrupt="garbage")])
+        with faults.injected(plan):
+            psync.export(producer, codec=codec)
+        producer.run(1)
+        psync.export(producer, codec=codec)  # the tail check heals
+        queue_dir = worker_queue_dir(tmp_path, 1)
+        assert {p.name for p in queue_dir.iterdir()} == {QUEUE_BIN,
+                                                          QUEUE_IDX}
+        consumer = make_engine(seed=2, execute=self._novel_lines_execute())
+        assert make_sync(tmp_path, 0).import_new(consumer, codec=codec) \
+            == len(producer.queue)
+        assert consumer.stats.import_skipped == 0
+
+
+class TestSyncStatsMerge:
+    def test_merged_with_sums_every_field(self):
+        names = [f.name for f in fields(SyncStats)]
+        left = SyncStats(**{name: k + 1 for k, name in enumerate(names)})
+        right = SyncStats(**{name: 10 * (k + 1)
+                             for k, name in enumerate(names)})
+        merged = left.merged_with(right)
+        for k, name in enumerate(names):
+            assert getattr(merged, name) == 11 * (k + 1), name
+        # Neither operand is mutated.
+        assert left == SyncStats(**{name: k + 1
+                                    for k, name in enumerate(names)})
+
+    def test_merged_with_an_empty_stats_is_identity(self):
+        stats = SyncStats(export_seconds=0.5, entries_scanned=3,
+                          import_rounds=2)
+        assert stats.merged_with(SyncStats()) == stats
+        assert SyncStats().merged_with(stats) == stats

@@ -1,13 +1,17 @@
 """Corpus protocol v2 wire-format tests: records, manifest, healing."""
 
+import zlib
+from types import SimpleNamespace
+
 import pytest
 
 from repro.fuzzer.engine import FuzzEngine, RunFeedback
 from repro.fuzzer.input import INPUT_SIZE
 from repro.fuzzer.queue import QueueEntry
 from repro.fuzzer.rng import Rng
-from repro.coverage.bitmap import CoverageBitmap
+from repro.coverage.bitmap import CoverageBitmap, VirginMap
 from repro.parallel import wire
+from repro.parallel.sync import record_subsumed
 
 
 def entry(data=b"x" * INPUT_SIZE, found_at=3, new_bits=2, **kw):
@@ -99,53 +103,38 @@ def covered_entry(**kw):
     return entry(**kw)
 
 
-class TestRecordSummary:
-    """``summarize_record``: the codec-free view the sync sidecar writer
-    reads, which must agree with ``parse_record`` and refuse anything it
-    cannot verify."""
+class TestRecordFilterGates:
+    """What a decoded record must carry before the subsumption filter
+    may absorb it unexecuted, and the malformed shapes that never
+    decode at all."""
 
-    def test_summary_agrees_with_parse_record(self):
-        codec = wire.LineCodec(UNIVERSE)
-        blob = wire.pack_record(2, covered_entry(imported=True), codec)
-        summary = wire.summarize_record(blob)
-        record = wire.parse_record(blob, codec)
-        assert summary.coverage == record.coverage
-        assert summary.flags & wire.FLAG_IMPORTED
-        # Raw indices decode through any same-universe codec.
-        raw = wire.pack_line_indices(summary.line_indices)
-        assert wire.LineCodec(reversed(UNIVERSE)).decode(raw) == record.lines
-        assert summary.skippable
+    @staticmethod
+    def _subsumed(entry_, codec=None) -> bool:
+        virgin = VirginMap()
+        virgin.bits[7] |= 1
+        virgin.bits[500] |= 128
+        record = wire.parse_record(wire.pack_record(0, entry_, codec), codec)
+        return record_subsumed(SimpleNamespace(virgin=virgin), record)
+
+    def test_covered_record_with_lines_is_absorbable(self):
+        assert self._subsumed(covered_entry(imported=True),
+                              wire.LineCodec(UNIVERSE))
 
     @pytest.mark.parametrize("flag", ["crashed", "anomaly"])
-    def test_crashing_or_anomalous_records_are_never_skippable(self, flag):
-        codec = wire.LineCodec(UNIVERSE)
-        blob = wire.pack_record(0, covered_entry(**{flag: True}), codec)
-        summary = wire.summarize_record(blob)
-        assert summary.coverage is not None
-        assert summary.line_indices is not None
-        assert not summary.skippable
+    def test_crashing_or_anomalous_records_always_execute(self, flag):
+        assert not self._subsumed(covered_entry(**{flag: True}),
+                                  wire.LineCodec(UNIVERSE))
 
-    def test_record_without_coverage_is_not_skippable(self):
-        codec = wire.LineCodec(UNIVERSE)
-        blob = wire.pack_record(0, covered_entry(coverage=None), codec)
-        summary = wire.summarize_record(blob)
-        assert summary.coverage is None
-        assert summary.line_indices == (1, 4)
-        assert not summary.skippable
+    def test_record_without_coverage_executes(self):
+        assert not self._subsumed(covered_entry(coverage=None),
+                                  wire.LineCodec(UNIVERSE))
 
-    def test_record_without_lines_is_not_skippable(self):
-        blob = wire.pack_record(0, covered_entry())  # no codec: no lines
-        summary = wire.summarize_record(blob)
-        assert summary.coverage == ((7, 1), (500, 128))
-        assert summary.line_indices is None
-        assert not summary.skippable
+    def test_record_without_lines_executes(self):
+        assert not self._subsumed(covered_entry())  # no codec: no lines
 
     def test_empty_coverage_is_still_shipped_coverage(self):
-        codec = wire.LineCodec(UNIVERSE)
-        blob = wire.pack_record(0, covered_entry(coverage=()), codec)
-        summary = wire.summarize_record(blob)
-        assert summary.coverage == ()
-        assert summary.skippable
+        assert self._subsumed(covered_entry(coverage=()),
+                              wire.LineCodec(UNIVERSE))
 
     @staticmethod
     def _mangled(shape: str) -> bytes:
@@ -168,23 +157,10 @@ class TestRecordSummary:
 
     @pytest.mark.parametrize("shape", ["short", "magic", "extra_byte",
                                        "truncated", "digest", "empty_data"])
-    def test_malformed_record_has_no_summary(self, shape):
+    def test_malformed_record_does_not_parse(self, shape):
         blob = self._mangled(shape)
-        assert wire.summarize_record(blob) is None
         assert wire.parse_record(blob) is None
-
-
-class TestPackLineIndices:
-    def test_indices_are_sorted_like_codec_encode(self):
-        codec = wire.LineCodec(UNIVERSE)
-        lines = frozenset({("a.py", 5), ("a.py", 1), ("a.py", 3)})
-        indices = [codec.universe.index(line) for line in lines]
-        assert wire.pack_line_indices(reversed(sorted(indices))) \
-            == codec.encode(lines)
-
-    def test_no_indices_pack_to_an_empty_payload(self):
-        assert wire.pack_line_indices(()) == b""
-        assert wire.LineCodec(UNIVERSE).decode(b"") == frozenset()
+        assert wire.parse_record(blob, wire.LineCodec(UNIVERSE)) is None
 
 
 class TestManifestFiles:
@@ -224,6 +200,62 @@ class TestManifestFiles:
     def test_empty_dir_is_intact_at_zero(self, tmp_path):
         assert wire.tail_intact(tmp_path, 0, 0)
         assert not wire.tail_intact(tmp_path, 1, 100)
+
+
+class TestRecordCrc:
+    """Manifest CRCs are plain ``zlib.crc32`` over each record's bytes."""
+
+    def _blobs(self):
+        return [wire.pack_record(i, covered_entry(found_at=i))
+                for i in range(3)]
+
+    @pytest.mark.parametrize("writer", ["append", "rewrite"])
+    def test_manifest_crc_is_zlib_crc32_of_the_record(self, tmp_path,
+                                                      writer):
+        blobs = self._blobs()
+        if writer == "append":
+            wire.append_records(tmp_path, blobs)
+        else:
+            wire.rewrite_records(tmp_path, blobs)
+        raw = (tmp_path / wire.QUEUE_BIN).read_bytes()
+        for blob, (offset, length, crc) in zip(blobs,
+                                               wire.read_manifest(tmp_path)):
+            assert raw[offset:offset + length] == blob
+            assert crc == zlib.crc32(blob)
+
+    @pytest.mark.parametrize("shape", ["intact", "crc", "long", "offset"])
+    def test_read_record_blob_checks_length_and_crc(self, tmp_path, shape):
+        blobs = self._blobs()
+        wire.append_records(tmp_path, blobs)
+        offset, length, crc = wire.read_manifest(tmp_path)[1]
+        if shape == "crc":
+            crc ^= 1
+        elif shape == "long":
+            length = 10 * length
+        elif shape == "offset":
+            offset = (tmp_path / wire.QUEUE_BIN).stat().st_size
+        with open(tmp_path / wire.QUEUE_BIN, "rb") as handle:
+            blob = wire.read_record_blob(handle, offset, length, crc)
+        assert blob == (blobs[1] if shape == "intact" else None)
+
+
+class TestLineCodecEncoding:
+    def test_line_outside_the_universe_is_unencodable(self):
+        codec = wire.LineCodec(UNIVERSE)
+        assert codec.encode({("a.py", 1), ("b.py", 1)}) is None
+
+    def test_encoding_is_sorted_whatever_the_iteration_order(self):
+        codec = wire.LineCodec(UNIVERSE)
+        assert (codec.encode([("a.py", 5), ("a.py", 1)])
+                == codec.encode([("a.py", 1), ("a.py", 5)]))
+
+    def test_empty_payload_decodes_to_no_lines(self):
+        assert wire.LineCodec(UNIVERSE).decode(b"") == frozenset()
+
+    def test_same_universe_in_any_order_decodes_alike(self):
+        lines = frozenset({("a.py", 2), ("a.py", 4)})
+        payload = wire.LineCodec(UNIVERSE).encode(lines)
+        assert wire.LineCodec(reversed(UNIVERSE)).decode(payload) == lines
 
 
 def data_edge_execute(fi):

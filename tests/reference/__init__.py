@@ -219,14 +219,12 @@ class PerByteCursor(InputCursor):
 def execute_every_import() -> Iterator[None]:
     """Turn corpus sync's subsumption filter off: every import executes.
 
-    Neither the per-record predicate nor the coverage sidecar's batch
-    path may consume a partner entry without executing it. Campaigns
-    must reach the same fingerprint either way.
+    The per-record predicate is the only path that may consume a
+    partner entry without executing it. Campaigns must reach the same
+    fingerprint either way.
     """
     with mock.patch.object(sync, "record_subsumed",
-                           lambda engine, record: False), \
-            mock.patch.object(sync.SyncDirectory, "_delta_reject",
-                              lambda self, *args: 0):
+                           lambda engine, record: False):
         yield
 
 

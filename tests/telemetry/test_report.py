@@ -142,36 +142,32 @@ def _two_spans(registry) -> None:
 
 
 class TestSummarySections:
-    """The scheduler and coverage-plane blocks, computed from a merged
-    snapshot and rendered only when they hold something."""
+    """The scheduler block, computed from a merged snapshot and rendered
+    only when it holds something."""
 
-    def test_coverage_plane_totals_sidecar_rejects(self, tmp_path):
+    def test_sidecar_counter_forms_no_section(self, tmp_path):
+        """A ``sync.delta_rejects`` counter an older snapshot carries is
+        listed as a plain counter; there is no coverage-plane block."""
         def fill(registry):
             registry.counter("sync.delta_rejects", 2, shard=0)
             registry.counter("sync.delta_rejects", 3, shard=1)
         _write_root(tmp_path, fill)
         summary = campaign_summary(tmp_path)
-        assert summary["coverage_plane"] == {"sync.delta_rejects": 5}
-        assert "coverage plane (sync sidecar)" in render_report(tmp_path)
-
-    def test_coverage_plane_omitted_without_rejects(self, tmp_path):
-        _write_root(tmp_path,
-                    lambda registry: registry.counter("sync.rounds", 4))
-        assert campaign_summary(tmp_path)["coverage_plane"] == {}
-        assert "coverage plane" not in render_report(tmp_path)
+        assert "coverage_plane" not in summary
+        assert summary["counters"]["sync.delta_rejects"] == 5
+        text = render_report(tmp_path)
+        assert "coverage plane" not in text
+        assert text.count("sync.delta_rejects") == 1
 
     def test_network_counters_form_no_section(self, tmp_path):
         """Counters a snapshot still carries under ``net.*`` are listed
         as plain counters; there is no network block any more."""
         def fill(registry):
             registry.counter("net.records_fetched", 7)
-            registry.counter("sync.delta_rejects", 1)
         _write_root(tmp_path, fill)
         summary = campaign_summary(tmp_path)
         assert set(summary) == {"root", "spans", "counters", "gauges",
-                                "scheduler", "coverage_plane", "shards",
-                                "event_count"}
-        assert summary["coverage_plane"] == {"sync.delta_rejects": 1}
+                                "scheduler", "shards", "event_count"}
         assert summary["counters"]["net.records_fetched"] == 7
         text = render_report(tmp_path)
         assert "federation" not in text
