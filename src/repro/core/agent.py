@@ -27,7 +27,8 @@ from repro.coverage.kcov import KcovTracer, line_ids
 from repro.fuzzer.engine import RunFeedback
 from repro.fuzzer.input import FuzzInput
 from repro.hypervisors.base import VmCrash
-from repro.vmx.msr_caps import default_capabilities
+from repro.hypervisors.kvm.module import l1_vmx_capabilities_for
+from repro.vmx.msr_caps import capabilities_for_features, default_capabilities
 
 
 @dataclass
@@ -114,15 +115,18 @@ class Agent:
         return generator
 
     def _build_generator(self, vcpu_config):
-        """Construct the state generator for one vCPU configuration."""
+        """Construct the state generator for one vCPU configuration.
+
+        The capability set is a pure function of the feature map, and an
+        interned object: it is resolved from a cache, and the golden
+        template the oracle copies is looked up by its identity. The
+        generator itself (validator, oracle, learned rules and fixup
+        masks, CPU) is new and owned by this configuration alone.
+        """
         if self.config.vendor is Vendor.INTEL:
             if self.config.hypervisor == "kvm":
-                from repro.hypervisors.kvm.module import KvmModuleParams
-
-                caps = KvmModuleParams.from_config(vcpu_config).l1_vmx_capabilities()
+                caps = l1_vmx_capabilities_for(vcpu_config)
             else:
-                from repro.vmx.msr_caps import capabilities_for_features
-
                 caps = capabilities_for_features(vcpu_config.features)
         else:
             caps = default_capabilities()

@@ -36,6 +36,8 @@ _MSR_AREA_CANDIDATES = INTERESTING_MSRS
 #: order: every writable VMCS field, in layout order.
 STORM_FIELDS = tuple(spec.encoding for spec in F.ALL_FIELDS
                      if spec.group is not F.FieldGroup.READ_ONLY)
+#: The storm's writes after the first, which are replayed from it.
+STORM_REST = STORM_FIELDS[1:]
 
 #: How many instruction results :attr:`HarnessStats.results` keeps.
 RESULTS_KEPT = 64
@@ -176,7 +178,7 @@ class VmExecutionHarness:
         last-to-first loop-back edge, leaving the drained line and edge
         sets unchanged.
         """
-        first, rest = STORM_FIELDS[0], STORM_FIELDS[1:]
+        first, rest = STORM_FIELDS[0], STORM_REST
         sink = kcov.event_sink()
         mark = len(sink) if sink is not None else 0
         result = self._exec(hv, vcpu, GuestInstruction(

@@ -22,10 +22,13 @@ their stage's units, so violation order is identical to the historical
 monolithic bodies. The declared read sets feed ``FIELD_TO_CHECKS``, the
 field->check dependency index that :class:`IncrementalChecker` uses to
 re-run only the units whose inputs changed since the last check of the
-same structure (per-object dirty journal, see repro.vmx.vmcs). The
-declared sets are pinned as supersets of the dynamically observed reads
-by tests/unit/test_incremental_equivalence.py, which observes reads in
-``Vmcs.read``: unit bodies read every field through it.
+same structure (per-object dirty journal, see repro.vmx.vmcs). A unit
+body reads the structure's value table directly, not through
+``Vmcs.read``, so the declared sets are pinned as supersets of the reads
+tests/unit/test_incremental_equivalence.py observes through a recording
+mapping. A structure whose reads are being traced (the read set
+``perf.memoized_check`` records) would see none of those reads, so the
+checks raise :class:`ReadTraceActiveError` on one instead.
 
 A unit body builds no per-call objects: it decodes the raw words it
 reads (segment access rights, interruption information, EPTPs) with
@@ -39,14 +42,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 from repro.arch import msr as MSR
 from repro.arch.exceptions import InterruptionInfo, injection_consistent
 from repro.arch.msr import MsrEntry, is_canonical
 from repro.arch.paging import MAX_PHYSADDR_WIDTH, eptp_valid
 from repro.arch.registers import Cr0, Cr4, Dr7, Efer, Rflags
-from repro.arch.segments import AccessRights, Segment, granularity_consistent
+from repro.arch.segments import AccessRights, granularity_consistent
 from repro.vmx import fields as F
 from repro.vmx.controls import (
     ActivityState,
@@ -62,6 +65,10 @@ from repro.vmx.vmcs import Vmcs
 
 PAGE_MASK = 0xFFF
 ADDR_LIMIT = 1 << MAX_PHYSADDR_WIDTH
+
+#: A structure's field values by encoding: what a unit reads (a
+#: ``Vmcs``'s own value table).
+Values = Mapping[int, int]
 
 
 class CheckStage(Enum):
@@ -108,16 +115,6 @@ _INTR_VALID = InterruptionInfo.VALID_BIT
 _INTR_TYPE = 0x700                          # event type, bits 10:8
 
 
-def read_segment(vmcs: Vmcs, name: str) -> Segment:
-    """Materialise a guest segment register image from VMCS fields."""
-    return Segment(
-        selector=vmcs.read(F.SEGMENT_SELECTOR_FIELDS[name]),
-        base=vmcs.read(F.SEGMENT_BASE_FIELDS[name]),
-        limit=vmcs.read(F.SEGMENT_LIMIT_FIELDS[name]),
-        access_rights=vmcs.read(F.SEGMENT_AR_FIELDS[name]),
-    )
-
-
 def _pat_valid(pat: int) -> bool:
     """Each PAT byte must encode a valid memory type (0,1,4,5,6,7)."""
     for shift in range(0, 64, 8):
@@ -126,16 +123,17 @@ def _pat_valid(pat: int) -> bool:
     return True
 
 
-def _effective_proc2(vmcs: Vmcs) -> int:
+def _effective_proc2(v: Values) -> int:
     """Secondary controls, or 0 when the activation bit is clear."""
-    if vmcs.read(F.CPU_BASED_VM_EXEC_CONTROL) & ProcBased.ACTIVATE_SECONDARY_CONTROLS:
-        return vmcs.read(F.SECONDARY_VM_EXEC_CONTROL)
+    if v[F.CPU_BASED_VM_EXEC_CONTROL] & ProcBased.ACTIVATE_SECONDARY_CONTROLS:
+        return v[F.SECONDARY_VM_EXEC_CONTROL]
     return 0
 
 
 # --------------------------------------------------------------------------
 # Check units. Each unit is one SDM paragraph: a pure function
-# (vmcs, caps, bad) plus the declared set of encodings it may read.
+# (v, caps, bad) of the structure's field values plus the declared set
+# of encodings it may read.
 # Units run in architectural order inside their stage.
 # --------------------------------------------------------------------------
 
@@ -147,18 +145,17 @@ class CheckUnit:
     name: str
     stage: CheckStage
     reads: frozenset[int]
-    fn: Callable[[Vmcs, VmxCapabilities, Callable[[str, str], None]], None]
+    fn: Callable[[Values, VmxCapabilities, Callable[[str, str], None]], None]
 
 
 # --- SDM 26.2.1 — checks on VMX controls ----------------------------------
 
-def _u_ctl_allowed(vmcs: Vmcs, caps: VmxCapabilities, bad) -> None:
-    read = vmcs.read
-    pin = read(F.PIN_BASED_VM_EXEC_CONTROL)
-    proc = read(F.CPU_BASED_VM_EXEC_CONTROL)
-    proc2 = read(F.SECONDARY_VM_EXEC_CONTROL)
-    entry = read(F.VM_ENTRY_CONTROLS)
-    exit_ = read(F.VM_EXIT_CONTROLS)
+def _u_ctl_allowed(v: Values, caps: VmxCapabilities, bad) -> None:
+    pin = v[F.PIN_BASED_VM_EXEC_CONTROL]
+    proc = v[F.CPU_BASED_VM_EXEC_CONTROL]
+    proc2 = v[F.SECONDARY_VM_EXEC_CONTROL]
+    entry = v[F.VM_ENTRY_CONTROLS]
+    exit_ = v[F.VM_EXIT_CONTROLS]
     if not caps.pin_based.permits(pin):
         bad("pin_based_vm_exec_control", "reserved bits violate allowed settings")
     if not caps.proc_based.permits(proc):
@@ -171,34 +168,34 @@ def _u_ctl_allowed(vmcs: Vmcs, caps: VmxCapabilities, bad) -> None:
         bad("vm_exit_controls", "reserved bits violate allowed settings")
 
 
-def _u_ctl_cr3_count(vmcs: Vmcs, caps: VmxCapabilities, bad) -> None:
-    cr3_count = vmcs.read(F.CR3_TARGET_COUNT)
+def _u_ctl_cr3_count(v: Values, caps: VmxCapabilities, bad) -> None:
+    cr3_count = v[F.CR3_TARGET_COUNT]
     if cr3_count > 4:
         bad("cr3_target_count", f"count {cr3_count} exceeds 4")
 
 
-def _u_ctl_io_bitmaps(vmcs: Vmcs, caps: VmxCapabilities, bad) -> None:
-    if vmcs.read(F.CPU_BASED_VM_EXEC_CONTROL) & ProcBased.USE_IO_BITMAPS:
+def _u_ctl_io_bitmaps(v: Values, caps: VmxCapabilities, bad) -> None:
+    if v[F.CPU_BASED_VM_EXEC_CONTROL] & ProcBased.USE_IO_BITMAPS:
         for field, name in ((F.IO_BITMAP_A, "io_bitmap_a"), (F.IO_BITMAP_B, "io_bitmap_b")):
-            addr = vmcs.read(field)
+            addr = v[field]
             if addr & _BAD_PAGE_ADDR:
                 bad(name, f"address {addr:#x} not 4K-aligned in physical range")
 
 
-def _u_ctl_msr_bitmap(vmcs: Vmcs, caps: VmxCapabilities, bad) -> None:
-    if vmcs.read(F.CPU_BASED_VM_EXEC_CONTROL) & ProcBased.USE_MSR_BITMAPS:
-        addr = vmcs.read(F.MSR_BITMAP)
+def _u_ctl_msr_bitmap(v: Values, caps: VmxCapabilities, bad) -> None:
+    if v[F.CPU_BASED_VM_EXEC_CONTROL] & ProcBased.USE_MSR_BITMAPS:
+        addr = v[F.MSR_BITMAP]
         if addr & _BAD_PAGE_ADDR:
             bad("msr_bitmap", f"address {addr:#x} not 4K-aligned in physical range")
 
 
-def _u_ctl_tpr_shadow(vmcs: Vmcs, caps: VmxCapabilities, bad) -> None:
-    effective_proc2 = _effective_proc2(vmcs)
-    if vmcs.read(F.CPU_BASED_VM_EXEC_CONTROL) & ProcBased.USE_TPR_SHADOW:
-        addr = vmcs.read(F.VIRTUAL_APIC_PAGE_ADDR)
+def _u_ctl_tpr_shadow(v: Values, caps: VmxCapabilities, bad) -> None:
+    effective_proc2 = _effective_proc2(v)
+    if v[F.CPU_BASED_VM_EXEC_CONTROL] & ProcBased.USE_TPR_SHADOW:
+        addr = v[F.VIRTUAL_APIC_PAGE_ADDR]
         if addr & _BAD_PAGE_ADDR:
             bad("virtual_apic_page_addr", f"bad address {addr:#x}")
-        tpr = vmcs.read(F.TPR_THRESHOLD)
+        tpr = v[F.TPR_THRESHOLD]
         if tpr & ~0xF and not effective_proc2 & Secondary.VIRTUAL_INTR_DELIVERY:
             bad("tpr_threshold", "bits 31:4 must be zero")
     else:
@@ -209,19 +206,19 @@ def _u_ctl_tpr_shadow(vmcs: Vmcs, caps: VmxCapabilities, bad) -> None:
                 "APIC virtualization requires use-TPR-shadow")
 
 
-def _u_ctl_nmi(vmcs: Vmcs, caps: VmxCapabilities, bad) -> None:
-    pin = vmcs.read(F.PIN_BASED_VM_EXEC_CONTROL)
-    proc = vmcs.read(F.CPU_BASED_VM_EXEC_CONTROL)
+def _u_ctl_nmi(v: Values, caps: VmxCapabilities, bad) -> None:
+    pin = v[F.PIN_BASED_VM_EXEC_CONTROL]
+    proc = v[F.CPU_BASED_VM_EXEC_CONTROL]
     if not pin & PinBased.NMI_EXITING and pin & PinBased.VIRTUAL_NMIS:
         bad("pin_based_vm_exec_control", "virtual NMIs require NMI exiting")
     if not pin & PinBased.VIRTUAL_NMIS and proc & ProcBased.NMI_WINDOW_EXITING:
         bad("cpu_based_vm_exec_control", "NMI-window exiting requires virtual NMIs")
 
 
-def _u_ctl_apic_access(vmcs: Vmcs, caps: VmxCapabilities, bad) -> None:
-    effective_proc2 = _effective_proc2(vmcs)
+def _u_ctl_apic_access(v: Values, caps: VmxCapabilities, bad) -> None:
+    effective_proc2 = _effective_proc2(v)
     if effective_proc2 & Secondary.VIRTUALIZE_APIC_ACCESSES:
-        addr = vmcs.read(F.APIC_ACCESS_ADDR)
+        addr = v[F.APIC_ACCESS_ADDR]
         if addr & _BAD_PAGE_ADDR:
             bad("apic_access_addr", f"bad address {addr:#x}")
         if effective_proc2 & Secondary.VIRTUALIZE_X2APIC:
@@ -229,83 +226,83 @@ def _u_ctl_apic_access(vmcs: Vmcs, caps: VmxCapabilities, bad) -> None:
                 "x2APIC mode conflicts with APIC-access virtualization")
 
 
-def _u_ctl_posted_intr(vmcs: Vmcs, caps: VmxCapabilities, bad) -> None:
-    if vmcs.read(F.PIN_BASED_VM_EXEC_CONTROL) & PinBased.POSTED_INTERRUPTS:
-        if not _effective_proc2(vmcs) & Secondary.VIRTUAL_INTR_DELIVERY:
+def _u_ctl_posted_intr(v: Values, caps: VmxCapabilities, bad) -> None:
+    if v[F.PIN_BASED_VM_EXEC_CONTROL] & PinBased.POSTED_INTERRUPTS:
+        if not _effective_proc2(v) & Secondary.VIRTUAL_INTR_DELIVERY:
             bad("posted_intr_notification_vector",
                 "posted interrupts require virtual-interrupt delivery")
-        if not vmcs.read(F.VM_EXIT_CONTROLS) & ExitControls.ACK_INTR_ON_EXIT:
+        if not v[F.VM_EXIT_CONTROLS] & ExitControls.ACK_INTR_ON_EXIT:
             bad("vm_exit_controls",
                 "posted interrupts require acknowledge-interrupt-on-exit")
-        nv = vmcs.read(F.POSTED_INTR_NV)
+        nv = v[F.POSTED_INTR_NV]
         if nv & ~0xFF:
             bad("posted_intr_notification_vector", "vector must be 8 bits")
-        if vmcs.read(F.POSTED_INTR_DESC_ADDR) & _BAD_PI_DESC:
+        if v[F.POSTED_INTR_DESC_ADDR] & _BAD_PI_DESC:
             bad("posted_intr_desc_addr", "descriptor must be 64-byte aligned")
 
 
-def _u_ctl_vpid(vmcs: Vmcs, caps: VmxCapabilities, bad) -> None:
-    if _effective_proc2(vmcs) & Secondary.ENABLE_VPID and not vmcs.read(F.VIRTUAL_PROCESSOR_ID):
+def _u_ctl_vpid(v: Values, caps: VmxCapabilities, bad) -> None:
+    if _effective_proc2(v) & Secondary.ENABLE_VPID and not v[F.VIRTUAL_PROCESSOR_ID]:
         bad("virtual_processor_id", "VPID must be nonzero when enable-VPID set")
 
 
-def _u_ctl_ept(vmcs: Vmcs, caps: VmxCapabilities, bad) -> None:
-    if _effective_proc2(vmcs) & Secondary.ENABLE_EPT:
-        eptp = vmcs.read(F.EPT_POINTER)
+def _u_ctl_ept(v: Values, caps: VmxCapabilities, bad) -> None:
+    if _effective_proc2(v) & Secondary.ENABLE_EPT:
+        eptp = v[F.EPT_POINTER]
         if not eptp_valid(eptp, ept_5level=caps.ept_5level):
             bad("ept_pointer", f"invalid EPTP {eptp:#x}")
 
 
-def _u_ctl_unrestricted(vmcs: Vmcs, caps: VmxCapabilities, bad) -> None:
-    effective_proc2 = _effective_proc2(vmcs)
+def _u_ctl_unrestricted(v: Values, caps: VmxCapabilities, bad) -> None:
+    effective_proc2 = _effective_proc2(v)
     if effective_proc2 & Secondary.UNRESTRICTED_GUEST and not effective_proc2 & Secondary.ENABLE_EPT:
         bad("secondary_vm_exec_control", "unrestricted guest requires EPT")
 
 
-def _u_ctl_pml(vmcs: Vmcs, caps: VmxCapabilities, bad) -> None:
-    effective_proc2 = _effective_proc2(vmcs)
+def _u_ctl_pml(v: Values, caps: VmxCapabilities, bad) -> None:
+    effective_proc2 = _effective_proc2(v)
     if effective_proc2 & Secondary.ENABLE_PML:
         if not effective_proc2 & Secondary.ENABLE_EPT:
             bad("secondary_vm_exec_control", "PML requires EPT")
-        addr = vmcs.read(F.PML_ADDRESS)
+        addr = v[F.PML_ADDRESS]
         if addr & _BAD_PAGE_ADDR:
             bad("pml_address", f"bad address {addr:#x}")
 
 
-def _u_ctl_ve(vmcs: Vmcs, caps: VmxCapabilities, bad) -> None:
-    if _effective_proc2(vmcs) & Secondary.EPT_VIOLATION_VE:
-        addr = vmcs.read(F.VE_INFORMATION_ADDRESS)
+def _u_ctl_ve(v: Values, caps: VmxCapabilities, bad) -> None:
+    if _effective_proc2(v) & Secondary.EPT_VIOLATION_VE:
+        addr = v[F.VE_INFORMATION_ADDRESS]
         if addr & _BAD_PAGE_ADDR:
             bad("virtualization_exception_info_addr", f"bad address {addr:#x}")
 
 
-def _u_ctl_vmfunc(vmcs: Vmcs, caps: VmxCapabilities, bad) -> None:
-    effective_proc2 = _effective_proc2(vmcs)
+def _u_ctl_vmfunc(v: Values, caps: VmxCapabilities, bad) -> None:
+    effective_proc2 = _effective_proc2(v)
     if effective_proc2 & Secondary.ENABLE_VMFUNC:
-        func = vmcs.read(F.VM_FUNCTION_CONTROL)
+        func = v[F.VM_FUNCTION_CONTROL]
         if func & ~1:
             bad("vm_function_control", "unsupported VM functions enabled")
         if func & 1:
             if not effective_proc2 & Secondary.ENABLE_EPT:
                 bad("vm_function_control", "EPTP switching requires EPT")
-            lst = vmcs.read(F.EPTP_LIST_ADDRESS)
+            lst = v[F.EPTP_LIST_ADDRESS]
             if lst & _BAD_PAGE_ADDR:
                 bad("eptp_list_address", f"bad address {lst:#x}")
 
 
-def _u_ctl_shadow_vmcs(vmcs: Vmcs, caps: VmxCapabilities, bad) -> None:
-    if _effective_proc2(vmcs) & Secondary.SHADOW_VMCS:
+def _u_ctl_shadow_vmcs(v: Values, caps: VmxCapabilities, bad) -> None:
+    if _effective_proc2(v) & Secondary.SHADOW_VMCS:
         for field, name in ((F.VMREAD_BITMAP, "vmread_bitmap"),
                             (F.VMWRITE_BITMAP, "vmwrite_bitmap")):
-            addr = vmcs.read(field)
+            addr = v[field]
             if addr & _BAD_PAGE_ADDR:
                 bad(name, f"bad address {addr:#x}")
 
 
-def _u_ctl_preemption(vmcs: Vmcs, caps: VmxCapabilities, bad) -> None:
+def _u_ctl_preemption(v: Values, caps: VmxCapabilities, bad) -> None:
     # VM-exit control cross-checks.
-    if (not vmcs.read(F.PIN_BASED_VM_EXEC_CONTROL) & PinBased.PREEMPTION_TIMER
-            and vmcs.read(F.VM_EXIT_CONTROLS) & ExitControls.SAVE_PREEMPTION_TIMER):
+    if (not v[F.PIN_BASED_VM_EXEC_CONTROL] & PinBased.PREEMPTION_TIMER
+            and v[F.VM_EXIT_CONTROLS] & ExitControls.SAVE_PREEMPTION_TIMER):
         bad("vm_exit_controls",
             "save-preemption-timer requires activate-preemption-timer")
 
@@ -320,42 +317,41 @@ _MSR_AREAS = (
 )
 
 
-def _u_ctl_msr_areas(vmcs: Vmcs, caps: VmxCapabilities, bad) -> None:
-    read = vmcs.read
+def _u_ctl_msr_areas(v: Values, caps: VmxCapabilities, bad) -> None:
     for count_field, addr_field, cname, aname in _MSR_AREAS:
-        count = read(count_field)
+        count = v[count_field]
         if count:
             if count > 512:
                 bad(cname, f"MSR count {count} exceeds the architectural limit")
-            addr = read(addr_field)
+            addr = v[addr_field]
             if addr & _BAD_MSR_AREA:
                 bad(aname, f"MSR area {addr:#x} must be 16-byte aligned")
             if addr + count * 16 - 1 >= ADDR_LIMIT:
                 bad(cname, "MSR area extends past physical address width")
 
 
-def _u_ctl_event_injection(vmcs: Vmcs, caps: VmxCapabilities, bad) -> None:
+def _u_ctl_event_injection(v: Values, caps: VmxCapabilities, bad) -> None:
     # VM-entry interruption information (SDM 26.2.1.3).
-    info = vmcs.read(F.VM_ENTRY_INTR_INFO_FIELD)
+    info = v[F.VM_ENTRY_INTR_INFO_FIELD]
     if not injection_consistent(info):
         bad("vm_entry_intr_info", "inconsistent event injection")
     if info & _INTR_VALID and info & InterruptionInfo.ERROR_CODE_BIT:
-        if vmcs.read(F.VM_ENTRY_EXCEPTION_ERROR_CODE) & ~0x7FFF:
+        if v[F.VM_ENTRY_EXCEPTION_ERROR_CODE] & ~0x7FFF:
             bad("vm_entry_exception_error_code", "bits 31:15 must be zero")
 
 
-def _u_ctl_smm(vmcs: Vmcs, caps: VmxCapabilities, bad) -> None:
-    if vmcs.read(F.VM_ENTRY_CONTROLS) & (EntryControls.ENTRY_TO_SMM
+def _u_ctl_smm(v: Values, caps: VmxCapabilities, bad) -> None:
+    if v[F.VM_ENTRY_CONTROLS] & (EntryControls.ENTRY_TO_SMM
                                          | EntryControls.DEACTIVATE_DUAL_MONITOR):
         bad("vm_entry_controls", "SMM entry controls invalid outside SMM")
 
 
 # --- SDM 26.2.2 / 26.2.3 — checks on host state ---------------------------
 
-def _u_host_cr(vmcs: Vmcs, caps: VmxCapabilities, bad) -> None:
-    cr0 = vmcs.read(F.HOST_CR0)
-    cr4 = vmcs.read(F.HOST_CR4)
-    cr3 = vmcs.read(F.HOST_CR3)
+def _u_host_cr(v: Values, caps: VmxCapabilities, bad) -> None:
+    cr0 = v[F.HOST_CR0]
+    cr4 = v[F.HOST_CR4]
+    cr3 = v[F.HOST_CR3]
     if not caps.cr0_valid_for_vmx(cr0):
         bad("host_cr0", f"{cr0:#x} violates CR0 fixed bits")
     if not caps.cr4_valid_for_vmx(cr4):
@@ -364,15 +360,15 @@ def _u_host_cr(vmcs: Vmcs, caps: VmxCapabilities, bad) -> None:
         bad("host_cr3", f"{cr3:#x} exceeds physical address width")
 
 
-def _u_host_addr_space(vmcs: Vmcs, caps: VmxCapabilities, bad) -> None:
+def _u_host_addr_space(v: Values, caps: VmxCapabilities, bad) -> None:
     # Our model is a 64-bit host: "host address-space size" must be 1, and
     # the IA-32e guest control requires it (SDM 26.2.2).
-    if vmcs.read(F.VM_EXIT_CONTROLS) & ExitControls.HOST_ADDR_SPACE_SIZE:
-        if not vmcs.read(F.HOST_CR4) & Cr4.PAE:
+    if v[F.VM_EXIT_CONTROLS] & ExitControls.HOST_ADDR_SPACE_SIZE:
+        if not v[F.HOST_CR4] & Cr4.PAE:
             bad("host_cr4", "64-bit host requires CR4.PAE")
     else:
         bad("vm_exit_controls", "64-bit CPU requires host address-space size")
-        if vmcs.read(F.VM_ENTRY_CONTROLS) & EntryControls.IA32E_MODE_GUEST:
+        if v[F.VM_ENTRY_CONTROLS] & EntryControls.IA32E_MODE_GUEST:
             bad("vm_entry_controls", "IA-32e guest requires 64-bit host")
 
 
@@ -380,14 +376,13 @@ _HOST_SELECTORS = tuple((field, f"host_{name}_selector")
                         for name, field in F.HOST_SELECTOR_FIELDS.items())
 
 
-def _u_host_selectors(vmcs: Vmcs, caps: VmxCapabilities, bad) -> None:
-    read = vmcs.read
+def _u_host_selectors(v: Values, caps: VmxCapabilities, bad) -> None:
     for field, name in _HOST_SELECTORS:
-        if read(field) & 0x7:
+        if v[field] & 0x7:
             bad(name, "TI/RPL bits must be zero")
-    if not read(F.HOST_CS_SELECTOR):
+    if not v[F.HOST_CS_SELECTOR]:
         bad("host_cs_selector", "must not be null")
-    if not read(F.HOST_TR_SELECTOR):
+    if not v[F.HOST_TR_SELECTOR]:
         bad("host_tr_selector", "must not be null")
 
 
@@ -401,18 +396,17 @@ _HOST_CANONICAL = ((F.HOST_FS_BASE, "host_fs_base"),
                    (F.HOST_RIP, "host_rip"))
 
 
-def _u_host_canonical(vmcs: Vmcs, caps: VmxCapabilities, bad) -> None:
-    read = vmcs.read
+def _u_host_canonical(v: Values, caps: VmxCapabilities, bad) -> None:
     for field, name in _HOST_CANONICAL:
-        addr = read(field)
+        addr = v[field]
         if _NONCANONICAL_LO <= addr < _NONCANONICAL_HI:
             bad(name, f"{addr:#x} not canonical")
 
 
-def _u_host_efer(vmcs: Vmcs, caps: VmxCapabilities, bad) -> None:
-    exit_ = vmcs.read(F.VM_EXIT_CONTROLS)
+def _u_host_efer(v: Values, caps: VmxCapabilities, bad) -> None:
+    exit_ = v[F.VM_EXIT_CONTROLS]
     if exit_ & ExitControls.LOAD_EFER:
-        efer = vmcs.read(F.HOST_IA32_EFER)
+        efer = v[F.HOST_IA32_EFER]
         if efer & Efer.RESERVED:
             bad("host_ia32_efer", "reserved bits set")
         host64 = bool(exit_ & ExitControls.HOST_ADDR_SPACE_SIZE)
@@ -422,21 +416,20 @@ def _u_host_efer(vmcs: Vmcs, caps: VmxCapabilities, bad) -> None:
             bad("host_ia32_efer", "LMA/LME must match host address-space size")
 
 
-def _u_host_pat(vmcs: Vmcs, caps: VmxCapabilities, bad) -> None:
-    if vmcs.read(F.VM_EXIT_CONTROLS) & ExitControls.LOAD_PAT:
-        pat = vmcs.read(F.HOST_IA32_PAT)
+def _u_host_pat(v: Values, caps: VmxCapabilities, bad) -> None:
+    if v[F.VM_EXIT_CONTROLS] & ExitControls.LOAD_PAT:
+        pat = v[F.HOST_IA32_PAT]
         if not _pat_valid(pat):
             bad("host_ia32_pat", "invalid PAT memory type")
 
 
 # --- SDM 26.3.1 — checks on guest state (performed during entry) ----------
 
-def _u_guest_cr(vmcs: Vmcs, caps: VmxCapabilities, bad) -> None:
-    read = vmcs.read
-    unrestricted = bool(_effective_proc2(vmcs) & Secondary.UNRESTRICTED_GUEST)
-    cr0 = read(F.GUEST_CR0)
-    cr4 = read(F.GUEST_CR4)
-    cr3 = read(F.GUEST_CR3)
+def _u_guest_cr(v: Values, caps: VmxCapabilities, bad) -> None:
+    unrestricted = bool(_effective_proc2(v) & Secondary.UNRESTRICTED_GUEST)
+    cr0 = v[F.GUEST_CR0]
+    cr4 = v[F.GUEST_CR4]
+    cr3 = v[F.GUEST_CR3]
 
     if not caps.cr0_valid_for_vmx(cr0, unrestricted_guest=unrestricted):
         bad("guest_cr0", f"{cr0:#x} violates CR0 fixed bits")
@@ -445,7 +438,7 @@ def _u_guest_cr(vmcs: Vmcs, caps: VmxCapabilities, bad) -> None:
     if not caps.cr4_valid_for_vmx(cr4):
         bad("guest_cr4", f"{cr4:#x} violates CR4 fixed bits")
 
-    if read(F.VM_ENTRY_CONTROLS) & EntryControls.IA32E_MODE_GUEST:
+    if v[F.VM_ENTRY_CONTROLS] & EntryControls.IA32E_MODE_GUEST:
         if not cr0 & Cr0.PG:
             bad("guest_cr0", "IA-32e mode guest requires CR0.PG")
         # HARDWARE QUIRK (CVE-2023-30456): the SDM says CR4.PAE must be 1
@@ -458,75 +451,74 @@ def _u_guest_cr(vmcs: Vmcs, caps: VmxCapabilities, bad) -> None:
         bad("guest_cr3", f"{cr3:#x} exceeds physical address width")
 
 
-def _u_guest_debug(vmcs: Vmcs, caps: VmxCapabilities, bad) -> None:
-    if vmcs.read(F.VM_ENTRY_CONTROLS) & EntryControls.LOAD_DEBUG_CONTROLS:
-        if vmcs.read(F.GUEST_DR7) & Dr7.HIGH_RESERVED:
+def _u_guest_debug(v: Values, caps: VmxCapabilities, bad) -> None:
+    if v[F.VM_ENTRY_CONTROLS] & EntryControls.LOAD_DEBUG_CONTROLS:
+        if v[F.GUEST_DR7] & Dr7.HIGH_RESERVED:
             bad("guest_dr7", "bits 63:32 must be zero")
-        if vmcs.read(F.GUEST_IA32_DEBUGCTL) & ~0x1DDF:
+        if v[F.GUEST_IA32_DEBUGCTL] & ~0x1DDF:
             bad("guest_ia32_debugctl", "reserved bits set")
 
 
-def _u_guest_perf(vmcs: Vmcs, caps: VmxCapabilities, bad) -> None:
-    if vmcs.read(F.VM_ENTRY_CONTROLS) & EntryControls.LOAD_PERF_GLOBAL_CTRL:
-        if vmcs.read(F.GUEST_IA32_PERF_GLOBAL_CTRL) & ~0x7_0000_0003:
+def _u_guest_perf(v: Values, caps: VmxCapabilities, bad) -> None:
+    if v[F.VM_ENTRY_CONTROLS] & EntryControls.LOAD_PERF_GLOBAL_CTRL:
+        if v[F.GUEST_IA32_PERF_GLOBAL_CTRL] & ~0x7_0000_0003:
             bad("guest_ia32_perf_global_ctrl", "reserved bits set")
 
 
-def _u_guest_bndcfgs(vmcs: Vmcs, caps: VmxCapabilities, bad) -> None:
-    if vmcs.read(F.VM_ENTRY_CONTROLS) & EntryControls.LOAD_BNDCFGS:
-        bndcfgs = vmcs.read(F.GUEST_IA32_BNDCFGS)
+def _u_guest_bndcfgs(v: Values, caps: VmxCapabilities, bad) -> None:
+    if v[F.VM_ENTRY_CONTROLS] & EntryControls.LOAD_BNDCFGS:
+        bndcfgs = v[F.GUEST_IA32_BNDCFGS]
         if bndcfgs & 0xFFC:
             bad("guest_ia32_bndcfgs", "reserved bits set")
         if _NONCANONICAL_LO <= bndcfgs & ~0xFFF < _NONCANONICAL_HI:
             bad("guest_ia32_bndcfgs", "base not canonical")
 
 
-def _u_guest_efer(vmcs: Vmcs, caps: VmxCapabilities, bad) -> None:
-    entry = vmcs.read(F.VM_ENTRY_CONTROLS)
+def _u_guest_efer(v: Values, caps: VmxCapabilities, bad) -> None:
+    entry = v[F.VM_ENTRY_CONTROLS]
     if entry & EntryControls.LOAD_EFER:
         ia32e_guest = bool(entry & EntryControls.IA32E_MODE_GUEST)
-        efer = vmcs.read(F.GUEST_IA32_EFER)
+        efer = v[F.GUEST_IA32_EFER]
         if efer & Efer.RESERVED:
             bad("guest_ia32_efer", "reserved bits set")
         if bool(efer & Efer.LMA) != ia32e_guest:
             bad("guest_ia32_efer", "LMA must equal IA-32e-mode-guest control")
-        if (vmcs.read(F.GUEST_CR0) & Cr0.PG
+        if (v[F.GUEST_CR0] & Cr0.PG
                 and bool(efer & Efer.LMA) != bool(efer & Efer.LME)):
             bad("guest_ia32_efer", "LMA must equal LME when paging enabled")
 
 
-def _u_guest_pat(vmcs: Vmcs, caps: VmxCapabilities, bad) -> None:
-    if (vmcs.read(F.VM_ENTRY_CONTROLS) & EntryControls.LOAD_PAT
-            and not _pat_valid(vmcs.read(F.GUEST_IA32_PAT))):
+def _u_guest_pat(v: Values, caps: VmxCapabilities, bad) -> None:
+    if (v[F.VM_ENTRY_CONTROLS] & EntryControls.LOAD_PAT
+            and not _pat_valid(v[F.GUEST_IA32_PAT])):
         bad("guest_ia32_pat", "invalid PAT memory type")
 
 
-def _u_guest_segments(vmcs: Vmcs, caps: VmxCapabilities, bad) -> None:
+def _u_guest_segments(v: Values, caps: VmxCapabilities, bad) -> None:
     """Guest segment-register checks (SDM 26.3.1.2)."""
-    read = vmcs.read
-    ia32e_guest = read(F.VM_ENTRY_CONTROLS) & EntryControls.IA32E_MODE_GUEST
-    unrestricted = _effective_proc2(vmcs) & Secondary.UNRESTRICTED_GUEST
-    virtual_8086 = read(F.GUEST_RFLAGS) & Rflags.VM
+    ia32e_guest = v[F.VM_ENTRY_CONTROLS] & EntryControls.IA32E_MODE_GUEST
+    unrestricted = _effective_proc2(v) & Secondary.UNRESTRICTED_GUEST
+    virtual_8086 = v[F.GUEST_RFLAGS] & Rflags.VM
     es_sel, cs_sel, ss_sel, ds_sel, fs_sel, gs_sel, ldtr_sel, tr_sel = (
-        read(F.GUEST_ES_SELECTOR), read(F.GUEST_CS_SELECTOR),
-        read(F.GUEST_SS_SELECTOR), read(F.GUEST_DS_SELECTOR),
-        read(F.GUEST_FS_SELECTOR), read(F.GUEST_GS_SELECTOR),
-        read(F.GUEST_LDTR_SELECTOR), read(F.GUEST_TR_SELECTOR))
+        v[F.GUEST_ES_SELECTOR], v[F.GUEST_CS_SELECTOR],
+        v[F.GUEST_SS_SELECTOR], v[F.GUEST_DS_SELECTOR],
+        v[F.GUEST_FS_SELECTOR], v[F.GUEST_GS_SELECTOR],
+        v[F.GUEST_LDTR_SELECTOR], v[F.GUEST_TR_SELECTOR])
     es_base, cs_base, ss_base, ds_base, fs_base, gs_base, ldtr_base, tr_base = (
-        read(F.GUEST_ES_BASE), read(F.GUEST_CS_BASE),
-        read(F.GUEST_SS_BASE), read(F.GUEST_DS_BASE),
-        read(F.GUEST_FS_BASE), read(F.GUEST_GS_BASE),
-        read(F.GUEST_LDTR_BASE), read(F.GUEST_TR_BASE))
+        v[F.GUEST_ES_BASE], v[F.GUEST_CS_BASE],
+        v[F.GUEST_SS_BASE], v[F.GUEST_DS_BASE],
+        v[F.GUEST_FS_BASE], v[F.GUEST_GS_BASE],
+        v[F.GUEST_LDTR_BASE], v[F.GUEST_TR_BASE])
     es_lim, cs_lim, ss_lim, ds_lim, fs_lim, gs_lim, ldtr_lim, tr_lim = (
-        read(F.GUEST_ES_LIMIT), read(F.GUEST_CS_LIMIT),
-        read(F.GUEST_SS_LIMIT), read(F.GUEST_DS_LIMIT),
-        read(F.GUEST_FS_LIMIT), read(F.GUEST_GS_LIMIT),
-        read(F.GUEST_LDTR_LIMIT), read(F.GUEST_TR_LIMIT))
+        v[F.GUEST_ES_LIMIT], v[F.GUEST_CS_LIMIT],
+        v[F.GUEST_SS_LIMIT], v[F.GUEST_DS_LIMIT],
+        v[F.GUEST_FS_LIMIT], v[F.GUEST_GS_LIMIT],
+        v[F.GUEST_LDTR_LIMIT], v[F.GUEST_TR_LIMIT])
     es_ar, cs_ar, ss_ar, ds_ar, fs_ar, gs_ar, ldtr_ar, tr_ar = (
-        read(F.GUEST_ES_AR_BYTES), read(F.GUEST_CS_AR_BYTES),
-        read(F.GUEST_SS_AR_BYTES), read(F.GUEST_DS_AR_BYTES),
-        read(F.GUEST_FS_AR_BYTES), read(F.GUEST_GS_AR_BYTES),
-        read(F.GUEST_LDTR_AR_BYTES), read(F.GUEST_TR_AR_BYTES))
+        v[F.GUEST_ES_AR_BYTES], v[F.GUEST_CS_AR_BYTES],
+        v[F.GUEST_SS_AR_BYTES], v[F.GUEST_DS_AR_BYTES],
+        v[F.GUEST_FS_AR_BYTES], v[F.GUEST_GS_AR_BYTES],
+        v[F.GUEST_LDTR_AR_BYTES], v[F.GUEST_TR_AR_BYTES])
 
     if virtual_8086:
         # In v8086 mode every segment but LDTR and TR must look like
@@ -666,48 +658,45 @@ def _u_guest_segments(vmcs: Vmcs, caps: VmxCapabilities, bad) -> None:
         bad("guest_es_base", "bits 63:32 must be zero")
 
 
-def _u_guest_dtables(vmcs: Vmcs, caps: VmxCapabilities, bad) -> None:
-    read = vmcs.read
-    if _NONCANONICAL_LO <= read(F.GUEST_GDTR_BASE) < _NONCANONICAL_HI:
+def _u_guest_dtables(v: Values, caps: VmxCapabilities, bad) -> None:
+    if _NONCANONICAL_LO <= v[F.GUEST_GDTR_BASE] < _NONCANONICAL_HI:
         bad("guest_gdtr_base", "base not canonical")
-    if _NONCANONICAL_LO <= read(F.GUEST_IDTR_BASE) < _NONCANONICAL_HI:
+    if _NONCANONICAL_LO <= v[F.GUEST_IDTR_BASE] < _NONCANONICAL_HI:
         bad("guest_idtr_base", "base not canonical")
-    if read(F.GUEST_GDTR_LIMIT) & ~0xFFFF:
+    if v[F.GUEST_GDTR_LIMIT] & ~0xFFFF:
         bad("guest_gdtr_limit", "bits 31:16 must be zero")
-    if read(F.GUEST_IDTR_LIMIT) & ~0xFFFF:
+    if v[F.GUEST_IDTR_LIMIT] & ~0xFFFF:
         bad("guest_idtr_limit", "bits 31:16 must be zero")
 
 
-def _u_guest_rip(vmcs: Vmcs, caps: VmxCapabilities, bad) -> None:
-    ia32e_guest = vmcs.read(F.VM_ENTRY_CONTROLS) & EntryControls.IA32E_MODE_GUEST
-    rip = vmcs.read(F.GUEST_RIP)
-    if not ia32e_guest or not vmcs.read(F.GUEST_CS_AR_BYTES) & _AR_L:
+def _u_guest_rip(v: Values, caps: VmxCapabilities, bad) -> None:
+    ia32e_guest = v[F.VM_ENTRY_CONTROLS] & EntryControls.IA32E_MODE_GUEST
+    rip = v[F.GUEST_RIP]
+    if not ia32e_guest or not v[F.GUEST_CS_AR_BYTES] & _AR_L:
         if rip >> 32:
             bad("guest_rip", "bits 63:32 must be zero outside 64-bit code")
     elif _NONCANONICAL_LO <= rip < _NONCANONICAL_HI:
         bad("guest_rip", "not canonical")
 
 
-def _u_guest_rflags(vmcs: Vmcs, caps: VmxCapabilities, bad) -> None:
-    read = vmcs.read
-    rflags = read(F.GUEST_RFLAGS)
+def _u_guest_rflags(v: Values, caps: VmxCapabilities, bad) -> None:
+    rflags = v[F.GUEST_RFLAGS]
     if rflags & Rflags.RESERVED or not rflags & Rflags.FIXED_1:
         bad("guest_rflags", "fixed/reserved bit violation")
-    if rflags & Rflags.VM and (read(F.VM_ENTRY_CONTROLS) & EntryControls.IA32E_MODE_GUEST
-                               or not read(F.GUEST_CR0) & Cr0.PE):
+    if rflags & Rflags.VM and (v[F.VM_ENTRY_CONTROLS] & EntryControls.IA32E_MODE_GUEST
+                               or not v[F.GUEST_CR0] & Cr0.PE):
         bad("guest_rflags", "VM flag invalid in IA-32e mode or without PE")
     # A valid external interrupt (event type 0) needs RFLAGS.IF.
-    info = read(F.VM_ENTRY_INTR_INFO_FIELD)
+    info = v[F.VM_ENTRY_INTR_INFO_FIELD]
     if info & _INTR_VALID and not info & _INTR_TYPE and not rflags & Rflags.IF:
         bad("guest_rflags", "IF must be set to inject external interrupt")
 
 
-def _u_guest_non_register(vmcs: Vmcs, caps: VmxCapabilities, bad) -> None:
-    read = vmcs.read
-    activity = read(F.GUEST_ACTIVITY_STATE)
+def _u_guest_non_register(v: Values, caps: VmxCapabilities, bad) -> None:
+    activity = v[F.GUEST_ACTIVITY_STATE]
     if activity > ActivityState.WAIT_FOR_SIPI:
         bad("guest_activity_state", f"unsupported value {activity}")
-    interruptibility = read(F.GUEST_INTERRUPTIBILITY_INFO)
+    interruptibility = v[F.GUEST_INTERRUPTIBILITY_INFO]
     if interruptibility & Interruptibility.RESERVED:
         bad("guest_interruptibility_info", "reserved bits set")
     sti = interruptibility & Interruptibility.STI_BLOCKING
@@ -717,20 +706,20 @@ def _u_guest_non_register(vmcs: Vmcs, caps: VmxCapabilities, bad) -> None:
     if activity == ActivityState.HLT and (sti or movss):
         bad("guest_activity_state", "HLT state with blocking-by-STI/MOV-SS")
     if (activity == ActivityState.SHUTDOWN or activity == ActivityState.WAIT_FOR_SIPI) \
-            and read(F.VM_ENTRY_INTR_INFO_FIELD) & _INTR_VALID:
+            and v[F.VM_ENTRY_INTR_INFO_FIELD] & _INTR_VALID:
         bad("guest_activity_state",
             "event injection invalid in shutdown/wait-for-SIPI")
-    if sti and not read(F.GUEST_RFLAGS) & Rflags.IF:
+    if sti and not v[F.GUEST_RFLAGS] & Rflags.IF:
         bad("guest_interruptibility_info", "STI blocking requires RFLAGS.IF")
 
 
-def _u_guest_pending_dbg(vmcs: Vmcs, caps: VmxCapabilities, bad) -> None:
-    if vmcs.read(F.GUEST_PENDING_DBG_EXCEPTIONS) & ~0x1600F:
+def _u_guest_pending_dbg(v: Values, caps: VmxCapabilities, bad) -> None:
+    if v[F.GUEST_PENDING_DBG_EXCEPTIONS] & ~0x1600F:
         bad("guest_pending_dbg_exceptions", "reserved bits set")
 
 
-def _u_guest_link_ptr(vmcs: Vmcs, caps: VmxCapabilities, bad) -> None:
-    link = vmcs.read(F.VMCS_LINK_POINTER)
+def _u_guest_link_ptr(v: Values, caps: VmxCapabilities, bad) -> None:
+    link = v[F.VMCS_LINK_POINTER]
     if link != (1 << 64) - 1 and link & _BAD_PAGE_ADDR:
         bad("vmcs_link_pointer", f"bad shadow-VMCS pointer {link:#x}")
 
@@ -739,20 +728,19 @@ _PDPTES = ((F.GUEST_PDPTE0, "guest_pdpte0"), (F.GUEST_PDPTE1, "guest_pdpte1"),
            (F.GUEST_PDPTE2, "guest_pdpte2"), (F.GUEST_PDPTE3, "guest_pdpte3"))
 
 
-def _u_guest_pdptes(vmcs: Vmcs, caps: VmxCapabilities, bad) -> None:
-    read = vmcs.read
-    if (not read(F.VM_ENTRY_CONTROLS) & EntryControls.IA32E_MODE_GUEST
-            and read(F.GUEST_CR0) & Cr0.PG and read(F.GUEST_CR4) & Cr4.PAE):
+def _u_guest_pdptes(v: Values, caps: VmxCapabilities, bad) -> None:
+    if (not v[F.VM_ENTRY_CONTROLS] & EntryControls.IA32E_MODE_GUEST
+            and v[F.GUEST_CR0] & Cr0.PG and v[F.GUEST_CR4] & Cr4.PAE):
         for field, name in _PDPTES:
-            pdpte = read(field)
+            pdpte = v[field]
             if pdpte & 1 and pdpte & 0x1E6:  # reserved bits in present PDPTE
                 bad(name, "reserved bits set in present PDPTE")
 
 
-def _u_guest_sysenter(vmcs: Vmcs, caps: VmxCapabilities, bad) -> None:
-    if _NONCANONICAL_LO <= vmcs.read(F.GUEST_SYSENTER_ESP) < _NONCANONICAL_HI:
+def _u_guest_sysenter(v: Values, caps: VmxCapabilities, bad) -> None:
+    if _NONCANONICAL_LO <= v[F.GUEST_SYSENTER_ESP] < _NONCANONICAL_HI:
         bad("guest_sysenter_esp", "not canonical")
-    if _NONCANONICAL_LO <= vmcs.read(F.GUEST_SYSENTER_EIP) < _NONCANONICAL_HI:
+    if _NONCANONICAL_LO <= v[F.GUEST_SYSENTER_EIP] < _NONCANONICAL_HI:
         bad("guest_sysenter_eip", "not canonical")
 
 
@@ -898,9 +886,29 @@ for _i, _u in enumerate(UNITS):
 del _i, _u, _enc
 
 
+class ReadTraceActiveError(RuntimeError):
+    """An entry check met a structure whose reads are being traced.
+
+    The check units read a ``Vmcs``'s value table directly, not through
+    ``Vmcs.read``, so a read trace (``perf.memoized_check`` records one
+    while its computation runs) would miss every field they read, and a
+    memo built on it would never be invalidated by them.
+    """
+
+
+def _untraced(vmcs: Vmcs) -> None:
+    """Raise :class:`ReadTraceActiveError` when *vmcs*'s reads are traced."""
+    if vmcs._read_trace is not None:
+        raise ReadTraceActiveError(
+            "VM-entry checks read field values directly; they cannot run "
+            "on a structure with an active read trace")
+
+
 def _run_units(units: Sequence[CheckUnit], vmcs: Vmcs,
                caps: VmxCapabilities) -> list[tuple[Violation, ...]]:
     """Each of *units*' violation tuples, in order, through one collector."""
+    _untraced(vmcs)
+    values = vmcs._values
     results: list[tuple[Violation, ...]] = []
     out: list[Violation] = []
     stage = CheckStage.CONTROLS
@@ -910,7 +918,7 @@ def _run_units(units: Sequence[CheckUnit], vmcs: Vmcs,
 
     for unit in units:
         stage = unit.stage
-        unit.fn(vmcs, caps, bad)
+        unit.fn(values, caps, bad)
         if out:
             results.append(tuple(out))
             out.clear()
@@ -1037,7 +1045,11 @@ class IncrementalChecker:
         self._last: tuple | None = None
 
     def results(self, vmcs: Vmcs) -> tuple[tuple[Violation, ...], ...]:
-        """Per-unit violation tuples, reusing unaffected cached units."""
+        """Per-unit violation tuples, reusing unaffected cached units.
+
+        Raises :class:`ReadTraceActiveError` if *vmcs*'s reads are traced.
+        """
+        _untraced(vmcs)
         caps = self.caps
         gen = vmcs.generation
         entry = vmcs.memo_get(_MEMO_KEY)
@@ -1051,8 +1063,10 @@ class IncrementalChecker:
                         dirty.update(FIELD_TO_CHECKS.get(enc, ()))
                     if dirty:
                         fresh = list(results)
-                        for i in dirty:
-                            fresh[i] = _run_unit(UNITS[i], vmcs, caps)
+                        rerun = sorted(dirty)
+                        for i, result in zip(rerun, _run_units(
+                                [UNITS[i] for i in rerun], vmcs, caps)):
+                            fresh[i] = result
                         results = tuple(fresh)
                 if entry[0] != gen or results is not entry[1]:
                     vmcs.memo_put(_MEMO_KEY, (gen, results, caps))

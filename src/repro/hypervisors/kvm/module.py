@@ -100,3 +100,26 @@ class KvmModuleParams:
             "ple": self.ple,
         }
         return capabilities_for_features(features)
+
+
+#: The configurator features ``KvmModuleParams.from_config(...)
+#: .l1_vmx_capabilities()`` reads: the ones naming a kvm-intel.ko
+#: parameter L1's capability MSRs depend on.
+L1_VMX_FEATURES = ("ept", "unrestricted_guest", "vpid", "flexpriority",
+                   "enable_shadow_vmcs", "pml", "apicv", "preemption_timer",
+                   "ple")
+
+#: L1 capability sets by the settings of ``L1_VMX_FEATURES`` (``None``
+#: where a feature map leaves one out).
+_L1_VMX_CAPS: dict[tuple, VmxCapabilities] = {}
+
+
+def l1_vmx_capabilities_for(config: VcpuConfig) -> VmxCapabilities:
+    """``KvmModuleParams.from_config(config).l1_vmx_capabilities()``,
+    resolved once per distinct setting of the features it reads."""
+    key = tuple(map(config.features.get, L1_VMX_FEATURES))
+    caps = _L1_VMX_CAPS.get(key)
+    if caps is None:
+        caps = KvmModuleParams.from_config(config).l1_vmx_capabilities()
+        _L1_VMX_CAPS[key] = caps
+    return caps

@@ -41,20 +41,24 @@ HOST_RSP = 0x58000
 #: Per-capability golden templates; builders are pure, so each template
 #: is constructed once and handed out as fast copies. VMCS templates
 #: are entry-checked once when built: ``Vmcs.copy()`` shares the memo,
-#: so every copy starts with warm per-unit check results.
-_VMCS_TEMPLATES: dict[VmxCapabilities, Vmcs] = {}
+#: so every copy starts with warm per-unit check results. They are
+#: looked up by the capability object's identity, which is cheap where
+#: hashing the whole dataclass is not: capability sets are interned
+#: (``capabilities_for_features``), so equal sets are one object. Each
+#: entry keeps its capability object alive, so its id is never reused.
+_VMCS_TEMPLATES: dict[int, tuple[VmxCapabilities, Vmcs]] = {}
 _VMCB_TEMPLATES: dict[bool, Vmcb] = {}
 
 
 def golden_vmcs(caps: VmxCapabilities | None = None) -> Vmcs:
     """Build a fully valid, launchable VMCS for a 64-bit guest."""
     caps = caps or default_capabilities()
-    template = _VMCS_TEMPLATES.get(caps)
-    if template is None:
+    entry = _VMCS_TEMPLATES.get(id(caps))
+    if entry is None:
         template = _build_golden_vmcs(caps)
         IncrementalChecker(caps).results(template)
-        _VMCS_TEMPLATES[caps] = template
-    return template.copy()
+        entry = _VMCS_TEMPLATES[id(caps)] = (caps, template)
+    return entry[1].copy()
 
 
 def _build_golden_vmcs(caps: VmxCapabilities) -> Vmcs:

@@ -13,13 +13,11 @@ divergence to learn.
 
 from __future__ import annotations
 
-from repro.arch.bits import sign_extend
 from repro.arch.registers import Cr4, Efer
-from repro.validator.base import Change, Rounder
+from repro.validator.base import Rounder, canonicalize
 from repro.vmx import fields as F
 from repro.vmx.controls import ExitControls
 from repro.vmx.msr_caps import VmxCapabilities
-from repro.vmx.vmcs import Vmcs
 
 _PHYS_MASK = (1 << 46) - 1
 
@@ -38,68 +36,68 @@ def round_pat(value: int) -> int:
     return out
 
 
-def canonicalize(address: int) -> int:
-    """Round an address to canonical form by sign-extending bit 47."""
-    return sign_extend(address, 48) & ((1 << 64) - 1)
+#: Host selectors with the rule clearing their TI/RPL bits.
+_HOST_SELECTORS = tuple((field, f"host {name} selector TI/RPL clear")
+                        for name, field in F.HOST_SELECTOR_FIELDS.items())
+
+#: Host addresses that must be canonical, with their rules.
+_HOST_CANONICAL = ((F.HOST_FS_BASE, "host FS base canonical"),
+                   (F.HOST_GS_BASE, "host GS base canonical"),
+                   (F.HOST_TR_BASE, "host TR base canonical"),
+                   (F.HOST_GDTR_BASE, "host GDTR base canonical"),
+                   (F.HOST_IDTR_BASE, "host IDTR base canonical"),
+                   (F.HOST_IA32_SYSENTER_ESP, "host SYSENTER_ESP canonical"),
+                   (F.HOST_IA32_SYSENTER_EIP, "host SYSENTER_EIP canonical"),
+                   (F.HOST_RIP, "host RIP canonical"))
 
 
-def vmenter_load_check_host_state(vmcs: Vmcs, caps: VmxCapabilities) -> list[Change]:
-    """Round host-state fields toward validity; return the changes."""
-    r = Rounder(vmcs)
+def round_host_state(r: Rounder, caps: VmxCapabilities) -> None:
+    """Round host-state fields toward validity."""
+    v = r.values
+    force = r.force
 
-    r.force(F.HOST_CR0, (r.read(F.HOST_CR0) | caps.cr0_fixed0) & caps.cr0_fixed1,
-            "host CR0 fixed bits")
-    cr4 = (r.read(F.HOST_CR4) | caps.cr4_fixed0) & caps.cr4_fixed1
+    force(F.HOST_CR0, (v[F.HOST_CR0] | caps.cr0_fixed0) & caps.cr0_fixed1,
+          "host CR0 fixed bits")
+    cr4 = (v[F.HOST_CR4] | caps.cr4_fixed0) & caps.cr4_fixed1
     cr4 |= Cr4.PAE  # 64-bit host requires PAE
-    r.force(F.HOST_CR4, cr4, "host CR4 fixed bits + PAE for 64-bit host")
-    r.force(F.HOST_CR3, r.read(F.HOST_CR3) & _PHYS_MASK, "host CR3 width")
+    force(F.HOST_CR4, cr4, "host CR4 fixed bits + PAE for 64-bit host")
+    force(F.HOST_CR3, v[F.HOST_CR3] & _PHYS_MASK, "host CR3 width")
 
     # Selectors: clear TI/RPL; give CS a usable default when null.
-    for name, field in F.HOST_SELECTOR_FIELDS.items():
-        r.force(field, r.read(field) & ~0x7, f"host {name} selector TI/RPL clear")
-    if not r.read(F.HOST_CS_SELECTOR):
-        r.force(F.HOST_CS_SELECTOR, 0x10, "host CS selector must not be null")
+    for field, rule in _HOST_SELECTORS:
+        force(field, v[field] & ~0x7, rule)
+    if not v[F.HOST_CS_SELECTOR]:
+        force(F.HOST_CS_SELECTOR, 0x10, "host CS selector must not be null")
     # NOTE: the corresponding TR null check is the documented gap — no
     # rounding of HOST_TR_SELECTOR here.
 
-    for field, rule in ((F.HOST_FS_BASE, "host FS base canonical"),
-                        (F.HOST_GS_BASE, "host GS base canonical"),
-                        (F.HOST_TR_BASE, "host TR base canonical"),
-                        (F.HOST_GDTR_BASE, "host GDTR base canonical"),
-                        (F.HOST_IDTR_BASE, "host IDTR base canonical"),
-                        (F.HOST_IA32_SYSENTER_ESP, "host SYSENTER_ESP canonical"),
-                        (F.HOST_IA32_SYSENTER_EIP, "host SYSENTER_EIP canonical"),
-                        (F.HOST_RIP, "host RIP canonical")):
-        r.force(field, canonicalize(r.read(field)), rule)
+    r.canonical(_HOST_CANONICAL)
 
-    exit_ = r.read(F.VM_EXIT_CONTROLS)
+    exit_ = v[F.VM_EXIT_CONTROLS]
     if exit_ & ExitControls.LOAD_EFER:
-        efer = r.read(F.HOST_IA32_EFER) & ~Efer.RESERVED
+        efer = v[F.HOST_IA32_EFER] & ~Efer.RESERVED
         efer |= Efer.LME | Efer.LMA  # 64-bit host
-        r.force(F.HOST_IA32_EFER, efer, "host EFER LMA/LME for 64-bit host")
+        force(F.HOST_IA32_EFER, efer, "host EFER LMA/LME for 64-bit host")
     else:
-        r.force(F.HOST_IA32_EFER, 0, "host EFER ignored without load-EFER")
+        force(F.HOST_IA32_EFER, 0, "host EFER ignored without load-EFER")
     if exit_ & ExitControls.LOAD_PAT:
-        r.force(F.HOST_IA32_PAT, round_pat(r.read(F.HOST_IA32_PAT)),
-                "host PAT memory types")
+        force(F.HOST_IA32_PAT, round_pat(v[F.HOST_IA32_PAT]), "host PAT memory types")
     else:
-        r.force(F.HOST_IA32_PAT, 0, "host PAT ignored without load-PAT")
+        force(F.HOST_IA32_PAT, 0, "host PAT ignored without load-PAT")
     if exit_ & ExitControls.LOAD_PERF_GLOBAL_CTRL:
-        r.force(F.HOST_IA32_PERF_GLOBAL_CTRL,
-                r.read(F.HOST_IA32_PERF_GLOBAL_CTRL) & 0x7_0000_0003,
-                "host PERF_GLOBAL_CTRL reserved bits zero")
+        force(F.HOST_IA32_PERF_GLOBAL_CTRL,
+              v[F.HOST_IA32_PERF_GLOBAL_CTRL] & 0x7_0000_0003,
+              "host PERF_GLOBAL_CTRL reserved bits zero")
     else:
-        r.force(F.HOST_IA32_PERF_GLOBAL_CTRL, 0,
-                "host PERF_GLOBAL_CTRL ignored without its load control")
+        force(F.HOST_IA32_PERF_GLOBAL_CTRL, 0,
+              "host PERF_GLOBAL_CTRL ignored without its load control")
     if exit_ & ExitControls.LOAD_PKRS:
-        r.force(F.HOST_IA32_PKRS, r.read(F.HOST_IA32_PKRS) & 0xFFFFFFFF,
-                "host PKRS bits 63:32 zero")
+        force(F.HOST_IA32_PKRS, v[F.HOST_IA32_PKRS] & 0xFFFFFFFF,
+              "host PKRS bits 63:32 zero")
     else:
-        r.force(F.HOST_IA32_PKRS, 0, "host PKRS ignored without its load control")
+        force(F.HOST_IA32_PKRS, 0, "host PKRS ignored without its load control")
     if exit_ & ExitControls.LOAD_CET_STATE:
-        r.force(F.HOST_IA32_S_CET, canonicalize(r.read(F.HOST_IA32_S_CET) & ~0x3C),
-                "host S_CET reserved bits zero")
+        force(F.HOST_IA32_S_CET, canonicalize(v[F.HOST_IA32_S_CET] & ~0x3C),
+              "host S_CET reserved bits zero")
     else:
-        r.force(F.HOST_IA32_S_CET, 0, "host CET ignored without its load control")
-
-    return r.commit()
+        force(F.HOST_IA32_S_CET, 0, "host CET ignored without its load control")

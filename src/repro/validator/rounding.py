@@ -9,22 +9,27 @@ groups (the guest routines read the already-rounded entry controls).
 Dependent fields form a unidirectional graph, so this completes in a
 bounded number of steps: a second pass is a fixed point.
 
-Each routine rounds a private copy of the field values and writes its
-group's changes to the VMCS in one ``Vmcs.write_many`` call
-(:class:`repro.validator.base.Rounder`). The report keeps those changes
-raw and builds ``Correction`` records only when they are read: a
+One pass rounds all three groups on one private copy of the field
+values (:class:`repro.validator.base.Rounder`), so a later group reads
+what an earlier one rounded, and commits once: the VMCS takes the
+rounded values and journals the changed encodings in order, which
+leaves the values, generation and journal that writing each correction
+as it was made would have left. The report keeps the changes raw, split
+by group, and builds ``Correction`` records only when they are read: a
 campaign reads just the count, the oracle tests and the Figure 5
-analysis read the records.
+analysis read the records. The per-group routines this pass replaced,
+each with its own copy and its own bulk write, are the pinned reference
+in tests/reference/group_rounder.py.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from repro.validator.base import Change, Correction, corrections
-from repro.validator.guest_state import vmenter_load_check_guest_state
-from repro.validator.host_state import vmenter_load_check_host_state
-from repro.validator.vm_controls import vmenter_load_check_vm_controls
+from repro.validator.base import Change, Correction, Rounder, corrections
+from repro.validator.guest_state import round_guest_state
+from repro.validator.host_state import round_host_state
+from repro.validator.vm_controls import round_vm_controls
 from repro.vmx.msr_caps import VmxCapabilities, default_capabilities
 from repro.vmx.vmcs import Vmcs
 
@@ -79,10 +84,17 @@ class VmStateValidator:
     def round_to_valid(self, vmcs: Vmcs) -> RoundingReport:
         """Round *vmcs* in the architectural group order."""
         caps = self.caps
-        controls = vmenter_load_check_vm_controls(vmcs, caps)
-        host = vmenter_load_check_host_state(vmcs, caps)
-        return RoundingReport(controls, host,
-                              vmenter_load_check_guest_state(vmcs, caps))
+        r = Rounder(vmcs)
+        changes = r.changes
+        round_vm_controls(r, caps)
+        controls_end = len(changes)
+        round_host_state(r, caps)
+        host_end = len(changes)
+        round_guest_state(r, caps)
+        r.commit()
+        return RoundingReport(changes[:controls_end],
+                              changes[controls_end:host_end],
+                              changes[host_end:])
 
     def is_fixed_point(self, vmcs: Vmcs) -> bool:
         """True when another rounding pass would change nothing."""

@@ -153,6 +153,20 @@ class Vmcs:
         values.update(zip(changed, map(srcvals.__getitem__, changed)))
         self._journal(changed)
 
+    def adopt(self, values: dict[int, int], changed: list[int]) -> None:
+        """Take *values* as the field table, journalling *changed*.
+
+        For a caller that made its writes on a private copy of the
+        values: *values* must equal this structure's values after the
+        value-changing writes to *changed*, in order, each truncated to
+        its field width. The result equals making those writes one at a
+        time: the same values, generation, journal and truncation. The
+        structure keeps *values* itself; the caller must not touch it
+        afterwards.
+        """
+        self._values = values
+        self._journal(changed)
+
     def _journal(self, changed: list[int]) -> None:
         """Record the value-changing writes *changed*, in order, as
         :meth:`write` would one at a time."""
@@ -304,13 +318,24 @@ class Vmcs:
         Extra trailing bytes are ignored; short input raises ValueError.
         This is also how the state generator interprets raw fuzzing input
         as "several kilobytes of binary data treated as raw VMCS content".
+        Like :meth:`copy`, it bypasses ``__init__``: the unpacked table
+        is the only one built.
         """
         if len(raw) < F.LAYOUT_BYTES:
             raise ValueError(
                 f"need {F.LAYOUT_BYTES} bytes for a VMCS image, got {len(raw)}"
             )
-        vmcs = cls(revision_id)
+        vmcs = cls.__new__(cls)
+        vmcs.revision_id = revision_id
+        vmcs.launch_state = VmcsState.CLEAR
         vmcs._values = dict(zip(_ENCODINGS, _LAYOUT.unpack_from(raw)))
+        vmcs._gen = 0
+        vmcs._log = []
+        vmcs._log_base = 0
+        vmcs._memo = {}
+        vmcs._ser = None
+        vmcs._ser_gen = -1
+        vmcs._read_trace = None
         return vmcs
 
     def hamming(self, other: "Vmcs") -> int:

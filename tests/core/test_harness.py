@@ -324,6 +324,10 @@ class TestVmwriteReplay:
         assert replayed == reference
         assert len(replay_execs) == 1 < len(reference_execs)
 
+    def test_storm_rest_is_the_writes_after_the_first(self):
+        assert harness_module.STORM_REST == STORM_FIELDS[1:]
+        assert len(harness_module.STORM_REST) == len(STORM_FIELDS) - 1
+
     @pytest.mark.parametrize("crashed", [False, True], ids=["ok", "crashed"])
     @pytest.mark.parametrize("storm_only", [False, True],
                              ids=["case", "storm-only"])
@@ -333,6 +337,8 @@ class TestVmwriteReplay:
                          monkeypatch):
         monkeypatch.setattr(harness_module, "STORM_FIELDS",
                             STORM_FIELDS[:storm])
+        monkeypatch.setattr(harness_module, "STORM_REST",
+                            STORM_FIELDS[1:storm])
         replayed, reference, replay_execs, reference_execs = _both_paths(
             model, 1, mutate=False, storm_only=storm_only, crashed=crashed)
         assert replayed == reference

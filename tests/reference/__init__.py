@@ -9,9 +9,13 @@ optimisation must equal lives here, in the tests only:
 * :func:`full_recompute` bypasses every memo, merge cache and published
   copy, so each check and VMCS02/VMCB02 merge runs from scratch
   (tests/unit/test_incremental_equivalence.py);
-* :func:`per_field_rounder` rounds a VMCS with no private copy of its
-  values: each correction is one ``Vmcs.read`` and one ``Vmcs.write``
-  as it is made (tests/validator/test_rounding.py);
+* :mod:`tests.reference.group_rounder` keeps the validator's three
+  group routines as they were before one pass rounded all three groups:
+  each group on a private copy of its own, committed with one
+  ``Vmcs.write_many`` (tests/validator/test_one_pass_rounder.py);
+* :func:`per_field_rounder` runs those routines with no private copy of
+  the values: each correction is one ``Vmcs.read`` and one
+  ``Vmcs.write`` as it is made (tests/validator/test_rounding.py);
 * :func:`per_write_storm` sends every vmwrite of the init-phase storm
   through the L0 model (tests/core/test_harness.py);
 * :class:`PerByteCursor` reads fuzz-input bytes one at a time, each
@@ -72,10 +76,10 @@ from repro.hypervisors.xen import XenHypervisor
 from repro.parallel import sync
 from repro.svm import fields as SF
 from repro.svm.vmcb import Vmcb
-from repro.validator import guest_state, host_state, vm_controls
 from repro.validator.base import Correction
 from repro.vmx import fields as VF
 from repro.vmx.vmcs import Vmcs
+from tests.reference import group_rounder
 
 Line = kcov.Line
 
@@ -125,7 +129,7 @@ def full_recompute() -> Iterator[None]:
 
 
 class PerFieldRounder:
-    """The validator's rounder with each correction written as it is made.
+    """A group rounder with each correction written as it is made.
 
     Each ``force`` reads the field from the VMCS, looks its width and
     name up in the field table, writes a changed value straight back and
@@ -163,7 +167,9 @@ class PerFieldRounder:
 
 @contextmanager
 def per_field_rounder() -> Iterator[list[PerFieldRounder]]:
-    """Round with :class:`PerFieldRounder` in all three group routines.
+    """Run the reference group routines
+    (:func:`tests.reference.group_rounder.round_to_valid`) with
+    :class:`PerFieldRounder`.
 
     Yields the rounders in the order the routines made them: controls,
     host state and guest state for each rounding pass.
@@ -174,9 +180,7 @@ def per_field_rounder() -> Iterator[list[PerFieldRounder]]:
         made.append(PerFieldRounder(vmcs))
         return made[-1]
 
-    with ExitStack() as stack:
-        for module in (vm_controls, host_state, guest_state):
-            stack.enter_context(mock.patch.object(module, "Rounder", make))
+    with mock.patch.object(group_rounder, "Rounder", make):
         yield made
 
 

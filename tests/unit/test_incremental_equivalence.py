@@ -10,6 +10,7 @@ trajectories, coverage included.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from contextlib import nullcontext
 
 from hypothesis import given, settings
@@ -18,7 +19,12 @@ import pytest
 
 from repro import NecoFuzz, Vendor, perf
 from repro.core.vcpu_config import VcpuConfig
-from repro.cpu.entry_checks import UNITS, check_all
+from repro.cpu.entry_checks import (
+    UNITS,
+    IncrementalChecker,
+    ReadTraceActiveError,
+    check_all,
+)
 from repro.hypervisors.kvm import KvmHypervisor
 from repro.hypervisors.kvm.nested_svm import SvmNestedState
 from repro.hypervisors.kvm.nested_vmx import VmxNestedState
@@ -29,6 +35,7 @@ from repro.validator.rounding import VmStateValidator
 from repro.validator.svm_validator import SvmHardwareOracle, VmcbValidator
 from repro.vmx import fields as F
 from repro.vmx.msr_caps import default_capabilities
+from repro.vmx.vmcs import Vmcs
 from tests.reference import full_recompute
 
 _VMX_MUTABLE = [s for s in F.ALL_FIELDS
@@ -187,27 +194,89 @@ class TestCampaignEquivalence:
         assert [edges for _, edges in _drained(hypervisor, vendor)] == reference
 
 
+class _RecordingValues(Mapping):
+    """A structure's value table that records every key read through it.
+
+    A ``Mapping``: ``get``, ``in`` and iteration all go through
+    ``__getitem__`` or ``__iter__``, so no way of reading escapes it
+    (iterating marks every field read)."""
+
+    def __init__(self, values: dict[int, int]) -> None:
+        self._values = values
+        self.reads: set[int] = set()
+
+    def __getitem__(self, key: int) -> int:
+        self.reads.add(key)
+        return self._values[key]
+
+    def __iter__(self):
+        self.reads.update(self._values)
+        return iter(self._values)
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+
 class TestDeclaredReads:
     """The dependency index must cover everything a unit actually reads."""
 
     @given(st.binary(min_size=F.LAYOUT_BYTES, max_size=F.LAYOUT_BYTES))
     @settings(max_examples=25, deadline=None)
     def test_unit_reads_are_declared(self, raw):
-        from repro.vmx.vmcs import Vmcs
-
         caps = default_capabilities()
         vmcs = Vmcs.deserialize(raw)
         for unit in UNITS:
-            traced: set[int] = set()
-            vmcs._read_trace = traced
-            try:
-                unit.fn(vmcs, caps, lambda field, reason: None)
-            finally:
-                vmcs._read_trace = None
-            undeclared = traced - unit.reads
+            values = _RecordingValues(vmcs._values)
+            unit.fn(values, caps, lambda field, reason: None)
+            # Every unit reads at least one field, so an empty record
+            # means the reads went around the recorder.
+            assert values.reads, f"{unit.name} was seen reading nothing"
+            undeclared = values.reads - unit.reads
             assert not undeclared, (
                 f"{unit.name} read undeclared fields: "
                 f"{[F.SPEC_BY_ENCODING[e].name for e in undeclared]}")
+
+
+class TestReadTraceGuard:
+    """The units read the value table directly, so a read trace would
+    miss their reads: every entry check raises on a traced structure
+    instead of running unseen."""
+
+    @pytest.mark.parametrize("check", ["check_all", "results", "module"])
+    def test_check_on_traced_structure_raises(self, check):
+        caps = default_capabilities()
+        vmcs = golden_vmcs(caps)
+        vmcs.write(F.GUEST_RSP, vmcs.read(F.GUEST_RSP) ^ 0x10)  # stale memo
+        vmcs._read_trace = set()
+        run = {"check_all": IncrementalChecker(caps).check_all,
+               "results": IncrementalChecker(caps).results,
+               "module": lambda struct: check_all(struct, caps)}[check]
+        with pytest.raises(ReadTraceActiveError):
+            run(vmcs)
+        assert vmcs._read_trace == set()
+
+    def test_warm_memo_on_traced_structure_raises(self):
+        """A clean memo hit reads no field either; it raises too."""
+        caps = default_capabilities()
+        vmcs = golden_vmcs(caps)
+        checker = IncrementalChecker(caps)
+        checker.check_all(vmcs)
+        vmcs._read_trace = set()
+        with pytest.raises(ReadTraceActiveError):
+            checker.check_all(vmcs)
+
+    def test_inside_memoized_check_raises(self):
+        caps = default_capabilities()
+        vmcs = golden_vmcs(caps)
+        with pytest.raises(ReadTraceActiveError):
+            perf.memoized_check(vmcs, "probe", lambda: check_all(vmcs, caps))
+        assert vmcs._read_trace is None
+        assert vmcs.memo_get("probe") is None
+
+    def test_untraced_structure_checks(self):
+        caps = default_capabilities()
+        vmcs = golden_vmcs(caps)
+        assert IncrementalChecker(caps).check_all(vmcs) == check_all(vmcs, caps) == []
 
 
 class TestValueRevalidation:
@@ -221,8 +290,11 @@ class TestValueRevalidation:
         enc = F.GUEST_RSP
 
         def compute():
+            # Reads go through Vmcs.read, which the memo traces (the
+            # entry checks read the value table directly and refuse to
+            # run under a trace).
             runs.append(vmcs.read(enc))
-            return list(check_all(vmcs, caps))
+            return [vmcs.read(F.GUEST_CR0), vmcs.read(F.GUEST_RIP)]
 
         first = perf.memoized_check(vmcs, key, compute)
         old = vmcs.read(enc)
@@ -231,6 +303,9 @@ class TestValueRevalidation:
         again = perf.memoized_check(vmcs, key, compute)
         assert len(runs) == 1  # revert did not invalidate
         assert again == first
+        vmcs.write(F.GUEST_RIP, vmcs.read(F.GUEST_RIP) ^ 1)
+        assert perf.memoized_check(vmcs, key, compute) != first
+        assert len(runs) == 2  # a read field changed: recomputed
 
 
 class TestRoundingFixedPoint:

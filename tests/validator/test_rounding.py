@@ -16,7 +16,7 @@ from repro.vmx import fields as F
 from repro.vmx.controls import ActivityState, EntryControls, ProcBased
 from repro.vmx.msr_caps import capabilities_for_features, default_capabilities
 from repro.vmx.vmcs import _LOG_MAX, Vmcs
-from tests.reference import per_field_rounder
+from tests.reference import group_rounder, per_field_rounder
 
 raw_vmcs = st.binary(min_size=F.LAYOUT_BYTES, max_size=F.LAYOUT_BYTES)
 
@@ -201,8 +201,9 @@ def _l1_caps(hypervisor: str, bits: int):
 
 
 class TestOverlayMatchesPerFieldRounder:
-    """The rounder corrects a private copy of the values and writes each
-    group with one ``write_many``; the per-field reference writes every
+    """The rounder corrects one private copy of the values and commits
+    all three groups at once; the per-field reference runs the group
+    routines of tests/reference/group_rounder.py and writes every
     correction as it happens. Both must leave the same VMCS, generation
     and journal, and report the same corrections."""
 
@@ -222,7 +223,7 @@ class TestOverlayMatchesPerFieldRounder:
         for _ in range(2):  # the rounding pass, then its fixed point
             report = validator.round_to_valid(vmcs)
             with per_field_rounder() as rounders:
-                validator.round_to_valid(ref)
+                group_rounder.round_to_valid(ref, caps)
             controls, host, guest = (r.corrections for r in rounders)
             assert report.controls == controls
             assert report.host == host
@@ -243,7 +244,7 @@ class TestRounder:
         r.force(F.GUEST_ES_SELECTOR, 0x12345, "16-bit field")
         r.set_bits(F.GUEST_RIP, 0x10, "set")
         r.force(F.GUEST_RSP, 0, "unchanged")
-        assert r.read(F.GUEST_ES_SELECTOR) == 0x2345
+        assert r.values[F.GUEST_ES_SELECTOR] == 0x2345
         assert vmcs == Vmcs() and vmcs.generation == 0
         assert r.commit() == [(F.GUEST_ES_SELECTOR, 0, 0x2345, "16-bit field"),
                               (F.GUEST_RIP, 0, 0x10, "set")]

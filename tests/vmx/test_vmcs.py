@@ -195,6 +195,24 @@ class TestFreshLayout:
         assert list(vmcs.fields()) == [
             (spec, vmcs.read(spec.encoding)) for spec in F.ALL_FIELDS]
 
+    @given(st.binary(min_size=F.LAYOUT_BYTES, max_size=F.LAYOUT_BYTES),
+           st.sampled_from((0x12, 0x1, 0xFFFF)))
+    @settings(max_examples=25, deadline=None)
+    def test_deserialized_state_equals_a_fresh_instance_with_its_values(
+            self, raw, revision):
+        """``deserialize`` skips ``__init__``; it must still set every
+        attribute ``__init__`` sets, to the same value, and own its table."""
+        vmcs = Vmcs.deserialize(raw, revision)
+        fresh = Vmcs(revision)
+        fresh._values = dict(vmcs._values)
+        assert vars(vmcs) == vars(fresh)
+        assert vmcs.revision_id == revision and not vmcs.launched
+        assert vmcs.serialize() == raw
+        other = Vmcs.deserialize(raw, revision)
+        vmcs.write(F.GUEST_RIP, vmcs.read(F.GUEST_RIP) ^ 1)
+        assert other.serialize() == raw
+        assert other.generation == 0 and other._log == []
+
     @given(st.binary(min_size=F.LAYOUT_BYTES, max_size=F.LAYOUT_BYTES))
     @settings(max_examples=25, deadline=None)
     def test_fields_on_deserialized_in_canonical_order(self, raw):
@@ -357,3 +375,37 @@ class TestWriteMany:
         vmcs.write_many([(spec.encoding, v) for spec, v in vmcs.fields()])
         assert vmcs.generation == gen
         assert vmcs.changes_since(gen) == frozenset()
+
+
+class TestAdopt:
+    """``adopt(values, changed)`` equals making the value-changing writes
+    *changed* one at a time, when *values* is what they leave."""
+
+    @given(st.binary(min_size=F.LAYOUT_BYTES, max_size=F.LAYOUT_BYTES),
+           st.one_of(st.integers(0, 40), st.integers(3300, 4095)),
+           _PAIR_LISTS)
+    @settings(max_examples=60, deadline=None)
+    def test_equals_per_write_loop(self, raw, churn, pairs):
+        vmcs = _churned(raw, churn)
+        ref = vmcs.copy()
+        g0 = vmcs.generation
+        values = dict(vmcs._values)
+        changed = []
+        for k, v in pairs:
+            before = ref.generation
+            ref.write(k, v)
+            if ref.generation != before:
+                values[k] = ref.read(k)
+                changed.append(k)
+        vmcs.adopt(values, changed)
+        assert vmcs._values is values
+        assert vmcs == ref and vmcs.serialize() == ref.serialize()
+        assert vmcs.generation == ref.generation
+        assert (vmcs._log, vmcs._log_base) == (ref._log, ref._log_base)
+        assert vmcs.changes_since(g0) == ref.changes_since(g0)
+
+    def test_no_changes_keeps_generation(self):
+        vmcs = golden_vmcs()
+        gen, log = vmcs.generation, list(vmcs._log)
+        vmcs.adopt(dict(vmcs._values), [])
+        assert (vmcs.generation, vmcs._log) == (gen, log)
