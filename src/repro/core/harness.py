@@ -20,6 +20,7 @@ from repro.core.templates import (
     BOUNDARY_VALUES,
     INTERESTING_MSRS,
     VMCB12_GPA,
+    VMCB_STORE_TARGETS,
     init_sequence,
     runtime_templates,
 )
@@ -41,6 +42,25 @@ STORM_REST = STORM_FIELDS[1:]
 
 #: How many instruction results :attr:`HarnessStats.results` keeps.
 RESULTS_KEPT = 64
+
+#: The vendors bound once: on Python 3.11 every ``Vendor.X`` lookup goes
+#: through ``EnumType.__getattr__``, and hashing a member (a dict lookup
+#: keyed by vendor) calls ``Enum.__hash__``, so per-instruction code
+#: tests the vendor by identity.
+_INTEL = Vendor.INTEL
+_AMD = Vendor.AMD
+
+#: Step 3's re-entry instructions, shared by every case (no handler
+#: writes to an instruction's operands).
+_VMRESUME = GuestInstruction("vmresume", {})
+_VMRUN = GuestInstruction("vmrun", {"addr": VMCB12_GPA})
+
+#: Each vendor's runtime library split into its (L2, L1) templates, in
+#: library order, computed once (looked up once per case).
+_TEMPLATES_BY_LEVEL = {
+    vendor: ([t for t in runtime_templates(vendor) if 2 in t.levels],
+             [t for t in runtime_templates(vendor) if 1 in t.levels])
+    for vendor in (_INTEL, _AMD)}
 
 
 @dataclass
@@ -94,7 +114,7 @@ class VmExecutionHarness:
             if step.mnemonic in ("vmlaunch", "vmrun"):
                 # VM-state installation must precede the entry even when
                 # mutation reordered everything else.
-                if self.vendor is Vendor.INTEL:
+                if self.vendor is _INTEL:
                     self._write_vmcs_fields(hv, vcpu, vm_state, stats)
             result = self._exec(hv, vcpu,
                                 GuestInstruction(step.mnemonic, operands),
@@ -142,7 +162,7 @@ class VmExecutionHarness:
     def _install_vm_state(self, hv: L0Hypervisor, vcpu, vm_state,
                           cursor: InputCursor, stats: HarnessStats) -> None:
         """Place the generated VM state where the init sequence expects it."""
-        if self.vendor is Vendor.AMD:
+        if self.vendor is _AMD:
             hv.memory.put_vmcb(VMCB12_GPA, vm_state)
             return
         # Intel: the VMCS content flows through vmwrite (see
@@ -209,9 +229,7 @@ class VmExecutionHarness:
         """The L2 -> exit -> L1 -> re-enter loop (§4.2)."""
         cursor = fuzz_input.harness_cursor()
         cursor.offset += 128  # past the bytes the init phase consumed
-        templates = runtime_templates(self.vendor)
-        l2_templates = [t for t in templates if 2 in t.levels]
-        l1_templates = [t for t in templates if 1 in t.levels]
+        l2_templates, l1_templates = _TEMPLATES_BY_LEVEL[self.vendor]
         # Ablation ("w/o VM execution harness"): the predefined template
         # library still runs, but deterministically — fixed cycling
         # order and fixed operands (a zero cursor) instead of
@@ -271,8 +289,6 @@ class VmExecutionHarness:
         between vmruns, and it is the only way to reach merge-path bugs
         that depend on VMCB history (e.g. Xen's LME/!PG corruption).
         """
-        from repro.core.templates import VMCB_STORE_TARGETS
-
         vmcb12 = hv.memory.get_vmcb(VMCB12_GPA)
         if vmcb12 is None:
             return ExecResult.success("vmcb store: no VMCB mapped")
@@ -283,10 +299,7 @@ class VmExecutionHarness:
 
     def _reenter(self, hv: L0Hypervisor, vcpu, stats: HarnessStats) -> bool:
         """Step 3: resume the L2 guest (vmresume / vmrun)."""
-        if self.vendor is Vendor.INTEL:
-            instr = GuestInstruction("vmresume", {})
-        else:
-            instr = GuestInstruction("vmrun", {"addr": VMCB12_GPA})
+        instr = _VMRESUME if self.vendor is _INTEL else _VMRUN
         result = self._exec(hv, vcpu, instr, stats)
         stats.vm_entries += 1
         return result.ok

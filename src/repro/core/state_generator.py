@@ -48,6 +48,22 @@ _VMCB_PRIORITY: tuple[str, ...] = tuple(
 )
 _VMCB_ALL: tuple[str, ...] = tuple(spec.name for spec in SF.ALL_FIELDS)
 
+#: Field widths in bits and field names, aligned index for index with
+#: the pick tables above, so boundary injection indexes a tuple where it
+#: would look a spec up per field.
+_PRIORITY_BITS: tuple[int, ...] = tuple(
+    F.SPEC_BY_ENCODING[e].bits for e in _PRIORITY_FIELDS)
+_PRIORITY_NAMES: tuple[str, ...] = tuple(
+    F.SPEC_BY_ENCODING[e].name for e in _PRIORITY_FIELDS)
+_WRITABLE_BITS: tuple[int, ...] = tuple(
+    F.SPEC_BY_ENCODING[e].bits for e in _WRITABLE_ENCODINGS)
+_WRITABLE_NAMES: tuple[str, ...] = tuple(
+    F.SPEC_BY_ENCODING[e].name for e in _WRITABLE_ENCODINGS)
+_VMCB_PRIORITY_BITS: tuple[int, ...] = tuple(
+    SF.SPEC_BY_NAME[n].bits for n in _VMCB_PRIORITY)
+_VMCB_ALL_BITS: tuple[int, ...] = tuple(
+    SF.SPEC_BY_NAME[n].bits for n in _VMCB_ALL)
+
 
 def _pick_bit_count(cursor: InputCursor) -> int:
     """How many bits to flip in one field: 1..MAX, geometrically biased.
@@ -127,16 +143,21 @@ class VmStateGenerator:
         nfields = 1 + cursor.below(MAX_FIELDS_PER_ITERATION)
         for _ in range(nfields):
             if cursor.chance(3, 4):
-                encoding = _PRIORITY_FIELDS[cursor.below(len(_PRIORITY_FIELDS))]
+                index = cursor.below(len(_PRIORITY_FIELDS))
+                encoding = _PRIORITY_FIELDS[index]
+                width = _PRIORITY_BITS[index]
+                name = _PRIORITY_NAMES[index]
             else:
-                encoding = _WRITABLE_ENCODINGS[cursor.below(len(_WRITABLE_ENCODINGS))]
-            spec = F.SPEC_BY_ENCODING[encoding]
+                index = cursor.below(len(_WRITABLE_ENCODINGS))
+                encoding = _WRITABLE_ENCODINGS[index]
+                width = _WRITABLE_BITS[index]
+                name = _WRITABLE_NAMES[index]
             nbits = _pick_bit_count(cursor)
             value = vmcs.read(encoding)
             for _ in range(nbits):
-                value ^= 1 << _pick_bit(cursor, spec.bits)
+                value ^= 1 << _pick_bit(cursor, width)
             vmcs.write(encoding, value)
-            meta.mutated_fields.append(spec.name)
+            meta.mutated_fields.append(name)
             meta.flipped_bits += nbits
 
 
@@ -151,8 +172,9 @@ class VmcbStateGenerator:
     def generate(self, fuzz_input: FuzzInput) -> tuple[Vmcb, GeneratedState]:
         """Produce the VMCB12 image for one fuzzing iteration."""
         if self.use_validator:
-            vmcb = Vmcb.deserialize(
-                FuzzInput.normalize(fuzz_input.vm_state_bytes())[:SF.LAYOUT_BYTES])
+            # The 1,000-byte VM-state region holds a whole VMCB image;
+            # deserialize reads its first LAYOUT_BYTES.
+            vmcb = Vmcb.deserialize(fuzz_input.vm_state_bytes())
             corrections = self.validator.round_to_valid(vmcb)
             entered = self.oracle.verify(vmcb)
             meta = GeneratedState(len(corrections), [], 0, oracle_entered=entered)
@@ -172,14 +194,17 @@ class VmcbStateGenerator:
         nfields = 1 + cursor.below(MAX_FIELDS_PER_ITERATION)
         for _ in range(nfields):
             if cursor.chance(3, 4):
-                name = _VMCB_PRIORITY[cursor.below(len(_VMCB_PRIORITY))]
+                index = cursor.below(len(_VMCB_PRIORITY))
+                name = _VMCB_PRIORITY[index]
+                width = _VMCB_PRIORITY_BITS[index]
             else:
-                name = _VMCB_ALL[cursor.below(len(_VMCB_ALL))]
-            spec = SF.SPEC_BY_NAME[name]
+                index = cursor.below(len(_VMCB_ALL))
+                name = _VMCB_ALL[index]
+                width = _VMCB_ALL_BITS[index]
             nbits = _pick_bit_count(cursor)
             value = vmcb.read(name)
             for _ in range(nbits):
-                value ^= 1 << _pick_bit(cursor, spec.bits)
+                value ^= 1 << _pick_bit(cursor, width)
             vmcb.write(name, value)
             meta.mutated_fields.append(name)
             meta.flipped_bits += nbits

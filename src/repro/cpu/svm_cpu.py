@@ -50,16 +50,35 @@ class VmrunOutcome:
         return self.exit_code is SvmExitCode.INVALID
 
 
+#: Bits outside these in np_control are reserved.
+_NP_CONTROL_DEFINED = (SF.NpControl.NP_ENABLE | SF.NpControl.SEV_ENABLE
+                       | SF.NpControl.SEV_ES_ENABLE)
+#: cs_attrib bits 9 (L) and 10 (D/B).
+_CS_L = 1 << 9
+_CS_DB = 1 << 10
+
+#: ``SvmExitCode.INVALID`` bound once: on Python 3.11 every
+#: ``SvmExitCode.X`` lookup goes through ``EnumType.__getattr__``.
+_INVALID = SvmExitCode.INVALID
+
+
 def check_vmcb(vmcb: Vmcb) -> list[SvmViolation]:
-    """APM 15.5.1 consistency checks, in hardware order."""
+    """APM 15.5.1 consistency checks, in hardware order.
+
+    Reads the VMCB's value table directly rather than through
+    ``Vmcb.read``, as the VM-entry check units read the VMCS's
+    (repro.cpu.entry_checks); ``tests.reference.svm`` keeps the
+    ``read``-based original this is pinned equal to.
+    """
     v: list[SvmViolation] = []
+    values = vmcb._values
 
     def bad(name: str, reason: str) -> None:
         v.append(SvmViolation(name, reason))
 
-    efer = vmcb.read(SF.EFER)
-    cr0 = vmcb.read(SF.CR0)
-    cr4 = vmcb.read(SF.CR4)
+    efer = values[SF.EFER]
+    cr0 = values[SF.CR0]
+    cr4 = values[SF.CR4]
 
     if not efer & Efer.SVME:
         bad("efer", "EFER.SVME must be set")
@@ -80,34 +99,28 @@ def check_vmcb(vmcb: Vmcb) -> list[SvmViolation]:
             bad("cr4", "long mode with paging requires CR4.PAE")
         if not cr0 & Cr0.PE:
             bad("cr0", "long mode requires protected mode")
-        cs_attrib = vmcb.read(SF.SPEC_BY_NAME["cs_attrib"].name)
-        cs_long = bool(cs_attrib & (1 << 9))   # attrib bit 9 = L
-        cs_db = bool(cs_attrib & (1 << 10))    # attrib bit 10 = D/B
-        if cs_long and cs_db:
+        cs_attrib = values["cs_attrib"]
+        if cs_attrib & _CS_L and cs_attrib & _CS_DB:
             bad("cs_attrib", "CS.L and CS.D may not both be set in long mode")
 
-    dr7 = vmcb.read(SF.DR7)
-    if dr7 >> 32:
+    if values[SF.DR7] >> 32:
         bad("dr7", "bits 63:32 must be zero")
-    dr6 = vmcb.read(SF.DR6)
-    if dr6 >> 32:
+    if values[SF.DR6] >> 32:
         bad("dr6", "bits 63:32 must be zero")
 
-    if not vmcb.read(SF.INTERCEPT_MISC2) & SF.Misc2Intercept.VMRUN:
+    if not values[SF.INTERCEPT_MISC2] & SF.Misc2Intercept.VMRUN:
         bad("intercept_misc2", "VMRUN intercept must be set")
 
-    asid = vmcb.read(SF.GUEST_ASID)
-    if asid == 0:
+    if values[SF.GUEST_ASID] == 0:
         bad("guest_asid", "ASID 0 is reserved for the host")
 
-    if vmcb.nested_paging:
-        ncr3 = vmcb.read(SF.N_CR3)
+    np = values[SF.NP_CONTROL]
+    if np & SF.NpControl.NP_ENABLE:
+        ncr3 = values[SF.N_CR3]
         if ncr3 & 0xFFF or ncr3 >> 52:
             bad("n_cr3", f"invalid nested CR3 {ncr3:#x}")
 
-    np = vmcb.read(SF.NP_CONTROL)
-    if np & ~(SF.NpControl.NP_ENABLE | SF.NpControl.SEV_ENABLE
-              | SF.NpControl.SEV_ES_ENABLE):
+    if np & ~_NP_CONTROL_DEFINED:
         bad("np_control", "reserved bits set")
 
     return v
@@ -118,15 +131,16 @@ def apply_vmrun_quirks(vmcb: Vmcb) -> list[str]:
     fixups: list[str] = []
     # EFER.LMA is computed, not stored: hardware sets it from
     # LME & PG and ignores the value software wrote.
-    efer = vmcb.read(SF.EFER)
-    lma = bool(efer & Efer.LME) and bool(vmcb.read(SF.CR0) & Cr0.PG)
+    values = vmcb._values
+    efer = values[SF.EFER]
+    lma = bool(efer & Efer.LME) and bool(values[SF.CR0] & Cr0.PG)
     new_efer = efer | Efer.LMA if lma else efer & ~Efer.LMA
     if new_efer != efer:
         vmcb.write(SF.EFER, new_efer)
         fixups.append("efer.lma recomputed from LME & PG")
     # With VGIF enabled, vmrun sets the virtual GIF so the guest
     # starts with interrupts logically enabled.
-    vintr = vmcb.read(SF.VINTR_CONTROL)
+    vintr = values[SF.VINTR_CONTROL]
     if vintr & SF.VintrControl.V_GIF_ENABLE and not vintr & SF.VintrControl.V_GIF:
         vmcb.write(SF.VINTR_CONTROL, vintr | SF.VintrControl.V_GIF)
         fixups.append("v_gif set at vmrun when VGIF enabled")
@@ -168,19 +182,19 @@ class SvmCpu:
     def vmrun(self, vmcb_pa: int) -> VmrunOutcome:
         """Attempt to run the guest described by the VMCB at *vmcb_pa*."""
         if not self.efer_svme:
-            return VmrunOutcome(False, SvmExitCode.INVALID,
+            return VmrunOutcome(False, _INVALID,
                                 [SvmViolation("efer", "host EFER.SVME clear")])
         if not is_aligned(vmcb_pa, PAGE_SIZE) or vmcb_pa == 0:
-            return VmrunOutcome(False, SvmExitCode.INVALID,
+            return VmrunOutcome(False, _INVALID,
                                 [SvmViolation("vmcb_pa", "misaligned VMCB")])
         vmcb = self.memory.get(vmcb_pa)
         if vmcb is None:
-            return VmrunOutcome(False, SvmExitCode.INVALID,
+            return VmrunOutcome(False, _INVALID,
                                 [SvmViolation("vmcb_pa", "no VMCB present")])
         violations = check_vmcb(vmcb)
         if violations:
-            vmcb.write(SF.EXIT_CODE, int(SvmExitCode.INVALID))
-            return VmrunOutcome(False, SvmExitCode.INVALID, violations)
+            vmcb.write(SF.EXIT_CODE, int(_INVALID))
+            return VmrunOutcome(False, _INVALID, violations)
 
         fixups = self._apply_quirks(vmcb)
         self.in_guest = True

@@ -11,9 +11,9 @@ analogues), assertion failures, kernel-log messages, and host crashes.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.arch.cpuid import Vendor
 
@@ -153,18 +153,34 @@ class InstructionClass(Enum):
     MEMORY = "memory"            # direct guest-memory writes (VMCB/MSR areas)
 
 
-@dataclass(frozen=True)
-class GuestInstruction:
+class _InstructionFields(NamedTuple):
+    mnemonic: str
+    operands: dict[str, int]
+    level: int
+
+
+_new_tuple = tuple.__new__
+
+
+class GuestInstruction(_InstructionFields):
     """One instruction the fuzz-harness VM executes in L1 or L2 context.
 
     ``mnemonic`` selects the handler; ``operands`` carries whatever that
     instruction needs (addresses, field encodings, register values).
     ``level`` is 1 for the L1 hypervisor context and 2 for the L2 guest.
+
+    A named tuple: immutable, compared by value, with a dataclass-style
+    repr, and about half the construction cost of a frozen dataclass
+    (the harness builds about 35 per case). ``operands`` defaults to a
+    fresh empty dict.
     """
 
-    mnemonic: str
-    operands: dict[str, int] = field(default_factory=dict)
-    level: int = 1
+    __slots__ = ()
+
+    def __new__(cls, mnemonic: str, operands: dict[str, int] | None = None,
+                level: int = 1) -> "GuestInstruction":
+        return _new_tuple(cls, (mnemonic, {} if operands is None else operands,
+                                level))
 
     def op(self, name: str, default: int = 0) -> int:
         """Read one operand with a default."""
@@ -175,9 +191,16 @@ class GuestInstruction:
         return f"L{self.level}:{self.mnemonic}({ops})"
 
 
-@dataclass
+_new_object = object.__new__
+
+
+@dataclass(slots=True)
 class ExecResult:
-    """Outcome of executing one guest instruction."""
+    """Outcome of executing one guest instruction.
+
+    :meth:`success` and :meth:`fault`, which build nearly every result,
+    fill the slots directly instead of calling ``__init__``.
+    """
 
     ok: bool
     detail: str = ""
@@ -190,9 +213,21 @@ class ExecResult:
     def success(cls, detail: str = "", *, value: int | None = None,
                 level: int = 1, exit_reason: int | None = None) -> "ExecResult":
         """Construct a successful result."""
-        return cls(True, detail, value, level, exit_reason)
+        result = _new_object(cls)
+        result.ok = True
+        result.detail = detail
+        result.value = value
+        result.level = level
+        result.exit_reason = exit_reason
+        return result
 
     @classmethod
     def fault(cls, detail: str, *, level: int = 1) -> "ExecResult":
         """Construct a faulting (#UD/#GP-style) result."""
-        return cls(False, detail, level=level)
+        result = _new_object(cls)
+        result.ok = False
+        result.detail = detail
+        result.value = None
+        result.level = level
+        result.exit_reason = None
+        return result

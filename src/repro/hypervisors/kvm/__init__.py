@@ -33,6 +33,18 @@ SVM_MNEMONICS = frozenset(NestedSvm.HANDLERS)
 #: Mnemonics of VMX instructions routed to the nested-VMX handlers.
 VMX_MNEMONICS = frozenset(NestedVmx.HANDLERS)
 
+#: The vendors bound once for the per-instruction dispatch: on Python
+#: 3.11 every ``Vendor.X`` lookup goes through ``EnumType.__getattr__``.
+_INTEL = Vendor.INTEL
+_AMD = Vendor.AMD
+
+#: ``AMD_L2_EXITS`` with plain-int codes: the model compares them with
+#: ``==`` and looks them up by hash, where an int and its ``SvmExitCode``
+#: member agree, and an int formats and converts without the enum's
+#: Python-level overhead.
+_AMD_L2_CODES: dict[str, int] = {
+    mnemonic: int(code) for mnemonic, code in AMD_L2_EXITS.items()}
+
 
 @dataclass
 class KvmVcpu:
@@ -47,7 +59,7 @@ class KvmVcpu:
     @property
     def level(self) -> int:
         """The guest level currently executing (1 or 2)."""
-        in_l2 = self.vmx.guest_mode if self.vendor is Vendor.INTEL else self.svm.guest_mode
+        in_l2 = self.vmx.guest_mode if self.vendor is _INTEL else self.svm.guest_mode
         return 2 if in_l2 else 1
 
 
@@ -98,10 +110,10 @@ class KvmHypervisor(L0Hypervisor):
 
     def _execute_l1(self, vcpu: KvmVcpu, instr: GuestInstruction) -> ExecResult:
         mnemonic = instr.mnemonic
-        if vcpu.vendor is Vendor.INTEL and mnemonic in VMX_MNEMONICS:
+        if vcpu.vendor is _INTEL and mnemonic in VMX_MNEMONICS:
             assert self.nested_vmx is not None
             return self.nested_vmx.handle(vcpu.vmx, instr)
-        if vcpu.vendor is Vendor.AMD and mnemonic in SVM_MNEMONICS:
+        if vcpu.vendor is _AMD and mnemonic in SVM_MNEMONICS:
             assert self.nested_svm is not None
             return self.nested_svm.handle(vcpu.svm, instr)
         return self._emulate_plain(vcpu, instr)
@@ -137,7 +149,7 @@ class KvmHypervisor(L0Hypervisor):
     # --- L2 context -----------------------------------------------------------
 
     def _execute_l2(self, vcpu: KvmVcpu, instr: GuestInstruction) -> ExecResult:
-        if vcpu.vendor is Vendor.INTEL:
+        if vcpu.vendor is _INTEL:
             return self._execute_l2_intel(vcpu, instr)
         return self._execute_l2_amd(vcpu, instr)
 
@@ -170,21 +182,22 @@ class KvmHypervisor(L0Hypervisor):
     def _execute_l2_amd(self, vcpu: KvmVcpu, instr: GuestInstruction) -> ExecResult:
         nested = self.nested_svm
         assert nested is not None
-        code = AMD_L2_EXITS.get(instr.mnemonic)
+        mnemonic = instr.mnemonic
+        code = _AMD_L2_CODES.get(mnemonic)
         if code is None:
             return ExecResult.success("no exit", level=2)
-        if instr.mnemonic == "exception":
+        if mnemonic == "exception":
             code = svm_exception_code(instr.op("vector"))
         vmcb12 = self.memory.get_vmcb(vcpu.svm.current_vmcb12_pa)
         if vmcb12 is None:
             return ExecResult.fault("L2 active without VMCB12")
         if nested.l1_wants_exit(vmcb12, code, instr):
-            nested.nested_svm_vmexit(vcpu.svm, vmcb12, int(code),
+            nested.nested_svm_vmexit(vcpu.svm, vmcb12, code,
                                      info1=instr.op("value"))
             return ExecResult.success(f"L2 #VMEXIT {code:#x} -> L1",
-                                      exit_reason=int(code), level=1)
+                                      exit_reason=code, level=1)
         return ExecResult.success(f"L2 #VMEXIT {code:#x} handled by L0",
-                                  level=2, exit_reason=int(code))
+                                  level=2, exit_reason=code)
 
     # ------------------------------------------------------------------
     # Coverage target modules

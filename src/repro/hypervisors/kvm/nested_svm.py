@@ -23,7 +23,7 @@ from repro.hypervisors.kvm.mmu import KvmMmu
 from repro.hypervisors.kvm.module import KvmModuleParams
 from repro.hypervisors.memory import GuestMemory
 from repro.svm import fields as SF
-from repro.svm.exit_codes import SvmExitCode
+from repro.svm.exit_codes import SvmExitCodes as SvmExitCode
 from repro.svm.fields import Misc1Intercept, Misc2Intercept, VintrControl
 from repro.svm.vmcb import Vmcb
 from repro.validator.golden import golden_vmcb

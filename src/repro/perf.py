@@ -19,6 +19,7 @@ from __future__ import annotations
 from typing import Callable
 
 from repro import telemetry
+from repro.coverage import kcov
 
 
 def memoized_check(struct, key, compute: Callable[[], list]):
@@ -54,8 +55,6 @@ def memoized_check(struct, key, compute: Callable[[], list]):
     The cached result list is returned as-is on a hit; callers must not
     mutate it.
     """
-    from repro.coverage import kcov
-
     sink = kcov.event_sink()
     entry = struct.memo_get(key)
     if entry is not None:
@@ -118,8 +117,6 @@ def merge_state(state, src, *, build: Callable[[], object],
         merged = build()
         controls(merged)
         return merged
-    from repro.coverage import kcov
-
     sink = kcov.event_sink()
     cache = state.merge_cache
     changed = None

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Iterator
+import struct
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator
 
 from repro.arch.bits import bytes_hamming
 from repro.arch.registers import Cr0, Efer
@@ -10,12 +12,19 @@ from repro.svm import fields as F
 from repro.svm.fields import ALL_FIELDS, LAYOUT_BYTES, VmcbField
 
 #: Hot-path lookup tables (same rationale as repro.vmx.vmcs): width
-#: masks and byte sizes precomputed so per-write truncation is a single
-#: dict lookup plus an ``&`` instead of two helper frames.
+#: masks precomputed so per-write truncation is a single dict lookup
+#: plus an ``&`` instead of two helper frames.
 _FIELD_MASK: dict[str, int] = {s.name: (1 << s.bits) - 1 for s in ALL_FIELDS}
-_FIELD_NBYTES: tuple[tuple[str, int], ...] = tuple(
-    (s.name, (s.bits + 7) // 8) for s in ALL_FIELDS)
 _NAMES: tuple[str, ...] = tuple(s.name for s in ALL_FIELDS)
+
+#: The canonical image layout, one little-endian ``B``/``H``/``I``/``Q``
+#: per field in ``ALL_FIELDS`` order: ``serialize`` packs and
+#: ``deserialize`` unpacks through it in a single call. Every field is
+#: 8, 16, 32 or 64 bits wide, so an unpacked value already fits its
+#: field and needs no mask.
+_LAYOUT = struct.Struct(
+    "<" + "".join({8: "B", 16: "H", 32: "I", 64: "Q"}[s.bits]
+                  for s in ALL_FIELDS))
 
 #: The all-zero field table of a fresh VMCB, copied by ``__init__``.
 _ZERO_VALUES: dict[str, int] = dict.fromkeys(_NAMES, 0)
@@ -25,6 +34,47 @@ _LOG_MAX = 4096
 _LOG_KEEP = 1024
 
 _EMPTY_SET: frozenset = frozenset()
+
+
+def _tuple_getter(keys: tuple[str, ...]) -> Callable[[dict], tuple]:
+    """A callable mapping a field table to the tuple of its *keys*
+    values, in order (``itemgetter`` returns a bare value for one key)."""
+    if len(keys) == 1:
+        key = keys[0]
+        return lambda values: (values[key],)
+    if not keys:
+        return lambda values: ()
+    return itemgetter(*keys)
+
+
+#: ``copy_fields`` getters, keyed by the ``id`` of the key tuple each was
+#: built for: hashing a 67-name tuple on every call would cost more than
+#: an identity check. Each entry holds its tuple, so the id cannot be
+#: reused while the entry lives. The entry's flag says whether the keys
+#: are distinct.
+_GETTERS: dict[int, tuple[tuple, Callable[[dict], tuple], bool]] = {}
+#: How many key tuples ``_GETTERS`` remembers; later ones are served by
+#: a getter built for the call.
+_GETTERS_MAX = 64
+
+#: Getter of every field, in layout order (``diff``).
+_ALL_VALUES = _tuple_getter(_NAMES)
+
+
+def _getter_for(keys: Iterable[str]) -> tuple[tuple, Callable[[dict], tuple], bool]:
+    """The ``_GETTERS`` entry for *keys*, building (and, for a tuple,
+    caching) it on a miss."""
+    entry = _GETTERS.get(id(keys))
+    if entry is not None and entry[0] is keys:
+        return entry
+    key_tuple = tuple(keys)
+    entry = (key_tuple, _tuple_getter(key_tuple),
+             len(set(key_tuple)) == len(key_tuple))
+    # A list can change under the same id, so only a tuple (which
+    # ``tuple()`` returns as is) is remembered.
+    if type(keys) is tuple and len(_GETTERS) < _GETTERS_MAX:
+        _GETTERS[id(keys)] = entry
+    return entry
 
 
 class Vmcb:
@@ -71,31 +121,39 @@ class Vmcb:
                 del log[:len(log) - _LOG_KEEP]
                 self._log_base = self._gen - _LOG_KEEP
 
-    def copy_fields(self, src: "Vmcb", keys: tuple[str, ...]) -> None:
+    def copy_fields(self, src: "Vmcb", keys: Iterable[str]) -> None:
         """Copy the fields *keys* from *src*, in order, as one bulk write.
 
         Same contract as ``Vmcs.copy_fields``: equal to ``for k in keys:
-        self.write(k, src.read(k))``, journal included.
-        An unknown key raises ``KeyError`` before anything is written.
+        self.write(k, src.read(k))``, journal included; *keys* may be any
+        sequence and may repeat a key. An unknown key raises ``KeyError``
+        before anything is written. Both sides are read through one
+        cached ``itemgetter`` per key tuple, so a copy that changes
+        nothing costs two C-level gathers and a tuple compare.
         """
+        keys, get, distinct = _getter_for(keys)
         values = self._values
         srcvals = src._values
         try:
-            changed = list(dict.fromkeys(
-                k for k in keys if values[k] != srcvals[k]))
+            new = get(srcvals)
+            old = get(values)
         except KeyError as exc:
             raise KeyError(f"unknown VMCB field {exc.args[0]!r}") from None
-        if changed:
-            values.update(zip(changed, map(srcvals.__getitem__, changed)))
-            self._gen += len(changed)
-            log = self._log
-            log += changed
-            if len(log) >= _LOG_MAX:
-                # write() cuts back to _LOG_KEEP each time the journal
-                # reaches _LOG_MAX; keep what that sequence of cuts keeps.
-                keep = _LOG_KEEP + (len(log) - _LOG_MAX) % (_LOG_MAX - _LOG_KEEP)
-                del log[:len(log) - keep]
-                self._log_base = self._gen - keep
+        if new == old:
+            return
+        changed = [k for k, a, b in zip(keys, old, new) if a != b]
+        if not distinct:
+            changed = list(dict.fromkeys(changed))
+        values.update(zip(changed, map(srcvals.__getitem__, changed)))
+        self._gen += len(changed)
+        log = self._log
+        log += changed
+        if len(log) >= _LOG_MAX:
+            # write() cuts back to _LOG_KEEP each time the journal
+            # reaches _LOG_MAX; keep what that sequence of cuts keeps.
+            keep = _LOG_KEEP + (len(log) - _LOG_MAX) % (_LOG_MAX - _LOG_KEEP)
+            del log[:len(log) - keep]
+            self._log_base = self._gen - keep
 
     # --- dirty tracking ----------------------------------------------------
 
@@ -189,12 +247,14 @@ class Vmcb:
                 self.write(name, other)
 
     def diff(self, other: "Vmcb") -> list[tuple[VmcbField, int, int]]:
-        """Fields whose values differ, as (spec, self_value, other_value)."""
-        return [
-            (spec, self._values[spec.name], other._values[spec.name])
-            for spec in ALL_FIELDS
-            if self._values[spec.name] != other._values[spec.name]
-        ]
+        """Fields whose values differ, as (spec, self_value, other_value),
+        in layout order."""
+        mine = _ALL_VALUES(self._values)
+        theirs = _ALL_VALUES(other._values)
+        if mine == theirs:
+            return []
+        return [(spec, a, b) for spec, a, b in zip(ALL_FIELDS, mine, theirs)
+                if a != b]
 
     def serialize(self) -> bytes:
         """Pack every field into the canonical little-endian layout.
@@ -204,28 +264,30 @@ class Vmcb:
         """
         if self._ser_gen == self._gen and self._ser is not None:
             return self._ser
-        values = self._values
-        out = bytearray()
-        for name, nbytes in _FIELD_NBYTES:
-            out += values[name].to_bytes(nbytes, "little")
-        packed = bytes(out)
+        packed = _LAYOUT.pack(*_ALL_VALUES(self._values))
         self._ser = packed
         self._ser_gen = self._gen
         return packed
 
     @classmethod
     def deserialize(cls, raw: bytes) -> "Vmcb":
-        """Unpack a serialised layout; short input raises ValueError."""
+        """Unpack a serialised layout (inverse of :meth:`serialize`).
+
+        Extra trailing bytes are ignored; short input raises ValueError.
+        Like :meth:`copy`, it bypasses ``__init__``: the unpacked table
+        is the only one built.
+        """
         if len(raw) < LAYOUT_BYTES:
             raise ValueError(
                 f"need {LAYOUT_BYTES} bytes for a VMCB image, got {len(raw)}"
             )
-        vmcb = cls()
-        offset = 0
-        for name, nbytes in _FIELD_NBYTES:
-            value = int.from_bytes(raw[offset:offset + nbytes], "little")
-            vmcb._values[name] = value & _FIELD_MASK[name]
-            offset += nbytes
+        vmcb = cls.__new__(cls)
+        vmcb._values = dict(zip(_NAMES, _LAYOUT.unpack_from(raw)))
+        vmcb._gen = 0
+        vmcb._log = []
+        vmcb._log_base = 0
+        vmcb._ser = None
+        vmcb._ser_gen = -1
         return vmcb
 
     def hamming(self, other: "Vmcb") -> int:

@@ -44,7 +44,12 @@ optimisation must equal lives here, in the tests only:
   ``Segment`` properties, interruption information through an
   ``InterruptionInfo`` decoded with a try/except, EPTPs through
   ``EptPointer``. Every public ``check_*`` is pinned equal to it
-  (tests/cpu/test_object_check_equivalence.py).
+  (tests/cpu/test_object_check_equivalence.py);
+* :mod:`tests.reference.svm` keeps the VMCB paths from before they read
+  field tables through getters: the per-field ``Vmcb.deserialize``, the
+  generator-expression ``Vmcb.copy_fields``, the per-spec ``Vmcb.diff``
+  and the ``Vmcb.read``-based ``check_vmcb``
+  (tests/svm/test_getter_equivalence.py).
 """
 
 from __future__ import annotations

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.arch.registers import Cr0, Efer
 from repro.svm import fields as SF
+from repro.svm import vmcb as vmcb_module
 from repro.svm.vmcb import Vmcb
 from repro.validator.golden import golden_vmcb
 
@@ -111,6 +112,14 @@ class TestWholeStructure:
     def test_deserialize_short_rejected(self):
         with pytest.raises(ValueError):
             Vmcb.deserialize(b"\x01" * 8)
+
+    def test_layout_struct_needs_no_mask(self):
+        """``deserialize`` stores unpacked values unmasked: sound only
+        while every field is a whole 8, 16, 32 or 64 bits and the struct
+        covers exactly the image."""
+        assert {spec.bits for spec in SF.ALL_FIELDS} <= {8, 16, 32, 64}
+        assert vmcb_module._LAYOUT.size == SF.LAYOUT_BYTES
+        assert SF.LAYOUT_BITS == 8 * SF.LAYOUT_BYTES
 
     @given(st.binary(min_size=SF.LAYOUT_BYTES, max_size=SF.LAYOUT_BYTES))
     @settings(max_examples=50, deadline=None)
